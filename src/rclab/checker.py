@@ -67,11 +67,10 @@ class Verdict:
 def check_agreement(returns, scope="all-returns") -> Optional[str]:
     """None if all decisions agree; otherwise a description of the clash."""
     if scope == "cross-process":
+        # a process's first decision stands for it; its later ones are ignored
         by_pid = {}
-        for pid, att, v in returns:
+        for pid, _att, v in returns:
             by_pid.setdefault(pid, v)
-            if by_pid[pid] != v:
-                pass  # same-process disagreement ignored in this scope
         vals = set(by_pid.values())
         if len(vals) > 1:
             return "distinct processes decided %s" % sorted(map(repr, vals))
@@ -107,11 +106,10 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
         # crash isolation: shared objects survive every crash untouched
         if post.objects != pre.objects:
             return (INVARIANT, "crash step changed shared objects")
-    pre_get = lambda name: exp.get_value(pre, name)
-    post_get = lambda name: exp.get_value(post, name)
-    err = exp.machine.check_edge(pre_get, post_get)
-    if err:
-        return (INVARIANT, err)
+    if post.objects is not pre.objects:
+        err = exp.machine.check_edge(pre.objects, post.objects)
+        if err:
+            return (INVARIANT, err)
     if label.kind == ORDINARY:
         fr = post.frames[label.pid - 1]
         if fr.status == FELL_OFF:
@@ -132,7 +130,7 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
             err = check_validity(post.returns, exp.config.proposals)
             if err:
                 return (VALIDITY, err)
-    err = exp.machine.check_state(post, post_get)
+    err = exp.machine.check_state(post)
     if err:
         return (INVARIANT, err)
     return None
@@ -164,18 +162,20 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     stats = {"states": 1, "edges": 0, "terminal_executions": 0, "max_attempt_steps": 0}
     count_memo = {}
     path: List[StepLabel] = []
+    successor = exp.successor
+    depth_limit = exp.depth_limit
 
     def visit(state, depth):
         labels = exp.enabled_steps(state)
         if not labels:
             return 1
-        if depth >= exp.depth_limit:
+        if depth >= depth_limit:
             raise _DepthLimit()
         total = 0
         for lab in labels:
             stats["edges"] += 1
             try:
-                post, _rec = exp.apply_step(state, lab)
+                post = successor(state, lab)
             except (GenericityViolation, UninitializedRead) as e:
                 raise _Violation(_classify(e), str(e), path + [lab])
             path.append(lab)
@@ -186,20 +186,21 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 steps = post.frames[lab.pid - 1].steps
                 if steps > stats["max_attempt_steps"]:
                     stats["max_attempt_steps"] = steps
-            key = exp.memo_key(post)
-            if memo and key in count_memo:
-                total += count_memo[key]
+            if memo:
+                key = exp.memo_key(post)
+                c = count_memo.get(key)
+                if c is None:
+                    stats["states"] += 1
+                    c = count_memo[key] = visit(post, depth + 1)
             else:
                 stats["states"] += 1
                 c = visit(post, depth + 1)
-                if memo:
-                    count_memo[key] = c
-                total += c
+            total += c
             path.pop()
         return total
 
     init = exp.initial_state()
-    err = exp.machine.check_state(init, lambda name: exp.get_value(init, name))
+    err = exp.machine.check_state(init)
     if err:
         return Verdict("fail", INVARIANT, err, [], stats)
     try:
@@ -233,7 +234,7 @@ def shortest_failure(exp: Experiment):
             continue
         for lab in exp.enabled_steps(state):
             try:
-                post, _ = exp.apply_step(state, lab)
+                post = exp.successor(state, lab)
             except (GenericityViolation, UninitializedRead) as e:
                 return path + [lab], _classify(e), str(e)
             bad = inspect_edge(exp, state, lab, post)
@@ -260,7 +261,7 @@ def fuzz(x, seed=0, episodes=1000) -> Verdict:
                 break
             lab = rng.choice(labels)
             try:
-                post, _ = exp.apply_step(state, lab)
+                post = exp.successor(state, lab)
             except (GenericityViolation, UninitializedRead) as e:
                 return Verdict("fail", _classify(e), str(e), path + [lab],
                                {"episodes": ep + 1, "seed": seed})
@@ -283,7 +284,7 @@ def check_rwf(x, labels) -> Optional[str]:
     exp = as_experiment(x)
     state = exp.initial_state()
     for lab in labels:
-        state, _ = exp.apply_step(state, lab)
+        state = exp.successor(state, lab)
         if lab.kind == ORDINARY:
             fr = state.frames[lab.pid - 1]
             if fr.status == FELL_OFF:
@@ -300,7 +301,7 @@ def confirm_violation(x, labels):
     state = exp.initial_state()
     for lab in labels:
         try:
-            post, _ = exp.apply_step(state, lab)
+            post = exp.successor(state, lab)
         except (GenericityViolation, UninitializedRead) as e:
             return _classify(e), str(e)
         bad = inspect_edge(exp, state, lab, post)

@@ -72,6 +72,15 @@ class ExperimentConfig:
             raise ConfigError("scan order must be asc or desc")
         if self.agreement_scope not in ("all-returns", "cross-process"):
             raise ConfigError("agreement scope must be all-returns or cross-process")
+        for key in ("monitor", "hash_ignores_attempt"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError("%s must be true or false" % key)
+        for key in ("depth", "cap"):
+            value = getattr(self, key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 0
+            ):
+                raise ConfigError("%s must be a non-negative integer" % key)
         return self
 
     def to_dict(self) -> dict:

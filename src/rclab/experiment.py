@@ -1,6 +1,15 @@
 """Binds a configuration to a machine and implements the step semantics:
 initial state construction, step enabledness (including the assumption-1
-crash filter), and the pure state transition."""
+crash filter), and the pure state transition.
+
+The transition has two entry points over one implementation.
+`successor(state, label)` returns only the next state; exhaustive search,
+fuzzing and graph building use it.  `apply_step(state, label)` returns
+the same state plus the `StepRecord` a trace stores (op text with the
+JSON-encoded access arguments, and the response); tracing and replay use
+it.  A step that leaves every shared object unchanged (a read, an `rtas`,
+a failed `cas`, a crash) returns a state whose `objects` is the very
+tuple of the pre-state."""
 
 from __future__ import annotations
 
@@ -51,6 +60,9 @@ class Experiment:
         self.tas_names = frozenset(self.machine.tas_objects())
         self.a1 = config.adversary == "assumption1"
         self.rerun = config.mode == "rerun-after-crash"
+        pids = range(1, config.n + 1)
+        self.ordinary_labels = tuple(ordinary(pid) for pid in pids)
+        self.crash_labels = tuple(crash(pid) for pid in pids)
         if config.depth is not None:
             self.depth_limit = config.depth
         else:
@@ -86,11 +98,15 @@ class Experiment:
         return True  # running or fell off the end
 
     def enabled_steps(self, state: SystemState):
-        labels = [ordinary(fr.pid) for fr in state.frames if fr.status == RUNNING]
+        labels = [
+            self.ordinary_labels[fr.pid - 1] for fr in state.frames if fr.status == RUNNING
+        ]
         kind = self.config.failure
         if kind == "independent":
             if self.a1 or state.failures < self.config.budget:
-                labels += [crash(fr.pid) for fr in state.frames if self._crashable(fr)]
+                labels += [
+                    self.crash_labels[fr.pid - 1] for fr in state.frames if self._crashable(fr)
+                ]
         elif kind == "simultaneous":
             if state.failures < self.config.budget:
                 labels.append(CRASH_ALL_LABEL)
@@ -154,34 +170,48 @@ class Experiment:
 
     def apply_step(self, state: SystemState, label: StepLabel):
         """Pure transition; returns (new state, record with index -1)."""
-        if label.kind == ORDINARY:
-            return self._ordinary(state, label)
-        return self._crash(state, label)
+        if label.kind != ORDINARY:
+            return self._crash(state, label), StepRecord(-1, label, "crash", None)
+        new_state, frame, outcome = self._ordinary(state, label.pid)
+        if isinstance(outcome, Ret):
+            return new_state, StepRecord(-1, label, "%s return" % frame.pc, outcome.value)
+        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
+        if outcome.args:
+            op += " " + json.dumps(list(outcome.args))
+        return new_state, StepRecord(-1, label, op, outcome.resp)
 
-    def _ordinary(self, state: SystemState, label: StepLabel):
-        pid = label.pid
+    def successor(self, state: SystemState, label: StepLabel) -> SystemState:
+        """The state `apply_step` returns, without building its record."""
+        if label.kind != ORDINARY:
+            return self._crash(state, label)
+        return self._ordinary(state, label.pid)[0]
+
+    def _ordinary(self, state: SystemState, pid: int):
+        """One ordinary step of `pid`: (new state, pre-step frame, outcome),
+        where the outcome is the machine's `Access` or `Ret`."""
         frame = state.frames[pid - 1]
         if frame.status != RUNNING:
             raise StepError("p%d is %s and takes no ordinary steps" % (pid, frame.status))
         objs = state.objects
-        outcome = self.machine.step(frame, lambda name: objs[self.idx[name]])
+        idx = self.idx
+        outcome = self.machine.step(frame, lambda name: objs[idx[name]])
+        participants = state.participants | {pid} if self.a1 else state.participants
 
         if isinstance(outcome, Ret):
-            status = RETURNED if self.rerun else HALTED
-            new_frame = frame._replace(
-                pc="done",
-                status=status,
-                retval=outcome.value,
-                steps=frame.steps + 1,
-                armed_crash=False,
+            new_frame = Frame(
+                frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
+                RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            new_state = state._replace(
-                frames=_swap(state.frames, pid - 1, new_frame),
-                returns=state.returns + ((pid, frame.attempt, outcome.value),),
-                participants=state.participants | {pid} if self.a1 else state.participants,
+            new_state = SystemState(
+                _swap(state.frames, pid - 1, new_frame),
+                objs,
+                state.failures,
+                state.returns + ((pid, frame.attempt, outcome.value),),
+                participants,
+                state.tas_seen,
+                state.cons_access,
             )
-            record = StepRecord(-1, label, "%s return" % frame.pc, outcome.value)
-            return new_state, record
+            return new_state, frame, outcome
 
         cons_access = state.cons_access
         if outcome.instance is not None:
@@ -190,7 +220,7 @@ class Experiment:
                 for p2, a2 in prior:
                     if p2 == pid:
                         raise GenericityViolation(outcome.instance, pid, frame.attempt, a2)
-                if self.idx.get(outcome.instance) is None:
+                if idx.get(outcome.instance) is None:
                     cons_access = cons_access | {(outcome.instance, pid, frame.attempt)}
 
         tas_seen = state.tas_seen
@@ -199,28 +229,33 @@ class Experiment:
             armed = (pid, outcome.obj) not in tas_seen
             tas_seen = tas_seen | {(pid, outcome.obj)}
 
-        new_objs = _swap(objs, self.idx[outcome.obj], outcome.new_value)
-        fell = outcome.pc == END
-        new_frame = frame._replace(
-            pc=outcome.pc,
-            locals=frame.with_locals(outcome.updates) if outcome.updates else frame.locals,
-            status=FELL_OFF if fell else RUNNING,
-            steps=frame.steps + 1,
-            armed_crash=armed,
+        # reads, rtas and a failed cas return the object value itself; the
+        # tuple is kept so that callers can tell no object changed
+        i = idx[outcome.obj]
+        new_objs = objs if objs[i] is outcome.new_value else _swap(objs, i, outcome.new_value)
+        new_frame = Frame(
+            frame.pid,
+            outcome.pc,
+            frame.with_locals(outcome.updates) if outcome.updates else frame.locals,
+            frame.proposal,
+            frame.attempt,
+            FELL_OFF if outcome.pc == END else RUNNING,
+            frame.retval,
+            frame.steps + 1,
+            armed,
         )
-        new_state = state._replace(
-            frames=_swap(state.frames, pid - 1, new_frame),
-            objects=new_objs,
-            participants=state.participants | {pid} if self.a1 else state.participants,
-            tas_seen=tas_seen,
-            cons_access=cons_access,
+        new_state = SystemState(
+            _swap(state.frames, pid - 1, new_frame),
+            new_objs,
+            state.failures,
+            state.returns,
+            participants,
+            tas_seen,
+            cons_access,
         )
-        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
-        if outcome.args:
-            op += " " + json.dumps(list(outcome.args))
-        return new_state, StepRecord(-1, label, op, outcome.resp)
+        return new_state, frame, outcome
 
-    def _crash(self, state: SystemState, label: StepLabel):
+    def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
         kind = self.config.failure
         if label.kind == CRASH:
             if kind != "independent":
@@ -242,8 +277,15 @@ class Experiment:
             )
         else:
             raise StepError("unknown step label %r" % (label,))
-        new_state = state._replace(frames=frames, failures=state.failures + 1)
-        return new_state, StepRecord(-1, label, "crash", None)
+        return SystemState(
+            frames,
+            state.objects,
+            state.failures + 1,
+            state.returns,
+            state.participants,
+            state.tas_seen,
+            state.cons_access,
+        )
 
     # -- hashing ------------------------------------------------------------
 

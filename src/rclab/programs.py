@@ -58,6 +58,19 @@ def _write(get, name, val, pc, updates=None, instance=None):
 
 
 class Machine:
+    """A step machine for one algorithm.
+
+    `layout()` fixes the shared objects and their order; a state's
+    `objects` tuple holds their values in that order, so the invariant
+    hooks read an object by its slot (its position in the layout).
+    `check_state(state)` is evaluated on every state the checker reaches.
+    `check_edge(pre_objects, post_objects)` sees only the object tuples
+    before and after an edge, and the checker skips it on edges that left
+    the tuple itself in place (reads, `rtas`, a failed `cas`, crashes).
+    An edge invariant must therefore be a function of the objects alone,
+    and must hold whenever no object changed.
+    """
+
     program_id = ""
     entry = ""
 
@@ -82,11 +95,11 @@ class Machine:
     def tas_objects(self) -> list:
         return [name for name, v in self.layout() if isinstance(v, objects.Tas)]
 
-    # Machine-specific invariants, evaluated by the checker.
-    def check_state(self, state, get) -> Optional[str]:
+    # Machine-specific invariants; each returns an error string or None.
+    def check_state(self, state) -> Optional[str]:
         return None
 
-    def check_edge(self, pre_get, post_get) -> Optional[str]:
+    def check_edge(self, pre_objects, post_objects) -> Optional[str]:
         return None
 
 
@@ -241,6 +254,9 @@ class Fig2Machine(Machine):
         self.f = f
         self.cons = cons
         self.scan_order = scan_order
+        slots = {name: i for i, (name, _) in enumerate(self.layout())}
+        self._r_slots = tuple((i, slots["R[%d]" % i]) for i in range(1, n + 1))
+        self._k_pos = sorted(self.init_locals(1, None)).index("k")
 
     def init_locals(self, pid, proposal):
         return {
@@ -377,28 +393,30 @@ class Fig2Machine(Machine):
             return Ret(frame.loc("d"))
         raise AssertionError("fig2: unreachable pc %r" % pc)
 
-    def check_state(self, state, get):
+    def check_state(self, state):
         # No process may be inside iteration k before k crashes happened,
         # and R[i] = x+1 certifies that its owner began iteration x.
+        failures = state.failures
         for fr in state.frames:
             if fr.status == "running" and fr.pc in _FIG2_BODY_PCS:
-                k = dict(fr.locals)["k"]
-                if k is not UNINIT and state.failures < k:
+                # locals are sorted (name, value) pairs over a fixed name set
+                k = fr.locals[self._k_pos][1]
+                if k is not UNINIT and failures < k:
                     return (
                         "p%d is in iteration %d with only %d failures so far"
-                        % (fr.pid, k, state.failures)
+                        % (fr.pid, k, failures)
                     )
-        for i in range(1, self.n + 1):
-            r = get("R[%d]" % i).value
-            if state.failures < r - 1:
-                return "R[%d]=%d with only %d failures so far" % (i, r, state.failures)
+        objs = state.objects
+        for i, slot in self._r_slots:
+            r = objs[slot].value
+            if failures < r - 1:
+                return "R[%d]=%d with only %d failures so far" % (i, r, failures)
         return None
 
-    def check_edge(self, pre_get, post_get):
-        for i in range(1, self.n + 1):
-            name = "R[%d]" % i
-            if post_get(name).value < pre_get(name).value:
-                return "%s decreased" % name
+    def check_edge(self, pre_objects, post_objects):
+        for i, slot in self._r_slots:
+            if post_objects[slot].value < pre_objects[slot].value:
+                return "R[%d] decreased" % i
         return None
 
 

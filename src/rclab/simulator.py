@@ -53,7 +53,7 @@ def random_run(exp: Experiment, rng: random.Random):
         if not enabled:
             break
         lab = rng.choice(enabled)
-        state, _ = exp.apply_step(state, lab)
+        state = exp.successor(state, lab)
         labels.append(lab)
     return labels, state
 
@@ -143,7 +143,7 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
         nonlocal state
         if lab not in exp.enabled_steps(state):
             raise ScheduleError(len(labels), lab, "plan produced a disabled step")
-        state, _ = exp.apply_step(state, lab)
+        state = exp.successor(state, lab)
         labels.append(lab)
 
     for item in plan:

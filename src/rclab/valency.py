@@ -50,7 +50,7 @@ def build_graph(x, cap: Optional[int] = None) -> ExecGraph:
             continue
         succ = []
         for lab in labels:
-            post, _ = exp.apply_step(state, lab)
+            post = exp.successor(state, lab)
             if post not in nodes:
                 if cap is not None and len(nodes) >= cap:
                     capped = True

@@ -1,4 +1,5 @@
 import os
+from collections import deque
 
 import pytest
 
@@ -17,6 +18,33 @@ def make_config(**kw):
 
 def make_experiment(**kw):
     return Experiment(make_config(**kw))
+
+
+# Small configurations whose whole state graphs the differential tests walk.
+DIFFERENTIAL_CONFIGS = {
+    "fig1-tas-b1": dict(cons="tas", failure="simultaneous", budget=1),
+    "fig2-2-1-atomic": dict(program="fig2", f=1, failure="independent", budget=1),
+    "fig2-2-1-tas": dict(program="fig2", f=1, cons="tas", failure="independent",
+                         budget=1),
+    "fig3-b1": dict(program="fig3", failure="independent", budget=1),
+    "cas-rc-b3": dict(program="cas-rc", failure="independent", budget=3),
+}
+
+
+def reachable_edges(exp):
+    """Every edge (state, label, post) of the reachable state graph, found
+    by breadth-first search over `apply_step`."""
+    init = exp.initial_state()
+    seen = {init}
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        for lab in exp.enabled_steps(state):
+            post, _ = exp.apply_step(state, lab)
+            yield state, lab, post
+            if post not in seen:
+                seen.add(post)
+                queue.append(post)
 
 
 @pytest.fixture

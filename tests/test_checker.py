@@ -1,11 +1,13 @@
 """Property evaluation, exhaustive search, minimization, fuzzing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab import checker
 from rclab.checker import (
     AGREEMENT,
+    INVARIANT,
     RWF,
     VALIDITY,
     check_agreement,
@@ -14,11 +16,18 @@ from rclab.checker import (
     confirm_violation,
     explore,
     fuzz,
+    inspect_edge,
     shortest_failure,
 )
 from rclab.core import crash, ordinary
+from rclab.objects import Register
 
-from conftest import make_config, make_experiment
+from conftest import (
+    DIFFERENTIAL_CONFIGS,
+    make_config,
+    make_experiment,
+    reachable_edges,
+)
 
 
 # -- property primitives ------------------------------------------------------
@@ -38,6 +47,12 @@ def test_agreement_cross_process_scope():
     assert check_agreement(returns, scope="cross-process") is not None
 
 
+def test_agreement_cross_process_keeps_first_decision():
+    # p1's first decision agrees with p2; its later, different one is ignored
+    returns = [(1, 1, "a"), (2, 1, "a"), (1, 2, "b")]
+    assert check_agreement(returns, scope="cross-process") is None
+
+
 def test_validity_examples():
     assert check_validity([(1, 1, "a")], ["a", "b"]) is None
     assert check_validity([(1, 1, "c")], ["a", "b"]) is not None
@@ -49,6 +64,59 @@ def test_validity_examples():
 def test_agreement_iff_single_value(returns):
     distinct = {v for _p, _a, v in returns}
     assert (check_agreement(returns) is None) == (len(distinct) <= 1)
+
+
+# -- edge and state invariants ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_check_edge_runs_whenever_an_object_changed(name):
+    exp = make_experiment(**DIFFERENTIAL_CONFIGS[name])
+    calls = []
+    check_edge = exp.machine.check_edge
+
+    def counted(pre_objects, post_objects):
+        calls.append(1)
+        return check_edge(pre_objects, post_objects)
+
+    exp.machine.check_edge = counted
+    for state, lab, post in reachable_edges(exp):
+        before = len(calls)
+        inspect_edge(exp, state, lab, post)
+        if post.objects != state.objects:
+            assert len(calls) == before + 1, (state, lab)
+    assert calls
+
+
+def fig2_forge():
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
+    return exp, exp.initial_state()
+
+
+def test_forged_register_decrease_is_reported():
+    exp, init = fig2_forge()
+    slot = exp.idx["R[2]"]
+    pre = init._replace(objects=init.objects[:slot] + (Register(1),)
+                        + init.objects[slot + 1:])
+    assert inspect_edge(exp, pre, ordinary(1), init) == (INVARIANT, "R[2] decreased")
+
+
+def test_forged_early_iteration_is_reported():
+    exp, init = fig2_forge()
+    fr = init.frames[0]
+    forged = fr._replace(pc="xn:inc", locals=fr.with_locals({"k": 1}))
+    state = init._replace(frames=(forged,) + init.frames[1:])
+    assert exp.machine.check_state(state) == (
+        "p1 is in iteration 1 with only 0 failures so far")
+
+
+def test_forged_crash_that_changes_an_object_is_reported():
+    exp, init = fig2_forge()
+    slot = exp.idx["D[0]"]
+    post = init._replace(objects=init.objects[:slot] + (Register(10),)
+                         + init.objects[slot + 1:])
+    assert inspect_edge(exp, init, crash(1), post) == (
+        INVARIANT, "crash step changed shared objects")
 
 
 # -- exhaustive exploration ---------------------------------------------------

@@ -103,6 +103,21 @@ def test_invalid_config_value_is_config_error(tmp_path):
     assert main(["check", "--config", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    'monitor="no"',
+    "monitor=1",
+    "hash_ignores_attempt=0",
+    "depth=-1",
+    "depth=2.5",
+    "depth=true",
+    "cap=-1",
+    'cap="10"',
+])
+def test_mistyped_config_value_is_config_error(fig1_config, override):
+    assert main(["check", "--config", fig1_config,
+                 "--override", override]) == EXIT_CONFIG
+
+
 def test_unknown_config_key_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"program": "fig1", "n": 2,

@@ -15,7 +15,12 @@ from rclab.core import (
 )
 from rclab.simulator import run, run_plan
 
-from conftest import make_config, make_experiment
+from conftest import (
+    DIFFERENTIAL_CONFIGS,
+    make_config,
+    make_experiment,
+    reachable_edges,
+)
 
 
 def test_process_count_mismatch_rejected():
@@ -107,6 +112,16 @@ def test_apply_step_is_pure(fig1_sim1):
     a2, _ = fig1_sim1.apply_step(s, ordinary(1))
     assert a1 == a2
     assert s == fig1_sim1.initial_state()  # input untouched
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_successor_matches_apply_step(name):
+    exp = make_experiment(**DIFFERENTIAL_CONFIGS[name])
+    edges = 0
+    for state, lab, post in reachable_edges(exp):
+        assert exp.successor(state, lab) == post
+        edges += 1
+    assert edges > 0
 
 
 def test_disabled_crash_raises():
