@@ -5,7 +5,6 @@ failures."""
 from .config import ExperimentConfig
 from .core import (
     BOTTOM,
-    FailureModel,
     Frame,
     StepLabel,
     StepRecord,
@@ -23,7 +22,6 @@ __all__ = [
     "BOTTOM",
     "Experiment",
     "ExperimentConfig",
-    "FailureModel",
     "Frame",
     "StepLabel",
     "StepRecord",

@@ -7,7 +7,6 @@ minimized to the shallowest violating prefix."""
 from __future__ import annotations
 
 import random
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -89,10 +88,9 @@ def check_validity(returns, proposals) -> Optional[str]:
 
 
 class _Violation(Exception):
-    def __init__(self, prop, detail, path):
+    def __init__(self, prop, detail):
         self.prop = prop
         self.detail = detail
-        self.path = path
         super().__init__(detail)
 
 
@@ -136,10 +134,23 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
     return None
 
 
-def _classify(exc):
-    if isinstance(exc, GenericityViolation):
-        return GENERICITY
-    return READ_BEFORE_WRITE
+def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
+    """The successor of `state` under `label`, after every per-edge check.
+
+    Raises `_Violation` on the first failed check: a genericity or
+    read-before-write error of the transition itself, then the edge and
+    state properties of `inspect_edge`.  `explore`, `shortest_failure`,
+    `fuzz` and `confirm_violation` all step through here."""
+    try:
+        post = exp.successor(state, label)
+    except GenericityViolation as e:
+        raise _Violation(GENERICITY, str(e))
+    except UninitializedRead as e:
+        raise _Violation(READ_BEFORE_WRITE, str(e))
+    bad = inspect_edge(exp, state, label, post)
+    if bad:
+        raise _Violation(*bad)
+    return post
 
 
 def as_experiment(x) -> Experiment:
@@ -151,72 +162,91 @@ def as_experiment(x) -> Experiment:
 
 
 def explore(x, memo=True, minimize=True) -> Verdict:
-    """DFS over all enabled schedules with memoization on canonical states.
+    """Depth-first search over all enabled schedules, with memoization on
+    canonical states.
 
-    Terminal executions are counted exactly (number of distinct complete
-    schedules) by accumulating per-state path counts over the acyclic
-    state graph.
+    The search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  Labels are visited in `enabled_steps`
+    order.  Terminal executions are counted exactly (number of distinct
+    complete schedules) by accumulating per-state path counts over the
+    acyclic state graph.
     """
     exp = as_experiment(x)
-    sys.setrecursionlimit(max(10000, exp.depth_limit * 4 + 100))
-    stats = {"states": 1, "edges": 0, "terminal_executions": 0, "max_attempt_steps": 0}
-    count_memo = {}
-    path: List[StepLabel] = []
-    successor = exp.successor
-    depth_limit = exp.depth_limit
-
-    def visit(state, depth):
-        labels = exp.enabled_steps(state)
-        if not labels:
-            return 1
-        if depth >= depth_limit:
-            raise _DepthLimit()
-        total = 0
-        for lab in labels:
-            stats["edges"] += 1
-            try:
-                post = successor(state, lab)
-            except (GenericityViolation, UninitializedRead) as e:
-                raise _Violation(_classify(e), str(e), path + [lab])
-            path.append(lab)
-            bad = inspect_edge(exp, state, lab, post)
-            if bad:
-                raise _Violation(bad[0], bad[1], list(path))
-            if lab.kind == ORDINARY:
-                steps = post.frames[lab.pid - 1].steps
-                if steps > stats["max_attempt_steps"]:
-                    stats["max_attempt_steps"] = steps
-            if memo:
-                key = exp.memo_key(post)
-                c = count_memo.get(key)
-                if c is None:
-                    stats["states"] += 1
-                    c = count_memo[key] = visit(post, depth + 1)
-            else:
-                stats["states"] += 1
-                c = visit(post, depth + 1)
-            total += c
-            path.pop()
-        return total
-
     init = exp.initial_state()
     err = exp.machine.check_state(init)
     if err:
-        return Verdict("fail", INVARIANT, err, [], stats)
+        return Verdict("fail", INVARIANT, err, [], _explore_stats(1, 0, 0, 0))
+    counts = {}  # memo key -> complete executions from that state
+    depth_limit = exp.depth_limit
+    states, edges, max_steps = 1, 0, 0
+    result, prop, detail, trace = "pass", None, None, None
+    # The state being expanded lives in locals: `state`, `todo` (an
+    # iterator over its enabled labels not yet taken), `total` (complete
+    # executions counted below it so far), `key` (its memo key) and `via`
+    # (the label that reached it).  Its ancestors wait on `stack` as
+    # tuples of the same five values, so the depth of `state` is len(stack).
+    stack = []
+    post_key = None
     try:
-        stats["terminal_executions"] = visit(init, 0)
+        labels = exp.enabled_steps(init)
+        if labels and depth_limit <= 0:
+            raise _DepthLimit()
+        state, todo, total, key, via = init, iter(labels), 0 if labels else 1, None, None
+        while True:
+            for lab in todo:
+                edges += 1
+                post = checked_step(exp, state, lab)
+                if lab.kind == ORDINARY:
+                    steps = post.frames[lab.pid - 1].steps
+                    if steps > max_steps:
+                        max_steps = steps
+                if memo:
+                    post_key = exp.memo_key(post)
+                    c = counts.get(post_key)
+                    if c is not None:
+                        total += c
+                        continue
+                states += 1
+                labels = exp.enabled_steps(post)
+                if not labels:
+                    # a terminal state is one complete execution
+                    total += 1
+                    if memo:
+                        counts[post_key] = 1
+                    continue
+                if len(stack) + 1 >= depth_limit:
+                    raise _DepthLimit()
+                stack.append((state, todo, total, key, via))
+                state, todo, total, key, via = post, iter(labels), 0, post_key, lab
+                break
+            else:
+                # every label of `state` is taken: add its count to its parent's
+                if not stack:
+                    break
+                if memo:
+                    counts[key] = total
+                c = total
+                state, todo, total, key, via = stack.pop()
+                total += c
     except _DepthLimit:
-        return Verdict("depth-limit", None, "depth limit %d reached" % exp.depth_limit,
-                       None, stats)
+        result, detail = "depth-limit", "depth limit %d reached" % depth_limit
     except _Violation as v:
-        labels = v.path
-        prop, detail = v.prop, v.detail
+        result, prop, detail = "fail", v.prop, v.detail
+        # the label that reached each state on the path, but the initial
+        # state's, then the violating one
+        trace = ([f[4] for f in stack] + [via, lab])[1:]
         if minimize:
             found = shortest_failure(exp)
             if found is not None:
-                labels, prop, detail = found
-        return Verdict("fail", prop, detail, labels, stats)
-    return Verdict("pass", stats=stats)
+                trace, prop, detail = found
+    executions = total if result == "pass" else 0
+    return Verdict(result, prop, detail, trace,
+                   _explore_stats(states, edges, executions, max_steps))
+
+
+def _explore_stats(states, edges, executions, max_steps):
+    return {"states": states, "edges": edges, "terminal_executions": executions,
+            "max_attempt_steps": max_steps}
 
 
 def shortest_failure(exp: Experiment):
@@ -234,12 +264,9 @@ def shortest_failure(exp: Experiment):
             continue
         for lab in exp.enabled_steps(state):
             try:
-                post = exp.successor(state, lab)
-            except (GenericityViolation, UninitializedRead) as e:
-                return path + [lab], _classify(e), str(e)
-            bad = inspect_edge(exp, state, lab, post)
-            if bad:
-                return path + [lab], bad[0], bad[1]
+                post = checked_step(exp, state, lab)
+            except _Violation as v:
+                return path + [lab], v.prop, v.detail
             key = exp.memo_key(post)
             if key not in seen:
                 seen.add(key)
@@ -260,38 +287,16 @@ def fuzz(x, seed=0, episodes=1000) -> Verdict:
             if not labels:
                 break
             lab = rng.choice(labels)
-            try:
-                post = exp.successor(state, lab)
-            except (GenericityViolation, UninitializedRead) as e:
-                return Verdict("fail", _classify(e), str(e), path + [lab],
-                               {"episodes": ep + 1, "seed": seed})
             path.append(lab)
-            bad = inspect_edge(exp, state, lab, post)
-            if bad:
-                return Verdict("fail", bad[0], bad[1], list(path),
+            try:
+                state = checked_step(exp, state, lab)
+            except _Violation as v:
+                return Verdict("fail", v.prop, v.detail, path,
                                {"episodes": ep + 1, "seed": seed})
             if lab.kind == ORDINARY:
-                max_steps = max(max_steps, post.frames[lab.pid - 1].steps)
-            state = post
+                max_steps = max(max_steps, state.frames[lab.pid - 1].steps)
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,
                                   "max_attempt_steps": max_steps})
-
-
-def check_rwf(x, labels) -> Optional[str]:
-    """Replay a schedule and report the recoverable wait-freedom violation
-    it exhibits, if any: an attempt that falls off the end of the program
-    or overruns the certified per-attempt step bound."""
-    exp = as_experiment(x)
-    state = exp.initial_state()
-    for lab in labels:
-        state = exp.successor(state, lab)
-        if lab.kind == ORDINARY:
-            fr = state.frames[lab.pid - 1]
-            if fr.status == FELL_OFF:
-                return "p%d fell off the end of the program" % lab.pid
-            if fr.steps > exp.bound:
-                return "p%d exceeded the step bound" % lab.pid
-    return None
 
 
 def confirm_violation(x, labels):
@@ -299,13 +304,9 @@ def confirm_violation(x, labels):
     (property, detail) it demonstrates or None if the schedule is clean."""
     exp = as_experiment(x)
     state = exp.initial_state()
-    for lab in labels:
-        try:
-            post = exp.successor(state, lab)
-        except (GenericityViolation, UninitializedRead) as e:
-            return _classify(e), str(e)
-        bad = inspect_edge(exp, state, lab, post)
-        if bad:
-            return bad
-        state = post
+    try:
+        for lab in labels:
+            state = checked_step(exp, state, lab)
+    except _Violation as v:
+        return v.prop, v.detail
     return None

@@ -2,25 +2,33 @@
 
 Verbs: check (exhaustive exploration), fuzz (randomized), valency
 (execution graph + DOT), replay (verify a serialized trace), bound
-(per-attempt step bound).  Verdicts print as JSON on stdout; exit codes:
-0 pass, 2 property violation, 3 depth limit, 64 usage, 65 bad config.
+(per-attempt step bound).  Verdicts print as JSON on stdout.
+
+Exit codes:
+  0   pass
+  2   property violation; for replay, a trace that does not reproduce
+      (a recorded step is not enabled, a record or the final hash differs)
+  3   depth limit reached
+  64  usage error, including a --config, --trace or --out file that cannot
+      be opened, and --episodes below 1
+  65  bad configuration, including a trace that is not JSON lines or
+      whose header carries no config
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import checker, simulator, valency
 from .config import ExperimentConfig
 from .core import ConfigError, RcError, digest
 from .experiment import Experiment
-from .programs import static_bound
 
 EXIT_USAGE = 64
 EXIT_CONFIG = 65
+EXIT_FAIL_GENERIC = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,16 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser():
-    p = _Parser(prog="rclab", description=__doc__)
+    p = _Parser(prog="rclab", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb")
 
     def common(sp):
         sp.add_argument("--config", required=True, help="experiment config (JSON)")
         sp.add_argument("--override", action="append", default=[], metavar="K=V")
         sp.add_argument("--out", help="output file (counterexample trace / DOT graph)")
-        sp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("RC_LAB_JOBS", "0")) or None)
         sp.add_argument("--depth", type=int)
         sp.add_argument("--seed", type=int)
 
@@ -49,7 +63,7 @@ def _build_parser():
 
     sp = sub.add_parser("fuzz", help="randomized exploration")
     common(sp)
-    sp.add_argument("--episodes", type=int, default=1000)
+    sp.add_argument("--episodes", type=_positive_int, default=1000)
 
     sp = sub.add_parser("valency", help="execution graph and valency classes")
     common(sp)
@@ -67,24 +81,15 @@ def _load_config(args) -> ExperimentConfig:
     if args.override:
         cfg = cfg.with_overrides(args.override)
     updates = {}
-    if getattr(args, "depth", None) is not None:
+    if args.depth is not None:
         updates["depth"] = args.depth
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     if updates:
         d = cfg.to_dict()
         d.update(updates)
         cfg = ExperimentConfig.from_dict(d)
     return cfg
-
-
-def _emit_counterexample(verdict, exp, out):
-    if verdict.trace_labels is None:
-        return None
-    path = out or "counterexample.jsonl"
-    trace, final = simulator.run(exp, verdict.trace_labels)
-    simulator.write_trace(trace, path, final_hash=digest(final))
-    return path
 
 
 def main(argv=None) -> int:
@@ -94,6 +99,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _dispatch(args)
+    except OSError as e:
+        sys.stderr.write("error: %s\n" % e)
+        return EXIT_USAGE
     except ConfigError as e:
         sys.stderr.write("config error: %s\n" % e)
         return EXIT_CONFIG
@@ -102,12 +110,13 @@ def main(argv=None) -> int:
         return EXIT_FAIL_GENERIC
 
 
-EXIT_FAIL_GENERIC = 1
-
-
 def _dispatch(args) -> int:
     if args.verb == "replay":
-        result = simulator.replay_file(args.trace)
+        try:
+            result = simulator.replay_file(args.trace)
+        except simulator.ScheduleError as e:
+            sys.stderr.write("replay mismatch: %s\n" % e)
+            return checker.EXIT_FAIL
         out = {
             "final_hash": result.final_hash,
             "matches_header": result.matches_header,
@@ -117,33 +126,12 @@ def _dispatch(args) -> int:
         return 0 if result.matches_header else checker.EXIT_FAIL
 
     cfg = _load_config(args)
-
-    if args.verb == "bound":
-        b = static_bound(cfg.program, cfg.n, f=cfg.f, cons=cfg.cons)
-        print(json.dumps(b._asdict(), sort_keys=True))
-        return 0
-
     exp = Experiment(cfg)
 
-    if args.verb == "check":
-        verdict = checker.explore(exp, memo=not args.no_memo)
-        out = verdict.to_json()
-        if verdict.result == "fail":
-            path = _emit_counterexample(verdict, exp, args.out)
-            if path:
-                out["trace_file"] = path
+    if args.verb == "bound":
+        out = {"program": cfg.program, "n": cfg.n, "f": cfg.f, "steps": exp.machine.bound()}
         print(json.dumps(out, sort_keys=True))
-        return verdict.exit_code
-
-    if args.verb == "fuzz":
-        verdict = checker.fuzz(exp, seed=cfg.seed, episodes=args.episodes)
-        out = verdict.to_json()
-        if verdict.result == "fail":
-            path = _emit_counterexample(verdict, exp, args.out)
-            if path:
-                out["trace_file"] = path
-        print(json.dumps(out, sort_keys=True))
-        return verdict.exit_code
+        return 0
 
     if args.verb == "valency":
         g = valency.build_graph(exp)
@@ -154,7 +142,18 @@ def _dispatch(args) -> int:
         print(json.dumps(valency.summary(g, labels), sort_keys=True))
         return 0
 
-    raise AssertionError("unreachable verb %r" % args.verb)
+    if args.verb == "check":
+        verdict = checker.explore(exp, memo=not args.no_memo)
+    else:
+        verdict = checker.fuzz(exp, seed=cfg.seed, episodes=args.episodes)
+    out = verdict.to_json()
+    if verdict.result == "fail":
+        path = args.out or "counterexample.jsonl"
+        trace, final = simulator.run(exp, verdict.trace_labels)
+        simulator.write_trace(trace, path, final_hash=digest(final))
+        out["trace_file"] = path
+    print(json.dumps(out, sort_keys=True))
+    return verdict.exit_code
 
 
 if __name__ == "__main__":

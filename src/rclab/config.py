@@ -11,8 +11,9 @@ from .core import BOTTOM, ConfigError
 from .programs import PROGRAM_IDS
 
 FAILURE_KINDS = ("none", "simultaneous", "independent")
-ADVERSARIES = ("exhaustive", "random", "scripted", "assumption1")
+ADVERSARIES = ("exhaustive", "assumption1")
 MODES = ("rerun-after-crash", "halt-after-return")
+CHOICES = ("p1", "p2", "min", "max")
 
 
 @dataclass
@@ -29,7 +30,6 @@ class ExperimentConfig:
     mode: str = "rerun-after-crash"
     adversary: str = "exhaustive"
     seed: int = 0
-    schedule: Optional[list] = None  # [[kind, pid], ...] for scripted runs
     monitor: bool = False  # genericity monitor armed
     depth: Optional[int] = None
     hash_ignores_attempt: bool = False
@@ -37,8 +37,15 @@ class ExperimentConfig:
     cap: Optional[int] = None  # node cap for graph building
 
     def validate(self) -> "ExperimentConfig":
+        """Raise ConfigError unless every field has a legal type and value;
+        the machines and the transition rely on this and check nothing."""
         if self.program not in PROGRAM_IDS:
             raise ConfigError("unknown program %r" % self.program)
+        for key in ("n", "budget", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise ConfigError("%s must be an integer" % key)
+        if self.f is not None and not _is_int(self.f):
+            raise ConfigError("f must be an integer")
         if self.n < 1:
             raise ConfigError("n must be positive")
         if self.program in ("fig1", "fig3", "tas-cons2") and self.n != 2:
@@ -52,12 +59,18 @@ class ExperimentConfig:
             raise ConfigError("cons must be atomic or tas")
         if self.cons == "tas" and self.program == "fig2" and self.n != 2:
             raise ConfigError("TAS-based inner consensus is 2-process only")
+        if self.choice not in CHOICES:
+            raise ConfigError("unknown tie-break choice %r" % (self.choice,))
+        if not isinstance(self.proposals, (list, tuple)):
+            raise ConfigError("proposals must be a list")
         if len(self.proposals) != self.n:
             raise ConfigError(
                 "expected %d proposals, got %d" % (self.n, len(self.proposals))
             )
         if any(p is BOTTOM for p in self.proposals):
             raise ConfigError("the bottom value is never a legal proposal")
+        if not all(isinstance(p, (str, int, float)) for p in self.proposals):
+            raise ConfigError("every proposal must be a string or a number")
         if self.failure not in FAILURE_KINDS:
             raise ConfigError("unknown failure model %r" % self.failure)
         if self.budget < 0:
@@ -77,9 +90,7 @@ class ExperimentConfig:
                 raise ConfigError("%s must be true or false" % key)
         for key in ("depth", "cap"):
             value = getattr(self, key)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int) or value < 0
-            ):
+            if value is not None and (not _is_int(value) or value < 0):
                 raise ConfigError("%s must be a non-negative integer" % key)
         return self
 
@@ -88,6 +99,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = set(d) - known
         if unknown:
@@ -103,10 +116,8 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # not JSON, or not UTF-8
                 raise ConfigError("malformed config %s: %s" % (path, e))
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
         return ExperimentConfig.from_dict(d)
 
     def with_overrides(self, pairs) -> "ExperimentConfig":
@@ -122,3 +133,7 @@ class ExperimentConfig:
                 val = raw
             d[key] = val
         return ExperimentConfig.from_dict(d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -1,4 +1,4 @@
-"""Execution model primitives: states, steps, failure models, traces.
+"""Execution model primitives: states, steps, traces.
 
 Everything here is an immutable value.  A step function elsewhere maps
 (state, label) -> (state, record) and never mutates its input, which is
@@ -102,11 +102,6 @@ def crash(pid: int) -> StepLabel:
 
 
 CRASH_ALL_LABEL = StepLabel(CRASH_ALL, None)
-
-
-class FailureModel(NamedTuple):
-    kind: str  # "none" | "simultaneous" | "independent"
-    budget: int = 0
 
 
 class Frame(NamedTuple):

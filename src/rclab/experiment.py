@@ -114,10 +114,6 @@ class Experiment:
             labels = self.assumption1_filter(state, labels)
         return labels
 
-    def participation(self, state: SystemState) -> frozenset:
-        """Pids that have taken at least one ordinary step so far."""
-        return state.participants
-
     def assumption1_filter(self, state: SystemState, pending):
         """Crash steps are forced, not optional: the lowest-numbered
         participating process crashes exactly when its previous step was

@@ -75,11 +75,3 @@ def apply(value, op: str, args: tuple = ()):
         decision = value.decision if value.decision is not BOTTOM else v
         return Cons(decision, value.accessors | {(pid, attempt)}), decision
     raise ObjectTypeError("unknown operation %r" % op)
-
-
-def check_monotone(before, after) -> None:
-    """Debug assertion: TAS bits never fall, consensus never re-decides."""
-    if isinstance(before, Tas):
-        assert after.bit >= before.bit, "TAS bit went backwards"
-    if isinstance(before, Cons) and before.decision is not BOTTOM:
-        assert after.decision == before.decision, "consensus decision changed"

@@ -12,6 +12,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .config import ExperimentConfig
 from .core import (
     CRASH_ALL_LABEL,
+    ConfigError,
     RUNNING,
     RcError,
     StepLabel,
@@ -76,11 +77,18 @@ def write_trace(trace: Trace, path, final_hash: Optional[str] = None) -> None:
 
 
 def parse_trace(text: str):
+    """(header, records) of a serialized trace; ConfigError if it is not
+    a header object with a `config` followed by step records."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise RcError("empty trace")
-    header = json.loads(lines[0])
-    records = tuple(StepRecord.from_json(json.loads(ln)) for ln in lines[1:])
+        raise ConfigError("empty trace")
+    try:
+        header = json.loads(lines[0])
+        records = tuple(StepRecord.from_json(json.loads(ln)) for ln in lines[1:])
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError("malformed trace: %s: %s" % (type(e).__name__, e))
+    if not isinstance(header, dict) or "config" not in header:
+        raise ConfigError("trace header carries no config")
     return header, records
 
 
@@ -98,8 +106,8 @@ class ReplayResult(NamedTuple):
 def replay(text: str) -> ReplayResult:
     """Re-execute a serialized trace and verify it bit-for-bit.
 
-    Raises ScheduleError if a recorded step is not enabled, and RcError
-    if a regenerated record differs from the recorded one.
+    Raises ScheduleError if a recorded step is not enabled or its
+    regenerated record differs from the recorded one.
     """
     header, records = parse_trace(text)
     exp = Experiment(ExperimentConfig.from_dict(header["config"]))
@@ -109,18 +117,20 @@ def replay(text: str) -> ReplayResult:
         if rec.label not in exp.enabled_steps(state):
             raise ScheduleError(rec.index, rec.label)
         state, fresh = exp.apply_step(state, rec.label)
-        if fresh._replace(index=rec.index) != rec:
-            raise RcError(
-                "replay mismatch at step %d: %r != %r"
-                % (rec.index, fresh._replace(index=rec.index), rec)
-            )
+        fresh = fresh._replace(index=rec.index)
+        if fresh != rec:
+            raise ScheduleError(rec.index, rec.label, "replayed %r, recorded %r" % (fresh, rec))
         digests.append(digest(state))
     return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state)
 
 
 def replay_file(path) -> ReplayResult:
     with open(path) as fh:
-        return replay(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError("malformed trace %s: %s" % (path, e))
+    return replay(text)
 
 
 # -- directed-schedule construction -----------------------------------------

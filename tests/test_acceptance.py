@@ -130,8 +130,6 @@ def test_criterion_4_overload_breaks_wait_freedom(tmp_path):
         confirmed = checker.confirm_violation(cfg, verdict.trace_labels)
         if confirmed is None or confirmed[0] != RWF:
             failures.append((f, "counterexample does not confirm", confirmed))
-        if checker.check_rwf(cfg, verdict.trace_labels) is None:
-            failures.append((f, "replay shows no wait-freedom violation"))
         # and the counterexample survives a serialization round trip
         exp = Experiment(cfg)
         trace, final = simulator.run(exp, verdict.trace_labels)

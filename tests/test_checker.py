@@ -1,5 +1,7 @@
 """Property evaluation, exhaustive search, minimization, fuzzing."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 from rclab import checker
 from rclab.checker import (
     AGREEMENT,
+    GENERICITY,
     INVARIANT,
+    READ_BEFORE_WRITE,
     RWF,
     VALIDITY,
     check_agreement,
-    check_rwf,
     check_validity,
     confirm_violation,
     explore,
@@ -19,8 +22,10 @@ from rclab.checker import (
     inspect_edge,
     shortest_failure,
 )
-from rclab.core import crash, ordinary
+from rclab.core import CRASH_ALL_LABEL, crash, ordinary
 from rclab.objects import Register
+from rclab.programs import Ret
+from rclab.valency import build_graph
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -150,6 +155,15 @@ def test_counterexample_confirms_independently():
     assert got is not None and got[0] == verdict.prop
 
 
+def test_unminimized_counterexample_confirms():
+    # the raw schedule is the DFS path to the first violating edge
+    for cfg in (make_config(program="tas-cons2", failure="independent", budget=1),
+                make_config(program="fig2", f=1, failure="independent", budget=2)):
+        verdict = explore(cfg, minimize=False)
+        assert verdict.result == "fail"
+        assert confirm_violation(cfg, verdict.trace_labels) == (verdict.prop, verdict.detail)
+
+
 def test_minimized_counterexample_is_shortest():
     cfg = make_config(program="tas-cons2", failure="independent", budget=1)
     minimized = explore(cfg, minimize=True).trace_labels
@@ -163,12 +177,12 @@ def test_rwf_violation_on_overloaded_fig2():
     cfg = make_config(program="fig2", f=0, failure="independent", budget=1)
     verdict = explore(cfg)
     assert verdict.result == "fail" and verdict.prop == RWF
-    assert check_rwf(cfg, verdict.trace_labels) is not None
+    assert confirm_violation(cfg, verdict.trace_labels)[0] == RWF
 
 
 def test_check_rwf_clean_schedule():
     exp = make_experiment()
-    assert check_rwf(exp, [ordinary(1)] * 6) is None
+    assert confirm_violation(exp, [ordinary(1)] * 6) is None
 
 
 def test_memoization_does_not_change_verdict(fig1_sim1):
@@ -177,6 +191,63 @@ def test_memoization_does_not_change_verdict(fig1_sim1):
     assert with_memo.result == without.result
     assert (with_memo.stats["terminal_executions"]
             == without.stats["terminal_executions"])
+
+
+def test_explore_leaves_recursion_limit_unchanged():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default
+    try:
+        assert explore(make_config(failure="simultaneous", budget=1)).passed
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_explore_states_equal_graph_nodes(name):
+    cfg = make_config(**DIFFERENTIAL_CONFIGS[name])
+    verdict = explore(cfg, memo=True)
+    assert verdict.passed
+    assert verdict.stats["states"] == len(build_graph(cfg).nodes)
+
+
+def reenter_after_crash(exp):
+    """fig1 with a seeded bug: recovery runs the consensus instance C again."""
+    step = exp.machine.step
+
+    def mutant(frame, get):
+        out = step(frame, get)
+        return out._replace(pc="x:C") if frame.pc == "x:recD" else out
+
+    exp.machine.step = mutant
+    return [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4
+
+
+def read_before_write(exp):
+    """fig1 with a seeded bug: p1 returns its decision before setting it."""
+    step = exp.machine.step
+    exp.machine.step = lambda frame, get: (
+        Ret(frame.loc("d")) if frame.pc == "x:if" else step(frame, get))
+    return [ordinary(1)]
+
+
+@pytest.mark.parametrize("mutate,prop", [
+    (reenter_after_crash, GENERICITY),
+    (read_before_write, READ_BEFORE_WRITE),
+])
+def test_transition_errors_map_to_their_property(mutate, prop):
+    exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
+    labels = mutate(exp)
+    assert confirm_violation(exp, labels)[0] == prop
+    verdict = explore(exp)
+    assert verdict.prop == prop
+    assert confirm_violation(exp, verdict.trace_labels)[0] == prop
+
+
+def test_depth_limit_is_exact():
+    # cas-rc n=2 without crashes: every execution has exactly 4 steps
+    assert explore(make_config(program="cas-rc", depth=4)).passed
+    assert explore(make_config(program="cas-rc", depth=3)).result == "depth-limit"
 
 
 def test_depth_limit_verdict():

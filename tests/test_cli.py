@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rclab.cli import EXIT_CONFIG, EXIT_USAGE, main
+from rclab.core import digest
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_check_depth_limit_exit_code(capsys, fig1_config):
 def test_bound_verb(capsys, fig1_config):
     code, out = run_cli(capsys, "bound", "--config", fig1_config)
     assert code == 0
-    assert json.loads(out)["steps"] == 6
+    assert json.loads(out) == {"f": None, "n": 2, "program": "fig1", "steps": 6}
 
 
 def test_valency_verb_writes_dot(capsys, tmp_path, fig1_config):
@@ -112,6 +113,13 @@ def test_invalid_config_value_is_config_error(tmp_path):
     "depth=true",
     "cap=-1",
     'cap="10"',
+    'n="2"',
+    'budget="x"',
+    'f="1"',
+    'seed="x"',
+    "proposals=[[1],[2]]",
+    "proposals=5",
+    'choice="median"',
 ])
 def test_mistyped_config_value_is_config_error(fig1_config, override):
     assert main(["check", "--config", fig1_config,
@@ -137,10 +145,63 @@ def test_override_does_not_touch_config_file(capsys, fig1_config):
     assert open(fig1_config).read() == before
 
 
-def test_jobs_env_fallback(capsys, fig1_config, monkeypatch):
-    monkeypatch.setenv("RC_LAB_JOBS", "2")
-    code, _ = run_cli(capsys, "check", "--config", fig1_config)
-    assert code == 0
+def test_jobs_is_usage_error(fig1_config):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--config", fig1_config, "--jobs", "2"])
+    assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("episodes", ["0", "-5"])
+def test_episodes_below_one_is_usage_error(fig1_config, episodes):
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", "--config", fig1_config, "--episodes", episodes])
+    assert err.value.code == EXIT_USAGE
+
+
+def test_missing_config_file_is_usage_error(tmp_path):
+    assert main(["check", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
+
+
+def test_missing_trace_file_is_usage_error(tmp_path):
+    assert main(["replay", "--trace", str(tmp_path / "nope.jsonl")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("data", [
+    b"{not json\n",
+    b"\xff\xfe\n",
+    b'{"final_hash": "00"}\n',
+    b'{"config": {"program": "fig1", "n": 2, "proposals": [1, 2]}}\n[1, 2]\n',
+])
+def test_malformed_trace_is_config_error(tmp_path, data):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    assert main(["replay", "--trace", str(path)]) == EXIT_CONFIG
+
+
+def solo_trace_lines(fig1_config):
+    """A fig1 trace of p1 running alone to its return, as JSON objects."""
+    from rclab import simulator
+    from rclab.config import ExperimentConfig
+    from rclab.experiment import Experiment
+
+    exp = Experiment(ExperimentConfig.from_file(fig1_config))
+    trace, final = simulator.run(exp, simulator.run_plan(exp, [("until_done", 1)]))
+    text = simulator.dump_trace(trace, final_hash=digest(final))
+    return [json.loads(line) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda lines: lines[1].update(resp=999),
+    # p1 has returned, so a further step of p1 is not enabled
+    lambda lines: lines.append(dict(lines[-1], step=len(lines) - 1)),
+    lambda lines: lines[0].update(final_hash="0" * 64),
+], ids=["record-differs", "step-not-enabled", "final-hash-differs"])
+def test_replay_that_does_not_reproduce_exits_2(tmp_path, fig1_config, tamper):
+    lines = solo_trace_lines(fig1_config)
+    tamper(lines)
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["replay", "--trace", str(path)]) == 2
 
 
 def test_replay_missing_final_hash_still_verifies(capsys, tmp_path,

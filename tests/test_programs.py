@@ -7,7 +7,7 @@ import pytest
 
 from rclab import checker
 from rclab.core import GenericityViolation, crash, ordinary
-from rclab.programs import build_machine, static_bound
+from rclab.programs import build_machine
 from rclab.simulator import run, run_plan
 
 from conftest import GOLDEN_DIR, make_config, make_experiment
@@ -270,13 +270,13 @@ def test_static_bounds_match_exhaustive_oracle():
 
 
 def test_bound_values():
-    assert static_bound("fig1", 2).steps == 6
-    assert static_bound("fig1", 2, cons="tas").steps == 8
-    assert static_bound("fig2", 2, f=1).steps == 12
-    assert static_bound("fig2", 2, f=2, cons="tas").steps == 26
-    assert static_bound("fig3", 2).steps == 6
-    assert static_bound("cas-rc", 2).steps == 2
-    assert static_bound("tas-cons2", 2).steps == 4
+    assert build_machine("fig1", 2).bound() == 6
+    assert build_machine("fig1", 2, cons="tas").bound() == 8
+    assert build_machine("fig2", 2, f=1).bound() == 12
+    assert build_machine("fig2", 2, f=2, cons="tas").bound() == 26
+    assert build_machine("fig3", 2).bound() == 6
+    assert build_machine("cas-rc", 2).bound() == 2
+    assert build_machine("tas-cons2", 2).bound() == 4
 
 
 def test_bound_is_never_exceeded_with_crashes():

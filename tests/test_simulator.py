@@ -125,11 +125,11 @@ def a1_experiment(**kw):
 def test_participation_grows_with_steps():
     exp = a1_experiment()
     s = exp.initial_state()
-    assert exp.participation(s) == frozenset()
+    assert s.participants == frozenset()
     s, _ = exp.apply_step(s, ordinary(2))
-    assert exp.participation(s) == frozenset({2})
+    assert s.participants == frozenset({2})
     s, _ = exp.apply_step(s, ordinary(1))
-    assert exp.participation(s) == frozenset({1, 2})
+    assert s.participants == frozenset({1, 2})
 
 
 def test_forced_crash_after_first_tas_access():

@@ -19,7 +19,6 @@ from rclab import checker, simulator  # noqa: E402
 from rclab.config import ExperimentConfig  # noqa: E402
 from rclab.core import digest  # noqa: E402
 from rclab.experiment import Experiment  # noqa: E402
-from rclab.programs import static_bound  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "..", "tests", "golden")
@@ -140,26 +139,22 @@ def make_stats():
     # the closed-form bound for every built-in machine.
     oracle = [
         ("fig1", dict(program="fig1", n=2, proposals=[10, 20],
-                      failure="simultaneous", budget=2), dict(cons="atomic")),
+                      failure="simultaneous", budget=2)),
         ("fig1-tas", dict(program="fig1", n=2, proposals=[10, 20],
-                          failure="simultaneous", budget=2, cons="tas"),
-         dict(cons="tas")),
+                          failure="simultaneous", budget=2, cons="tas")),
         ("fig2-2-1", dict(program="fig2", n=2, f=1, proposals=[10, 20],
-                          failure="independent", budget=1), dict(f=1)),
+                          failure="independent", budget=1)),
         ("fig3", dict(program="fig3", n=2, proposals=[10, 20],
-                      failure="independent", budget=2), {}),
+                      failure="independent", budget=2)),
         ("cas-rc", dict(program="cas-rc", n=2, proposals=[10, 20],
-                        failure="independent", budget=2), {}),
-        ("tas-cons2", dict(program="tas-cons2", n=2, proposals=[10, 20]),
-         {}),
+                        failure="independent", budget=2)),
+        ("tas-cons2", dict(program="tas-cons2", n=2, proposals=[10, 20])),
     ]
-    for name, cfg_dict, bkw in oracle:
-        cfg = ExperimentConfig.from_dict(dict(cfg_dict))
-        verdict = checker.explore(cfg)
-        b = static_bound(cfg.program, cfg.n, f=bkw.get("f"),
-                         cons=bkw.get("cons", "atomic"))
+    for name, cfg_dict in oracle:
+        exp = Experiment(ExperimentConfig.from_dict(dict(cfg_dict)))
+        verdict = checker.explore(exp)
         stats["bounds"][name] = {
-            "static": b.steps,
+            "static": exp.machine.bound(),
             "observed_max": verdict.stats["max_attempt_steps"],
         }
         print(name, stats["bounds"][name])
