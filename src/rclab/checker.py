@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .config import ExperimentConfig
 from .core import (
     FELL_OFF,
     ORDINARY,
@@ -20,7 +19,8 @@ from .core import (
     SystemState,
     UninitializedRead,
 )
-from .experiment import Experiment
+from .experiment import Experiment, as_experiment
+from .simulator import require_enabled
 
 AGREEMENT = "Agreement"
 VALIDITY = "Validity"
@@ -151,14 +151,6 @@ def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> Syste
     if bad:
         raise _Violation(*bad)
     return post
-
-
-def as_experiment(x) -> Experiment:
-    if isinstance(x, Experiment):
-        return x
-    if isinstance(x, ExperimentConfig):
-        return Experiment(x)
-    return Experiment(ExperimentConfig.from_dict(dict(x)))
 
 
 def explore(x, memo=True, minimize=True) -> Verdict:
@@ -301,11 +293,13 @@ def fuzz(x, seed=0, episodes=1000) -> Verdict:
 
 def confirm_violation(x, labels):
     """Independent replay of a counterexample schedule; returns the
-    (property, detail) it demonstrates or None if the schedule is clean."""
+    (property, detail) it demonstrates or None if the schedule is clean.
+    Raises `simulator.ScheduleError` at the first step that is not enabled."""
     exp = as_experiment(x)
     state = exp.initial_state()
     try:
-        for lab in labels:
+        for i, lab in enumerate(labels):
+            require_enabled(exp, state, lab, i)
             state = checked_step(exp, state, lab)
     except _Violation as v:
         return v.prop, v.detail

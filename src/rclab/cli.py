@@ -7,7 +7,9 @@ Verbs: check (exhaustive exploration), fuzz (randomized), valency
 Exit codes:
   0   pass
   2   property violation; for replay, a trace that does not reproduce
-      (a recorded step is not enabled, a record or the final hash differs)
+      (a recorded step is not enabled, a record or the final hash differs);
+      a counterexample's trace_file omits a last step that raises a
+      genericity or read-before-write error
   3   depth limit reached
   64  usage error, including a --config, --trace or --out file that cannot
       be opened, and --episodes below 1
@@ -22,7 +24,7 @@ import json
 import sys
 
 from . import checker, simulator, valency
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_overrides, read_config_file
 from .core import ConfigError, RcError, digest
 from .experiment import Experiment
 
@@ -77,19 +79,14 @@ def _build_parser():
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.override:
-        cfg = cfg.with_overrides(args.override)
-    updates = {}
-    if args.depth is not None:
-        updates["depth"] = args.depth
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        d = cfg.to_dict()
-        d.update(updates)
-        cfg = ExperimentConfig.from_dict(d)
-    return cfg
+    """The config file, then the --override pairs, then --depth and
+    --seed, validated once."""
+    d = read_config_file(args.config)
+    d.update(parse_overrides(args.override))
+    for key in ("depth", "seed"):
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
+    return ExperimentConfig.from_dict(d)
 
 
 def main(argv=None) -> int:
@@ -149,7 +146,12 @@ def _dispatch(args) -> int:
     out = verdict.to_json()
     if verdict.result == "fail":
         path = args.out or "counterexample.jsonl"
-        trace, final = simulator.run(exp, verdict.trace_labels)
+        labels = verdict.trace_labels
+        if verdict.prop in (checker.GENERICITY, checker.READ_BEFORE_WRITE):
+            # the violating step raises in the transition and has no
+            # post-state, so the trace file stops just before it
+            labels = labels[:-1]
+        trace, final = simulator.run(exp, labels)
         simulator.write_trace(trace, path, final_hash=digest(final))
         out["trace_file"] = path
     print(json.dumps(out, sort_keys=True))

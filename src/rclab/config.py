@@ -113,26 +113,33 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except ValueError as e:  # not JSON, or not UTF-8
-                raise ConfigError("malformed config %s: %s" % (path, e))
-        return ExperimentConfig.from_dict(d)
+        return ExperimentConfig.from_dict(read_config_file(path))
 
-    def with_overrides(self, pairs) -> "ExperimentConfig":
-        """Apply repeatable key=value overrides; values parse as JSON when possible."""
-        d = self.to_dict()
-        for pair in pairs:
-            if "=" not in pair:
-                raise ConfigError("override %r is not of the form key=value" % pair)
-            key, _, raw = pair.partition("=")
-            try:
-                val = json.loads(raw)
-            except json.JSONDecodeError:
-                val = raw
-            d[key] = val
-        return ExperimentConfig.from_dict(d)
+
+def read_config_file(path) -> dict:
+    """The JSON object in a config file, not yet validated."""
+    with open(path) as fh:
+        try:
+            d = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigError("malformed config %s: %s" % (path, e))
+    if not isinstance(d, dict):
+        raise ConfigError("config must be a JSON object")
+    return d
+
+
+def parse_overrides(pairs) -> dict:
+    """Repeatable key=value overrides; a value parses as JSON when it can."""
+    d = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise ConfigError("override %r is not of the form key=value" % pair)
+        key, _, raw = pair.partition("=")
+        try:
+            d[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            d[key] = raw
+    return d
 
 
 def _is_int(value) -> bool:

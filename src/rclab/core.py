@@ -50,10 +50,6 @@ class ConfigError(RcError):
     pass
 
 
-class StepError(RcError):
-    """A step label was applied in a state where it is not enabled."""
-
-
 class ObjectTypeError(RcError):
     """An operation was applied to an object of the wrong type."""
 

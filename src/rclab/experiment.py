@@ -2,6 +2,11 @@
 initial state construction, step enabledness (including the assumption-1
 crash filter), and the pure state transition.
 
+Enabledness is decided only by `enabled_steps(state)`.  The transition
+trusts its label, which must come from there: the search draws its labels
+from it, and a schedule from outside the search passes each label through
+`simulator.require_enabled` first.
+
 The transition has two entry points over one implementation.
 `successor(state, label)` returns only the next state; exhaustive search,
 fuzzing and graph building use it.  `apply_step(state, label)` returns
@@ -17,9 +22,7 @@ import json
 
 from .config import ExperimentConfig
 from .core import (
-    BOTTOM,
     CRASH,
-    CRASH_ALL,
     CRASH_ALL_LABEL,
     FELL_OFF,
     HALTED,
@@ -28,7 +31,6 @@ from .core import (
     RUNNING,
     Frame,
     GenericityViolation,
-    StepError,
     StepLabel,
     StepRecord,
     SystemState,
@@ -151,11 +153,7 @@ class Experiment:
             self.machine.entry,
             locals_tuple(self.machine.init_locals(frame.pid, frame.proposal)),
             frame.proposal,
-            attempt=frame.attempt + 1,
-            status=RUNNING,
-            retval=BOTTOM,
-            steps=0,
-            armed_crash=False,
+            frame.attempt + 1,
         )
 
     def _instance_accesses(self, state: SystemState, instance: str):
@@ -165,7 +163,8 @@ class Experiment:
         return {(p, a) for inst, p, a in state.cons_access if inst == instance}
 
     def apply_step(self, state: SystemState, label: StepLabel):
-        """Pure transition; returns (new state, record with index -1)."""
+        """Pure transition; returns (new state, record with index -1).
+        `label` must be one of `enabled_steps(state)`."""
         if label.kind != ORDINARY:
             return self._crash(state, label), StepRecord(-1, label, "crash", None)
         new_state, frame, outcome = self._ordinary(state, label.pid)
@@ -177,7 +176,8 @@ class Experiment:
         return new_state, StepRecord(-1, label, op, outcome.resp)
 
     def successor(self, state: SystemState, label: StepLabel) -> SystemState:
-        """The state `apply_step` returns, without building its record."""
+        """The state `apply_step` returns, without building its record.
+        `label` must be one of `enabled_steps(state)`."""
         if label.kind != ORDINARY:
             return self._crash(state, label)
         return self._ordinary(state, label.pid)[0]
@@ -186,8 +186,6 @@ class Experiment:
         """One ordinary step of `pid`: (new state, pre-step frame, outcome),
         where the outcome is the machine's `Access` or `Ret`."""
         frame = state.frames[pid - 1]
-        if frame.status != RUNNING:
-            raise StepError("p%d is %s and takes no ordinary steps" % (pid, frame.status))
         objs = state.objects
         idx = self.idx
         outcome = self.machine.step(frame, lambda name: objs[idx[name]])
@@ -252,27 +250,16 @@ class Experiment:
         return new_state, frame, outcome
 
     def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
-        kind = self.config.failure
+        """Reset the crashed frame, or for a simultaneous crash every frame
+        that has not halted, and count one failure."""
         if label.kind == CRASH:
-            if kind != "independent":
-                raise StepError("independent crash under failure model %r" % kind)
-            if not self.a1 and state.failures >= self.config.budget:
-                raise StepError("failure budget exhausted")
             frame = state.frames[label.pid - 1]
-            if not self._crashable(frame):
-                raise StepError("p%d (%s) cannot crash" % (label.pid, frame.status))
             frames = _swap(state.frames, label.pid - 1, self._reset_frame(frame))
-        elif label.kind == CRASH_ALL:
-            if kind != "simultaneous":
-                raise StepError("simultaneous crash under failure model %r" % kind)
-            if state.failures >= self.config.budget:
-                raise StepError("failure budget exhausted")
+        else:
             frames = tuple(
                 fr if fr.status == HALTED else self._reset_frame(fr)
                 for fr in state.frames
             )
-        else:
-            raise StepError("unknown step label %r" % (label,))
         return SystemState(
             frames,
             state.objects,
@@ -291,6 +278,15 @@ class Experiment:
         frames = tuple(fr._replace(attempt=0) for fr in state.frames)
         returns = tuple((p, 0, v) for p, _a, v in state.returns)
         return state._replace(frames=frames, returns=returns)
+
+
+def as_experiment(x) -> Experiment:
+    """An `Experiment` from an experiment, a config, or a config dict."""
+    if isinstance(x, Experiment):
+        return x
+    if isinstance(x, ExperimentConfig):
+        return Experiment(x)
+    return Experiment(ExperimentConfig.from_dict(dict(x)))
 
 
 def _swap(tup, i, value):

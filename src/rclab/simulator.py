@@ -33,13 +33,20 @@ class ScheduleError(RcError):
         super().__init__("schedule step %d (%s): %s" % (index, label, why))
 
 
+def require_enabled(exp: Experiment, state: SystemState, label, index) -> None:
+    """Raise ScheduleError unless `label` is enabled in `state`.  The
+    transition trusts its label, so every schedule from outside the search
+    passes each step through here first."""
+    if label not in exp.enabled_steps(state):
+        raise ScheduleError(index, label)
+
+
 def run(exp: Experiment, labels) -> Tuple[Trace, SystemState]:
     """Apply a scripted schedule; every label must be enabled in turn."""
     state = exp.initial_state()
     records = []
     for i, lab in enumerate(labels):
-        if lab not in exp.enabled_steps(state):
-            raise ScheduleError(i, lab)
+        require_enabled(exp, state, lab, i)
         state, rec = exp.apply_step(state, lab)
         records.append(rec._replace(index=i))
     return Trace(exp.config.to_dict(), tuple(records)), state
@@ -114,8 +121,7 @@ def replay(text: str) -> ReplayResult:
     state = exp.initial_state()
     digests = [digest(state)]
     for rec in records:
-        if rec.label not in exp.enabled_steps(state):
-            raise ScheduleError(rec.index, rec.label)
+        require_enabled(exp, state, rec.label, rec.index)
         state, fresh = exp.apply_step(state, rec.label)
         fresh = fresh._replace(index=rec.index)
         if fresh != rec:
@@ -151,8 +157,7 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
 
     def take(lab):
         nonlocal state
-        if lab not in exp.enabled_steps(state):
-            raise ScheduleError(len(labels), lab, "plan produced a disabled step")
+        require_enabled(exp, state, lab, len(labels))
         state = exp.successor(state, lab)
         labels.append(lab)
 

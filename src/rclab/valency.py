@@ -13,7 +13,7 @@ from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import ORDINARY, RcError, StepLabel, SystemState
-from .experiment import Experiment
+from .experiment import Experiment, as_experiment
 
 
 class ExecGraph(NamedTuple):
@@ -31,8 +31,6 @@ class ValencyLabel(NamedTuple):
 
 
 def build_graph(x, cap: Optional[int] = None) -> ExecGraph:
-    from .checker import as_experiment
-
     exp = as_experiment(x)
     cap = cap if cap is not None else exp.config.cap
     init = exp.initial_state()

@@ -5,6 +5,7 @@ import pytest
 
 from rclab.config import ExperimentConfig
 from rclab.experiment import Experiment
+from rclab.programs import Ret
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CASES_DIR = os.path.join(GOLDEN_DIR, "cases")
@@ -45,6 +46,25 @@ def reachable_edges(exp):
             if post not in seen:
                 seen.add(post)
                 queue.append(post)
+
+
+# Seeded fig1 bugs whose last step raises in the transition.  Each takes
+# `Fig1Machine.step` and returns a mutant to patch over it.
+
+
+def reenter_after_crash(step):
+    """fig1 with a seeded bug: recovery runs the consensus instance C again."""
+    def mutant(self, frame, get):
+        out = step(self, frame, get)
+        return out._replace(pc="x:C") if frame.pc == "x:recD" else out
+    return mutant
+
+
+def read_before_write(step):
+    """fig1 with a seeded bug: a process returns its decision before setting it."""
+    def mutant(self, frame, get):
+        return Ret(frame.loc("d")) if frame.pc == "x:if" else step(self, frame, get)
+    return mutant
 
 
 @pytest.fixture

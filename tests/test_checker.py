@@ -24,14 +24,17 @@ from rclab.checker import (
 )
 from rclab.core import CRASH_ALL_LABEL, crash, ordinary
 from rclab.objects import Register
-from rclab.programs import Ret
+from rclab.programs import Fig1Machine
+from rclab.simulator import ScheduleError
 from rclab.valency import build_graph
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
     make_config,
     make_experiment,
+    read_before_write,
     reachable_edges,
+    reenter_after_crash,
 )
 
 
@@ -185,6 +188,22 @@ def test_check_rwf_clean_schedule():
     assert confirm_violation(exp, [ordinary(1)] * 6) is None
 
 
+def test_confirm_rejects_crash_the_adversary_never_forces():
+    # assumption 1 enables no crash before a first TAS access
+    exp = make_experiment(cons="tas", failure="independent", adversary="assumption1")
+    with pytest.raises(ScheduleError) as err:
+        confirm_violation(exp, [crash(1)] * 5)
+    assert err.value.index == 0 and err.value.label == crash(1)
+
+
+def test_confirm_rejects_step_of_returned_process():
+    # p1 returns after 6 solo steps and takes no seventh
+    exp = make_experiment()
+    with pytest.raises(ScheduleError) as err:
+        confirm_violation(exp, [ordinary(1)] * 7)
+    assert err.value.index == 6 and err.value.label == ordinary(1)
+
+
 def test_memoization_does_not_change_verdict(fig1_sim1):
     with_memo = explore(fig1_sim1, memo=True)
     without = explore(fig1_sim1, memo=False)
@@ -211,34 +230,21 @@ def test_explore_states_equal_graph_nodes(name):
     assert verdict.stats["states"] == len(build_graph(cfg).nodes)
 
 
-def reenter_after_crash(exp):
-    """fig1 with a seeded bug: recovery runs the consensus instance C again."""
-    step = exp.machine.step
-
-    def mutant(frame, get):
-        out = step(frame, get)
-        return out._replace(pc="x:C") if frame.pc == "x:recD" else out
-
-    exp.machine.step = mutant
-    return [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4
-
-
-def read_before_write(exp):
-    """fig1 with a seeded bug: p1 returns its decision before setting it."""
-    step = exp.machine.step
-    exp.machine.step = lambda frame, get: (
-        Ret(frame.loc("d")) if frame.pc == "x:if" else step(frame, get))
-    return [ordinary(1)]
+# a schedule that ends in each seeded bug's violating step
+SEEDED_SCHEDULES = {
+    GENERICITY: [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
+    READ_BEFORE_WRITE: [ordinary(1)],
+}
 
 
 @pytest.mark.parametrize("mutate,prop", [
     (reenter_after_crash, GENERICITY),
     (read_before_write, READ_BEFORE_WRITE),
 ])
-def test_transition_errors_map_to_their_property(mutate, prop):
+def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
+    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
     exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
-    labels = mutate(exp)
-    assert confirm_violation(exp, labels)[0] == prop
+    assert confirm_violation(exp, SEEDED_SCHEDULES[prop])[0] == prop
     verdict = explore(exp)
     assert verdict.prop == prop
     assert confirm_violation(exp, verdict.trace_labels)[0] == prop

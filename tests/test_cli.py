@@ -6,6 +6,9 @@ import pytest
 
 from rclab.cli import EXIT_CONFIG, EXIT_USAGE, main
 from rclab.core import digest
+from rclab.programs import Fig1Machine
+
+from conftest import read_before_write, reenter_after_crash
 
 
 @pytest.fixture
@@ -95,6 +98,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert main(["check", "--config", str(bad), "--override", "budget=1"]) == EXIT_CONFIG
 
 
 def test_invalid_config_value_is_config_error(tmp_path):
@@ -220,3 +229,29 @@ def test_replay_missing_final_hash_still_verifies(capsys, tmp_path,
     assert code == 0
     doc = json.loads(out)
     assert doc["steps"] == len(labels) and doc["final_hash"]
+
+
+@pytest.mark.parametrize("verb", ["check", "fuzz"])
+@pytest.mark.parametrize("mutate,prop", [
+    (reenter_after_crash, "GenericityViolation"),
+    (read_before_write, "ReadBeforeWrite"),
+])
+def test_counterexample_ending_in_transition_error(capsys, monkeypatch, tmp_path,
+                                                   fig1_config, verb, mutate, prop):
+    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
+    trace = str(tmp_path / "cx.jsonl")
+    code, out = run_cli(capsys, verb, "--config", fig1_config,
+                        "--override", "monitor=true", "--out", trace)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["result"] == "fail" and doc["property"] == prop
+    assert doc["trace_file"] == trace
+    # the trace file holds every step but the violating one
+    with open(trace) as fh:
+        records = [json.loads(line) for line in fh.read().splitlines()[1:]]
+    assert [{"kind": r["label"], "pid": r["pid"]} for r in records] == doc["trace"][:-1]
+    code, out = run_cli(capsys, "replay", "--trace", trace)
+    assert code == 0
+    replayed = json.loads(out)
+    assert replayed["matches_header"] is True
+    assert replayed["steps"] == len(doc["trace"]) - 1

@@ -8,12 +8,11 @@ from rclab.core import (
     RETURNED,
     RUNNING,
     ConfigError,
-    StepError,
     crash,
     digest,
     ordinary,
 )
-from rclab.simulator import run, run_plan
+from rclab.simulator import ScheduleError, require_enabled, run, run_plan
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -126,11 +125,13 @@ def test_successor_matches_apply_step(name):
 
 def test_disabled_crash_raises():
     exp = make_experiment(failure="none")
-    with pytest.raises(StepError):
-        exp.apply_step(exp.initial_state(), CRASH_ALL_LABEL)
+    with pytest.raises(ScheduleError) as err:
+        require_enabled(exp, exp.initial_state(), CRASH_ALL_LABEL, 0)
+    assert err.value.index == 0 and err.value.label == CRASH_ALL_LABEL
     exp = make_experiment(failure="independent", budget=0)
-    with pytest.raises(StepError):
-        exp.apply_step(exp.initial_state(), crash(1))
+    with pytest.raises(ScheduleError) as err:
+        require_enabled(exp, exp.initial_state(), crash(1), 3)
+    assert err.value.index == 3 and err.value.label == crash(1)
 
 
 def test_independent_crash_targets_one_process():

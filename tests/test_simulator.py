@@ -1,6 +1,8 @@
 """Scripted runs, trace serialization, bit-exact replay, plan builder."""
 
+import importlib.util
 import json
+import os
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from rclab.simulator import (
     random_run,
 )
 
-from conftest import make_experiment
+from conftest import CASES_DIR, make_experiment
 
 
 def test_scripted_solo_run(fig1_sim1):
@@ -174,3 +176,16 @@ def test_higher_pid_not_forced_while_lower_participates():
     # p2 armed a crash but p1 is the lowest participant, so nothing is forced
     labels = exp.enabled_steps(s)
     assert crash(2) not in labels and crash(1) not in labels
+
+
+def test_golden_traces_regenerate_byte_for_byte(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_golden.py")
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.make_traces(str(tmp_path))
+    names = sorted(os.listdir(CASES_DIR))
+    assert len(names) == 12 and sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(CASES_DIR, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -94,13 +94,14 @@ TRACES = {
 }
 
 
-def make_traces():
-    os.makedirs(CASES, exist_ok=True)
+def make_traces(out_dir=CASES):
+    """Write one `<name>.jsonl` per entry of TRACES into `out_dir`."""
+    os.makedirs(out_dir, exist_ok=True)
     for name, (cfg_dict, plan) in sorted(TRACES.items()):
         exp = Experiment(ExperimentConfig.from_dict(dict(cfg_dict)))
         labels = simulator.run_plan(exp, plan)
         trace, final = simulator.run(exp, labels)
-        path = os.path.join(CASES, name + ".jsonl")
+        path = os.path.join(out_dir, name + ".jsonl")
         simulator.write_trace(trace, path, final_hash=digest(final))
         print("wrote %s (%d steps, returns=%s)"
               % (path, len(labels), final.returns))
