@@ -266,18 +266,28 @@ def shortest_failure(exp: Experiment):
     return None
 
 
-def fuzz(x, seed=0, episodes=1000) -> Verdict:
-    """Randomized exploration: `episodes` uniformly scheduled executions."""
+def fuzz(x, episodes=1000) -> Verdict:
+    """Randomized exploration: `episodes` uniformly scheduled executions,
+    drawn from the config's `seed`.
+
+    Like `explore`, an execution takes at most `depth_limit` steps.  The
+    first one still running at that depth ends the run with the verdict
+    `depth-limit`, because fuzzing can then no longer tell a pass."""
     exp = as_experiment(x)
+    seed = exp.config.seed
     rng = random.Random(seed)
     max_steps = 0
     for ep in range(episodes):
         state = exp.initial_state()
         path: List[StepLabel] = []
-        while len(path) <= exp.depth_limit:
+        while True:
             labels = exp.enabled_steps(state)
             if not labels:
                 break
+            if len(path) >= exp.depth_limit:
+                detail = "depth limit %d reached" % exp.depth_limit
+                stats = {"episodes": ep + 1, "seed": seed, "max_attempt_steps": max_steps}
+                return Verdict("depth-limit", detail=detail, stats=stats)
             lab = rng.choice(labels)
             path.append(lab)
             try:

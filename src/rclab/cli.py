@@ -142,7 +142,7 @@ def _dispatch(args) -> int:
     if args.verb == "check":
         verdict = checker.explore(exp, memo=not args.no_memo)
     else:
-        verdict = checker.fuzz(exp, seed=cfg.seed, episodes=args.episodes)
+        verdict = checker.fuzz(exp, episodes=args.episodes)
     out = verdict.to_json()
     if verdict.result == "fail":
         path = args.out or "counterexample.jsonl"

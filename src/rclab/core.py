@@ -79,10 +79,6 @@ class StepLabel(NamedTuple):
     def to_json(self):
         return {"kind": self.kind, "pid": self.pid}
 
-    @staticmethod
-    def from_json(d) -> "StepLabel":
-        return StepLabel(d["kind"], d["pid"])
-
     def __str__(self):
         if self.kind == CRASH_ALL:
             return "crash_all"
@@ -131,9 +127,21 @@ class Frame(NamedTuple):
         raise KeyError(name)
 
     def with_locals(self, updates: dict) -> Tuple[Tuple[str, Any], ...]:
-        d = dict(self.locals)
-        d.update(updates)
-        return tuple(sorted(d.items()))
+        """The locals with `updates` applied.  A machine's local names are
+        fixed, so the values are replaced in place; a name that is not a
+        local raises KeyError."""
+        out = []
+        hits = 0
+        for pair in self.locals:
+            name = pair[0]
+            if name in updates:
+                out.append((name, updates[name]))
+                hits += 1
+            else:
+                out.append(pair)
+        if hits != len(updates):
+            raise KeyError(next(k for k in updates if k not in dict(self.locals)))
+        return tuple(out)
 
 
 def locals_tuple(d: dict) -> Tuple[Tuple[str, Any], ...]:
@@ -183,10 +191,6 @@ class StepRecord(NamedTuple):
 class Trace(NamedTuple):
     config: dict
     records: Tuple[StepRecord, ...]
-
-    @property
-    def labels(self):
-        return [r.label for r in self.records]
 
 
 def _jsonable(x):

@@ -15,6 +15,11 @@ Built-in machines:
   cas-rc     bare CAS race, recoverable under either failure model
   tas-cons2  classic announce/TAS two-process consensus; conventional
              (crash-oblivious) building block for fig1/fig2
+
+The conventional consensus is written once, as `InnerCons`: fig1 runs one
+instance C of it, fig2 one instance C[k] per iteration, and tas-cons2 runs
+it bare.  `cons` selects its atomic or its announce/TAS form; the wrapping
+machines delegate every step at one of its lines to it.
 """
 
 from __future__ import annotations
@@ -55,6 +60,66 @@ def _read(get, name, pc, var, extra=None):
 def _write(get, name, val, pc, updates=None, instance=None):
     new, resp = objects.apply(get(name), "write", (val,))
     return Access(name, "write", (val,), resp, new, pc, updates or {}, instance)
+
+
+class InnerCons:
+    """One instance of the conventional consensus that fig1 and fig2 wrap
+    and tas-cons2 runs bare.
+
+    With `cons="atomic"` it is a single `decide` on a `Cons` object named
+    after the instance.  With `cons="tas"` it is two-process consensus from
+    registers and test-and-set: announce the value in `A[i]`, `tas` on `T`,
+    and a loser adopts the winner's announcement.  Either way the decision
+    lands in the local `d` and control continues at `exit`.
+
+    `line` prefixes the construction's line labels (`line + "wA"` and so
+    on); the atomic decide line is `line` without its trailing dot.  An
+    instance named `name` owns the objects `name.A[i]`/`name.T` (bare
+    `A[i]`/`T` for the nameless instance, which no genericity monitor
+    watches).
+    """
+
+    def __init__(self, cons, line, exit):
+        self.atomic = cons == "atomic"
+        self.exit = exit
+        if self.atomic:
+            self.entry = line.rstrip(".")
+            self.lines = frozenset([self.entry])
+        else:
+            self.entry = line + "wA"
+            self._tas = line + "tas"
+            self._ra = line + "rA"
+            self.lines = frozenset([self.entry, self._tas, self._ra])
+        self.steps = len(self.lines)  # ordinary steps of one pass through
+
+    def layout(self, name):
+        if self.atomic:
+            return [(name, objects.Cons())]
+        p = name + "." if name else ""
+        return [
+            (p + "A[1]", objects.Register()),
+            (p + "A[2]", objects.Register()),
+            (p + "T", objects.Tas()),
+        ]
+
+    def step(self, frame, get, name, value):
+        """The step at `frame.pc`, one of `lines`, proposing `value`."""
+        i = frame.pid
+        if self.atomic:
+            args = (i, frame.attempt, value)
+            new, resp = objects.apply(get(name), "decide", args)
+            return Access(name, "decide", args, resp, new, self.exit, {"d": resp}, name)
+        pc = frame.pc
+        p = name + "." if name else ""
+        if pc == self.entry:
+            return _write(get, "%sA[%d]" % (p, i), value, self._tas, instance=name or None)
+        if pc == self._tas:
+            t = p + "T"
+            new, resp = objects.apply(get(t), "tas")
+            if resp == 0:
+                return Access(t, "tas", (), resp, new, self.exit, {"d": value})
+            return Access(t, "tas", (), resp, new, self._ra, {})
+        return _read(get, "%sA[%d]" % (p, 3 - i), self.exit, "d")
 
 
 class Machine:
@@ -116,32 +181,22 @@ class Fig1Machine(Machine):
 
     def __init__(self, cons="atomic", choice="p1"):
         super().__init__(2)
-        self.cons = cons
+        self.inner = InnerCons(cons, "x:C.", "x:wD")
         self.choice = choice
 
     def init_locals(self, pid, proposal):
         return {"p_self": UNINIT, "p_other": UNINIT, "d": UNINIT}
 
     def layout(self):
-        base = [
+        return [
             ("P[1]", objects.Register()),
             ("P[2]", objects.Register()),
             ("D", objects.Register()),
-        ]
-        if self.cons == "atomic":
-            base.append(("C", objects.Cons()))
-        else:
-            base += [
-                ("C.A[1]", objects.Register()),
-                ("C.A[2]", objects.Register()),
-                ("C.T", objects.Tas()),
-            ]
-        return base
+        ] + self.inner.layout("C")
 
     def bound(self):
         # guard reads + announce + inner decide + record + return
-        inner = 1 if self.cons == "atomic" else 3
-        return 3 + inner + 2
+        return 3 + self.inner.steps + 2
 
     def _both_ways(self, frame):
         i = frame.pid
@@ -153,6 +208,8 @@ class Fig1Machine(Machine):
         i = frame.pid
         other = 3 - i
         pc = frame.pc
+        if pc in self.inner.lines:
+            return self.inner.step(frame, get, "C", frame.proposal)
         if pc == "x:if":
             return _read(get, "P[%d]" % i, "x:if2", "p_self")
         if pc == "x:if2":
@@ -163,21 +220,7 @@ class Fig1Machine(Machine):
                 nxt = "x:recD"
             return Access("P[%d]" % other, "read", (), resp, new, nxt, {"p_other": resp})
         if pc == "x:wP":
-            nxt = "x:C" if self.cons == "atomic" else "x:C.wA"
-            return _write(get, "P[%d]" % i, frame.proposal, nxt)
-        if pc == "x:C":
-            args = (i, frame.attempt, frame.proposal)
-            new, resp = objects.apply(get("C"), "decide", args)
-            return Access("C", "decide", args, resp, new, "x:wD", {"d": resp}, "C")
-        if pc == "x:C.wA":
-            return _write(get, "C.A[%d]" % i, frame.proposal, "x:C.tas", instance="C")
-        if pc == "x:C.tas":
-            new, resp = objects.apply(get("C.T"), "tas")
-            if resp == 0:
-                return Access("C.T", "tas", (), resp, new, "x:wD", {"d": frame.proposal})
-            return Access("C.T", "tas", (), resp, new, "x:C.rA", {})
-        if pc == "x:C.rA":
-            return _read(get, "C.A[%d]" % other, "x:wD", "d")
+            return _write(get, "P[%d]" % i, frame.proposal, self.inner.entry)
         if pc == "x:wD":
             return _write(get, "D", frame.loc("d"), "x:retd")
         if pc == "x:retd":
@@ -213,20 +256,8 @@ class Fig1Machine(Machine):
         raise AssertionError("fig1: unreachable pc %r" % pc)
 
 
-_FIG2_BODY_PCS = frozenset(
-    [
-        "xn:inc",
-        "xn:forado",
-        "xn:C",
-        "xn:C.wA",
-        "xn:C.tas",
-        "xn:C.rA",
-        "xn:wD",
-        "xn:ifp",
-        "xn:forp",
-        "xn:retd",
-    ]
-)
+# fig2's lines past the iteration claim, but those of the inner consensus
+_FIG2_BODY_PCS = frozenset(["xn:inc", "xn:forado", "xn:wD", "xn:ifp", "xn:forp", "xn:retd"])
 
 
 class Fig2Machine(Machine):
@@ -244,8 +275,9 @@ class Fig2Machine(Machine):
     def __init__(self, n, f, cons="atomic", scan_order="asc"):
         super().__init__(n)
         self.f = f
-        self.cons = cons
+        self.inner = InnerCons(cons, "xn:C.", "xn:wD")
         self.scan_order = scan_order
+        self._body_pcs = _FIG2_BODY_PCS | self.inner.lines
         slots = {name: i for i, (name, _) in enumerate(self.layout())}
         self._r_slots = tuple((i, slots["R[%d]" % i]) for i in range(1, n + 1))
         self._k_pos = sorted(self.init_locals(1, None)).index("k")
@@ -265,21 +297,13 @@ class Fig2Machine(Machine):
         out = [("R[%d]" % i, objects.Register(0)) for i in range(1, self.n + 1)]
         out += [("D[%d]" % k, objects.Register()) for k in range(self.f + 1)]
         for k in range(self.f + 1):
-            if self.cons == "atomic":
-                out.append(("C[%d]" % k, objects.Cons()))
-            else:
-                out += [
-                    ("C[%d].A[1]" % k, objects.Register()),
-                    ("C[%d].A[2]" % k, objects.Register()),
-                    ("C[%d].T" % k, objects.Tas()),
-                ]
+            out += self.inner.layout("C[%d]" % k)
         return out
 
     def bound(self):
-        inner = 1 if self.cons == "atomic" else 3
         total = 1  # final return
         for k in range(self.f + 1):
-            total += 2 + k + inner + 1
+            total += 2 + k + self.inner.steps + 1
             if k < self.f:
                 total += 1 + (self.n - 1)
         return total
@@ -290,12 +314,11 @@ class Fig2Machine(Machine):
             out.reverse()
         return out
 
-    def _c_entry(self):
-        return "xn:C" if self.cons == "atomic" else "xn:C.wA"
-
     def step(self, frame, get):
         i = frame.pid
         pc = frame.pc
+        if pc in self.inner.lines:
+            return self.inner.step(frame, get, "C[%d]" % frame.loc("k"), frame.loc("v"))
         if pc == "xn:if":
             k = frame.loc("k")
             new, resp = objects.apply(get("R[%d]" % i), "read")
@@ -313,7 +336,7 @@ class Fig2Machine(Machine):
             if k > 0:
                 nxt, upd = "xn:forado", {"kp": 0}
             else:
-                nxt, upd = self._c_entry(), {}
+                nxt, upd = self.inner.entry, {}
             return _write(get, "R[%d]" % i, k + 1, nxt, upd)
         if pc == "xn:forado":
             k = frame.loc("k")
@@ -327,35 +350,8 @@ class Fig2Machine(Machine):
                 nxt = "xn:forado"
                 upd["kp"] = kp + 1
             else:
-                nxt = self._c_entry()
+                nxt = self.inner.entry
             return Access("D[%d]" % kp, "read", (), resp, new, nxt, upd)
-        if pc == "xn:C":
-            k = frame.loc("k")
-            args = (i, frame.attempt, frame.loc("v"))
-            new, resp = objects.apply(get("C[%d]" % k), "decide", args)
-            return Access(
-                "C[%d]" % k, "decide", args, resp, new, "xn:wD", {"d": resp}, "C[%d]" % k
-            )
-        if pc == "xn:C.wA":
-            k = frame.loc("k")
-            return _write(
-                get,
-                "C[%d].A[%d]" % (k, i),
-                frame.loc("v"),
-                "xn:C.tas",
-                instance="C[%d]" % k,
-            )
-        if pc == "xn:C.tas":
-            k = frame.loc("k")
-            new, resp = objects.apply(get("C[%d].T" % k), "tas")
-            if resp == 0:
-                return Access(
-                    "C[%d].T" % k, "tas", (), resp, new, "xn:wD", {"d": frame.loc("v")}
-                )
-            return Access("C[%d].T" % k, "tas", (), resp, new, "xn:C.rA", {})
-        if pc == "xn:C.rA":
-            k = frame.loc("k")
-            return _read(get, "C[%d].A[%d]" % (k, 3 - i), "xn:wD", "d")
         if pc == "xn:wD":
             k = frame.loc("k")
             nxt = "xn:ifp" if k < self.f else "xn:retd"
@@ -390,7 +386,7 @@ class Fig2Machine(Machine):
         # and R[i] = x+1 certifies that its owner began iteration x.
         failures = state.failures
         for fr in state.frames:
-            if fr.status == "running" and fr.pc in _FIG2_BODY_PCS:
+            if fr.status == "running" and fr.pc in self._body_pcs:
                 # locals are sorted (name, value) pairs over a fixed name set
                 k = fr.locals[self._k_pos][1]
                 if k is not UNINIT and failures < k:
@@ -502,7 +498,8 @@ class TasCons2Machine(Machine):
     """
 
     program_id = "tas-cons2"
-    entry = "t:wA"
+    inner = InnerCons("tas", "t:", "t:ret")
+    entry = inner.entry
 
     def __init__(self):
         super().__init__(2)
@@ -511,30 +508,15 @@ class TasCons2Machine(Machine):
         return {"d": UNINIT}
 
     def layout(self):
-        return [
-            ("A[1]", objects.Register()),
-            ("A[2]", objects.Register()),
-            ("T", objects.Tas()),
-        ]
+        return self.inner.layout("")
 
     def bound(self):
-        return 4
+        return self.inner.steps + 1
 
     def step(self, frame, get):
-        i = frame.pid
-        pc = frame.pc
-        if pc == "t:wA":
-            return _write(get, "A[%d]" % i, frame.proposal, "t:tas")
-        if pc == "t:tas":
-            new, resp = objects.apply(get("T"), "tas")
-            if resp == 0:
-                return Access("T", "tas", (), resp, new, "t:ret", {"d": frame.proposal})
-            return Access("T", "tas", (), resp, new, "t:rA", {})
-        if pc == "t:rA":
-            return _read(get, "A[%d]" % (3 - i), "t:ret", "d")
-        if pc == "t:ret":
+        if frame.pc == "t:ret":
             return Ret(frame.loc("d"))
-        raise AssertionError("tas-cons2: unreachable pc %r" % pc)
+        return self.inner.step(frame, get, "", frame.proposal)
 
 
 PROGRAM_IDS = ("fig1", "fig2", "fig3", "cas-rc", "tas-cons2")

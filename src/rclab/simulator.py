@@ -53,10 +53,11 @@ def run(exp: Experiment, labels) -> Tuple[Trace, SystemState]:
 
 
 def random_run(exp: Experiment, rng: random.Random):
-    """One execution choosing uniformly among enabled steps."""
+    """One execution choosing uniformly among enabled steps, cut after
+    `depth_limit` steps."""
     state = exp.initial_state()
     labels: List[StepLabel] = []
-    while len(labels) <= exp.depth_limit:
+    while len(labels) < exp.depth_limit:
         enabled = exp.enabled_steps(state)
         if not enabled:
             break

@@ -10,7 +10,7 @@ a bivalent state all of whose successors are univalent is critical."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .core import ORDINARY, RcError, StepLabel, SystemState
 from .experiment import Experiment, as_experiment
@@ -30,9 +30,11 @@ class ValencyLabel(NamedTuple):
     klass: str  # "univalent" | "bivalent" | "multivalent" | "undecided"
 
 
-def build_graph(x, cap: Optional[int] = None) -> ExecGraph:
+def build_graph(x) -> ExecGraph:
+    """Breadth-first graph of every reachable state, holding at most the
+    config's `cap` nodes when it sets one."""
     exp = as_experiment(x)
-    cap = cap if cap is not None else exp.config.cap
+    cap = exp.config.cap
     init = exp.initial_state()
     nodes = {init: 0}
     adj = {}

@@ -213,8 +213,8 @@ def test_criterion_7_cas_universality():
                 failures.append((model, budget, verdict.to_json()))
     for model in ("independent", "simultaneous"):
         cfg = _cfg(program="cas-rc", n=2, proposals=[10, 20],
-                   failure=model, budget=4)
-        verdict = checker.fuzz(cfg, seed=7, episodes=10_000)
+                   failure=model, budget=4, seed=7)
+        verdict = checker.fuzz(cfg, episodes=10_000)
         if not verdict.passed:
             failures.append((model, "fuzz", verdict.to_json()))
     _report(7, "cas-rc exhaustive (budgets 0-4, both models) plus "
@@ -324,6 +324,43 @@ def _check_forget_decision(res, records):
     assert _returned_values(res.state) == {10}
 
 
+def _check_fig1_tas_loser_reads(res, records):
+    tas = [(r.label.pid, r.resp) for r in records if r.op == "x:C.tas tas C.T"]
+    assert tas == [(2, 0), (1, 1)]  # p2 wins the TAS, p1 loses
+    reads = [(r.label.pid, r.resp) for r in records if r.op.startswith("x:C.rA")]
+    assert reads == [(1, 20)] and "x:C.rA read C.A[2]" in _ops(records)
+    assert _returned_values(res.state) == {20}
+
+
+def _check_fig1_tas_crash_after_wA(res, records):
+    ops = _ops(records)
+    crash_at = ops.index("crash")
+    assert ops[crash_at - 1] == "x:C.wA write C.A[1] [10]"
+    assert not any("C.T" in op for op in ops)  # nobody ran the TAS
+    assert {op for _p, op in _return_ops(records)} == {
+        "x:inbotObotret return", "x:ibotOnbotret return"}
+    assert _returned_values(res.state) == {10}
+
+
+def _check_fig2_tas_loser_reads(res, records):
+    tas = [(r.label.pid, r.resp) for r in records if r.op == "xn:C.tas tas C[0].T"]
+    assert tas == [(1, 0), (2, 1)]  # p1 wins the TAS, p2 loses
+    reads = [(r.label.pid, r.op, r.resp) for r in records if r.op.startswith("xn:C.rA")]
+    assert reads == [(2, "xn:C.rA read C[0].A[1]", 10)]
+    assert _returned_values(res.state) == {10}
+
+
+def _check_fig2_tas_crash_after_wA(res, records):
+    ops = _ops(records)
+    crash_at = ops.index("crash")
+    assert ops[crash_at - 1] == "xn:C.wA write C[0].A[2] [20]"
+    # p2 never re-enters C[0]; it adopts D[0] and decides in C[1]
+    after = [r.op for r in records[crash_at:] if r.label == ordinary(2)]
+    assert not any("C[0].A" in op or "C[0].T" in op for op in after)
+    assert "xn:C.wA write C[1].A[2] [10]" in after
+    assert res.state.returns == ((1, 1, 10), (2, 2, 10))
+
+
 GOLDEN_CASES = {
     "fig1_ret_retd": _check_retd,
     "fig1_ret_recD": _check_recD,
@@ -337,6 +374,10 @@ GOLDEN_CASES = {
     "fig2_distinct_iters": _check_distinct_iters,
     "fig2_recover_after_inc": _check_recover_after_inc,
     "fig2_forget_decision": _check_forget_decision,
+    "fig1_tas_loser_reads": _check_fig1_tas_loser_reads,
+    "fig1_tas_crash_after_wA": _check_fig1_tas_crash_after_wA,
+    "fig2_tas_loser_reads": _check_fig2_tas_loser_reads,
+    "fig2_tas_crash_after_wA": _check_fig2_tas_crash_after_wA,
 }
 
 

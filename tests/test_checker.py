@@ -283,16 +283,27 @@ def test_crash_free_equals_none_model():
 
 
 def test_fuzz_pass_is_seeded():
-    cfg = make_config(program="cas-rc", failure="independent", budget=5)
-    a = fuzz(cfg, seed=7, episodes=200)
-    b = fuzz(cfg, seed=7, episodes=200)
+    cfg = make_config(program="cas-rc", failure="independent", budget=5, seed=7)
+    a = fuzz(cfg, episodes=200)
+    b = fuzz(cfg, episodes=200)
     assert a.passed and a.stats == b.stats
     assert a.stats["seed"] == 7
 
 
+@pytest.mark.parametrize("kw", [
+    dict(failure="simultaneous", budget=1, depth=3),
+    dict(program="fig2", f=1, failure="independent", budget=2, depth=8, seed=3),
+])
+def test_fuzz_stops_at_the_depth_limit(kw):
+    cfg = make_config(**kw)
+    assert explore(cfg).result == "depth-limit"
+    verdict = fuzz(cfg, episodes=200)
+    assert verdict.result == "depth-limit" and verdict.exit_code == 3
+
+
 def test_fuzz_finds_tas_cons2_violation():
     cfg = make_config(program="tas-cons2", failure="independent", budget=1)
-    verdict = fuzz(cfg, seed=0, episodes=2000)
+    verdict = fuzz(cfg, episodes=2000)
     assert verdict.result == "fail"
     assert verdict.prop in (AGREEMENT, VALIDITY)
     assert confirm_violation(cfg, verdict.trace_labels) is not None
@@ -300,8 +311,8 @@ def test_fuzz_finds_tas_cons2_violation():
 
 def test_fuzz_fig2_larger_instance():
     cfg = make_config(program="fig2", n=3, f=2, proposals=[10, 20, 30],
-                      failure="independent", budget=2)
-    assert fuzz(cfg, seed=7, episodes=300).passed
+                      failure="independent", budget=2, seed=7)
+    assert fuzz(cfg, episodes=300).passed
 
 
 # -- verdict serialization ----------------------------------------------------

@@ -78,6 +78,12 @@ def test_fuzz_verb(capsys, fig1_config):
     assert json.loads(out)["stats"]["seed"] == 3
 
 
+def test_fuzz_depth_limit_exit_code(capsys, fig1_config):
+    code, out = run_cli(capsys, "fuzz", "--config", fig1_config, "--depth", "3")
+    assert code == 3
+    assert json.loads(out)["result"] == "depth-limit"
+
+
 def test_missing_verb_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
 

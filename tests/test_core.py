@@ -143,6 +143,14 @@ def test_independent_crash_targets_one_process():
     assert post.frames[1] == s.frames[1]
 
 
+def test_with_locals_replaces_values_in_place(fig1_sim1):
+    fr = fig1_sim1.initial_state().frames[0]
+    assert fr.with_locals({"d": 10, "p_self": BOTTOM}) == (
+        ("d", 10), ("p_other", fr.locals[1][1]), ("p_self", BOTTOM))
+    with pytest.raises(KeyError):
+        fr.with_locals({"d": 10, "k": 1})  # fig1 has no local k
+
+
 def test_digest_distinguishes_states(fig1_sim1):
     s = fig1_sim1.initial_state()
     t, _ = fig1_sim1.apply_step(s, ordinary(1))

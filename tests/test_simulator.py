@@ -101,6 +101,13 @@ def test_random_run_is_seeded(fig1_sim1):
     assert a == b and fa == fb
 
 
+def test_random_run_takes_at_most_depth_limit_steps():
+    exp = make_experiment(failure="simultaneous", budget=1, depth=3)
+    for seed in range(20):
+        labels, _ = random_run(exp, random.Random(seed))
+        assert len(labels) == 3  # no execution of fig1 ends within 3 steps
+
+
 def test_run_plan_reports_unreachable_pc(fig1_sim1):
     with pytest.raises(RcError):
         run_plan(fig1_sim1, [("until_pc", 1, "x:recD")])  # solo never recovers
@@ -185,7 +192,7 @@ def test_golden_traces_regenerate_byte_for_byte(tmp_path):
     spec.loader.exec_module(make_golden)
     make_golden.make_traces(str(tmp_path))
     names = sorted(os.listdir(CASES_DIR))
-    assert len(names) == 12 and sorted(os.listdir(tmp_path)) == names
+    assert len(names) == 16 and sorted(os.listdir(tmp_path)) == names
     for name in names:
         with open(os.path.join(CASES_DIR, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name

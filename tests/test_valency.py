@@ -95,7 +95,7 @@ def test_crash_step_can_be_a_decision_step():
 
 
 def test_node_cap_blocks_classification():
-    g = build_graph(make_config(failure="simultaneous", budget=1), cap=10)
+    g = build_graph(make_config(failure="simultaneous", budget=1, cap=10))
     assert g.capped
     with pytest.raises(RcError):
         classify(g)

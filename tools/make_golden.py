@@ -33,6 +33,8 @@ FIG2 = dict(
     program="fig2", n=2, f=1, proposals=[10, 20], failure="independent",
     budget=1, monitor=True,
 )
+FIG1_TAS = dict(FIG1, cons="tas")
+FIG2_TAS = dict(FIG2, cons="tas")
 
 # name -> (config dict, plan)
 TRACES = {
@@ -89,6 +91,28 @@ TRACES = {
         ("until_pc", 1, "xn:ifp"),
         ("until_pc", 2, "xn:C"), ("crash", 2),
         ("until_pc", 2, "xn:forado"),
+        ("until_done", 1), ("until_done", 2),
+    ]),
+    # The announce/TAS inner consensus (cons=tas): the TAS loser adopts
+    # the winner's announcement, and a crash after announcing leaves the
+    # instance to the other process.
+    "fig1_tas_loser_reads": (FIG1_TAS, [
+        ("step", 1, 2), ("step", 2, 2),
+        ("until_pc", 1, "x:C.tas"), ("until_pc", 2, "x:C.tas"),
+        ("step", 2, 1), ("step", 1, 1),
+        ("until_done", 1), ("until_done", 2),
+    ]),
+    "fig1_tas_crash_after_wA": (FIG1_TAS, [
+        ("until_pc", 1, "x:C.tas"), ("crash_all",),
+        ("until_done", 2), ("until_done", 1),
+    ]),
+    "fig2_tas_loser_reads": (FIG2_TAS, [
+        ("until_pc", 1, "xn:C.tas"), ("until_pc", 2, "xn:C.tas"),
+        ("step", 1, 1), ("step", 2, 1),
+        ("until_done", 2), ("until_done", 1),
+    ]),
+    "fig2_tas_crash_after_wA": (FIG2_TAS, [
+        ("until_pc", 2, "xn:C.tas"), ("crash", 2),
         ("until_done", 1), ("until_done", 2),
     ]),
 }
