@@ -69,8 +69,16 @@ class ExperimentConfig:
             )
         if any(p is BOTTOM for p in self.proposals):
             raise ConfigError("the bottom value is never a legal proposal")
-        if not all(isinstance(p, (str, int, float)) for p in self.proposals):
+        if not all(isinstance(p, (str, int, float)) and not isinstance(p, bool)
+                   for p in self.proposals):
             raise ConfigError("every proposal must be a string or a number")
+        # Equal values are interchangeable in memo keys and in the transition
+        # table, so two proposals that compare equal must be the same value.
+        for i, p in enumerate(self.proposals):
+            for q in self.proposals[:i]:
+                if p == q and repr(p) != repr(q):
+                    raise ConfigError("proposals %r and %r are equal but not the same value"
+                                      % (q, p))
         if self.failure not in FAILURE_KINDS:
             raise ConfigError("unknown failure model %r" % self.failure)
         if self.budget < 0:
@@ -83,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("unknown return mode %r" % self.mode)
         if self.scan_order not in ("asc", "desc"):
             raise ConfigError("scan order must be asc or desc")
+        for key, programs in _PROGRAM_KEYS.items():
+            if self.program not in programs and getattr(self, key) != _DEFAULTS[key]:
+                raise ConfigError("%s does not read %s; leave it %r"
+                                  % (self.program, key, _DEFAULTS[key]))
         if self.agreement_scope not in ("all-returns", "cross-process"):
             raise ConfigError("agreement scope must be all-returns or cross-process")
         for key in ("monitor", "hash_ignores_attempt"):
@@ -114,6 +126,11 @@ class ExperimentConfig:
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(read_config_file(path))
+
+
+# Keys that only some programs read, and those programs.
+_PROGRAM_KEYS = {"cons": ("fig1", "fig2"), "choice": ("fig1",), "scan_order": ("fig2",)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def read_config_file(path) -> dict:

@@ -14,7 +14,20 @@ the same state plus the `StepRecord` a trace stores (op text with the
 JSON-encoded access arguments, and the response); tracing and replay use
 it.  A step that leaves every shared object unchanged (a read, an `rtas`,
 a failed `cas`, a crash) returns a state whose `objects` is the very
-tuple of the pre-state."""
+tuple of the pre-state.
+
+Both go through the experiment's transition table.  A machine's
+`step(frame, get)` is a pure function of the frame and of the one object
+value it reads, so the table runs it once per (frame, value read) and
+keeps the outcome and the successor frame; a later step from an equal
+frame that reads an equal value takes them from the table.  A step that
+raises is never recorded, so it raises again on every visit.  What depends
+on the whole state (the genericity monitor's accesses, `participants`,
+assumption 1's `tas_seen` and `armed_crash`) is worked out in `_ordinary`
+on every step, outside the table.  Equal values must therefore be
+interchangeable, which is why `ExperimentConfig.validate` rejects two
+proposals that compare equal but are not the same value.
+"""
 
 from __future__ import annotations
 
@@ -72,6 +85,12 @@ class Experiment:
             # of the configured budget.
             fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
+        # The transition table (see the module docstring), filled as steps
+        # are taken: a frame maps to (slot read, {value read: (outcome,
+        # successor frame, slot written or None)}), or for a return to
+        # (None, (outcome, returned frame, None)); (CRASH, frame) maps to
+        # the frame a crash resets it to.
+        self._table = {}
 
     # -- state construction -------------------------------------------------
 
@@ -148,13 +167,17 @@ class Experiment:
     # -- transition ---------------------------------------------------------
 
     def _reset_frame(self, frame: Frame) -> Frame:
-        return Frame(
-            frame.pid,
-            self.machine.entry,
-            locals_tuple(self.machine.init_locals(frame.pid, frame.proposal)),
-            frame.proposal,
-            frame.attempt + 1,
-        )
+        key = (CRASH, frame)
+        reset = self._table.get(key)
+        if reset is None:
+            reset = self._table[key] = Frame(
+                frame.pid,
+                self.machine.entry,
+                locals_tuple(self.machine.init_locals(frame.pid, frame.proposal)),
+                frame.proposal,
+                frame.attempt + 1,
+            )
+        return reset
 
     def _instance_accesses(self, state: SystemState, instance: str):
         i = self.idx.get(instance)
@@ -187,15 +210,18 @@ class Experiment:
         where the outcome is the machine's `Access` or `Ret`."""
         frame = state.frames[pid - 1]
         objs = state.objects
-        idx = self.idx
-        outcome = self.machine.step(frame, lambda name: objs[idx[name]])
+        entry = self._table.get(frame)
+        hit = None
+        if entry is not None:
+            slot, hit = entry
+            if slot is not None:
+                hit = hit.get(objs[slot])
+        if hit is None:
+            hit = self._fill(frame, objs)
+        outcome, new_frame, written = hit
         participants = state.participants | {pid} if self.a1 else state.participants
 
         if isinstance(outcome, Ret):
-            new_frame = Frame(
-                frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
-                RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
-            )
             new_state = SystemState(
                 _swap(state.frames, pid - 1, new_frame),
                 objs,
@@ -214,19 +240,58 @@ class Experiment:
                 for p2, a2 in prior:
                     if p2 == pid:
                         raise GenericityViolation(outcome.instance, pid, frame.attempt, a2)
-                if idx.get(outcome.instance) is None:
+                if self.idx.get(outcome.instance) is None:
                     cons_access = cons_access | {(outcome.instance, pid, frame.attempt)}
 
         tas_seen = state.tas_seen
-        armed = False
         if self.a1 and outcome.op in ("tas", "rtas"):
-            armed = (pid, outcome.obj) not in tas_seen
+            if (pid, outcome.obj) not in tas_seen:
+                new_frame = new_frame._replace(armed_crash=True)
             tas_seen = tas_seen | {(pid, outcome.obj)}
 
-        # reads, rtas and a failed cas return the object value itself; the
-        # tuple is kept so that callers can tell no object changed
-        i = idx[outcome.obj]
-        new_objs = objs if objs[i] is outcome.new_value else _swap(objs, i, outcome.new_value)
+        new_state = SystemState(
+            _swap(state.frames, pid - 1, new_frame),
+            objs if written is None else _swap(objs, written, outcome.new_value),
+            state.failures,
+            state.returns,
+            participants,
+            tas_seen,
+            cons_access,
+        )
+        return new_state, frame, outcome
+
+    def _fill(self, frame: Frame, objs):
+        """Run the machine's step for `frame` on the objects `objs`, enter it
+        in the transition table, and return the entry's (outcome, successor
+        frame, slot written): the slot is None when the step changed no
+        object.  A `Ret` reads no object and is entered under the frame
+        alone; an `Access` is entered under the frame and the value of the
+        one object it reads, which must be the object it accesses."""
+        reads = []
+        idx = self.idx
+
+        def get(name):
+            reads.append(name)
+            return objs[idx[name]]
+
+        outcome = self.machine.step(frame, get)
+        if isinstance(outcome, Ret):
+            if reads:
+                raise AssertionError("%s returned at %s after reading %s"
+                                     % (self.machine.program_id, frame.pc, reads))
+            new_frame = Frame(
+                frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
+                RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
+            )
+            hit = (outcome, new_frame, None)
+            self._table[frame] = (None, hit)
+            return hit
+        if reads != [outcome.obj]:
+            raise AssertionError("%s at %s accessed %s but read %s; a step reads exactly"
+                                 " the object it accesses"
+                                 % (self.machine.program_id, frame.pc, outcome.obj, reads))
+        slot = idx[outcome.obj]
+        value = objs[slot]
         new_frame = Frame(
             frame.pid,
             outcome.pc,
@@ -236,18 +301,18 @@ class Experiment:
             FELL_OFF if outcome.pc == END else RUNNING,
             frame.retval,
             frame.steps + 1,
-            armed,
+            False,
         )
-        new_state = SystemState(
-            _swap(state.frames, pid - 1, new_frame),
-            new_objs,
-            state.failures,
-            state.returns,
-            participants,
-            tas_seen,
-            cons_access,
-        )
-        return new_state, frame, outcome
+        # reads, rtas and a failed cas return the object value itself; the
+        # state then keeps its objects tuple, so callers can tell no object
+        # changed
+        hit = (outcome, new_frame, None if outcome.new_value is value else slot)
+        entry = self._table.setdefault(frame, (slot, {}))
+        if entry[0] != slot:
+            raise AssertionError("%s at %s read slot %s, earlier slot %s"
+                                 % (self.machine.program_id, frame.pc, slot, entry[0]))
+        entry[1][value] = hit
+        return hit
 
     def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
         """Reset the crashed frame, or for a simultaneous crash every frame

@@ -135,10 +135,47 @@ def test_invalid_config_value_is_config_error(tmp_path):
     "proposals=[[1],[2]]",
     "proposals=5",
     'choice="median"',
+    "proposals=[true,false]",
+    "proposals=[true,1]",
+    "proposals=[1,1.0]",
+    "proposals=[0.0,-0.0]",
 ])
 def test_mistyped_config_value_is_config_error(fig1_config, override):
     assert main(["check", "--config", fig1_config,
                  "--override", override]) == EXIT_CONFIG
+
+
+# A value other than the default of a key that the program never reads.
+UNREAD_KEYS = [
+    ("fig3", "cons", "tas"),
+    ("cas-rc", "cons", "tas"),
+    ("tas-cons2", "cons", "tas"),
+    ("fig2", "choice", "max"),
+    ("fig3", "choice", "p2"),
+    ("cas-rc", "choice", "min"),
+    ("tas-cons2", "choice", "p2"),
+    ("fig1", "scan_order", "desc"),
+    ("fig3", "scan_order", "desc"),
+    ("cas-rc", "scan_order", "desc"),
+    ("tas-cons2", "scan_order", "desc"),
+]
+
+
+@pytest.mark.parametrize("program,key,value", UNREAD_KEYS)
+def test_key_the_program_does_not_read_is_config_error(fig1_config, program, key, value):
+    assert main(["bound", "--config", fig1_config, "--override", "f=1",
+                 "--override", 'program="%s"' % program,
+                 "--override", '%s="%s"' % (key, value)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("program,key,value", UNREAD_KEYS)
+def test_default_of_a_key_the_program_does_not_read_is_accepted(capsys, fig1_config,
+                                                                program, key, value):
+    default = {"cons": "atomic", "choice": "p1", "scan_order": "asc"}[key]
+    code, _ = run_cli(capsys, "bound", "--config", fig1_config, "--override", "f=1",
+                      "--override", 'program="%s"' % program,
+                      "--override", '%s="%s"' % (key, default))
+    assert code == 0
 
 
 def test_unknown_config_key_is_config_error(tmp_path):
