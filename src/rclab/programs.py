@@ -134,6 +134,16 @@ class Machine:
     the tuple itself in place (reads, `rtas`, a failed `cas`, crashes).
     An edge invariant must therefore be a function of the objects alone,
     and must hold whenever no object changed.
+
+    `step(frame, get)` must be a pure function of the frame and of the one
+    object value it reads: an `Access` calls `get` exactly once, on the
+    object it accesses, and a `Ret` calls it never.  The experiment's
+    transition table relies on this: it runs `step` once per (frame, value
+    read) and serves every later equal step from the table.  A step that
+    raises is never recorded, so it raises again on every visit.  What a
+    step means for the whole state (genericity bookkeeping, participants,
+    assumption 1's armed crash) is not the machine's business; the
+    experiment works it out on every step from the `Access` fields.
     """
 
     program_id = ""

@@ -145,8 +145,7 @@ def test_mistyped_config_value_is_config_error(fig1_config, override):
                  "--override", override]) == EXIT_CONFIG
 
 
-# A value other than the default of a key that the program never reads.
-UNREAD_KEYS = [
+@pytest.mark.parametrize("program,key,value", [
     ("fig3", "cons", "tas"),
     ("cas-rc", "cons", "tas"),
     ("tas-cons2", "cons", "tas"),
@@ -158,24 +157,12 @@ UNREAD_KEYS = [
     ("fig3", "scan_order", "desc"),
     ("cas-rc", "scan_order", "desc"),
     ("tas-cons2", "scan_order", "desc"),
-]
-
-
-@pytest.mark.parametrize("program,key,value", UNREAD_KEYS)
+])
 def test_key_the_program_does_not_read_is_config_error(fig1_config, program, key, value):
+    # any value but the default of a key that the program never reads
     assert main(["bound", "--config", fig1_config, "--override", "f=1",
                  "--override", 'program="%s"' % program,
                  "--override", '%s="%s"' % (key, value)]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("program,key,value", UNREAD_KEYS)
-def test_default_of_a_key_the_program_does_not_read_is_accepted(capsys, fig1_config,
-                                                                program, key, value):
-    default = {"cons": "atomic", "choice": "p1", "scan_order": "asc"}[key]
-    code, _ = run_cli(capsys, "bound", "--config", fig1_config, "--override", "f=1",
-                      "--override", 'program="%s"' % program,
-                      "--override", '%s="%s"' % (key, default))
-    assert code == 0
 
 
 def test_unknown_config_key_is_config_error(tmp_path):

@@ -154,11 +154,12 @@ def test_step_that_reads_no_object_fails_loudly(monkeypatch):
         exp.successor(exp.initial_state(), ordinary(1))
 
 
-def test_crash_reset_is_shared():
+def test_crash_resets_are_shared_and_count_attempts():
     exp = make_experiment(failure="simultaneous", budget=2)
     init = exp.initial_state()
     once = exp.successor(init, CRASH_ALL_LABEL)
     again = exp.successor(init, CRASH_ALL_LABEL)
-    assert once == again
     assert all(a is b for a, b in zip(once.frames, again.frames))
+    twice = exp.successor(once, CRASH_ALL_LABEL)
     assert [fr.attempt for fr in once.frames] == [2, 2]
+    assert [fr.attempt for fr in twice.frames] == [3, 3]

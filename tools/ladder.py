@@ -23,6 +23,7 @@ the one holding this script).  Existing columns of `--out` are kept.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -94,9 +96,6 @@ def run_one(name, root):
     if what == "pytest":
         return _pytest(root)
     sys.path.insert(0, os.path.join(root, "src"))
-    import importlib
-    from types import SimpleNamespace
-
     lib = SimpleNamespace(**{m: importlib.import_module("rclab." + m)
                              for m in ("checker", "config", "experiment", "valency")})
     exp = lib.experiment.Experiment(lib.config.ExperimentConfig.from_dict(dict(cfg)))
