@@ -163,3 +163,26 @@ def test_crash_resets_are_shared_and_count_attempts():
     twice = exp.successor(once, CRASH_ALL_LABEL)
     assert [fr.attempt for fr in once.frames] == [2, 2]
     assert [fr.attempt for fr in twice.frames] == [3, 3]
+
+
+def test_step_that_reads_another_object_from_an_equal_frame_fails_loudly(monkeypatch):
+    step = Fig1Machine.step
+    calls = []
+
+    def mutant(self, frame, get):
+        # impure: the second visit of p1's x:if2 reads D instead of P[2]
+        if frame.pid == 1 and frame.pc == "x:if2":
+            calls.append(frame)
+            if len(calls) > 1:
+                return Access("D", "read", (), BOTTOM, get("D"), "x:recD", {"p_other": BOTTOM})
+        return step(self, frame, get)
+
+    monkeypatch.setattr(Fig1Machine, "step", mutant)
+    exp = make_experiment()
+    init = exp.initial_state()
+    exp.successor(exp.successor(init, ordinary(1)), ordinary(1))
+    s = init
+    for lab in [ordinary(2)] * 3 + [ordinary(1)]:  # p2 announces in P[2] first
+        s = exp.successor(s, lab)
+    with pytest.raises(AssertionError, match="slot"):
+        exp.successor(s, ordinary(1))
