@@ -134,6 +134,16 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
     return None
 
 
+def checked_initial_state(exp: Experiment) -> SystemState:
+    """The initial state, after `check_state`; raises `_Violation` if it fails.
+    `explore`, `shortest_failure`, `fuzz` and `confirm_violation` start here."""
+    init = exp.initial_state()
+    err = exp.machine.check_state(init)
+    if err:
+        raise _Violation(INVARIANT, err)
+    return init
+
+
 def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
     """The successor of `state` under `label`, after every per-edge check.
 
@@ -164,10 +174,10 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     acyclic state graph.
     """
     exp = as_experiment(x)
-    init = exp.initial_state()
-    err = exp.machine.check_state(init)
-    if err:
-        return Verdict("fail", INVARIANT, err, [], _explore_stats(1, 0, 0, 0))
+    try:
+        init = checked_initial_state(exp)
+    except _Violation as v:
+        return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0))
     counts = {}  # memo key -> complete executions from that state
     depth_limit = exp.depth_limit
     states, edges, max_steps = 1, 0, 0
@@ -247,7 +257,10 @@ def shortest_failure(exp: Experiment):
     Sound because every check evaluated per edge is a function of
     (pre-state, label, post-state) only, never of the path taken.
     """
-    init = exp.initial_state()
+    try:
+        init = checked_initial_state(exp)
+    except _Violation as v:
+        return [], v.prop, v.detail
     seen = {exp.memo_key(init)}
     queue = deque([(init, [])])
     while queue:
@@ -276,27 +289,27 @@ def fuzz(x, episodes=1000) -> Verdict:
     exp = as_experiment(x)
     seed = exp.config.seed
     rng = random.Random(seed)
-    max_steps = 0
-    for ep in range(episodes):
-        state = exp.initial_state()
-        path: List[StepLabel] = []
-        while True:
-            labels = exp.enabled_steps(state)
-            if not labels:
-                break
-            if len(path) >= exp.depth_limit:
-                detail = "depth limit %d reached" % exp.depth_limit
-                stats = {"episodes": ep + 1, "seed": seed, "max_attempt_steps": max_steps}
-                return Verdict("depth-limit", detail=detail, stats=stats)
-            lab = rng.choice(labels)
-            path.append(lab)
-            try:
+    max_steps, ep = 0, 0
+    path: List[StepLabel] = []
+    try:
+        init = checked_initial_state(exp)
+        for ep in range(episodes):
+            state, path = init, []
+            while True:
+                labels = exp.enabled_steps(state)
+                if not labels:
+                    break
+                if len(path) >= exp.depth_limit:
+                    detail = "depth limit %d reached" % exp.depth_limit
+                    stats = {"episodes": ep + 1, "seed": seed, "max_attempt_steps": max_steps}
+                    return Verdict("depth-limit", detail=detail, stats=stats)
+                lab = rng.choice(labels)
+                path.append(lab)
                 state = checked_step(exp, state, lab)
-            except _Violation as v:
-                return Verdict("fail", v.prop, v.detail, path,
-                               {"episodes": ep + 1, "seed": seed})
-            if lab.kind == ORDINARY:
-                max_steps = max(max_steps, state.frames[lab.pid - 1].steps)
+                if lab.kind == ORDINARY:
+                    max_steps = max(max_steps, state.frames[lab.pid - 1].steps)
+    except _Violation as v:
+        return Verdict("fail", v.prop, v.detail, path, {"episodes": ep + 1, "seed": seed})
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,
                                   "max_attempt_steps": max_steps})
 
@@ -306,8 +319,8 @@ def confirm_violation(x, labels):
     (property, detail) it demonstrates or None if the schedule is clean.
     Raises `simulator.ScheduleError` at the first step that is not enabled."""
     exp = as_experiment(x)
-    state = exp.initial_state()
     try:
+        state = checked_initial_state(exp)
         for i, lab in enumerate(labels):
             require_enabled(exp, state, lab, i)
             state = checked_step(exp, state, lab)

@@ -10,7 +10,8 @@ Exit codes:
       (a recorded step is not enabled, a record or the final hash differs);
       a counterexample's trace_file omits a last step that raises a
       genericity or read-before-write error
-  3   depth limit reached
+  3   a depth limit or node cap was reached: check or fuzz stopped at
+      --depth, or valency built a graph truncated by the config's cap
   64  usage error, including a --config, --trace or --out file that cannot
       be opened, and --episodes below 1
   65  bad configuration, including a trace that is not JSON lines or
@@ -132,6 +133,9 @@ def _dispatch(args) -> int:
 
     if args.verb == "valency":
         g = valency.build_graph(exp)
+        if g.capped:
+            sys.stderr.write("error: graph was truncated by the node cap; refusing to classify\n")
+            return checker.EXIT_DEPTH
         labels = valency.classify(g)
         if args.out:
             with open(args.out, "w") as fh:

@@ -5,11 +5,14 @@ potent set of a state is therefore the union of decided values over all
 reachable terminals plus anything already decided on the way in.  States
 whose potent set is a singleton are univalent; with two processes and
 two proposals a state with both values still reachable is bivalent, and
-a bivalent state all of whose successors are univalent is critical."""
+a bivalent state all of whose successors are univalent is critical.
+
+The graph holds each state once (see `ExecGraph`), so the passes over it
+find a child's node id and label by object identity: the `labels` they
+take are `classify`'s mapping for that same graph."""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, NamedTuple, Tuple
 
 from .core import ORDINARY, RcError, StepLabel, SystemState
@@ -17,6 +20,9 @@ from .experiment import Experiment, as_experiment
 
 
 class ExecGraph(NamedTuple):
+    """Every state object in `adj`, as a key or a child, is its node's key
+    object in `nodes`; node ids are dense, in breadth-first order."""
+
     exp: Experiment
     init: SystemState
     nodes: Dict[SystemState, int]  # state -> dense node id
@@ -37,12 +43,12 @@ def build_graph(x) -> ExecGraph:
     cap = exp.config.cap
     init = exp.initial_state()
     nodes = {init: 0}
+    order = [init]  # node id -> the node's key object
     adj = {}
     terminals = {}
     capped = False
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
+    # `order` grows while it is walked: it is the breadth-first queue
+    for state in order:
         labels = exp.enabled_steps(state)
         if not labels:
             adj[state] = []
@@ -51,12 +57,16 @@ def build_graph(x) -> ExecGraph:
         succ = []
         for lab in labels:
             post = exp.successor(state, lab)
-            if post not in nodes:
-                if cap is not None and len(nodes) >= cap:
-                    capped = True
-                    continue
-                nodes[post] = len(nodes)
-                queue.append(post)
+            fresh = len(order)
+            nid = nodes.setdefault(post, fresh)
+            if nid != fresh:
+                post = order[nid]  # an equal duplicate is dropped here
+            elif cap is not None and fresh >= cap:
+                del nodes[post]
+                capped = True
+                continue
+            else:
+                order.append(post)
             succ.append((lab, post))
         adj[state] = succ
     return ExecGraph(exp, init, nodes, adj, terminals, capped)
@@ -72,55 +82,64 @@ def _classify_set(potent: frozenset, exp: Experiment) -> str:
     return "multivalent"
 
 
+def _by_id(mapping: dict) -> dict:
+    """`mapping` keyed by the identity of its keys, which hashes none."""
+    return {id(k): v for k, v in mapping.items()}
+
+
 def classify(g: ExecGraph) -> Dict[SystemState, ValencyLabel]:
-    """Backward propagation of decided values over the (acyclic) graph."""
+    """Backward propagation of decided values over the (acyclic) graph;
+    states with equal potent sets share one `ValencyLabel`."""
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
-    potent: Dict[SystemState, frozenset] = {}
+    adj = _by_id(g.adj)
+    done = {}  # id(state) -> its label
+    shared = {}  # potent set -> its label
+    out = {}  # state -> its label, in post-order
 
-    # iterative post-order; every step strictly increases progress, so the
-    # graph is a DAG and a plain visited set suffices
-    stack = [(g.init, False)]
-    seen = set()
+    # iterative post-order, children last to first; every step strictly
+    # increases progress, so the graph is a DAG and a child met again is done
+    stack = [(g.init, reversed(adj[id(g.init)]))]
     while stack:
-        state, expanded = stack.pop()
-        if expanded:
-            vals = frozenset(v for _p, _a, v in state.returns)
-            for _lab, child in g.adj[state]:
-                vals |= potent[child]
-            potent[state] = vals
-            continue
-        if state in seen:
-            continue
-        seen.add(state)
-        stack.append((state, True))
-        for _lab, child in g.adj[state]:
-            if child not in seen:
-                stack.append((child, False))
-    return {s: ValencyLabel(p, _classify_set(p, g.exp)) for s, p in potent.items()}
+        state, todo = stack[-1]
+        for _lab, child in todo:
+            if id(child) not in done:
+                stack.append((child, reversed(adj[id(child)])))
+                break
+        else:
+            stack.pop()
+            potent = frozenset(v for _p, _a, v in state.returns).union(
+                *[done[id(child)].potent for _lab, child in adj[id(state)]])
+            lab = shared.get(potent)
+            if lab is None:
+                lab = shared[potent] = ValencyLabel(potent, _classify_set(potent, g.exp))
+            done[id(state)] = out[state] = lab
+    return out
 
 
 def find_critical(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
     """Bivalent states all of whose successors are univalent, with the
     per-successor decided value for each outgoing edge."""
+    by_id = _by_id(labels)
     out = []
     for state, lab in labels.items():
-        if lab.klass not in ("bivalent", "multivalent") or not g.adj[state]:
+        if lab.klass not in ("bivalent", "multivalent"):
             continue
-        succs = [(step, labels[child]) for step, child in g.adj[state]]
-        if all(sl.klass == "univalent" for _s, sl in succs):
+        succs = [(step, by_id[id(child)]) for step, child in g.adj[state]]
+        if succs and all(sl.klass == "univalent" for _s, sl in succs):
             out.append((state, [(step, next(iter(sl.potent))) for step, sl in succs]))
     return out
 
 
 def crash_decision_edges(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
     """Edges where a crash step moves the system from bivalent to univalent."""
+    by_id = _by_id(labels)
     out = []
     for state, succ in g.adj.items():
-        if labels[state].klass != "bivalent":
+        if by_id[id(state)].klass != "bivalent":
             continue
         for step, child in succ:
-            if step.kind != ORDINARY and labels[child].klass == "univalent":
+            if step.kind != ORDINARY and by_id[id(child)].klass == "univalent":
                 out.append((state, step, child))
     return out
 
@@ -150,13 +169,14 @@ def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
         "multivalent": "gold",
         "undecided": "gray",
     }
+    ids, by_id, terminal = _by_id(g.nodes), _by_id(labels), _by_id(g.terminals)
     lines = ["digraph executions {", "  rankdir=TB;", "  node [style=filled];"]
     for state, nid in g.nodes.items():
-        lab = labels[state]
+        lab = by_id[id(state)]
         text = _node_desc(state)
         if lab.klass == "univalent":
             text += "\\n-> %r" % (next(iter(lab.potent)),)
-        shape = "doublecircle" if state in g.terminals else "box"
+        shape = "doublecircle" if id(state) in terminal else "box"
         lines.append(
             '  n%d [label="%s", fillcolor=%s, shape=%s];'
             % (nid, text, colors[lab.klass], shape)
@@ -164,7 +184,7 @@ def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
     for state, succ in g.adj.items():
         for step, child in succ:
             lines.append(
-                '  n%d -> n%d [label="%s"];' % (g.nodes[state], g.nodes[child], step)
+                '  n%d -> n%d [label="%s"];' % (ids[id(state)], ids[id(child)], step)
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from rclab.checker import (
 )
 from rclab.core import CRASH_ALL_LABEL, crash, ordinary
 from rclab.objects import Register
-from rclab.programs import Fig1Machine
+from rclab.programs import Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
 from rclab.valency import build_graph
 
@@ -248,6 +248,20 @@ def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
     verdict = explore(exp)
     assert verdict.prop == prop
     assert confirm_violation(exp, verdict.trace_labels)[0] == prop
+
+
+def test_initial_state_invariant_is_checked_by_every_entry_point(monkeypatch):
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
+    init = exp.initial_state()
+    monkeypatch.setattr(Fig2Machine, "check_state",
+                        lambda self, state: "flagged" if state == init else None)
+    verdict = explore(exp)
+    assert (verdict.result, verdict.prop, verdict.trace_labels) == ("fail", INVARIANT, [])
+    assert shortest_failure(exp) == ([], INVARIANT, "flagged")
+    verdict = fuzz(exp, episodes=10)
+    assert (verdict.result, verdict.prop, verdict.trace_labels) == ("fail", INVARIANT, [])
+    assert confirm_violation(exp, []) == (INVARIANT, "flagged")
+    assert confirm_violation(exp, [ordinary(1)]) == (INVARIANT, "flagged")
 
 
 def test_depth_limit_is_exact():

@@ -71,6 +71,13 @@ def test_valency_verb_writes_dot(capsys, tmp_path, fig1_config):
     assert dot.read_text().startswith("digraph")
 
 
+def test_valency_over_the_node_cap_exits_3(capsys, fig1_config):
+    code = main(["valency", "--config", fig1_config, "--override", "cap=10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "truncated by the node cap" in captured.err
+
+
 def test_fuzz_verb(capsys, fig1_config):
     code, out = run_cli(capsys, "fuzz", "--config", fig1_config,
                         "--episodes", "50", "--seed", "3")

@@ -1,10 +1,13 @@
 """Execution graphs, valency classification, critical states."""
 
+from collections import deque
+
 import pytest
 
 from rclab import valency
 from rclab.core import ORDINARY, RcError, crash, ordinary
 from rclab.valency import (
+    ValencyLabel,
     build_graph,
     classify,
     crash_decision_edges,
@@ -13,7 +16,99 @@ from rclab.valency import (
     to_dot,
 )
 
-from conftest import make_config
+from conftest import DIFFERENTIAL_CONFIGS, make_config
+
+# fig2 n=2 `cons=tas` with budget f = 1 is DIFFERENTIAL_CONFIGS' fig2-2-1-tas;
+# f = 2 is perfbench's `valency` workload
+GRAPH_CONFIGS = dict(
+    DIFFERENTIAL_CONFIGS,
+    **{"fig2-2-%d-tas-monitor" % f: dict(program="fig2", f=f, cons="tas",
+                                         failure="independent", budget=f, monitor=True)
+       for f in (0, 2)},
+    **{"fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1")},
+)
+
+# nodes, terminals, bivalent, critical, crash-decision edges
+PINNED_SUMMARIES = {
+    "cas-rc-b3": (1464, 260, 10, 4, 0),
+    "fig1-tas-a1": (197, 19, 31, 0, 0),
+    "fig1-tas-b1": (1364, 98, 39, 2, 13),
+    "fig2-2-0-tas-monitor": (66, 4, 16, 1, 0),
+    "fig2-2-1-atomic": (1487, 68, 109, 6, 12),
+    "fig2-2-1-tas": (2218, 88, 236, 6, 16),
+    "fig2-2-2-tas-monitor": (50050, 1424, 2588, 44, 220),
+    "fig3-b1": (648, 52, 48, 4, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRAPH_CONFIGS))
+def named_graph(request):
+    return request.param, build_graph(make_config(**GRAPH_CONFIGS[request.param]))
+
+
+def reference_labels(g):
+    """The valency label of every state, folded from the terminals up in
+    a dict keyed by state value, with the class rule written out again."""
+    potent = {}
+    stack = [g.init]
+    while stack:
+        state = stack[-1]
+        pending = [child for _lab, child in g.adj[state] if child not in potent]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        vals = {v for _p, _a, v in state.returns}
+        for _lab, child in g.adj[state]:
+            vals |= potent[child]
+        potent[state] = frozenset(vals)
+    cfg = g.exp.config
+    two_way = cfg.n == 2 and len(set(cfg.proposals)) == 2
+
+    def klass(p):
+        if len(p) <= 1:
+            return ("undecided", "univalent")[len(p)]
+        return "bivalent" if two_way else "multivalent"
+
+    return {s: ValencyLabel(p, klass(p)) for s, p in potent.items()}
+
+
+def test_summary_is_pinned(named_graph):
+    name, g = named_graph
+    info = summary(g, classify(g))
+    got = tuple(info[k] for k in ("nodes", "terminals", "bivalent_count",
+                                  "critical_states", "crash_decision_edges"))
+    assert got == PINNED_SUMMARIES[name]
+    assert info["model"] == ("assumption1" if g.exp.a1 else "extended")
+
+
+def test_every_child_is_its_nodes_key_object(named_graph):
+    _name, g = named_graph
+    key_object = {s: s for s in g.nodes}
+    assert key_object[g.init] is g.init
+    for state, succ in g.adj.items():
+        assert key_object[state] is state
+        for _lab, child in succ:
+            assert key_object[child] is child
+    for state in g.terminals:
+        assert key_object[state] is state
+
+
+def test_node_ids_are_breadth_first(named_graph):
+    _name, g = named_graph
+    ids = {g.init: 0}
+    queue = deque([g.init])
+    while queue:
+        for _lab, child in g.adj[queue.popleft()]:
+            if child not in ids:
+                ids[child] = len(ids)
+                queue.append(child)
+    assert list(ids.items()) == list(g.nodes.items())
+
+
+def test_classify_equals_reference_fold(named_graph):
+    _name, g = named_graph
+    assert classify(g) == reference_labels(g)
 
 
 def test_fig3_crash_free_graph():
@@ -96,7 +191,8 @@ def test_crash_step_can_be_a_decision_step():
 
 def test_node_cap_blocks_classification():
     g = build_graph(make_config(failure="simultaneous", budget=1, cap=10))
-    assert g.capped
+    assert g.capped and len(g.nodes) == 10
+    assert all(child in g.nodes for succ in g.adj.values() for _lab, child in succ)
     with pytest.raises(RcError):
         classify(g)
 

@@ -4,8 +4,9 @@
 Each run executes in its own process, so each reports its own peak RSS:
 `explore` on four fig2 configs up to the current frontier, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
-`shortest_failure`, the valency graph of perfbench's `valency` config,
-and the tier-1 test suite.  For every run it records wall seconds,
+`shortest_failure`, the valency graph of perfbench's `valency` config
+and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 3's target), and
+the tier-1 test suite.  For every run it records wall seconds,
 states/s, edges/s, peak RSS and bytes per state ((peak RSS - RSS before
 the run) / states).  Times are raw seconds on the machine named in the
 output, not perfbench's reference seconds.
@@ -50,6 +51,7 @@ RUNS = {
     "fig2 n=2 f=3 cons=tas budget 3": ("explore", _fig2(2, 3, 3, "tas")),
     "criterion 4: fig2 n=2 f=1 budget 2": ("shortest_failure", _fig2(2, 1, 2)),
     "valency: fig2 n=2 f=2 cons=tas budget 2": ("valency", _fig2(2, 2, 2, "tas")),
+    "valency: fig2 n=2 f=3 cons=tas budget 3": ("valency", _fig2(2, 3, 3, "tas")),
     "tier-1": ("pytest", None),
 }
 
@@ -87,7 +89,8 @@ def _valency(lib, exp):
     g = lib.valency.build_graph(exp)
     s = lib.valency.summary(g, lib.valency.classify(g))
     return s["nodes"], sum(len(succ) for succ in g.adj.values()), {
-        "critical_states": s["critical_states"]}
+        k: s[k] for k in ("terminals", "bivalent_count", "critical_states",
+                          "crash_decision_edges")}
 
 
 def run_one(name, root):
