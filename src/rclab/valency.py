@@ -8,8 +8,9 @@ two proposals a state with both values still reachable is bivalent, and
 a bivalent state all of whose successors are univalent is critical.
 
 The graph holds each state once (see `ExecGraph`), so the passes over it
-find a child's node id and label by object identity: the `labels` they
-take are `classify`'s mapping for that same graph."""
+find a child's node id and label by object identity, in dicts keyed by
+`id(state)` that hash no state: the `labels` they take are `classify`'s
+mapping for that same graph."""
 
 from __future__ import annotations
 
@@ -82,17 +83,12 @@ def _classify_set(potent: frozenset, exp: Experiment) -> str:
     return "multivalent"
 
 
-def _by_id(mapping: dict) -> dict:
-    """`mapping` keyed by the identity of its keys, which hashes none."""
-    return {id(k): v for k, v in mapping.items()}
-
-
 def classify(g: ExecGraph) -> Dict[SystemState, ValencyLabel]:
     """Backward propagation of decided values over the (acyclic) graph;
     states with equal potent sets share one `ValencyLabel`."""
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
-    adj = _by_id(g.adj)
+    adj = {id(s): succ for s, succ in g.adj.items()}
     done = {}  # id(state) -> its label
     shared = {}  # potent set -> its label
     out = {}  # state -> its label, in post-order
@@ -120,7 +116,7 @@ def classify(g: ExecGraph) -> Dict[SystemState, ValencyLabel]:
 def find_critical(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
     """Bivalent states all of whose successors are univalent, with the
     per-successor decided value for each outgoing edge."""
-    by_id = _by_id(labels)
+    by_id = {id(s): lab for s, lab in labels.items()}
     out = []
     for state, lab in labels.items():
         if lab.klass not in ("bivalent", "multivalent"):
@@ -133,7 +129,7 @@ def find_critical(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
 
 def crash_decision_edges(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
     """Edges where a crash step moves the system from bivalent to univalent."""
-    by_id = _by_id(labels)
+    by_id = {id(s): lab for s, lab in labels.items()}
     out = []
     for state, succ in g.adj.items():
         if by_id[id(state)].klass != "bivalent":
@@ -169,7 +165,9 @@ def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
         "multivalent": "gold",
         "undecided": "gray",
     }
-    ids, by_id, terminal = _by_id(g.nodes), _by_id(labels), _by_id(g.terminals)
+    ids = {id(s): nid for s, nid in g.nodes.items()}
+    by_id = {id(s): lab for s, lab in labels.items()}
+    terminal = {id(s) for s in g.terminals}
     lines = ["digraph executions {", "  rankdir=TB;", "  node [style=filled];"]
     for state, nid in g.nodes.items():
         lab = by_id[id(state)]
