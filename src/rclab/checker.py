@@ -17,6 +17,7 @@ from .core import (
     GenericityViolation,
     StepLabel,
     SystemState,
+    TransitionError,
     UninitializedRead,
 )
 from .experiment import Experiment, as_experiment
@@ -25,8 +26,8 @@ from .simulator import require_enabled
 AGREEMENT = "Agreement"
 VALIDITY = "Validity"
 RWF = "RecoverableWaitFreedom"
-GENERICITY = "GenericityViolation"
-READ_BEFORE_WRITE = "ReadBeforeWrite"
+GENERICITY = GenericityViolation.prop
+READ_BEFORE_WRITE = UninitializedRead.prop
 INVARIANT = "Invariant"
 
 EXIT_PASS = 0
@@ -153,10 +154,8 @@ def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> Syste
     `fuzz` and `confirm_violation` all step through here."""
     try:
         post = exp.successor(state, label)
-    except GenericityViolation as e:
-        raise _Violation(GENERICITY, str(e))
-    except UninitializedRead as e:
-        raise _Violation(READ_BEFORE_WRITE, str(e))
+    except TransitionError as e:
+        raise _Violation(e.prop, str(e))
     bad = inspect_edge(exp, state, label, post)
     if bad:
         raise _Violation(*bad)

@@ -7,9 +7,9 @@ Verbs: check (exhaustive exploration), fuzz (randomized), valency
 Exit codes:
   0   pass
   2   property violation; for replay, a trace that does not reproduce
-      (a recorded step is not enabled, a record or the final hash differs);
-      a counterexample's trace_file omits a last step that raises a
-      genericity or read-before-write error
+      (a recorded step is not enabled, a record or the final hash differs),
+      or one whose last step reproduces a genericity or read-before-write
+      error
   3   a depth limit or node cap was reached: check or fuzz stopped at
       --depth, or valency built a graph truncated by the config's cap
   64  usage error, including a --config, --trace or --out file that cannot
@@ -120,8 +120,12 @@ def _dispatch(args) -> int:
             "matches_header": result.matches_header,
             "steps": len(result.digests) - 1,
         }
+        if result.error is not None:
+            out["steps"] += 1
+            out["property"], out["detail"] = result.error.error, result.error.detail
         print(json.dumps(out, sort_keys=True))
-        return 0 if result.matches_header else checker.EXIT_FAIL
+        ok = result.matches_header and result.error is None
+        return 0 if ok else checker.EXIT_FAIL
 
     cfg = _load_config(args)
     exp = Experiment(cfg)
@@ -139,7 +143,7 @@ def _dispatch(args) -> int:
         labels = valency.classify(g)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(valency.to_dot(g, labels))
+                fh.writelines(valency.dot_lines(g, labels))
         print(json.dumps(valency.summary(g, labels), sort_keys=True))
         return 0
 
@@ -150,12 +154,7 @@ def _dispatch(args) -> int:
     out = verdict.to_json()
     if verdict.result == "fail":
         path = args.out or "counterexample.jsonl"
-        labels = verdict.trace_labels
-        if verdict.prop in (checker.GENERICITY, checker.READ_BEFORE_WRITE):
-            # the violating step raises in the transition and has no
-            # post-state, so the trace file stops just before it
-            labels = labels[:-1]
-        trace, final = simulator.run(exp, labels)
+        trace, final = simulator.run(exp, verdict.trace_labels)
         simulator.write_trace(trace, path, final_hash=digest(final))
         out["trace_file"] = path
     print(json.dumps(out, sort_keys=True))

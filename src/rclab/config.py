@@ -107,13 +107,17 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields as a dict; every value is immutable but `proposals`,
+        which is a fresh list."""
+        d = {f.name: getattr(self, f.name) for f in _FIELDS}
+        d["proposals"] = list(self.proposals)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        known = {f.name for f in _FIELDS}
         unknown = set(d) - known
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -130,7 +134,8 @@ class ExperimentConfig:
 
 # Keys that only some programs read, and those programs.
 _PROGRAM_KEYS = {"cons": ("fig1", "fig2"), "choice": ("fig1",), "scan_order": ("fig2",)}
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_FIELDS = dataclasses.fields(ExperimentConfig)
+_DEFAULTS = {f.name: f.default for f in _FIELDS}
 
 
 def read_config_file(path) -> dict:

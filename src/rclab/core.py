@@ -54,12 +54,23 @@ class ObjectTypeError(RcError):
     """An operation was applied to an object of the wrong type."""
 
 
-class UninitializedRead(RcError):
+class TransitionError(RcError):
+    """A step the transition cannot take: it has no post-state.  `prop`
+    names the property the step violates."""
+
+    prop = ""
+
+
+class UninitializedRead(TransitionError):
     """A machine read a private variable before writing it."""
 
+    prop = "ReadBeforeWrite"
 
-class GenericityViolation(RcError):
+
+class GenericityViolation(TransitionError):
     """A process accessed a consensus base object again after crashing."""
+
+    prop = "GenericityViolation"
 
     def __init__(self, instance, pid, attempt, prior_attempt):
         self.instance = instance
@@ -167,12 +178,25 @@ class SystemState(NamedTuple):
 
 
 class StepRecord(NamedTuple):
+    """One step of a trace: its op text and response, or for a step that
+    raised a `TransitionError`, the error's property and detail."""
+
     index: int
     label: StepLabel
-    op: str
+    op: Optional[str]
     resp: Any
+    error: Optional[str] = None
+    detail: Optional[str] = None
 
     def to_json(self):
+        if self.error is not None:
+            return {
+                "step": self.index,
+                "label": self.label.kind,
+                "pid": self.label.pid,
+                "error": self.error,
+                "detail": self.detail,
+            }
         return {
             "step": self.index,
             "label": self.label.kind,
@@ -183,9 +207,10 @@ class StepRecord(NamedTuple):
 
     @staticmethod
     def from_json(d) -> "StepRecord":
-        return StepRecord(
-            d["step"], StepLabel(d["label"], d["pid"]), d["op"], d["resp"]
-        )
+        label = StepLabel(d["label"], d["pid"])
+        if "error" in d:
+            return StepRecord(d["step"], label, None, None, d["error"], d["detail"])
+        return StepRecord(d["step"], label, d["op"], d["resp"])
 
 
 class Trace(NamedTuple):
@@ -208,6 +233,57 @@ def canonical(state: SystemState):
     return _jsonable(tuple(state))
 
 
+def _encode_default(x):
+    if x is UNINIT:
+        return "?uninit"
+    if isinstance(x, frozenset):
+        return _jsonable(x)
+    raise TypeError("%s is not JSON serializable" % type(x).__name__)
+
+
+# The C-accelerated encoder writes tuples, NamedTuples among them, as
+# arrays and calls `_encode_default` only for frozensets and UNINIT, so its
+# text for a component is that of `json.dumps(_jsonable(component))`.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
+
+# id(component) -> (component, its JSON text).  The entry holds the
+# component, so its id is not reused while the entry lives.
+_fragments = {}
+_FRAGMENTS_MAX = 1024
+
+
+def _fragment(x) -> str:
+    hit = _fragments.get(id(x))
+    if hit is not None:
+        return hit[1]
+    if len(_fragments) >= _FRAGMENTS_MAX:
+        _fragments.clear()
+    text = _encode(x)
+    _fragments[id(x)] = (x, text)
+    return text
+
+
 def digest(state: SystemState) -> str:
-    enc = json.dumps(canonical(state), separators=(",", ":"), sort_keys=False)
-    return hashlib.sha256(enc.encode()).hexdigest()
+    """SHA-256 of `json.dumps(canonical(state), separators=(",", ":"))`.
+
+    The bytes hashed are exactly those, but they are joined from the JSON
+    text of each frame, each object value, and the `returns`,
+    `participants`, `tas_seen` and `cons_access` fields, each encoded once
+    and cached.  The transition shares these components between states,
+    so a state mostly reuses the text of its predecessor's.  The cache is
+    keyed by identity and each entry holds its component, so a cached
+    text always belongs to the very object it was made from.  It is never
+    keyed by value: `1`, `1.0` and `True` are equal, as are `0.0` and
+    `-0.0`, but their texts differ.  The cache is emptied when it holds
+    `_FRAGMENTS_MAX` entries, which bounds its memory."""
+    frames, objects, failures, returns, participants, tas_seen, cons_access = state
+    text = "[[%s],[%s],%d,%s,%s,%s,%s]" % (
+        ",".join([_fragment(fr) for fr in frames]),
+        ",".join([_fragment(v) for v in objects]),
+        failures,
+        _fragment(returns),
+        _fragment(participants),
+        _fragment(tas_seen),
+        _fragment(cons_access),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()

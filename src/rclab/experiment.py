@@ -19,8 +19,9 @@ tuple of the pre-state.
 Both go through the experiment's transition table.  A machine's
 `step(frame, get)` is a pure function of the frame and of the one object
 value it reads, so the table runs it once per (frame, value read) and
-keeps the outcome and the successor frame; a later step from an equal
-frame that reads an equal value takes them from the table.  A step that
+keeps the outcome, the successor frame and the step's record; a later
+step from an equal frame that reads an equal value takes them from the
+table.  A step that
 raises is never recorded, so it raises again on every visit.  What depends
 on the whole state (the genericity monitor's accesses, `participants`,
 assumption 1's `tas_seen` and `armed_crash`) is worked out in `_ordinary`
@@ -87,9 +88,9 @@ class Experiment:
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
         # The transition table (see the module docstring), filled as steps
         # are taken: a frame maps to (slot read, {value read: (outcome,
-        # successor frame, slot written or None)}), or for a return to
-        # (None, (outcome, returned frame, None)); (CRASH, frame) maps to
-        # the frame a crash resets it to.
+        # successor frame, slot written or None, record)}), or for a return
+        # to (None, (outcome, returned frame, None, record)); (CRASH, frame)
+        # maps to the frame a crash resets it to.
         self._table = {}
 
     # -- state construction -------------------------------------------------
@@ -190,13 +191,7 @@ class Experiment:
         `label` must be one of `enabled_steps(state)`."""
         if label.kind != ORDINARY:
             return self._crash(state, label), StepRecord(-1, label, "crash", None)
-        new_state, frame, outcome = self._ordinary(state, label.pid)
-        if isinstance(outcome, Ret):
-            return new_state, StepRecord(-1, label, "%s return" % frame.pc, outcome.value)
-        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
-        if outcome.args:
-            op += " " + json.dumps(list(outcome.args))
-        return new_state, StepRecord(-1, label, op, outcome.resp)
+        return self._ordinary(state, label.pid)
 
     def successor(self, state: SystemState, label: StepLabel) -> SystemState:
         """The state `apply_step` returns, without building its record.
@@ -206,8 +201,7 @@ class Experiment:
         return self._ordinary(state, label.pid)[0]
 
     def _ordinary(self, state: SystemState, pid: int):
-        """One ordinary step of `pid`: (new state, pre-step frame, outcome),
-        where the outcome is the machine's `Access` or `Ret`."""
+        """One ordinary step of `pid`: (new state, the step's record)."""
         frame = state.frames[pid - 1]
         objs = state.objects
         entry = self._table.get(frame)
@@ -218,7 +212,7 @@ class Experiment:
                 hit = hit.get(objs[slot])
         if hit is None:
             hit = self._fill(frame, objs)
-        outcome, new_frame, written = hit
+        outcome, new_frame, written, record = hit
         participants = state.participants | {pid} if self.a1 else state.participants
 
         if isinstance(outcome, Ret):
@@ -231,7 +225,7 @@ class Experiment:
                 state.tas_seen,
                 state.cons_access,
             )
-            return new_state, frame, outcome
+            return new_state, record
 
         cons_access = state.cons_access
         if outcome.instance is not None:
@@ -258,15 +252,16 @@ class Experiment:
             tas_seen,
             cons_access,
         )
-        return new_state, frame, outcome
+        return new_state, record
 
     def _fill(self, frame: Frame, objs):
         """Run the machine's step for `frame` on the objects `objs`, enter it
         in the transition table, and return the entry's (outcome, successor
-        frame, slot written): the slot is None when the step changed no
-        object.  A `Ret` reads no object and is entered under the frame
-        alone; an `Access` is entered under the frame and the value of the
-        one object it reads, which must be the object it accesses."""
+        frame, slot written, record): the slot is None when the step changed
+        no object, and the record is the step's `StepRecord` with index -1.
+        A `Ret` reads no object and is entered under the frame alone; an
+        `Access` is entered under the frame and the value of the one object
+        it reads, which must be the object it accesses."""
         reads = []
         idx = self.idx
 
@@ -275,6 +270,7 @@ class Experiment:
             return objs[idx[name]]
 
         outcome = self.machine.step(frame, get)
+        label = self.ordinary_labels[frame.pid - 1]
         if isinstance(outcome, Ret):
             if reads:
                 raise AssertionError("%s returned at %s after reading %s"
@@ -283,7 +279,8 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            hit = (outcome, new_frame, None)
+            record = StepRecord(-1, label, "%s return" % frame.pc, outcome.value)
+            hit = (outcome, new_frame, None, record)
             self._table[frame] = (None, hit)
             return hit
         if reads != [outcome.obj]:
@@ -303,10 +300,14 @@ class Experiment:
             frame.steps + 1,
             False,
         )
+        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
+        if outcome.args:
+            op += " " + json.dumps(list(outcome.args))
+        record = StepRecord(-1, label, op, outcome.resp)
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects tuple, so callers can tell no object
         # changed
-        hit = (outcome, new_frame, None if outcome.new_value is value else slot)
+        hit = (outcome, new_frame, None if outcome.new_value is value else slot, record)
         entry = self._table.setdefault(frame, (slot, {}))
         if entry[0] != slot:
             raise AssertionError("%s at %s read slot %s, earlier slot %s"

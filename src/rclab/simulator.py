@@ -1,7 +1,9 @@
 """Drives executions: scripted/random schedules, trace emission, and
 bit-exact replay.  Traces are JSON lines: one header object carrying the
 full configuration, then one record per step with fixed field names
-step/label/pid/op/resp."""
+step/label/pid/op/resp.  A last step that raised a transition error (a
+genericity or read-before-write violation) has no post-state and is
+recorded as step/label/pid/error/detail."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .core import (
     StepRecord,
     SystemState,
     Trace,
+    TransitionError,
     crash,
     digest,
     ordinary,
@@ -42,14 +45,33 @@ def require_enabled(exp: Experiment, state: SystemState, label, index) -> None:
 
 
 def run(exp: Experiment, labels) -> Tuple[Trace, SystemState]:
-    """Apply a scripted schedule; every label must be enabled in turn."""
+    """Apply a scripted schedule; every label must be enabled in turn.  A
+    step that raises a `TransitionError` has no post-state: it is recorded
+    with the error, and it must be the schedule's last."""
     state = exp.initial_state()
     records = []
     for i, lab in enumerate(labels):
+        if records and records[-1].error is not None:
+            raise _after_error(records[-1], lab, i)
         require_enabled(exp, state, lab, i)
-        state, rec = exp.apply_step(state, lab)
-        records.append(rec._replace(index=i))
+        state, rec = _apply(exp, state, lab, i)
+        records.append(rec)
     return Trace(exp.config.to_dict(), tuple(records)), state
+
+
+def _apply(exp: Experiment, state: SystemState, label, index):
+    """(state, record) after step `index`; a step that raises a
+    `TransitionError` leaves the state and records the error."""
+    try:
+        state, rec = exp.apply_step(state, label)
+    except TransitionError as e:
+        return state, StepRecord(index, label, None, None, e.prop, str(e))
+    return state, rec._replace(index=index)
+
+
+def _after_error(failed: StepRecord, label, index) -> ScheduleError:
+    return ScheduleError(index, label, "follows step %d, which raised %s"
+                         % (failed.index, failed.error))
 
 
 def random_run(exp: Experiment, rng: random.Random):
@@ -105,6 +127,7 @@ class ReplayResult(NamedTuple):
     header_hash: Optional[str]
     digests: Tuple[str, ...]  # one per intermediate state, initial included
     state: SystemState
+    error: Optional[StepRecord] = None  # the last step, if it raised
 
     @property
     def matches_header(self):
@@ -114,21 +137,29 @@ class ReplayResult(NamedTuple):
 def replay(text: str) -> ReplayResult:
     """Re-execute a serialized trace and verify it bit-for-bit.
 
-    Raises ScheduleError if a recorded step is not enabled or its
-    regenerated record differs from the recorded one.
+    A trace may end in a step recorded with a transition error; replay
+    requires the same error from it and returns its record as `error`.
+    Raises ScheduleError if a recorded step is not enabled, its
+    regenerated record differs from the recorded one, or a step follows
+    one that raised.
     """
     header, records = parse_trace(text)
     exp = Experiment(ExperimentConfig.from_dict(header["config"]))
     state = exp.initial_state()
     digests = [digest(state)]
+    error = None
     for rec in records:
+        if error is not None:
+            raise _after_error(error, rec.label, rec.index)
         require_enabled(exp, state, rec.label, rec.index)
-        state, fresh = exp.apply_step(state, rec.label)
-        fresh = fresh._replace(index=rec.index)
+        state, fresh = _apply(exp, state, rec.label, rec.index)
         if fresh != rec:
             raise ScheduleError(rec.index, rec.label, "replayed %r, recorded %r" % (fresh, rec))
-        digests.append(digest(state))
-    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state)
+        if fresh.error is None:
+            digests.append(digest(state))
+        else:
+            error = fresh
+    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, error)
 
 
 def replay_file(path) -> ReplayResult:

@@ -159,6 +159,12 @@ def _node_desc(state: SystemState) -> str:
 
 
 def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
+    return "".join(dot_lines(g, labels))
+
+
+def dot_lines(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
+    """The lines of `to_dot`'s text, each ending in a newline, made one at
+    a time, so that a caller can write them out without holding them."""
     colors = {
         "univalent": "lightblue",
         "bivalent": "orange",
@@ -168,21 +174,18 @@ def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
     ids = {id(s): nid for s, nid in g.nodes.items()}
     by_id = {id(s): lab for s, lab in labels.items()}
     terminal = {id(s) for s in g.terminals}
-    lines = ["digraph executions {", "  rankdir=TB;", "  node [style=filled];"]
+    yield "digraph executions {\n"
+    yield "  rankdir=TB;\n"
+    yield "  node [style=filled];\n"
     for state, nid in g.nodes.items():
         lab = by_id[id(state)]
         text = _node_desc(state)
         if lab.klass == "univalent":
             text += "\\n-> %r" % (next(iter(lab.potent)),)
         shape = "doublecircle" if id(state) in terminal else "box"
-        lines.append(
-            '  n%d [label="%s", fillcolor=%s, shape=%s];'
-            % (nid, text, colors[lab.klass], shape)
-        )
+        yield ('  n%d [label="%s", fillcolor=%s, shape=%s];\n'
+               % (nid, text, colors[lab.klass], shape))
     for state, succ in g.adj.items():
         for step, child in succ:
-            lines.append(
-                '  n%d -> n%d [label="%s"];' % (ids[id(state)], ids[id(child)], step)
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield '  n%d -> n%d [label="%s"];\n' % (ids[id(state)], ids[id(child)], step)
+    yield "}\n"

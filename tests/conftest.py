@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from rclab.config import ExperimentConfig
+from rclab.core import CRASH_ALL_LABEL, GenericityViolation, UninitializedRead, ordinary
 from rclab.experiment import Experiment
 from rclab.programs import Ret
 
@@ -65,6 +66,14 @@ def read_before_write(step):
     def mutant(self, frame, get):
         return Ret(frame.loc("d")) if frame.pc == "x:if" else step(self, frame, get)
     return mutant
+
+
+# A schedule of fig1 under one simultaneous crash that ends in each seeded
+# bug's violating step, by the property it violates.
+SEEDED_SCHEDULES = {
+    GenericityViolation.prop: [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
+    UninitializedRead.prop: [ordinary(1)],
+}
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from rclab.checker import (
     inspect_edge,
     shortest_failure,
 )
-from rclab.core import CRASH_ALL_LABEL, crash, ordinary
+from rclab.core import crash, ordinary
 from rclab.objects import Register
 from rclab.programs import Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
@@ -30,6 +30,7 @@ from rclab.valency import build_graph
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
+    SEEDED_SCHEDULES,
     make_config,
     make_experiment,
     read_before_write,
@@ -228,13 +229,6 @@ def test_explore_states_equal_graph_nodes(name):
     verdict = explore(cfg, memo=True)
     assert verdict.passed
     assert verdict.stats["states"] == len(build_graph(cfg).nodes)
-
-
-# a schedule that ends in each seeded bug's violating step
-SEEDED_SCHEDULES = {
-    GENERICITY: [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
-    READ_BEFORE_WRITE: [ordinary(1)],
-}
 
 
 @pytest.mark.parametrize("mutate,prop", [

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from rclab import valency
 from rclab.cli import EXIT_CONFIG, EXIT_USAGE, main
+from rclab.config import ExperimentConfig
 from rclab.core import digest
 from rclab.programs import Fig1Machine
 
@@ -68,7 +70,8 @@ def test_valency_verb_writes_dot(capsys, tmp_path, fig1_config):
     assert code == 0
     doc = json.loads(out)
     assert doc["nodes"] > 0 and doc["model"] == "extended"
-    assert dot.read_text().startswith("digraph")
+    g = valency.build_graph(ExperimentConfig.from_file(fig1_config))
+    assert dot.read_text() == valency.to_dot(g, valency.classify(g))
 
 
 def test_valency_over_the_node_cap_exits_3(capsys, fig1_config):
@@ -283,12 +286,17 @@ def test_counterexample_ending_in_transition_error(capsys, monkeypatch, tmp_path
     doc = json.loads(out)
     assert doc["result"] == "fail" and doc["property"] == prop
     assert doc["trace_file"] == trace
-    # the trace file holds every step but the violating one
+    # the trace file holds every step; the violating one carries the error
+    # and no op or response
     with open(trace) as fh:
         records = [json.loads(line) for line in fh.read().splitlines()[1:]]
-    assert [{"kind": r["label"], "pid": r["pid"]} for r in records] == doc["trace"][:-1]
+    assert [{"kind": r["label"], "pid": r["pid"]} for r in records] == doc["trace"]
+    assert all("error" not in r and "op" in r for r in records[:-1])
+    assert records[-1]["error"] == prop and records[-1]["detail"] == doc["detail"]
+    assert "op" not in records[-1] and "resp" not in records[-1]
     code, out = run_cli(capsys, "replay", "--trace", trace)
-    assert code == 0
+    assert code == 2
     replayed = json.loads(out)
+    assert replayed["property"] == prop and replayed["detail"] == doc["detail"]
     assert replayed["matches_header"] is True
-    assert replayed["steps"] == len(doc["trace"]) - 1
+    assert replayed["steps"] == len(doc["trace"])

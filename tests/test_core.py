@@ -1,13 +1,19 @@
 """Execution model: initial states, enabledness, crash semantics, hashing."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+from rclab import core
 from rclab.core import (
     BOTTOM,
     CRASH_ALL_LABEL,
     RETURNED,
     RUNNING,
     ConfigError,
+    canonical,
     crash,
     digest,
     ordinary,
@@ -30,6 +36,14 @@ def test_process_count_mismatch_rejected():
 def test_proposal_arity_checked():
     with pytest.raises(ConfigError):
         make_config(proposals=[1])
+
+
+def test_to_dict_gives_the_fields_and_a_fresh_proposals_list():
+    cfg = make_config(failure="simultaneous", budget=1)
+    d = cfg.to_dict()
+    assert d == dataclasses.asdict(cfg)
+    d["proposals"].append(30)
+    assert cfg.proposals == [10, 20]
 
 
 def test_bottom_is_not_a_proposal():
@@ -156,6 +170,61 @@ def test_digest_distinguishes_states(fig1_sim1):
     t, _ = fig1_sim1.apply_step(s, ordinary(1))
     assert digest(s) == digest(fig1_sim1.initial_state())
     assert digest(s) != digest(t)
+
+
+def reference_digest(state):
+    """The digest's byte contract, encoded whole from `canonical`."""
+    text = json.dumps(canonical(state), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Proposals for the digest tests: JSON strings that need escapes, and floats.
+DIGEST_PROPOSALS = {
+    "ints": [10, 20],
+    "strings": ['say "hi"\\', "na\u00efve \u2713"],
+    "floats": [0.5, -2.0],
+}
+
+
+@pytest.mark.parametrize("props", sorted(DIGEST_PROPOSALS))
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_digest_equals_reference_on_every_reachable_state(name, props):
+    exp = make_experiment(proposals=DIGEST_PROPOSALS[props], **DIFFERENTIAL_CONFIGS[name])
+    init = exp.initial_state()
+    assert digest(init) == reference_digest(init)
+    for _state, _lab, post in reachable_edges(exp):
+        assert digest(post) == reference_digest(post)
+
+
+@pytest.mark.parametrize("pair", [([1, 2], [1.0, 2.0]), ([0.0, 1], [-0.0, 1])])
+def test_digest_tells_equal_values_of_another_text_apart(monkeypatch, pair):
+    # The two experiments' states compare equal but encode differently.
+    # Their steps are interleaved in one process, and the cache is emptied
+    # on the way.
+    clears = []
+
+    class Fragments(dict):
+        def clear(self):
+            clears.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(core, "_fragments", Fragments())
+    a, b = (make_experiment(proposals=props, **DIFFERENTIAL_CONFIGS["fig2-2-1-tas"])
+            for props in pair)
+    pairs = [(a.initial_state(), b.initial_state())]
+    seen = set()
+    while pairs:
+        sa, sb = pairs.pop()
+        assert sa == sb
+        da, db = digest(sa), digest(sb)
+        assert (da, db) == (reference_digest(sa), reference_digest(sb))
+        assert da != db
+        for lab in a.enabled_steps(sa):
+            post = a.successor(sa, lab)
+            if post not in seen:
+                seen.add(post)
+                pairs.append((post, b.successor(sb, lab)))
+    assert clears and max(clears) == core._FRAGMENTS_MAX
 
 
 def test_memo_key_can_ignore_attempt():

@@ -8,7 +8,16 @@ import random
 import pytest
 
 from rclab import simulator
-from rclab.core import CRASH_ALL_LABEL, RcError, crash, digest, ordinary
+from rclab.core import (
+    CRASH_ALL_LABEL,
+    GenericityViolation,
+    RcError,
+    UninitializedRead,
+    crash,
+    digest,
+    ordinary,
+)
+from rclab.programs import Fig1Machine
 from rclab.simulator import (
     ScheduleError,
     dump_trace,
@@ -20,7 +29,13 @@ from rclab.simulator import (
     random_run,
 )
 
-from conftest import CASES_DIR, make_experiment
+from conftest import (
+    CASES_DIR,
+    SEEDED_SCHEDULES,
+    make_experiment,
+    read_before_write,
+    reenter_after_crash,
+)
 
 
 def test_scripted_solo_run(fig1_sim1):
@@ -84,6 +99,61 @@ def test_replay_detects_tampering(fig1_sim1):
     rec["resp"] = 999
     with pytest.raises(RcError):
         replay("\n".join([lines[0], json.dumps(rec)]))
+
+
+SEEDED_BUGS = pytest.mark.parametrize("mutate,prop", [
+    (reenter_after_crash, GenericityViolation.prop),
+    (read_before_write, UninitializedRead.prop),
+])
+
+
+def seeded_error_trace(monkeypatch, mutate, prop):
+    """(experiment, schedule, trace text) of a fig1 mutant whose schedule
+    ends in a step that raises a transition error."""
+    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
+    exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
+    labels = SEEDED_SCHEDULES[prop]
+    trace, final = run(exp, labels)
+    return exp, labels, dump_trace(trace, final_hash=digest(final))
+
+
+@SEEDED_BUGS
+def test_step_that_raises_is_recorded_and_replayed(monkeypatch, mutate, prop):
+    exp, labels, text = seeded_error_trace(monkeypatch, mutate, prop)
+    header, records = parse_trace(text)
+    *clean, last = records
+    assert all(r.error is None for r in clean)
+    assert (last.index, last.label, last.op, last.resp, last.error) == (
+        len(labels) - 1, labels[-1], None, None, prop)
+    line = json.loads(text.splitlines()[-1])
+    assert line == {"step": len(labels) - 1, "label": labels[-1].kind,
+                    "pid": labels[-1].pid, "error": prop, "detail": last.detail}
+    # the failing step has no post-state: the header hashes the state before it
+    _, before = run(exp, labels[:-1])
+    assert header["final_hash"] == digest(before)
+    result = replay(text)
+    assert result.error == last
+    assert result.matches_header and result.state == before
+    assert len(result.digests) == len(labels)
+
+
+@SEEDED_BUGS
+def test_replay_requires_the_recorded_error(monkeypatch, mutate, prop):
+    exp, labels, text = seeded_error_trace(monkeypatch, mutate, prop)
+    lines = text.splitlines()
+    failing = json.loads(lines[-1])
+    with pytest.raises(ScheduleError, match="follows step %d" % (len(labels) - 1)):
+        run(exp, labels + [ordinary(2)])
+    after = dict(failing, step=len(labels), pid=2)
+    with pytest.raises(ScheduleError, match="follows step"):
+        replay("\n".join(lines + [json.dumps(after)]))
+    other = dict(failing, detail="another error")
+    with pytest.raises(ScheduleError):
+        replay("\n".join(lines[:-1] + [json.dumps(other)]))
+    # without the bug the step no longer raises
+    monkeypatch.undo()
+    with pytest.raises(ScheduleError):
+        replay(text)
 
 
 def test_replay_file(tmp_path, fig1_sim1):

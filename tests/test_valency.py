@@ -206,6 +206,9 @@ def test_summary_and_dot_output():
     assert info["model"] == "extended"
     dot = to_dot(g, labels)
     assert dot.startswith("digraph")
+    lines = list(valency.dot_lines(g, labels))
+    assert "".join(lines) == dot
+    assert all(ln.count("\n") == 1 and ln.endswith("\n") for ln in lines)
     edge_lines = [ln for ln in dot.splitlines() if " -> " in ln]
     assert len(edge_lines) == sum(len(s) for s in g.adj.values())
 

@@ -5,10 +5,12 @@ Each run executes in its own process, so each reports its own peak RSS:
 `explore` on four fig2 configs up to the current frontier, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
-and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 3's target), and
-the tier-1 test suite.  For every run it records wall seconds,
-states/s, edges/s, peak RSS and bytes per state ((peak RSS - RSS before
-the run) / states).  Times are raw seconds on the machine named in the
+and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 3's target), the
+trace path (seeded `random_run` -> `run` -> `dump_trace` -> `replay`
+round trips on fig2 n=3 f=1), and the tier-1 test suite.  For every run
+it records wall seconds, states/s, edges/s, peak RSS and bytes per state
+((peak RSS - RSS before the run) / states).  On the trace path, states
+are trace steps and edges are steps applied, three per trace step.  Times are raw seconds on the machine named in the
 output, not perfbench's reference seconds.
 
 The results go into one named column of a JSON file, so that two
@@ -28,6 +30,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -52,6 +55,7 @@ RUNS = {
     "criterion 4: fig2 n=2 f=1 budget 2": ("shortest_failure", _fig2(2, 1, 2)),
     "valency: fig2 n=2 f=2 cons=tas budget 2": ("valency", _fig2(2, 2, 2, "tas")),
     "valency: fig2 n=2 f=3 cons=tas budget 3": ("valency", _fig2(2, 3, 3, "tas")),
+    "trace path: fig2 n=3 f=1": ("trace", _fig2(3, 1, 1)),
     "tier-1": ("pytest", None),
 }
 
@@ -93,6 +97,23 @@ def _valency(lib, exp):
                           "crash_decision_edges")}
 
 
+TRACES = 1000
+
+
+def _trace(lib, exp):
+    """`TRACES` seeded round trips; every replay must match its header."""
+    sim = lib.simulator
+    rng = random.Random(1)
+    steps = failed = 0
+    for _ in range(TRACES):
+        labels, final = sim.random_run(exp, rng)
+        trace, _ = sim.run(exp, labels)
+        res = sim.replay(sim.dump_trace(trace, final_hash=lib.core.digest(final)))
+        failed += not res.matches_header or len(res.digests) != len(labels) + 1
+        steps += len(labels)
+    return steps, 3 * steps, {"traces": TRACES, "failed": failed}
+
+
 def run_one(name, root):
     """Run one ladder entry in this process; returns its result dict."""
     what, cfg = RUNS[name]
@@ -100,12 +121,13 @@ def run_one(name, root):
         return _pytest(root)
     sys.path.insert(0, os.path.join(root, "src"))
     lib = SimpleNamespace(**{m: importlib.import_module("rclab." + m)
-                             for m in ("checker", "config", "experiment", "valency")})
+                             for m in ("checker", "config", "core", "experiment",
+                                       "simulator", "valency")})
     exp = lib.experiment.Experiment(lib.config.ExperimentConfig.from_dict(dict(cfg)))
     before = maxrss_mb()
     start = time.perf_counter()
     states, edges, outputs = {"explore": _explore, "shortest_failure": _shortest_failure,
-                              "valency": _valency}[what](lib, exp)
+                              "valency": _valency, "trace": _trace}[what](lib, exp)
     wall = time.perf_counter() - start
     peak = maxrss_mb()
     return dict(outputs, wall_s=round(wall, 3), states=states, edges=edges,
