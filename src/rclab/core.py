@@ -249,7 +249,7 @@ _encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encod
 # id(component) -> (component, its JSON text).  The entry holds the
 # component, so its id is not reused while the entry lives.
 _fragments = {}
-_FRAGMENTS_MAX = 1024
+_FRAGMENTS_MAX = 256
 
 
 def _fragment(x) -> str:

@@ -21,13 +21,12 @@ Both go through the experiment's transition table.  A machine's
 value it reads, so the table runs it once per (frame, value read) and
 keeps the outcome, the successor frame and the step's record; a later
 step from an equal frame that reads an equal value takes them from the
-table.  A step that
-raises is never recorded, so it raises again on every visit.  What depends
-on the whole state (the genericity monitor's accesses, `participants`,
-assumption 1's `tas_seen` and `armed_crash`) is worked out in `_ordinary`
-on every step, outside the table.  Equal values must therefore be
-interchangeable, which is why `ExperimentConfig.validate` rejects two
-proposals that compare equal but are not the same value.
+table.  A step that raises is never recorded, so it raises again on every
+visit.  What depends on the whole state (the genericity monitor's
+accesses, `participants`, assumption 1's `tas_seen` and `armed_crash`) is
+worked out in `_ordinary` on every step, outside the table.  Equal values
+must therefore be interchangeable, which is why `ExperimentConfig.validate`
+rejects two proposals that compare equal but are not the same value.
 """
 
 from __future__ import annotations
