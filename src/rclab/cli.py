@@ -120,11 +120,12 @@ def _dispatch(args) -> int:
             "matches_header": result.matches_header,
             "steps": len(result.digests) - 1,
         }
-        if result.error is not None:
+        failed = result.failed_step
+        if failed is not None:
             out["steps"] += 1
-            out["property"], out["detail"] = result.error.error, result.error.detail
+            out["property"], out["detail"] = failed.error, failed.detail
         print(json.dumps(out, sort_keys=True))
-        ok = result.matches_header and result.error is None
+        ok = result.matches_header and failed is None
         return 0 if ok else checker.EXIT_FAIL
 
     cfg = _load_config(args)

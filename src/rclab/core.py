@@ -189,21 +189,12 @@ class StepRecord(NamedTuple):
     detail: Optional[str] = None
 
     def to_json(self):
-        if self.error is not None:
-            return {
-                "step": self.index,
-                "label": self.label.kind,
-                "pid": self.label.pid,
-                "error": self.error,
-                "detail": self.detail,
-            }
-        return {
-            "step": self.index,
-            "label": self.label.kind,
-            "pid": self.label.pid,
-            "op": self.op,
-            "resp": self.resp,
-        }
+        out = {"step": self.index, "label": self.label.kind, "pid": self.label.pid}
+        if self.error is None:
+            out["op"], out["resp"] = self.op, self.resp
+        else:
+            out["error"], out["detail"] = self.error, self.detail
+        return out
 
     @staticmethod
     def from_json(d) -> "StepRecord":
@@ -266,16 +257,14 @@ def _fragment(x) -> str:
 def digest(state: SystemState) -> str:
     """SHA-256 of `json.dumps(canonical(state), separators=(",", ":"))`.
 
-    The bytes hashed are exactly those, but they are joined from the JSON
-    text of each frame, each object value, and the `returns`,
-    `participants`, `tas_seen` and `cons_access` fields, each encoded once
-    and cached.  The transition shares these components between states,
-    so a state mostly reuses the text of its predecessor's.  The cache is
-    keyed by identity and each entry holds its component, so a cached
-    text always belongs to the very object it was made from.  It is never
-    keyed by value: `1`, `1.0` and `True` are equal, as are `0.0` and
-    `-0.0`, but their texts differ.  The cache is emptied when it holds
-    `_FRAGMENTS_MAX` entries, which bounds its memory."""
+    Those bytes are joined from the JSON text of each frame, each object
+    value and the `returns`, `participants`, `tas_seen` and `cons_access`
+    fields, which the transition shares between states, so each is
+    encoded once and cached.  The cache is keyed by identity, and each
+    entry holds its component, so a text always belongs to the object it
+    was made from.  It is never keyed by value: `1`, `1.0` and `True` are
+    equal, as are `0.0` and `-0.0`, but their texts differ.  It is
+    emptied when it holds `_FRAGMENTS_MAX` entries."""
     frames, objects, failures, returns, participants, tas_seen, cons_access = state
     text = "[[%s],[%s],%d,%s,%s,%s,%s]" % (
         ",".join([_fragment(fr) for fr in frames]),

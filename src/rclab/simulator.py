@@ -127,7 +127,7 @@ class ReplayResult(NamedTuple):
     header_hash: Optional[str]
     digests: Tuple[str, ...]  # one per intermediate state, initial included
     state: SystemState
-    error: Optional[StepRecord] = None  # the last step, if it raised
+    failed_step: Optional[StepRecord] = None  # the last step, if it raised
 
     @property
     def matches_header(self):
@@ -138,8 +138,8 @@ def replay(text: str) -> ReplayResult:
     """Re-execute a serialized trace and verify it bit-for-bit.
 
     A trace may end in a step recorded with a transition error; replay
-    requires the same error from it and returns its record as `error`.
-    Raises ScheduleError if a recorded step is not enabled, its
+    requires the same error from it and returns that record as
+    `failed_step`.  Raises ScheduleError if a recorded step is not enabled, its
     regenerated record differs from the recorded one, or a step follows
     one that raised.
     """
@@ -147,10 +147,10 @@ def replay(text: str) -> ReplayResult:
     exp = Experiment(ExperimentConfig.from_dict(header["config"]))
     state = exp.initial_state()
     digests = [digest(state)]
-    error = None
+    failed = None
     for rec in records:
-        if error is not None:
-            raise _after_error(error, rec.label, rec.index)
+        if failed is not None:
+            raise _after_error(failed, rec.label, rec.index)
         require_enabled(exp, state, rec.label, rec.index)
         state, fresh = _apply(exp, state, rec.label, rec.index)
         if fresh != rec:
@@ -158,8 +158,8 @@ def replay(text: str) -> ReplayResult:
         if fresh.error is None:
             digests.append(digest(state))
         else:
-            error = fresh
-    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, error)
+            failed = fresh
+    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, failed)
 
 
 def replay_file(path) -> ReplayResult:

@@ -132,7 +132,7 @@ def test_step_that_raises_is_recorded_and_replayed(monkeypatch, mutate, prop):
     _, before = run(exp, labels[:-1])
     assert header["final_hash"] == digest(before)
     result = replay(text)
-    assert result.error == last
+    assert result.failed_step == last
     assert result.matches_header and result.state == before
     assert len(result.digests) == len(labels)
 
