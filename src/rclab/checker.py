@@ -153,7 +153,7 @@ def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> Syste
     state properties of `inspect_edge`.  `explore`, `shortest_failure`,
     `fuzz` and `confirm_violation` all step through here."""
     try:
-        post = exp.successor(state, label)
+        post = exp.apply_step(state, label)[0]
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
     bad = inspect_edge(exp, state, label, post)

@@ -14,8 +14,11 @@ Exit codes:
       --depth, or valency built a graph truncated by the config's cap
   64  usage error, including a --config, --trace or --out file that cannot
       be opened, and --episodes below 1
-  65  bad configuration, including a trace that is not JSON lines or
-      whose header carries no config
+  65  bad configuration, including choice min or max with proposals that
+      mix strings and numbers, a trace that is not JSON lines or whose
+      header carries no config, and a trace record whose step is not its
+      position, whose label is not ordinary, crash or crash_all, or whose
+      pid is not an integer (null for crash_all)
 """
 
 from __future__ import annotations

@@ -72,6 +72,9 @@ class ExperimentConfig:
         if not all(isinstance(p, (str, int, float)) and not isinstance(p, bool)
                    for p in self.proposals):
             raise ConfigError("every proposal must be a string or a number")
+        if self.choice in ("min", "max") and len({isinstance(p, str) for p in self.proposals}) > 1:
+            raise ConfigError("choice %s needs proposals that are all strings or all numbers"
+                              % self.choice)
         # Equal values are interchangeable in memo keys and in the transition
         # table, so two proposals that compare equal must be the same value.
         for i, p in enumerate(self.proposals):
@@ -100,10 +103,10 @@ class ExperimentConfig:
         for key in ("monitor", "hash_ignores_attempt"):
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError("%s must be true or false" % key)
-        for key in ("depth", "cap"):
+        for key, least in (("depth", 0), ("cap", 1)):
             value = getattr(self, key)
-            if value is not None and (not _is_int(value) or value < 0):
-                raise ConfigError("%s must be a non-negative integer" % key)
+            if value is not None and (not _is_int(value) or value < least):
+                raise ConfigError("%s must be an integer >= %d" % (key, least))
         return self
 
     def to_dict(self) -> dict:

@@ -179,17 +179,17 @@ class SystemState(NamedTuple):
 
 class StepRecord(NamedTuple):
     """One step of a trace: its op text and response, or for a step that
-    raised a `TransitionError`, the error's property and detail."""
+    raised a `TransitionError`, the error's property and detail.  Its step
+    number is its position in the trace."""
 
-    index: int
     label: StepLabel
     op: Optional[str]
     resp: Any
     error: Optional[str] = None
     detail: Optional[str] = None
 
-    def to_json(self):
-        out = {"step": self.index, "label": self.label.kind, "pid": self.label.pid}
+    def to_json(self, step: int):
+        out = {"step": step, "label": self.label.kind, "pid": self.label.pid}
         if self.error is None:
             out["op"], out["resp"] = self.op, self.resp
         else:
@@ -197,11 +197,21 @@ class StepRecord(NamedTuple):
         return out
 
     @staticmethod
-    def from_json(d) -> "StepRecord":
-        label = StepLabel(d["label"], d["pid"])
+    def from_json(d, step: int) -> "StepRecord":
+        """The record at position `step` of a trace.  ConfigError unless `d`
+        numbers it `step` and carries a well-formed label; KeyError or
+        TypeError if a field is missing or `d` is not an object."""
+        kind, pid = d["label"], d["pid"]
+        if type(d["step"]) is not int or d["step"] != step:
+            raise ConfigError("trace record %d is numbered %r" % (step, d["step"]))
+        if kind not in (ORDINARY, CRASH, CRASH_ALL):
+            raise ConfigError("trace record %d has unknown label %r" % (step, kind))
+        if (pid is not None) if kind == CRASH_ALL else (type(pid) is not int):
+            raise ConfigError("trace record %d: %s step with pid %r" % (step, kind, pid))
+        label = StepLabel(kind, pid)
         if "error" in d:
-            return StepRecord(d["step"], label, None, None, d["error"], d["detail"])
-        return StepRecord(d["step"], label, d["op"], d["resp"])
+            return StepRecord(label, None, None, d["error"], d["detail"])
+        return StepRecord(label, d["op"], d["resp"])
 
 
 class Trace(NamedTuple):

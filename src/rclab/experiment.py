@@ -7,16 +7,14 @@ trusts its label, which must come from there: the search draws its labels
 from it, and a schedule from outside the search passes each label through
 `simulator.require_enabled` first.
 
-The transition has two entry points over one implementation.
-`successor(state, label)` returns only the next state; exhaustive search,
-fuzzing and graph building use it.  `apply_step(state, label)` returns
-the same state plus the `StepRecord` a trace stores (op text with the
-JSON-encoded access arguments, and the response); tracing and replay use
-it.  A step that leaves every shared object unchanged (a read, an `rtas`,
-a failed `cas`, a crash) returns a state whose `objects` is the very
-tuple of the pre-state.
+The transition has one entry point, `apply_step(state, label)`.  It
+returns the next state and the `StepRecord` a trace stores (op text with
+the JSON-encoded access arguments, and the response); a caller that needs
+only the state takes `[0]`.  A step that leaves every shared object
+unchanged (a read, an `rtas`, a failed `cas`, a crash) returns a state
+whose `objects` is the very tuple of the pre-state.
 
-Both go through the experiment's transition table.  A machine's
+Every step goes through the experiment's transition table.  A machine's
 `step(frame, get)` is a pure function of the frame and of the one object
 value it reads, so the table runs it once per (frame, value read) and
 keeps the outcome, the successor frame and the step's record; a later
@@ -78,6 +76,8 @@ class Experiment:
         pids = range(1, config.n + 1)
         self.ordinary_labels = tuple(ordinary(pid) for pid in pids)
         self.crash_labels = tuple(crash(pid) for pid in pids)
+        self._crash_records = {lab: StepRecord(lab, "crash", None)
+                               for lab in self.crash_labels + (CRASH_ALL_LABEL,)}
         if config.depth is not None:
             self.depth_limit = config.depth
         else:
@@ -186,18 +186,11 @@ class Experiment:
         return {(p, a) for inst, p, a in state.cons_access if inst == instance}
 
     def apply_step(self, state: SystemState, label: StepLabel):
-        """Pure transition; returns (new state, record with index -1).
-        `label` must be one of `enabled_steps(state)`."""
-        if label.kind != ORDINARY:
-            return self._crash(state, label), StepRecord(-1, label, "crash", None)
-        return self._ordinary(state, label.pid)
-
-    def successor(self, state: SystemState, label: StepLabel) -> SystemState:
-        """The state `apply_step` returns, without building its record.
-        `label` must be one of `enabled_steps(state)`."""
-        if label.kind != ORDINARY:
-            return self._crash(state, label)
-        return self._ordinary(state, label.pid)[0]
+        """The transition: (new state, the step's record).  `label` must be
+        one of `enabled_steps(state)`."""
+        if label.kind == ORDINARY:
+            return self._ordinary(state, label.pid)
+        return self._crash(state, label), self._crash_records[label]
 
     def _ordinary(self, state: SystemState, pid: int):
         """One ordinary step of `pid`: (new state, the step's record)."""
@@ -257,7 +250,7 @@ class Experiment:
         """Run the machine's step for `frame` on the objects `objs`, enter it
         in the transition table, and return the entry's (outcome, successor
         frame, slot written, record): the slot is None when the step changed
-        no object, and the record is the step's `StepRecord` with index -1.
+        no object, and the record is the step's `StepRecord`.
         A `Ret` reads no object and is entered under the frame alone; an
         `Access` is entered under the frame and the value of the one object
         it reads, which must be the object it accesses."""
@@ -278,7 +271,7 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            record = StepRecord(-1, label, "%s return" % frame.pc, outcome.value)
+            record = StepRecord(label, "%s return" % frame.pc, outcome.value)
             hit = (outcome, new_frame, None, record)
             self._table[frame] = (None, hit)
             return hit
@@ -302,7 +295,7 @@ class Experiment:
         op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
         if outcome.args:
             op += " " + json.dumps(list(outcome.args))
-        record = StepRecord(-1, label, op, outcome.resp)
+        record = StepRecord(label, op, outcome.resp)
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects tuple, so callers can tell no object
         # changed

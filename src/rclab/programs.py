@@ -178,6 +178,12 @@ class Machine:
         return None
 
 
+# fig1's tie-break when both proposals are announced and D is bottom:
+# (p1's proposal, p2's proposal) -> the value returned.  Only the configured
+# one runs, so `min` and `max` see proposals the config checked are orderable.
+_TIE_BREAKS = {"p1": lambda p1, p2: p1, "p2": lambda p1, p2: p2, "min": min, "max": max}
+
+
 class Fig1Machine(Machine):
     """Two-process recoverable consensus from one conventional instance C.
 
@@ -255,14 +261,7 @@ class Fig1Machine(Machine):
         if pc == "x:ibotOnbotret":
             return Ret(frame.loc("p_other"))
         if pc == "x:inbotOnbotret":
-            p1, p2 = self._both_ways(frame)
-            pick = {
-                "p1": p1,
-                "p2": p2,
-                "min": min(p1, p2),
-                "max": max(p1, p2),
-            }[self.choice]
-            return Ret(pick)
+            return Ret(_TIE_BREAKS[self.choice](*self._both_ways(frame)))
         raise AssertionError("fig1: unreachable pc %r" % pc)
 
 

@@ -45,33 +45,32 @@ def require_enabled(exp: Experiment, state: SystemState, label, index) -> None:
 
 
 def run(exp: Experiment, labels) -> Tuple[Trace, SystemState]:
-    """Apply a scripted schedule; every label must be enabled in turn.  A
-    step that raises a `TransitionError` has no post-state: it is recorded
-    with the error, and it must be the schedule's last."""
+    """The trace of a scripted schedule from the initial state (see
+    `_steps`), and its last state: for a step that raised, the state
+    before it."""
     state = exp.initial_state()
     records = []
-    for i, lab in enumerate(labels):
-        if records and records[-1].error is not None:
-            raise _after_error(records[-1], lab, i)
-        require_enabled(exp, state, lab, i)
-        state, rec = _apply(exp, state, lab, i)
+    for state, rec in _steps(exp, state, labels):
         records.append(rec)
     return Trace(exp.config.to_dict(), tuple(records)), state
 
 
-def _apply(exp: Experiment, state: SystemState, label, index):
-    """(state, record) after step `index`; a step that raises a
-    `TransitionError` leaves the state and records the error."""
-    try:
-        state, rec = exp.apply_step(state, label)
-    except TransitionError as e:
-        return state, StepRecord(index, label, None, None, e.prop, str(e))
-    return state, rec._replace(index=index)
-
-
-def _after_error(failed: StepRecord, label, index) -> ScheduleError:
-    return ScheduleError(index, label, "follows step %d, which raised %s"
-                         % (failed.index, failed.error))
+def _steps(exp: Experiment, state: SystemState, labels):
+    """Take a scripted schedule from `state`, yielding (state, record) after
+    each step; every label must be enabled in turn.  A step that raises a
+    `TransitionError` has no post-state: it yields the state before it with
+    a record of the error, and it must be the schedule's last."""
+    failed = None
+    for i, lab in enumerate(labels):
+        if failed is not None:
+            raise ScheduleError(i, lab, "follows step %d, which raised %s"
+                                % (i - 1, failed.error))
+        require_enabled(exp, state, lab, i)
+        try:
+            state, rec = exp.apply_step(state, lab)
+        except TransitionError as e:
+            rec = failed = StepRecord(lab, None, None, e.prop, str(e))
+        yield state, rec
 
 
 def random_run(exp: Experiment, rng: random.Random):
@@ -84,7 +83,7 @@ def random_run(exp: Experiment, rng: random.Random):
         if not enabled:
             break
         lab = rng.choice(enabled)
-        state = exp.successor(state, lab)
+        state = exp.apply_step(state, lab)[0]
         labels.append(lab)
     return labels, state
 
@@ -97,7 +96,7 @@ def dump_trace(trace: Trace, final_hash: Optional[str] = None) -> str:
     if final_hash is not None:
         header["final_hash"] = final_hash
     lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(r.to_json(), sort_keys=True) for r in trace.records]
+    lines += [json.dumps(r.to_json(i), sort_keys=True) for i, r in enumerate(trace.records)]
     return "\n".join(lines) + "\n"
 
 
@@ -108,13 +107,14 @@ def write_trace(trace: Trace, path, final_hash: Optional[str] = None) -> None:
 
 def parse_trace(text: str):
     """(header, records) of a serialized trace; ConfigError if it is not
-    a header object with a `config` followed by step records."""
+    a header object with a `config` followed by step records, each
+    numbered by its position and with a well-formed label."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("empty trace")
     try:
         header = json.loads(lines[0])
-        records = tuple(StepRecord.from_json(json.loads(ln)) for ln in lines[1:])
+        records = tuple(StepRecord.from_json(json.loads(ln), i) for i, ln in enumerate(lines[1:]))
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError("malformed trace: %s: %s" % (type(e).__name__, e))
     if not isinstance(header, dict) or "config" not in header:
@@ -147,18 +147,14 @@ def replay(text: str) -> ReplayResult:
     exp = Experiment(ExperimentConfig.from_dict(header["config"]))
     state = exp.initial_state()
     digests = [digest(state)]
-    failed = None
-    for rec in records:
-        if failed is not None:
-            raise _after_error(failed, rec.label, rec.index)
-        require_enabled(exp, state, rec.label, rec.index)
-        state, fresh = _apply(exp, state, rec.label, rec.index)
+    # from the very state hashed above, as the digest cache is keyed by identity
+    steps = _steps(exp, state, [rec.label for rec in records])
+    for i, (rec, (state, fresh)) in enumerate(zip(records, steps)):
         if fresh != rec:
-            raise ScheduleError(rec.index, rec.label, "replayed %r, recorded %r" % (fresh, rec))
+            raise ScheduleError(i, rec.label, "replayed %r, recorded %r" % (fresh, rec))
         if fresh.error is None:
             digests.append(digest(state))
-        else:
-            failed = fresh
+    failed = records[-1] if records and records[-1].error is not None else None
     return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, failed)
 
 
@@ -190,7 +186,7 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
     def take(lab):
         nonlocal state
         require_enabled(exp, state, lab, len(labels))
-        state = exp.successor(state, lab)
+        state = exp.apply_step(state, lab)[0]
         labels.append(lab)
 
     for item in plan:

@@ -57,7 +57,7 @@ def build_graph(x) -> ExecGraph:
             continue
         succ = []
         for lab in labels:
-            post = exp.successor(state, lab)
+            post = exp.apply_step(state, lab)[0]
             fresh = len(order)
             nid = nodes.setdefault(post, fresh)
             if nid != fresh:

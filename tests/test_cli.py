@@ -137,6 +137,7 @@ def test_invalid_config_value_is_config_error(tmp_path):
     "depth=2.5",
     "depth=true",
     "cap=-1",
+    "cap=0",
     'cap="10"',
     'n="2"',
     'budget="x"',
@@ -173,6 +174,14 @@ def test_key_the_program_does_not_read_is_config_error(fig1_config, program, key
     assert main(["bound", "--config", fig1_config, "--override", "f=1",
                  "--override", 'program="%s"' % program,
                  "--override", '%s="%s"' % (key, value)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("choice,code", [("p1", 0), ("p2", 0), ("min", EXIT_CONFIG),
+                                         ("max", EXIT_CONFIG)])
+def test_tie_break_of_a_string_and_a_number(capsys, fig1_config, choice, code):
+    # only the configured tie-break runs; min and max need orderable proposals
+    assert main(["check", "--config", fig1_config, "--override", 'proposals=["a", 1]',
+                 "--override", 'choice="%s"' % choice]) == code
 
 
 def test_unknown_config_key_is_config_error(tmp_path):
@@ -220,6 +229,21 @@ def test_missing_trace_file_is_usage_error(tmp_path):
     b"\xff\xfe\n",
     b'{"final_hash": "00"}\n',
     b'{"config": {"program": "fig1", "n": 2, "proposals": [1, 2]}}\n[1, 2]\n',
+] + [
+    b'{"config": {"program": "fig1", "n": 2, "proposals": [1, 2]}}\n'
+    + json.dumps(dict({"step": 0, "label": "ordinary", "pid": 1, "op": "x", "resp": None},
+                      **fields)).encode() + b"\n"
+    for fields in (
+        {"step": "zero"},
+        {"step": 1},  # the first record is step 0
+        {"step": False},
+        {"label": "bogus"},
+        {"pid": "x"},
+        {"pid": None},
+        {"pid": True},
+        {"label": "crash", "pid": 1.0},
+        {"label": "crash_all", "pid": 1},
+    )
 ])
 def test_malformed_trace_is_config_error(tmp_path, data):
     path = tmp_path / "t.jsonl"

@@ -127,16 +127,6 @@ def test_apply_step_is_pure(fig1_sim1):
     assert s == fig1_sim1.initial_state()  # input untouched
 
 
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
-def test_successor_matches_apply_step(name):
-    exp = make_experiment(**DIFFERENTIAL_CONFIGS[name])
-    edges = 0
-    for state, lab, post in reachable_edges(exp):
-        assert exp.successor(state, lab) == post
-        edges += 1
-    assert edges > 0
-
-
 def test_disabled_crash_raises():
     exp = make_experiment(failure="none")
     with pytest.raises(ScheduleError) as err:
@@ -220,10 +210,10 @@ def test_digest_tells_equal_values_of_another_text_apart(monkeypatch, pair):
         assert (da, db) == (reference_digest(sa), reference_digest(sb))
         assert da != db
         for lab in a.enabled_steps(sa):
-            post = a.successor(sa, lab)
+            post = a.apply_step(sa, lab)[0]
             if post not in seen:
                 seen.add(post)
-                pairs.append((post, b.successor(sb, lab)))
+                pairs.append((post, b.apply_step(sb, lab)[0]))
     assert clears and max(clears) == core._FRAGMENTS_MAX
 
 

@@ -111,7 +111,7 @@ def test_uninitialized_read_raises_on_every_visit(monkeypatch):
     init = exp.initial_state()
     for _ in range(2):
         with pytest.raises(UninitializedRead):
-            exp.successor(init, ordinary(1))
+            exp.apply_step(init, ordinary(1))
 
 
 @pytest.mark.parametrize("error", [AssertionError, ObjectTypeError])
@@ -125,10 +125,10 @@ def test_step_error_raises_on_every_visit(monkeypatch, error):
 
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
-    state = exp.successor(exp.initial_state(), ordinary(1))
+    state = exp.apply_step(exp.initial_state(), ordinary(1))[0]
     for _ in range(2):
         with pytest.raises(error):
-            exp.successor(state, ordinary(1))
+            exp.apply_step(state, ordinary(1))
 
 
 def test_step_that_reads_two_objects_fails_loudly(monkeypatch):
@@ -141,7 +141,7 @@ def test_step_that_reads_two_objects_fails_loudly(monkeypatch):
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
     with pytest.raises(AssertionError, match="read"):
-        exp.successor(exp.initial_state(), ordinary(1))
+        exp.apply_step(exp.initial_state(), ordinary(1))
 
 
 def test_step_that_reads_no_object_fails_loudly(monkeypatch):
@@ -151,16 +151,16 @@ def test_step_that_reads_no_object_fails_loudly(monkeypatch):
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
     with pytest.raises(AssertionError, match="read"):
-        exp.successor(exp.initial_state(), ordinary(1))
+        exp.apply_step(exp.initial_state(), ordinary(1))
 
 
 def test_crash_resets_are_shared_and_count_attempts():
     exp = make_experiment(failure="simultaneous", budget=2)
     init = exp.initial_state()
-    once = exp.successor(init, CRASH_ALL_LABEL)
-    again = exp.successor(init, CRASH_ALL_LABEL)
+    once = exp.apply_step(init, CRASH_ALL_LABEL)[0]
+    again = exp.apply_step(init, CRASH_ALL_LABEL)[0]
     assert all(a is b for a, b in zip(once.frames, again.frames))
-    twice = exp.successor(once, CRASH_ALL_LABEL)
+    twice = exp.apply_step(once, CRASH_ALL_LABEL)[0]
     assert [fr.attempt for fr in once.frames] == [2, 2]
     assert [fr.attempt for fr in twice.frames] == [3, 3]
 
@@ -180,9 +180,9 @@ def test_step_that_reads_another_object_from_an_equal_frame_fails_loudly(monkeyp
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
     init = exp.initial_state()
-    exp.successor(exp.successor(init, ordinary(1)), ordinary(1))
+    exp.apply_step(exp.apply_step(init, ordinary(1))[0], ordinary(1))
     s = init
     for lab in [ordinary(2)] * 3 + [ordinary(1)]:  # p2 announces in P[2] first
-        s = exp.successor(s, lab)
+        s = exp.apply_step(s, lab)[0]
     with pytest.raises(AssertionError, match="slot"):
-        exp.successor(s, ordinary(1))
+        exp.apply_step(s, ordinary(1))

@@ -73,17 +73,17 @@ def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
     and edges the transitions it took, counted around the instance."""
     counts = [0, 0]
-    enabled, successor = exp.enabled_steps, exp.successor
+    enabled, apply_step = exp.enabled_steps, exp.apply_step
 
     def counted_enabled(state):
         counts[0] += 1
         return enabled(state)
 
-    def counted_successor(state, label):
+    def counted_apply_step(state, label):
         counts[1] += 1
-        return successor(state, label)
+        return apply_step(state, label)
 
-    exp.enabled_steps, exp.successor = counted_enabled, counted_successor
+    exp.enabled_steps, exp.apply_step = counted_enabled, counted_apply_step
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
