@@ -2,7 +2,42 @@
 under a configuration, evaluating agreement, validity, and recoverable
 wait-freedom, plus machine-specific invariants and the genericity
 monitor.  Failures come back as replayable counterexample schedules,
-minimized to the shallowest violating prefix."""
+minimized to the shallowest violating prefix.
+
+All four searches (`explore`, `shortest_failure`, `fuzz`,
+`confirm_violation`) step through one kernel in two parts:
+
+- The edge checks, run by `checked_edge` on every edge: the transition's
+  own `TransitionError`s (genericity, read-before-write), crash isolation,
+  and `machine.check_edge` on an edge that changed an object.
+- The state checks, run by `check_new_state`: recoverable wait-freedom of
+  the moved frame, agreement and validity, and the machine's state
+  invariant.  They are facts about the post-state, so they run once per
+  state, when the search first reaches it: `explore` skips them on a memo
+  hit and `shortest_failure` on a state already in `seen`.
+
+The skip is sound because a search stops at its first violation, so every
+state it holds has passed every state check.  A state that only shares a
+memo key with it under `hash_ignores_attempt` differs from it in
+`attempt` fields alone, and no state check reads one to decide:
+
+- RWF: no frame has fallen off the end or taken more than `bound` steps
+  in its attempt.  It reads each frame's status and step count.
+- Agreement: the returns' pids (for the `cross-process` scope) and
+  values.  Their order is kept when the key zeroes their attempts.
+- Validity: the returns' values.
+- The machine's invariant: `Machine.check_state` reads no attempt.
+
+The state checks are also incremental, because the pre-state of every
+edge passed them.  On an ordinary edge, RWF reads the moved frame: every
+other frame is unchanged, and a crash resets frames to a running entry
+with no steps.  Agreement and validity read only the new return, if
+any: under `cross-process` a later return of a pid that already returned
+is ignored, and on a clash the full `check_agreement` writes the detail.
+The machine's invariant reads the moved frame, and the objects only when
+the step wrote one (see `programs.Machine`).  The initial state and
+every crash edge get the whole `check_state`.
+"""
 
 from __future__ import annotations
 
@@ -99,40 +134,67 @@ class _DepthLimit(Exception):
     pass
 
 
-def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """Path-independent property checks for one edge; None if clean."""
-    if label.kind != ORDINARY:
+def edge_checks(exp: Experiment, pre: SystemState, label, post: SystemState):
+    """The edge checks of one edge that the transition took; None if clean."""
+    if post.objects is pre.objects:
+        return None
+    if label.kind != ORDINARY and post.objects != pre.objects:
         # crash isolation: shared objects survive every crash untouched
-        if post.objects != pre.objects:
-            return (INVARIANT, "crash step changed shared objects")
-    if post.objects is not pre.objects:
-        err = exp.machine.check_edge(pre.objects, post.objects)
-        if err:
-            return (INVARIANT, err)
-    if label.kind == ORDINARY:
-        fr = post.frames[label.pid - 1]
-        if fr.status == FELL_OFF:
-            return (
-                RWF,
-                "p%d reached the end of the program without returning" % label.pid,
-            )
-        if fr.steps > exp.bound:
-            return (
-                RWF,
-                "p%d took %d steps in one attempt, bound is %d"
-                % (label.pid, fr.steps, exp.bound),
-            )
-        if len(post.returns) > len(pre.returns):
-            err = check_agreement(post.returns, exp.config.agreement_scope)
-            if err:
-                return (AGREEMENT, err)
-            err = check_validity(post.returns, exp.config.proposals)
-            if err:
-                return (VALIDITY, err)
-    err = exp.machine.check_state(post)
+        return (INVARIANT, "crash step changed shared objects")
+    err = exp.machine.check_edge(pre.objects, post.objects)
     if err:
         return (INVARIANT, err)
     return None
+
+
+def state_checks(exp: Experiment, pre: SystemState, label, post: SystemState):
+    """The state checks of `post`, reached from `pre` by `label`; None if
+    clean.  `pre` must have passed them: only what the edge touched is
+    checked (see the module docstring)."""
+    machine = exp.machine
+    if label.kind != ORDINARY:
+        err = machine.check_state(post)
+        return (INVARIANT, err) if err else None
+    fr = post.frames[label.pid - 1]
+    if fr.status == FELL_OFF:
+        return (RWF, "p%d reached the end of the program without returning" % label.pid)
+    if fr.steps > exp.bound:
+        return (RWF, "p%d took %d steps in one attempt, bound is %d"
+                % (label.pid, fr.steps, exp.bound))
+    if len(post.returns) > len(pre.returns):
+        bad = _check_new_return(exp, pre.returns, post.returns)
+        if bad:
+            return bad
+    err = machine.check_frame(fr, post.failures)
+    if not err and post.objects is not pre.objects:
+        err = machine.check_objects(post.objects, post.failures)
+    return (INVARIANT, err) if err else None
+
+
+def _check_new_return(exp: Experiment, prior, returns):
+    """Agreement and validity of `returns`, given that `prior`, all of its
+    returns but the last, passed both."""
+    pid, _att, value = returns[-1]
+    scope = exp.config.agreement_scope
+    # every return in `prior` that counts (under `cross-process`, each pid's
+    # first) has the value of the first one, and under `cross-process` a
+    # pid's later return does not count
+    if prior and value != prior[0][2] and not (
+        scope == "cross-process" and any(p == pid for p, _a, _v in prior)
+    ):
+        err = check_agreement(returns, scope)
+        if err:
+            return (AGREEMENT, err)
+    err = check_validity(returns[-1:], exp.config.proposals)
+    if err:
+        return (VALIDITY, err)
+    return None
+
+
+def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
+    """Both parts for one edge, given that `pre` passed the state checks;
+    None if clean."""
+    return edge_checks(exp, pre, label, post) or state_checks(exp, pre, label, post)
 
 
 def checked_initial_state(exp: Experiment) -> SystemState:
@@ -145,20 +207,34 @@ def checked_initial_state(exp: Experiment) -> SystemState:
     return init
 
 
-def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
-    """The successor of `state` under `label`, after every per-edge check.
+def checked_edge(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
+    """The successor of `state` under `label`, after the edge checks.
 
     Raises `_Violation` on the first failed check: a genericity or
-    read-before-write error of the transition itself, then the edge and
-    state properties of `inspect_edge`.  `explore`, `shortest_failure`,
-    `fuzz` and `confirm_violation` all step through here."""
+    read-before-write error of the transition itself, then `edge_checks`."""
     try:
         post = exp.apply_step(state, label)[0]
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
-    bad = inspect_edge(exp, state, label, post)
+    bad = edge_checks(exp, state, label, post)
     if bad:
         raise _Violation(*bad)
+    return post
+
+
+def check_new_state(exp: Experiment, pre: SystemState, label, post: SystemState):
+    """Raise `_Violation` if `post`, first reached from `pre` by `label`,
+    fails `state_checks`."""
+    bad = state_checks(exp, pre, label, post)
+    if bad:
+        raise _Violation(*bad)
+
+
+def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
+    """`checked_edge`, then `check_new_state`: for a search that keeps no
+    record of the states it reached."""
+    post = checked_edge(exp, state, label)
+    check_new_state(exp, state, label, post)
     return post
 
 
@@ -196,17 +272,20 @@ def explore(x, memo=True, minimize=True) -> Verdict:
         while True:
             for lab in todo:
                 edges += 1
-                post = checked_step(exp, state, lab)
-                if lab.kind == ORDINARY:
-                    steps = post.frames[lab.pid - 1].steps
-                    if steps > max_steps:
-                        max_steps = steps
+                post = checked_edge(exp, state, lab)
                 if memo:
                     post_key = exp.memo_key(post)
                     c = counts.get(post_key)
                     if c is not None:
+                        # `post` passed the state checks when it was first
+                        # reached, by a path whose steps max_steps counted
                         total += c
                         continue
+                check_new_state(exp, state, lab, post)
+                if lab.kind == ORDINARY:
+                    steps = post.frames[lab.pid - 1].steps
+                    if steps > max_steps:
+                        max_steps = steps
                 states += 1
                 labels = exp.enabled_steps(post)
                 if not labels:
@@ -254,7 +333,8 @@ def shortest_failure(exp: Experiment):
     """BFS for a minimal-depth violating schedule.
 
     Sound because every check evaluated per edge is a function of
-    (pre-state, label, post-state) only, never of the path taken.
+    (pre-state, label, post-state) only, never of the path taken.  An
+    edge into a state already in `seen` gets only the edge checks.
     """
     try:
         init = checked_initial_state(exp)
@@ -268,13 +348,15 @@ def shortest_failure(exp: Experiment):
             continue
         for lab in exp.enabled_steps(state):
             try:
-                post = checked_step(exp, state, lab)
+                post = checked_edge(exp, state, lab)
+                key = exp.memo_key(post)
+                if key in seen:
+                    continue
+                check_new_state(exp, state, lab, post)
             except _Violation as v:
                 return path + [lab], v.prop, v.detail
-            key = exp.memo_key(post)
-            if key not in seen:
-                seen.add(key)
-                queue.append((post, path + [lab]))
+            seen.add(key)
+            queue.append((post, path + [lab]))
     return None
 
 

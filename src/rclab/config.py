@@ -136,7 +136,8 @@ class ExperimentConfig:
 
 
 # Keys that only some programs read, and those programs.
-_PROGRAM_KEYS = {"cons": ("fig1", "fig2"), "choice": ("fig1",), "scan_order": ("fig2",)}
+_PROGRAM_KEYS = {"f": ("fig2",), "cons": ("fig1", "fig2"), "choice": ("fig1",),
+                 "scan_order": ("fig2",)}
 _FIELDS = dataclasses.fields(ExperimentConfig)
 _DEFAULTS = {f.name: f.default for f in _FIELDS}
 

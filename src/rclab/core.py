@@ -245,7 +245,19 @@ def _encode_default(x):
 # The C-accelerated encoder writes tuples, NamedTuples among them, as
 # arrays and calls `_encode_default` only for frozensets and UNINIT, so its
 # text for a component is that of `json.dumps(_jsonable(component))`.
-_encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
+# `JSONEncoder.encode` builds a new C encoder on every call; this one is
+# built once, with the same arguments but no circular-reference check (a
+# state holds no cycle).  Without the C encoder, `encode` is used.
+if json.encoder.c_make_encoder is None:
+    _encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
+else:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _encode_default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", False, False, True)
+
+    def _encode(x) -> str:
+        return "".join(_c_encode(x, 0))
+
 
 # id(component) -> (component, its JSON text).  The entry holds the
 # component, so its id is not reused while the entry lives.

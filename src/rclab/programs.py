@@ -128,7 +128,17 @@ class Machine:
     `layout()` fixes the shared objects and their order; a state's
     `objects` tuple holds their values in that order, so the invariant
     hooks read an object by its slot (its position in the layout).
-    `check_state(state)` is evaluated on every state the checker reaches.
+
+    `check_state(state)` is the state invariant, which every state the
+    checker reaches must pass.  It is a conjunction: `check_frame(frame,
+    failures)` on each frame, then `check_objects(objects, failures)`.  A
+    machine overrides those two, not `check_state`, and neither may read a
+    frame's `attempt`.  An ordinary step changes one frame and at most one
+    object and leaves `failures` alone, and its pre-state already passed,
+    so on an ordinary edge the checker re-checks only the moved frame, and
+    the objects only when the step wrote one.  The initial state and every
+    crash edge get the whole `check_state`.
+
     `check_edge(pre_objects, post_objects)` sees only the object tuples
     before and after an edge, and the checker skips it on edges that left
     the tuple itself in place (reads, `rtas`, a failed `cas`, crashes).
@@ -172,6 +182,16 @@ class Machine:
 
     # Machine-specific invariants; each returns an error string or None.
     def check_state(self, state) -> Optional[str]:
+        for fr in state.frames:
+            err = self.check_frame(fr, state.failures)
+            if err:
+                return err
+        return self.check_objects(state.objects, state.failures)
+
+    def check_frame(self, frame: Frame, failures: int) -> Optional[str]:
+        return None
+
+    def check_objects(self, objects, failures: int) -> Optional[str]:
         return None
 
     def check_edge(self, pre_objects, post_objects) -> Optional[str]:
@@ -390,20 +410,20 @@ class Fig2Machine(Machine):
             return Ret(frame.loc("d"))
         raise AssertionError("fig2: unreachable pc %r" % pc)
 
-    def check_state(self, state):
-        # No process may be inside iteration k before k crashes happened,
-        # and R[i] = x+1 certifies that its owner began iteration x.
-        failures = state.failures
-        for fr in state.frames:
-            if fr.status == "running" and fr.pc in self._body_pcs:
-                # locals are sorted (name, value) pairs over a fixed name set
-                k = fr.locals[self._k_pos][1]
-                if k is not UNINIT and failures < k:
-                    return (
-                        "p%d is in iteration %d with only %d failures so far"
-                        % (fr.pid, k, failures)
-                    )
-        objs = state.objects
+    # No process may be inside iteration k before k crashes happened,
+    # and R[i] = x+1 certifies that its owner began iteration x.
+    def check_frame(self, fr, failures):
+        if fr.status == "running" and fr.pc in self._body_pcs:
+            # locals are sorted (name, value) pairs over a fixed name set
+            k = fr.locals[self._k_pos][1]
+            if k is not UNINIT and failures < k:
+                return (
+                    "p%d is in iteration %d with only %d failures so far"
+                    % (fr.pid, k, failures)
+                )
+        return None
+
+    def check_objects(self, objs, failures):
         for i, slot in self._r_slots:
             r = objs[slot].value
             if failures < r - 1:

@@ -21,8 +21,9 @@ from rclab.checker import (
     fuzz,
     inspect_edge,
     shortest_failure,
+    state_checks,
 )
-from rclab.core import crash, ordinary
+from rclab.core import CRASH_ALL_LABEL, FELL_OFF, ORDINARY, crash, ordinary
 from rclab.objects import Register
 from rclab.programs import Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
@@ -126,6 +127,133 @@ def test_forged_crash_that_changes_an_object_is_reported():
                          + init.objects[slot + 1:])
     assert inspect_edge(exp, init, crash(1), post) == (
         INVARIANT, "crash step changed shared objects")
+
+
+# -- state checks once per state, on what the edge touched ---------------------
+
+
+def full_state_properties(exp, state):
+    """Every state property of `state`, each over the whole state; None if
+    all hold."""
+    for fr in state.frames:
+        if fr.status == FELL_OFF or fr.steps > exp.bound:
+            return RWF
+    if check_agreement(state.returns, exp.config.agreement_scope):
+        return AGREEMENT
+    if check_validity(state.returns, exp.config.proposals):
+        return VALIDITY
+    if exp.machine.check_state(state):
+        return INVARIANT
+    return None
+
+
+def reference_state_checks(exp, label, post):
+    """The state checks of an edge into `post` in full: RWF of the moved
+    frame, then the whole `check_agreement`, `check_validity` and
+    `check_state`."""
+    if label.kind == ORDINARY:
+        fr = post.frames[label.pid - 1]
+        if fr.status == FELL_OFF:
+            return (RWF, "p%d reached the end of the program without returning"
+                    % label.pid)
+        if fr.steps > exp.bound:
+            return (RWF, "p%d took %d steps in one attempt, bound is %d"
+                    % (label.pid, fr.steps, exp.bound))
+        err = check_agreement(post.returns, exp.config.agreement_scope)
+        if err:
+            return (AGREEMENT, err)
+        err = check_validity(post.returns, exp.config.proposals)
+        if err:
+            return (VALIDITY, err)
+    err = exp.machine.check_state(post)
+    return (INVARIANT, err) if err else None
+
+
+# The differential configs, and configs whose reachable states violate
+# agreement (in both scopes) or wait-freedom.
+INCREMENTAL_CONFIGS = dict(DIFFERENTIAL_CONFIGS, **{
+    "tas-cons2-b1": dict(program="tas-cons2", failure="independent", budget=1),
+    "tas-cons2-b1-cross": dict(program="tas-cons2", failure="independent", budget=1,
+                               agreement_scope="cross-process"),
+    "fig1-tas-ind-b1-cross": dict(cons="tas", failure="independent", budget=1,
+                                  agreement_scope="cross-process"),
+    "fig2-2-0-b1": dict(program="fig2", f=0, failure="independent", budget=1),
+})
+
+
+@pytest.mark.parametrize("name", sorted(INCREMENTAL_CONFIGS))
+def test_incremental_state_checks_equal_full_checks(name):
+    exp = make_experiment(**INCREMENTAL_CONFIGS[name])
+    outcomes = set()
+    for state, lab, post in reachable_edges(exp):
+        if full_state_properties(exp, state) is None:
+            got = state_checks(exp, state, lab, post)
+            assert got == reference_state_checks(exp, lab, post), (state, lab)
+            outcomes.add(got and got[0])
+    if not name.startswith(tuple(DIFFERENTIAL_CONFIGS)):
+        assert outcomes - {None}, "no violating edge"
+
+
+def test_forged_step_into_an_early_iteration_is_reported():
+    exp, init = fig2_forge()
+    fr = init.frames[0]
+    moved = fr._replace(pc="xn:inc", locals=fr.with_locals({"k": 1}), steps=1)
+    post = init._replace(frames=(moved,) + init.frames[1:])
+    assert state_checks(exp, init, ordinary(1), post) == (
+        INVARIANT, "p1 is in iteration 1 with only 0 failures so far")
+
+
+def test_forged_register_write_past_the_failures_is_reported():
+    exp, init = fig2_forge()
+    slot = exp.idx["R[2]"]
+    post = init._replace(objects=init.objects[:slot] + (Register(2),)
+                         + init.objects[slot + 1:])
+    assert state_checks(exp, init, ordinary(1), post) == (
+        INVARIANT, "R[2]=2 with only 0 failures so far")
+
+
+@pytest.mark.parametrize("scope,prior,new,detail", [
+    ("all-returns", [(1, 1, 10)], (2, 1, 20), "returns disagree: ['10', '20']"),
+    ("all-returns", [(1, 1, 10)], (1, 2, 20), "returns disagree: ['10', '20']"),
+    ("cross-process", [(1, 1, 10)], (2, 1, 20), "distinct processes decided ['10', '20']"),
+    ("cross-process", [(1, 1, 10), (1, 2, 20)], (2, 1, 20),
+     "distinct processes decided ['10', '20']"),
+    ("cross-process", [(1, 1, 10)], (1, 2, 20), None),
+    ("cross-process", [(1, 1, 10), (1, 2, 20)], (2, 1, 10), None),
+])
+def test_forged_return_is_checked_for_agreement(scope, prior, new, detail):
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1,
+                          agreement_scope=scope)
+    init = exp.initial_state()
+    pre = init._replace(returns=tuple(prior))
+    post = pre._replace(returns=pre.returns + (new,))
+    got = state_checks(exp, pre, ordinary(new[0]), post)
+    assert got == (detail and (AGREEMENT, detail))
+    if detail:
+        assert detail == check_agreement(post.returns, scope)
+
+
+def test_forged_invalid_decision_is_reported():
+    exp, init = fig2_forge()
+    post = init._replace(returns=((1, 1, 99),))
+    assert state_checks(exp, init, ordinary(1), post) == (
+        VALIDITY, "p1 (attempt 1) decided 99, not a proposal")
+
+
+# without the memo every edge reaches a new state; fig2's trees are too big
+@pytest.mark.parametrize("name,memo", [(name, True) for name in sorted(DIFFERENTIAL_CONFIGS)]
+                         + [("cas-rc-b3", False)])
+def test_state_checks_run_once_per_new_state(monkeypatch, name, memo):
+    calls = []
+
+    def counted(exp, pre, label, post):
+        calls.append(1)
+        return state_checks(exp, pre, label, post)
+
+    monkeypatch.setattr(checker, "state_checks", counted)
+    verdict = explore(make_config(**DIFFERENTIAL_CONFIGS[name]), memo=memo)
+    assert verdict.passed
+    assert len(calls) == verdict.stats["states"] - 1
 
 
 # -- exhaustive exploration ---------------------------------------------------
@@ -242,6 +370,29 @@ def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
     verdict = explore(exp)
     assert verdict.prop == prop
     assert confirm_violation(exp, verdict.trace_labels)[0] == prop
+
+
+# Counterexamples pinned against changes to the search and its checks.
+@pytest.mark.parametrize("mutate,trace,prop,detail", [
+    (reenter_after_crash,
+     [ordinary(1)] * 6 + [ordinary(2)] * 6 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
+     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1"),
+    (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if"),
+])
+def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail):
+    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
+    exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
+    verdict = explore(exp, minimize=False)
+    assert (verdict.trace_labels, verdict.prop, verdict.detail) == (trace, prop, detail)
+
+
+def test_overload_shortest_failure_is_pinned():
+    # acceptance criterion 4's fig2 config with f=1
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=2)
+    o1, c1 = ordinary(1), crash(1)
+    assert shortest_failure(exp) == (
+        [o1, o1, c1, o1, o1, o1, c1, o1, o1], RWF,
+        "p1 reached the end of the program without returning")
 
 
 def test_initial_state_invariant_is_checked_by_every_entry_point(monkeypatch):

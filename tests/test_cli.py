@@ -157,6 +157,10 @@ def test_mistyped_config_value_is_config_error(fig1_config, override):
 
 
 @pytest.mark.parametrize("program,key,value", [
+    ("fig1", "f", 1),
+    ("fig3", "f", 0),
+    ("cas-rc", "f", 2),
+    ("tas-cons2", "f", 1),
     ("fig3", "cons", "tas"),
     ("cas-rc", "cons", "tas"),
     ("tas-cons2", "cons", "tas"),
@@ -169,11 +173,15 @@ def test_mistyped_config_value_is_config_error(fig1_config, override):
     ("cas-rc", "scan_order", "desc"),
     ("tas-cons2", "scan_order", "desc"),
 ])
-def test_key_the_program_does_not_read_is_config_error(fig1_config, program, key, value):
-    # any value but the default of a key that the program never reads
-    assert main(["bound", "--config", fig1_config, "--override", "f=1",
-                 "--override", 'program="%s"' % program,
-                 "--override", '%s="%s"' % (key, value)]) == EXIT_CONFIG
+def test_key_the_program_does_not_read_is_config_error(capsys, fig1_config, program, key,
+                                                       value):
+    # any value but the default of a key that the program never reads; fig2
+    # requires f
+    extra = ["--override", "f=1"] if program == "fig2" else []
+    assert main(["bound", "--config", fig1_config] + extra
+                + ["--override", 'program="%s"' % program,
+                   "--override", "%s=%s" % (key, json.dumps(value))]) == EXIT_CONFIG
+    assert "%s does not read %s" % (program, key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("choice,code", [("p1", 0), ("p2", 0), ("min", EXIT_CONFIG),
