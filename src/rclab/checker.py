@@ -10,11 +10,11 @@ All four searches (`explore`, `shortest_failure`, `fuzz`,
 - The edge checks, run by `checked_edge` on every edge: the transition's
   own `TransitionError`s (genericity, read-before-write), crash isolation,
   and `machine.check_edge` on an edge that changed an object.
-- The state checks, run by `check_new_state`: recoverable wait-freedom of
-  the moved frame, agreement and validity, and the machine's state
-  invariant.  They are facts about the post-state, so they run once per
-  state, when the search first reaches it: `explore` skips them on a memo
-  hit and `shortest_failure` on a state already in `seen`.
+- The state checks, `state_checks`: recoverable wait-freedom of the
+  moved frame, agreement and validity, and the machine's state invariant.
+  They are facts about the post-state, so they run once per state, when
+  the search first reaches it: `explore` skips them on a memo hit and
+  `shortest_failure` on a state already in `seen`.
 
 The skip is sound because a search stops at its first violation, so every
 state it holds has passed every state check.  A state that only shares a
@@ -135,9 +135,9 @@ class _DepthLimit(Exception):
 
 
 def edge_checks(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """The edge checks of one edge that the transition took; None if clean."""
-    if post.objects is pre.objects:
-        return None
+    """The edge checks of one edge that the transition took, if it left a
+    new objects tuple (on any other edge they have nothing to check);
+    None if clean."""
     if label.kind != ORDINARY and post.objects != pre.objects:
         # crash isolation: shared objects survive every crash untouched
         return (INVARIANT, "crash step changed shared objects")
@@ -194,7 +194,8 @@ def _check_new_return(exp: Experiment, prior, returns):
 def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
     """Both parts for one edge, given that `pre` passed the state checks;
     None if clean."""
-    return edge_checks(exp, pre, label, post) or state_checks(exp, pre, label, post)
+    bad = post.objects is not pre.objects and edge_checks(exp, pre, label, post)
+    return bad or state_checks(exp, pre, label, post)
 
 
 def checked_initial_state(exp: Experiment) -> SystemState:
@@ -216,25 +217,21 @@ def checked_edge(exp: Experiment, state: SystemState, label: StepLabel) -> Syste
         post = exp.apply_step(state, label)[0]
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
-    bad = edge_checks(exp, state, label, post)
-    if bad:
-        raise _Violation(*bad)
+    if post.objects is not state.objects:
+        bad = edge_checks(exp, state, label, post)
+        if bad:
+            raise _Violation(*bad)
     return post
 
 
-def check_new_state(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """Raise `_Violation` if `post`, first reached from `pre` by `label`,
-    fails `state_checks`."""
-    bad = state_checks(exp, pre, label, post)
+def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
+    """`checked_edge`, then `state_checks`; raises `_Violation` on the first
+    failed check.  For a search that keeps no record of the states it
+    reached."""
+    post = checked_edge(exp, state, label)
+    bad = state_checks(exp, state, label, post)
     if bad:
         raise _Violation(*bad)
-
-
-def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
-    """`checked_edge`, then `check_new_state`: for a search that keeps no
-    record of the states it reached."""
-    post = checked_edge(exp, state, label)
-    check_new_state(exp, state, label, post)
     return post
 
 
@@ -281,7 +278,9 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                         # reached, by a path whose steps max_steps counted
                         total += c
                         continue
-                check_new_state(exp, state, lab, post)
+                bad = state_checks(exp, state, lab, post)
+                if bad:
+                    raise _Violation(*bad)
                 if lab.kind == ORDINARY:
                     steps = post.frames[lab.pid - 1].steps
                     if steps > max_steps:
@@ -349,12 +348,14 @@ def shortest_failure(exp: Experiment):
         for lab in exp.enabled_steps(state):
             try:
                 post = checked_edge(exp, state, lab)
-                key = exp.memo_key(post)
-                if key in seen:
-                    continue
-                check_new_state(exp, state, lab, post)
             except _Violation as v:
                 return path + [lab], v.prop, v.detail
+            key = exp.memo_key(post)
+            if key in seen:
+                continue
+            bad = state_checks(exp, state, lab, post)
+            if bad:
+                return (path + [lab],) + bad
             seen.add(key)
             queue.append((post, path + [lab]))
     return None
