@@ -190,7 +190,7 @@ def test_incremental_state_checks_equal_full_checks(name):
             got = state_checks(exp, state, lab, post)
             assert got == reference_state_checks(exp, lab, post), (state, lab)
             outcomes.add(got and got[0])
-    if not name.startswith(tuple(DIFFERENTIAL_CONFIGS)):
+    if name not in DIFFERENTIAL_CONFIGS:
         assert outcomes - {None}, "no violating edge"
 
 
@@ -240,7 +240,8 @@ def test_forged_invalid_decision_is_reported():
         VALIDITY, "p1 (attempt 1) decided 99, not a proposal")
 
 
-# without the memo every edge reaches a new state; fig2's trees are too big
+# Without the memo every edge reaches a new state; of these configs only
+# cas-rc's execution tree is small enough for a quick test.
 @pytest.mark.parametrize("name,memo", [(name, True) for name in sorted(DIFFERENTIAL_CONFIGS)]
                          + [("cas-rc-b3", False)])
 def test_state_checks_run_once_per_new_state(monkeypatch, name, memo):
