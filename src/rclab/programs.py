@@ -412,14 +412,14 @@ class Fig2Machine(Machine):
 
     # No process may be inside iteration k before k crashes happened,
     # and R[i] = x+1 certifies that its owner began iteration x.
-    def check_frame(self, fr, failures):
-        if fr.status == "running" and fr.pc in self._body_pcs:
+    def check_frame(self, frame, failures):
+        if frame.status == "running" and frame.pc in self._body_pcs:
             # locals are sorted (name, value) pairs over a fixed name set
-            k = fr.locals[self._k_pos][1]
+            k = frame.locals[self._k_pos][1]
             if k is not UNINIT and failures < k:
                 return (
                     "p%d is in iteration %d with only %d failures so far"
-                    % (fr.pid, k, failures)
+                    % (frame.pid, k, failures)
                 )
         return None
 
