@@ -51,32 +51,32 @@ def _positive_int(text):
     return value
 
 
+# The flags a verb reads besides --config and --override.
+_FLAGS = {
+    "--out": dict(help="output file (counterexample trace / DOT graph)"),
+    "--depth": dict(type=int),
+    "--seed": dict(type=int),
+    "--no-memo": dict(action="store_true"),
+    "--episodes": dict(type=_positive_int, default=1000),
+}
+_VERBS = (
+    ("check", "exhaustive exploration", ("--out", "--depth", "--no-memo")),
+    ("fuzz", "randomized exploration", ("--out", "--depth", "--seed", "--episodes")),
+    ("valency", "execution graph and valency classes", ("--out",)),
+    ("bound", "static per-attempt step bound", ()),
+)
+
+
 def _build_parser():
     p = _Parser(prog="rclab", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb")
-
-    def common(sp):
+    for verb, text, flags in _VERBS:
+        sp = sub.add_parser(verb, help=text)
         sp.add_argument("--config", required=True, help="experiment config (JSON)")
         sp.add_argument("--override", action="append", default=[], metavar="K=V")
-        sp.add_argument("--out", help="output file (counterexample trace / DOT graph)")
-        sp.add_argument("--depth", type=int)
-        sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("check", help="exhaustive exploration")
-    common(sp)
-    sp.add_argument("--no-memo", action="store_true")
-
-    sp = sub.add_parser("fuzz", help="randomized exploration")
-    common(sp)
-    sp.add_argument("--episodes", type=_positive_int, default=1000)
-
-    sp = sub.add_parser("valency", help="execution graph and valency classes")
-    common(sp)
-
-    sp = sub.add_parser("bound", help="static per-attempt step bound")
-    common(sp)
-
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     sp = sub.add_parser("replay", help="verify a serialized trace")
     sp.add_argument("--trace", required=True)
     return p
@@ -84,12 +84,13 @@ def _build_parser():
 
 def _load_config(args) -> ExperimentConfig:
     """The config file, then the --override pairs, then --depth and
-    --seed, validated once."""
+    --seed where the verb takes them, validated once."""
     d = read_config_file(args.config)
     d.update(parse_overrides(args.override))
     for key in ("depth", "seed"):
-        if getattr(args, key) is not None:
-            d[key] = getattr(args, key)
+        value = getattr(args, key, None)
+        if value is not None:
+            d[key] = value
     return ExperimentConfig.from_dict(d)
 
 

@@ -96,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError("scan order must be asc or desc")
         for key, programs in _PROGRAM_KEYS.items():
             if self.program not in programs and getattr(self, key) != _DEFAULTS[key]:
-                raise ConfigError("%s does not read %s; leave it %r"
-                                  % (self.program, key, _DEFAULTS[key]))
+                raise ConfigError("%s does not read %s; leave it %s"
+                                  % (self.program, key, json.dumps(_DEFAULTS[key])))
         if self.agreement_scope not in ("all-returns", "cross-process"):
             raise ConfigError("agreement scope must be all-returns or cross-process")
         for key in ("monitor", "hash_ignores_attempt"):

@@ -15,22 +15,26 @@ unchanged (a read, an `rtas`, a failed `cas`, a crash) returns a state
 whose `objects` is the very tuple of the pre-state.
 
 Every step goes through the experiment's transition table.  A machine's
-`step(frame, get)` is a pure function of the frame and of the one object
-value it reads, so the table runs it once per (frame, value read) and
-keeps the outcome, the successor frame and the step's record; a later
-step from an equal frame that reads an equal value takes them from the
-table.  A step that raises is never recorded, so it raises again on every
-visit.  What depends on the whole state (the genericity monitor's
-accesses, `participants`, assumption 1's `tas_seen` and `armed_crash`) is
-worked out in `_ordinary` on every step, outside the table.  Equal values
-must therefore be interchangeable, which is why `ExperimentConfig.validate`
-rejects two proposals that compare equal but are not the same value.
+`step(frame, access)` names at most one shared-object access, which the
+experiment performs (`objects.apply`) and answers, and is a pure function
+of the frame and of that response.  So the table runs it once per (frame,
+value of the object accessed) and keeps the access, the successor frame
+and the step's record; a later step from an equal frame on an equal value
+takes them from the table.  A step that raises is never recorded, so it
+raises again on every visit.  What depends on the whole state (the
+genericity monitor's accesses, `participants`, assumption 1's `tas_seen`
+and `armed_crash`) is worked out in `_ordinary` on every step, outside the
+table.  Equal values must therefore be interchangeable, which is why
+`ExperimentConfig.validate` rejects two proposals that compare equal but
+are not the same value.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Any, NamedTuple, Optional
 
+from . import objects
 from .config import ExperimentConfig
 from .core import (
     CRASH,
@@ -49,8 +53,18 @@ from .core import (
     locals_tuple,
     ordinary,
 )
-from .objects import Cons
 from .programs import END, Ret, build_machine
+
+
+class Access(NamedTuple):
+    """What the transition table keeps of a step's one access: the object,
+    the operation, the object's new value, and the consensus instance the
+    step begins, if any."""
+
+    obj: str
+    op: str
+    new_value: Any
+    instance: Optional[str]
 
 
 class Experiment:
@@ -86,24 +100,22 @@ class Experiment:
             fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
         # The transition table (see the module docstring), filled as steps
-        # are taken: a frame maps to (slot read, {value read: (outcome,
+        # are taken: a frame maps to (slot accessed, {its value: (Access,
         # successor frame, slot written or None, record)}), or for a return
-        # to (None, (outcome, returned frame, None, record)); (CRASH, frame)
+        # to (None, (Ret, returned frame, None, record)); (CRASH, frame)
         # maps to the frame a crash resets it to.
         self._table = {}
 
     # -- state construction -------------------------------------------------
 
+    def _entry_frame(self, pid: int, proposal, attempt: int = 1) -> Frame:
+        """The frame of `pid` at the top of the program, in `attempt`."""
+        locs = locals_tuple(self.machine.init_locals(pid, proposal))
+        return Frame(pid, self.machine.entry, locs, proposal, attempt)
+
     def initial_state(self) -> SystemState:
-        frames = tuple(
-            Frame(
-                pid,
-                self.machine.entry,
-                locals_tuple(self.machine.init_locals(pid, prop)),
-                prop,
-            )
-            for pid, prop in enumerate(self.config.proposals, start=1)
-        )
+        frames = tuple(self._entry_frame(pid, prop)
+                       for pid, prop in enumerate(self.config.proposals, start=1))
         return SystemState(frames=frames, objects=self.initial_objects)
 
     def get_value(self, state: SystemState, name: str):
@@ -170,18 +182,13 @@ class Experiment:
         key = (CRASH, frame)
         reset = self._table.get(key)
         if reset is None:
-            reset = self._table[key] = Frame(
-                frame.pid,
-                self.machine.entry,
-                locals_tuple(self.machine.init_locals(frame.pid, frame.proposal)),
-                frame.proposal,
-                frame.attempt + 1,
-            )
+            reset = self._table[key] = self._entry_frame(frame.pid, frame.proposal,
+                                                         frame.attempt + 1)
         return reset
 
     def _instance_accesses(self, state: SystemState, instance: str):
         i = self.idx.get(instance)
-        if i is not None and isinstance(state.objects[i], Cons):
+        if i is not None and isinstance(state.objects[i], objects.Cons):
             return state.objects[i].accessors
         return {(p, a) for inst, p, a in state.cons_access if inst == instance}
 
@@ -220,14 +227,12 @@ class Experiment:
             return new_state, record
 
         cons_access = state.cons_access
-        if outcome.instance is not None:
-            prior = self._instance_accesses(state, outcome.instance)
-            if self.config.monitor:
-                for p2, a2 in prior:
-                    if p2 == pid:
-                        raise GenericityViolation(outcome.instance, pid, frame.attempt, a2)
-                if self.idx.get(outcome.instance) is None:
-                    cons_access = cons_access | {(outcome.instance, pid, frame.attempt)}
+        if outcome.instance is not None and self.config.monitor:
+            for p2, a2 in self._instance_accesses(state, outcome.instance):
+                if p2 == pid:
+                    raise GenericityViolation(outcome.instance, pid, frame.attempt, a2)
+            if self.idx.get(outcome.instance) is None:
+                cons_access = cons_access | {(outcome.instance, pid, frame.attempt)}
 
         tas_seen = state.tas_seen
         if self.a1 and outcome.op in ("tas", "rtas"):
@@ -249,24 +254,27 @@ class Experiment:
     def _fill(self, frame: Frame, objs):
         """Run the machine's step for `frame` on the objects `objs`, enter it
         in the transition table, and return the entry's (outcome, successor
-        frame, slot written, record): the slot is None when the step changed
-        no object, and the record is the step's `StepRecord`.
-        A `Ret` reads no object and is entered under the frame alone; an
-        `Access` is entered under the frame and the value of the one object
-        it reads, which must be the object it accesses."""
-        reads = []
+        frame, slot written, record): the outcome is the `Ret` or the
+        step's `Access`, the slot is None when the step changed no object,
+        and the record is the step's `StepRecord`.
+        A `Ret` accesses no object and is entered under the frame alone; a
+        `Next` is entered under the frame and the value of the one object
+        it accessed."""
+        calls = []
         idx = self.idx
 
-        def get(name):
-            reads.append(name)
-            return objs[idx[name]]
+        def access(name, op, args=()):
+            slot = idx[name]
+            new, resp = objects.apply(objs[slot], op, args)
+            calls.append((name, op, args, slot, new, resp))
+            return resp
 
-        outcome = self.machine.step(frame, get)
+        outcome = self.machine.step(frame, access)
         label = self.ordinary_labels[frame.pid - 1]
         if isinstance(outcome, Ret):
-            if reads:
-                raise AssertionError("%s returned at %s after reading %s"
-                                     % (self.machine.program_id, frame.pc, reads))
+            if calls:
+                raise AssertionError("%s returned at %s after accessing %s"
+                                     % (self.machine.program_id, frame.pc, calls[0][0]))
             new_frame = Frame(
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
@@ -275,11 +283,10 @@ class Experiment:
             hit = (outcome, new_frame, None, record)
             self._table[frame] = (None, hit)
             return hit
-        if reads != [outcome.obj]:
-            raise AssertionError("%s at %s accessed %s but read %s; a step reads exactly"
-                                 " the object it accesses"
-                                 % (self.machine.program_id, frame.pc, outcome.obj, reads))
-        slot = idx[outcome.obj]
+        if len(calls) != 1:
+            raise AssertionError("%s at %s made %d accesses; a step makes exactly one"
+                                 % (self.machine.program_id, frame.pc, len(calls)))
+        (name, op, args, slot, new, resp), = calls
         value = objs[slot]
         new_frame = Frame(
             frame.pid,
@@ -292,17 +299,18 @@ class Experiment:
             frame.steps + 1,
             False,
         )
-        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
-        if outcome.args:
-            op += " " + json.dumps(list(outcome.args))
-        record = StepRecord(label, op, outcome.resp)
+        text = "%s %s %s" % (frame.pc, op, name)
+        if args:
+            text += " " + json.dumps(list(args))
+        record = StepRecord(label, text, resp)
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects tuple, so callers can tell no object
         # changed
-        hit = (outcome, new_frame, None if outcome.new_value is value else slot, record)
+        hit = (Access(name, op, new, outcome.instance), new_frame,
+               None if new is value else slot, record)
         entry = self._table.setdefault(frame, (slot, {}))
         if entry[0] != slot:
-            raise AssertionError("%s at %s read slot %s, earlier slot %s"
+            raise AssertionError("%s at %s accessed slot %s, earlier slot %s"
                                  % (self.machine.program_id, frame.pc, slot, entry[0]))
         entry[1][value] = hit
         return hit

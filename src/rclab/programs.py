@@ -32,34 +32,17 @@ from .core import BOTTOM, UNINIT, ConfigError, Frame
 END = "end"
 
 
-class Access(NamedTuple):
-    """One shared-object access plus the resulting control transfer."""
+class Next(NamedTuple):
+    """Control transfer after a step's one access: the next line, the locals
+    it sets, and the consensus instance the step begins, if any."""
 
-    obj: str
-    op: str
-    args: tuple
-    resp: Any
-    new_value: Any
     pc: str
-    updates: dict
-    instance: Optional[str] = None  # consensus instance this step begins, if any
+    updates: Optional[dict] = None
+    instance: Optional[str] = None
 
 
 class Ret(NamedTuple):
     value: Any
-
-
-def _read(get, name, pc, var, extra=None):
-    new, resp = objects.apply(get(name), "read")
-    upd = {var: resp}
-    if extra:
-        upd.update(extra)
-    return Access(name, "read", (), resp, new, pc, upd)
-
-
-def _write(get, name, val, pc, updates=None, instance=None):
-    new, resp = objects.apply(get(name), "write", (val,))
-    return Access(name, "write", (val,), resp, new, pc, updates or {}, instance)
 
 
 class InnerCons:
@@ -102,24 +85,21 @@ class InnerCons:
             (p + "T", objects.Tas()),
         ]
 
-    def step(self, frame, get, name, value):
+    def step(self, frame, access, name, value):
         """The step at `frame.pc`, one of `lines`, proposing `value`."""
         i = frame.pid
         if self.atomic:
-            args = (i, frame.attempt, value)
-            new, resp = objects.apply(get(name), "decide", args)
-            return Access(name, "decide", args, resp, new, self.exit, {"d": resp}, name)
+            return Next(self.exit, {"d": access(name, "decide", (i, frame.attempt, value))}, name)
         pc = frame.pc
         p = name + "." if name else ""
         if pc == self.entry:
-            return _write(get, "%sA[%d]" % (p, i), value, self._tas, instance=name or None)
+            access("%sA[%d]" % (p, i), "write", (value,))
+            return Next(self._tas, instance=name or None)
         if pc == self._tas:
-            t = p + "T"
-            new, resp = objects.apply(get(t), "tas")
-            if resp == 0:
-                return Access(t, "tas", (), resp, new, self.exit, {"d": value})
-            return Access(t, "tas", (), resp, new, self._ra, {})
-        return _read(get, "%sA[%d]" % (p, 3 - i), self.exit, "d")
+            if access(p + "T", "tas") == 0:
+                return Next(self.exit, {"d": value})
+            return Next(self._ra)
+        return Next(self.exit, {"d": access("%sA[%d]" % (p, 3 - i), "read")})
 
 
 class Machine:
@@ -145,15 +125,18 @@ class Machine:
     An edge invariant must therefore be a function of the objects alone,
     and must hold whenever no object changed.
 
-    `step(frame, get)` must be a pure function of the frame and of the one
-    object value it reads: an `Access` calls `get` exactly once, on the
-    object it accesses, and a `Ret` calls it never.  The experiment's
-    transition table relies on this: it runs `step` once per (frame, value
-    read) and serves every later equal step from the table.  A step that
-    raises is never recorded, so it raises again on every visit.  What a
-    step means for the whole state (genericity bookkeeping, participants,
-    assumption 1's armed crash) is not the machine's business; the
-    experiment works it out on every step from the `Access` fields.
+    `step(frame, access)` names the step's shared-object access and the
+    control transfer after it; the experiment performs the access.
+    `access(name, op, args=())` applies `op` to the object `name` and
+    returns the response.  A step that returns `Next` calls `access`
+    exactly once; a step that returns `Ret` calls it never.  `step` must
+    be a pure function of the frame and of that response.  The
+    experiment's transition table relies on this: it runs `step` once per
+    (frame, value of the object accessed) and serves every later equal
+    step from the table.  A step that raises is never recorded, so it
+    raises again on every visit.  What a step means for the whole state
+    (genericity bookkeeping, participants, assumption 1's armed crash) is
+    not the machine's business; the experiment works it out on every step.
     """
 
     program_id = ""
@@ -169,8 +152,8 @@ class Machine:
         """Fixed [(name, initial value)] order for the object store."""
         raise NotImplementedError
 
-    def step(self, frame: Frame, get):
-        """One transition for `frame`; `get(name)` reads an object value."""
+    def step(self, frame: Frame, access):
+        """One transition for `frame`: a `Next` after one `access`, or a `Ret`."""
         raise NotImplementedError
 
     def bound(self) -> int:
@@ -240,31 +223,29 @@ class Fig1Machine(Machine):
         p2 = frame.loc("p_other") if i == 1 else frame.loc("p_self")
         return p1, p2
 
-    def step(self, frame, get):
+    def step(self, frame, access):
         i = frame.pid
-        other = 3 - i
         pc = frame.pc
         if pc in self.inner.lines:
-            return self.inner.step(frame, get, "C", frame.proposal)
+            return self.inner.step(frame, access, "C", frame.proposal)
         if pc == "x:if":
-            return _read(get, "P[%d]" % i, "x:if2", "p_self")
+            return Next("x:if2", {"p_self": access("P[%d]" % i, "read")})
         if pc == "x:if2":
-            new, resp = objects.apply(get("P[%d]" % other), "read")
-            if frame.loc("p_self") is BOTTOM and resp is BOTTOM:
-                nxt = "x:wP"
-            else:
-                nxt = "x:recD"
-            return Access("P[%d]" % other, "read", (), resp, new, nxt, {"p_other": resp})
+            resp = access("P[%d]" % (3 - i), "read")
+            nxt = "x:wP" if frame.loc("p_self") is BOTTOM and resp is BOTTOM else "x:recD"
+            return Next(nxt, {"p_other": resp})
         if pc == "x:wP":
-            return _write(get, "P[%d]" % i, frame.proposal, self.inner.entry)
+            access("P[%d]" % i, "write", (frame.proposal,))
+            return Next(self.inner.entry)
         if pc == "x:wD":
-            return _write(get, "D", frame.loc("d"), "x:retd")
+            access("D", "write", (frame.loc("d"),))
+            return Next("x:retd")
         if pc == "x:retd":
             return Ret(frame.loc("d"))
         if pc == "x:recD":
-            new, resp = objects.apply(get("D"), "read")
+            resp = access("D", "read")
             if resp is not BOTTOM:
-                return Access("D", "read", (), resp, new, "x:recDret", {"d": resp})
+                return Next("x:recDret", {"d": resp})
             p_self = frame.loc("p_self")
             p_other = frame.loc("p_other")
             if p_self is not BOTTOM and p_other is BOTTOM:
@@ -273,7 +254,7 @@ class Fig1Machine(Machine):
                 nxt = "x:ibotOnbotret"
             else:
                 nxt = "x:inbotOnbotret"
-            return Access("D", "read", (), resp, new, nxt, {"d": resp})
+            return Next(nxt, {"d": resp})
         if pc == "x:recDret":
             return Ret(frame.loc("d"))
         if pc == "x:inbotObotret":
@@ -343,69 +324,59 @@ class Fig2Machine(Machine):
             out.reverse()
         return out
 
-    def step(self, frame, get):
+    def step(self, frame, access):
         i = frame.pid
         pc = frame.pc
         if pc in self.inner.lines:
-            return self.inner.step(frame, get, "C[%d]" % frame.loc("k"), frame.loc("v"))
+            return self.inner.step(frame, access, "C[%d]" % frame.loc("k"), frame.loc("v"))
         if pc == "xn:if":
             k = frame.loc("k")
-            new, resp = objects.apply(get("R[%d]" % i), "read")
-            upd = {"r": resp}
+            resp = access("R[%d]" % i, "read")
             if resp == k:
-                nxt = "xn:inc"
-            elif k < self.f:
-                nxt = "xn:if"
-                upd["k"] = k + 1
-            else:
-                nxt = END
-            return Access("R[%d]" % i, "read", (), resp, new, nxt, upd)
+                return Next("xn:inc", {"r": resp})
+            if k < self.f:
+                return Next("xn:if", {"r": resp, "k": k + 1})
+            return Next(END, {"r": resp})
         if pc == "xn:inc":
             k = frame.loc("k")
+            access("R[%d]" % i, "write", (k + 1,))
             if k > 0:
-                nxt, upd = "xn:forado", {"kp": 0}
-            else:
-                nxt, upd = self.inner.entry, {}
-            return _write(get, "R[%d]" % i, k + 1, nxt, upd)
+                return Next("xn:forado", {"kp": 0})
+            return Next(self.inner.entry)
         if pc == "xn:forado":
             k = frame.loc("k")
             kp = frame.loc("kp")
-            new, resp = objects.apply(get("D[%d]" % kp), "read")
+            resp = access("D[%d]" % kp, "read")
             upd = {}
             if resp is not BOTTOM:
                 # ascending scan overwrites, leaving the largest index's value
                 upd["v"] = resp
             if kp + 1 <= k - 1:
-                nxt = "xn:forado"
                 upd["kp"] = kp + 1
-            else:
-                nxt = self.inner.entry
-            return Access("D[%d]" % kp, "read", (), resp, new, nxt, upd)
+                return Next("xn:forado", upd)
+            return Next(self.inner.entry, upd)
         if pc == "xn:wD":
             k = frame.loc("k")
-            nxt = "xn:ifp" if k < self.f else "xn:retd"
-            return _write(get, "D[%d]" % k, frame.loc("d"), nxt)
+            access("D[%d]" % k, "write", (frame.loc("d"),))
+            return Next("xn:ifp" if k < self.f else "xn:retd")
         if pc == "xn:ifp":
-            return _read(get, "R[%d]" % i, "xn:forp", "rself", {"zi": 0})
+            return Next("xn:forp", {"rself": access("R[%d]" % i, "read"), "zi": 0})
         if pc == "xn:forp":
             zs = self.others(i)
             zi = frame.loc("zi")
-            z = zs[zi]
-            new, resp = objects.apply(get("R[%d]" % z), "read")
+            resp = access("R[%d]" % zs[zi], "read")
             upd = {}
             d = frame.loc("d")
             if resp > frame.loc("rself"):
                 upd["d"] = BOTTOM
                 d = BOTTOM
             if zi + 1 < len(zs):
-                nxt = "xn:forp"
                 upd["zi"] = zi + 1
-            elif d is not BOTTOM:
-                nxt = "xn:retd"
-            else:
-                nxt = "xn:if"
-                upd["k"] = frame.loc("k") + 1
-            return Access("R[%d]" % z, "read", (), resp, new, nxt, upd)
+                return Next("xn:forp", upd)
+            if d is not BOTTOM:
+                return Next("xn:retd", upd)
+            upd["k"] = frame.loc("k") + 1
+            return Next("xn:if", upd)
         if pc == "xn:retd":
             return Ret(frame.loc("d"))
         raise AssertionError("fig2: unreachable pc %r" % pc)
@@ -463,30 +434,26 @@ class Fig3Machine(Machine):
     def bound(self):
         return 6
 
-    def step(self, frame, get):
+    def step(self, frame, access):
         i = frame.pid
-        other = 3 - i
         pc = frame.pc
         if pc == "ex:if":
-            new, resp = objects.apply(get("P[%d]" % i), "read")
-            nxt = "ex:wP" if resp is not BOTTOM else "ex:if2"
-            return Access("P[%d]" % i, "read", (), resp, new, nxt, {"p_self": resp})
+            resp = access("P[%d]" % i, "read")
+            return Next("ex:wP" if resp is not BOTTOM else "ex:if2", {"p_self": resp})
         if pc == "ex:if2":
-            new, resp = objects.apply(get("P[%d]" % other), "read")
-            nxt = "ex:retpo" if resp is not BOTTOM else "ex:wP"
-            return Access("P[%d]" % other, "read", (), resp, new, nxt, {"p_other": resp})
+            resp = access("P[%d]" % (3 - i), "read")
+            return Next("ex:retpo" if resp is not BOTTOM else "ex:wP", {"p_other": resp})
         if pc == "ex:retpo":
             return Ret(frame.loc("p_other"))
         if pc == "ex:wP":
-            return _write(get, "P[%d]" % i, frame.proposal, "ex:CAS")
+            access("P[%d]" % i, "write", (frame.proposal,))
+            return Next("ex:CAS")
         if pc == "ex:CAS":
-            args = (BOTTOM, frame.proposal)
-            new, resp = objects.apply(get("C"), "cas", args)
             # the pseudo-code discards the CAS response and re-reads C
-            return Access("C", "cas", args, resp, new, "ex:rC", {})
+            access("C", "cas", (BOTTOM, frame.proposal))
+            return Next("ex:rC")
         if pc == "ex:rC":
-            new, resp = objects.apply(get("C"), "cas_read")
-            return Access("C", "cas_read", (), resp, new, "ex:retC", {"d": resp})
+            return Next("ex:retC", {"d": access("C", "cas_read")})
         if pc == "ex:retC":
             return Ret(frame.loc("d"))
         raise AssertionError("fig3: unreachable pc %r" % pc)
@@ -507,12 +474,10 @@ class CasRcMachine(Machine):
     def bound(self):
         return 2
 
-    def step(self, frame, get):
+    def step(self, frame, access):
         if frame.pc == "c:cas":
-            args = (BOTTOM, frame.proposal)
-            new, resp = objects.apply(get("C"), "cas", args)
-            d = frame.proposal if resp is BOTTOM else resp
-            return Access("C", "cas", args, resp, new, "c:ret", {"d": d})
+            resp = access("C", "cas", (BOTTOM, frame.proposal))
+            return Next("c:ret", {"d": frame.proposal if resp is BOTTOM else resp})
         if frame.pc == "c:ret":
             return Ret(frame.loc("d"))
         raise AssertionError("cas-rc: unreachable pc %r" % frame.pc)
@@ -542,10 +507,10 @@ class TasCons2Machine(Machine):
     def bound(self):
         return self.inner.steps + 1
 
-    def step(self, frame, get):
+    def step(self, frame, access):
         if frame.pc == "t:ret":
             return Ret(frame.loc("d"))
-        return self.inner.step(frame, get, "", frame.proposal)
+        return self.inner.step(frame, access, "", frame.proposal)
 
 
 PROGRAM_IDS = ("fig1", "fig2", "fig3", "cas-rc", "tas-cons2")

@@ -6,7 +6,7 @@ import pytest
 from rclab.config import ExperimentConfig
 from rclab.core import CRASH_ALL_LABEL, GenericityViolation, UninitializedRead, ordinary
 from rclab.experiment import Experiment
-from rclab.programs import Ret
+from rclab.programs import Next, Ret
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CASES_DIR = os.path.join(GOLDEN_DIR, "cases")
@@ -49,22 +49,37 @@ def reachable_edges(exp):
                 queue.append(post)
 
 
-# Seeded fig1 bugs whose last step raises in the transition.  Each takes
-# `Fig1Machine.step` and returns a mutant to patch over it.
+# Seeded bugs.  Each takes a machine's `step` and returns a mutant to patch
+# over it.  The two fig1 bugs' last step raises in the transition.
 
 
 def reenter_after_crash(step):
     """fig1 with a seeded bug: recovery runs the consensus instance C again."""
-    def mutant(self, frame, get):
-        out = step(self, frame, get)
+    def mutant(self, frame, access):
+        out = step(self, frame, access)
         return out._replace(pc="x:C") if frame.pc == "x:recD" else out
     return mutant
 
 
 def read_before_write(step):
     """fig1 with a seeded bug: a process returns its decision before setting it."""
-    def mutant(self, frame, get):
-        return Ret(frame.loc("d")) if frame.pc == "x:if" else step(self, frame, get)
+    def mutant(self, frame, access):
+        return Ret(frame.loc("d")) if frame.pc == "x:if" else step(self, frame, access)
+    return mutant
+
+
+def keep_raced_decision(step):
+    """fig2 with a seeded bug: the R-scan after deciding never forgets the
+    decision, so a process that raced with a faster one still returns it."""
+    def mutant(self, frame, access):
+        if frame.pc != "xn:forp":
+            return step(self, frame, access)
+        zs = self.others(frame.pid)
+        zi = frame.loc("zi")
+        access("R[%d]" % zs[zi], "read")
+        if zi + 1 < len(zs):
+            return Next("xn:forp", {"zi": zi + 1})
+        return Next("xn:retd")
     return mutant
 
 

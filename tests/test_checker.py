@@ -23,7 +23,8 @@ from rclab.checker import (
     shortest_failure,
     state_checks,
 )
-from rclab.core import CRASH_ALL_LABEL, FELL_OFF, ORDINARY, crash, ordinary
+from rclab import simulator
+from rclab.core import CRASH_ALL_LABEL, FELL_OFF, ORDINARY, crash, digest, ordinary
 from rclab.objects import Register
 from rclab.programs import Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
@@ -33,6 +34,7 @@ from conftest import (
     DIFFERENTIAL_CONFIGS,
     SEEDED_SCHEDULES,
     make_config,
+    keep_raced_decision,
     make_experiment,
     read_before_write,
     reachable_edges,
@@ -385,6 +387,22 @@ def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, d
     exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
     verdict = explore(exp, minimize=False)
     assert (verdict.trace_labels, verdict.prop, verdict.detail) == (trace, prop, detail)
+
+
+@pytest.mark.parametrize("kw,length", [
+    (dict(), 17),
+    (dict(cons="tas"), 19),
+    (dict(n=3, proposals=[10, 20, 30]), 18),
+])
+def test_fig2_mutant_that_keeps_a_raced_decision_is_caught(monkeypatch, kw, length):
+    monkeypatch.setattr(Fig2Machine, "step", keep_raced_decision(Fig2Machine.step))
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1,
+                          monitor=True, **kw)
+    verdict = explore(exp)
+    assert (verdict.prop, len(verdict.trace_labels)) == (AGREEMENT, length)
+    assert confirm_violation(exp, verdict.trace_labels)[0] == AGREEMENT
+    trace, final = simulator.run(exp, verdict.trace_labels)
+    assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
 
 
 def test_overload_shortest_failure_is_pinned():

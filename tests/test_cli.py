@@ -156,6 +156,10 @@ def test_mistyped_config_value_is_config_error(fig1_config, override):
                  "--override", override]) == EXIT_CONFIG
 
 
+# the default of each key, as JSON
+_UNREAD = {"f": "null", "cons": '"atomic"', "choice": '"p1"', "scan_order": '"asc"'}
+
+
 @pytest.mark.parametrize("program,key,value", [
     ("fig1", "f", 1),
     ("fig3", "f", 0),
@@ -181,7 +185,8 @@ def test_key_the_program_does_not_read_is_config_error(capsys, fig1_config, prog
     assert main(["bound", "--config", fig1_config] + extra
                 + ["--override", 'program="%s"' % program,
                    "--override", "%s=%s" % (key, json.dumps(value))]) == EXIT_CONFIG
-    assert "%s does not read %s" % (program, key) in capsys.readouterr().err
+    assert ("%s does not read %s; leave it %s\n" % (program, key, _UNREAD[key])
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("choice,code", [("p1", 0), ("p2", 0), ("min", EXIT_CONFIG),
@@ -215,6 +220,21 @@ def test_jobs_is_usage_error(fig1_config):
     with pytest.raises(SystemExit) as err:
         main(["check", "--config", fig1_config, "--jobs", "2"])
     assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("verb,flag", [
+    ("check", ["--seed", "3"]),
+    ("valency", ["--seed", "3"]),
+    ("valency", ["--depth", "3"]),
+    ("bound", ["--seed", "3"]),
+    ("bound", ["--depth", "3"]),
+    ("bound", ["--out", "x.txt"]),
+])
+def test_flag_the_verb_does_not_read_is_usage_error(capsys, fig1_config, verb, flag):
+    with pytest.raises(SystemExit) as err:
+        main([verb, "--config", fig1_config] + flag)
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("episodes", ["0", "-5"])

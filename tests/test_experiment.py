@@ -18,8 +18,8 @@ from rclab.core import (
     UninitializedRead,
     ordinary,
 )
-from rclab.objects import Register
-from rclab.programs import END, Access, Fig1Machine, Ret
+from rclab import objects
+from rclab.programs import END, Fig1Machine, Next, Ret
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -41,14 +41,16 @@ TABLE_CONFIGS = dict(
 
 
 def direct_step(exp, frame, objs):
-    """The machine's own step for `frame` on `objs`: (outcome, names read)."""
-    reads = []
+    """The machine's own step for `frame` on `objs`: (outcome, accesses),
+    each access an (object, op, args, new value, response)."""
+    calls = []
 
-    def get(name):
-        reads.append(name)
-        return objs[exp.idx[name]]
+    def access(name, op, args=()):
+        new, resp = objects.apply(objs[exp.idx[name]], op, args)
+        calls.append((name, op, args, new, resp))
+        return resp
 
-    return exp.machine.step(frame, get), reads
+    return exp.machine.step(frame, access), calls
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
@@ -61,10 +63,10 @@ def test_table_matches_direct_step(name):
         edges += 1
         frame = pre.frames[lab.pid - 1]
         got = post.frames[lab.pid - 1]
-        outcome, reads = direct_step(exp, frame, pre.objects)
+        outcome, calls = direct_step(exp, frame, pre.objects)
         _, rec = exp.apply_step(pre, lab)
         if isinstance(outcome, Ret):
-            assert reads == []
+            assert calls == []
             status = RETURNED if exp.rerun else HALTED
             want = Frame(frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                          status, outcome.value, frame.steps + 1)
@@ -72,20 +74,21 @@ def test_table_matches_direct_step(name):
             assert post.objects is pre.objects
             assert (rec.op, rec.resp) == ("%s return" % frame.pc, outcome.value)
             continue
-        assert reads == [outcome.obj]
-        slot = exp.idx[outcome.obj]
+        assert isinstance(outcome, Next) and len(calls) == 1
+        (name, op, args, new, resp), = calls
+        slot = exp.idx[name]
         locs = frame.with_locals(outcome.updates) if outcome.updates else frame.locals
         status = FELL_OFF if outcome.pc == END else RUNNING
         want = Frame(frame.pid, outcome.pc, locs, frame.proposal, frame.attempt, status,
                      frame.retval, frame.steps + 1, got.armed_crash)
         assert repr(got) == repr(want)
-        objs = pre.objects[:slot] + (outcome.new_value,) + pre.objects[slot + 1:]
+        objs = pre.objects[:slot] + (new,) + pre.objects[slot + 1:]
         assert repr(post.objects) == repr(objs)
-        assert (post.objects is pre.objects) == (outcome.new_value is pre.objects[slot])
-        op = "%s %s %s" % (frame.pc, outcome.op, outcome.obj)
-        if outcome.args:
-            op += " " + json.dumps(list(outcome.args))
-        assert (rec.op, rec.resp) == (op, outcome.resp)
+        assert (post.objects is pre.objects) == (new is pre.objects[slot])
+        text = "%s %s %s" % (frame.pc, op, name)
+        if args:
+            text += " " + json.dumps(list(args))
+        assert (rec.op, rec.resp) == (text, resp)
     assert edges > 0
 
 
@@ -118,10 +121,10 @@ def test_uninitialized_read_raises_on_every_visit(monkeypatch):
 def test_step_error_raises_on_every_visit(monkeypatch, error):
     step = Fig1Machine.step
 
-    def mutant(self, frame, get):
+    def mutant(self, frame, access):
         if frame.pc == "x:if2":
             raise error("seeded")
-        return step(self, frame, get)
+        return step(self, frame, access)
 
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
@@ -134,23 +137,33 @@ def test_step_error_raises_on_every_visit(monkeypatch, error):
 def test_step_that_reads_two_objects_fails_loudly(monkeypatch):
     step = Fig1Machine.step
 
-    def mutant(self, frame, get):
-        get("D")
-        return step(self, frame, get)
+    def mutant(self, frame, access):
+        access("D", "read")
+        return step(self, frame, access)
 
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
-    with pytest.raises(AssertionError, match="read"):
+    with pytest.raises(AssertionError, match="made 2 accesses"):
         exp.apply_step(exp.initial_state(), ordinary(1))
 
 
 def test_step_that_reads_no_object_fails_loudly(monkeypatch):
-    def mutant(self, frame, get):
-        return Access("P[1]", "read", (), BOTTOM, Register(), "x:if2", {"p_self": BOTTOM})
+    def mutant(self, frame, access):
+        return Next("x:if2", {"p_self": BOTTOM})
 
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()
-    with pytest.raises(AssertionError, match="read"):
+    with pytest.raises(AssertionError, match="made 0 accesses"):
+        exp.apply_step(exp.initial_state(), ordinary(1))
+
+
+def test_return_that_accesses_an_object_fails_loudly(monkeypatch):
+    def mutant(self, frame, access):
+        return Ret(access("P[1]", "read"))
+
+    monkeypatch.setattr(Fig1Machine, "step", mutant)
+    exp = make_experiment()
+    with pytest.raises(AssertionError, match="returned at x:if after accessing P\\[1\\]"):
         exp.apply_step(exp.initial_state(), ordinary(1))
 
 
@@ -169,13 +182,13 @@ def test_step_that_reads_another_object_from_an_equal_frame_fails_loudly(monkeyp
     step = Fig1Machine.step
     calls = []
 
-    def mutant(self, frame, get):
+    def mutant(self, frame, access):
         # impure: the second visit of p1's x:if2 reads D instead of P[2]
         if frame.pid == 1 and frame.pc == "x:if2":
             calls.append(frame)
             if len(calls) > 1:
-                return Access("D", "read", (), BOTTOM, get("D"), "x:recD", {"p_other": BOTTOM})
-        return step(self, frame, get)
+                return Next("x:recD", {"p_other": access("D", "read")})
+        return step(self, frame, access)
 
     monkeypatch.setattr(Fig1Machine, "step", mutant)
     exp = make_experiment()

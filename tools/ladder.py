@@ -71,19 +71,26 @@ def _explore(lib, exp):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    and edges the transitions it took, counted around the instance."""
+    and edges the transitions it took, counted around the instance.  An
+    older checkout steps through `successor`, which there does not call
+    `apply_step`, so both are counted when the instance has both."""
     counts = [0, 0]
-    enabled, apply_step = exp.enabled_steps, exp.apply_step
+    enabled = exp.enabled_steps
 
     def counted_enabled(state):
         counts[0] += 1
         return enabled(state)
 
-    def counted_apply_step(state, label):
-        counts[1] += 1
-        return apply_step(state, label)
+    def counted(step):
+        def wrapper(state, label):
+            counts[1] += 1
+            return step(state, label)
+        return wrapper
 
-    exp.enabled_steps, exp.apply_step = counted_enabled, counted_apply_step
+    exp.enabled_steps = counted_enabled
+    for name in ("apply_step", "successor"):
+        if hasattr(exp, name):
+            setattr(exp, name, counted(getattr(exp, name)))
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
