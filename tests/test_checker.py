@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclab import checker
+from rclab import checker, simulator
 from rclab.checker import (
     AGREEMENT,
     GENERICITY,
@@ -23,7 +23,6 @@ from rclab.checker import (
     shortest_failure,
     state_checks,
 )
-from rclab import simulator
 from rclab.core import CRASH_ALL_LABEL, FELL_OFF, ORDINARY, crash, digest, ordinary
 from rclab.objects import Register
 from rclab.programs import Fig1Machine, Fig2Machine
@@ -33,8 +32,8 @@ from rclab.valency import build_graph
 from conftest import (
     DIFFERENTIAL_CONFIGS,
     SEEDED_SCHEDULES,
-    make_config,
     keep_raced_decision,
+    make_config,
     make_experiment,
     read_before_write,
     reachable_edges,

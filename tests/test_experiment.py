@@ -75,8 +75,8 @@ def test_table_matches_direct_step(name):
             assert (rec.op, rec.resp) == ("%s return" % frame.pc, outcome.value)
             continue
         assert isinstance(outcome, Next) and len(calls) == 1
-        (name, op, args, new, resp), = calls
-        slot = exp.idx[name]
+        (obj, op, args, new, resp), = calls
+        slot = exp.idx[obj]
         locs = frame.with_locals(outcome.updates) if outcome.updates else frame.locals
         status = FELL_OFF if outcome.pc == END else RUNNING
         want = Frame(frame.pid, outcome.pc, locs, frame.proposal, frame.attempt, status,
@@ -85,7 +85,7 @@ def test_table_matches_direct_step(name):
         objs = pre.objects[:slot] + (new,) + pre.objects[slot + 1:]
         assert repr(post.objects) == repr(objs)
         assert (post.objects is pre.objects) == (new is pre.objects[slot])
-        text = "%s %s %s" % (frame.pc, op, name)
+        text = "%s %s %s" % (frame.pc, op, obj)
         if args:
             text += " " + json.dumps(list(args))
         assert (rec.op, rec.resp) == (text, resp)
