@@ -5,11 +5,18 @@ monitor.  Failures come back as replayable counterexample schedules,
 minimized to the shallowest violating prefix.
 
 All four searches (`explore`, `shortest_failure`, `fuzz`,
-`confirm_violation`) step through one kernel in two parts:
+`confirm_violation`) step on id states (see `experiment`): tuples of
+interned frame, objects and other-field ids, which are their own memo
+keys.  A `SystemState` is built only at the edges: the initial state,
+which `checked_initial_state` checks whole and then interns, and the
+post-state of a crash edge, which `check_state` reads.  The searches
+return schedules, never states.  They step through one kernel in two
+parts:
 
 - The edge checks, run by `checked_edge` on every edge: the transition's
-  own `TransitionError`s (genericity, read-before-write), crash isolation,
-  and `machine.check_edge` on an edge that changed an object.
+  own `TransitionError`s (genericity, read-before-write), crash isolation
+  (a crash edge keeps the objects id), and `machine.check_edge` on an
+  edge that changed the objects id.
 - The state checks, `state_checks`: recoverable wait-freedom of the
   moved frame, agreement and validity, and the machine's state invariant.
   They are facts about the post-state, so they run once per state, when
@@ -31,12 +38,22 @@ memo key with it under `hash_ignores_attempt` differs from it in
 The state checks are also incremental, because the pre-state of every
 edge passed them.  On an ordinary edge, RWF reads the moved frame: every
 other frame is unchanged, and a crash resets frames to a running entry
-with no steps.  Agreement and validity read only the new return, if
-any: under `cross-process` a later return of a pid that already returned
-is ignored, and on a clash the full `check_agreement` writes the detail.
+with no steps.  Agreement and validity run only when the others id
+changed and gained a return, and read only that return: under
+`cross-process` a later return of a pid that already returned is
+ignored, and on a clash the full `check_agreement` writes the detail.
 The machine's invariant reads the moved frame, and the objects only when
-the step wrote one (see `programs.Machine`).  The initial state and
+the objects id changed (see `programs.Machine`).  The initial state and
 every crash edge get the whole `check_state`.
+
+Because the machine's invariants are pure functions of their arguments,
+each is cached per id (`Experiment.frame_check` per frame id and
+failures, `objects_check` per objects id and failures, `edge_check` per
+pair of objects ids), and equal ids mean equal components: a write that
+leaves an equal objects tuple leaves its id, and by the `Machine`
+contract such an edge has nothing to check.  `inspect_edge` runs both
+parts on whole states, reading the components themselves; it is the
+reference the tests hold the id kernel to.
 """
 
 from __future__ import annotations
@@ -56,7 +73,7 @@ from .core import (
     UninitializedRead,
 )
 from .experiment import Experiment, as_experiment
-from .simulator import require_enabled
+from .simulator import ScheduleError
 
 AGREEMENT = "Agreement"
 VALIDITY = "Validity"
@@ -134,40 +151,38 @@ class _DepthLimit(Exception):
     pass
 
 
-def edge_checks(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """The edge checks of one edge that the transition took, if it left a
-    new objects tuple (on any other edge they have nothing to check);
-    None if clean."""
-    if label.kind != ORDINARY and post.objects != pre.objects:
-        # crash isolation: shared objects survive every crash untouched
-        return (INVARIANT, "crash step changed shared objects")
-    err = exp.machine.check_edge(pre.objects, post.objects)
-    if err:
-        return (INVARIANT, err)
+def _rwf(exp: Experiment, fr):
+    """Recoverable wait-freedom of a frame that just moved; None if clean."""
+    if fr.status == FELL_OFF:
+        return (RWF, "p%d reached the end of the program without returning" % fr.pid)
+    if fr.steps > exp.bound:
+        return (RWF, "p%d took %d steps in one attempt, bound is %d"
+                % (fr.pid, fr.steps, exp.bound))
     return None
 
 
-def state_checks(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """The state checks of `post`, reached from `pre` by `label`; None if
-    clean.  `pre` must have passed them: only what the edge touched is
-    checked (see the module docstring)."""
-    machine = exp.machine
+def state_checks(exp: Experiment, pre, label, post):
+    """The state checks of the id state `post`, reached from the id state
+    `pre` by `label`; None if clean.  `pre` must have passed them: only
+    what the edge touched is checked (see the module docstring)."""
+    n = exp.n
     if label.kind != ORDINARY:
-        err = machine.check_state(post)
+        err = exp.machine.check_state(exp.materialize(post))
         return (INVARIANT, err) if err else None
-    fr = post.frames[label.pid - 1]
-    if fr.status == FELL_OFF:
-        return (RWF, "p%d reached the end of the program without returning" % label.pid)
-    if fr.steps > exp.bound:
-        return (RWF, "p%d took %d steps in one attempt, bound is %d"
-                % (label.pid, fr.steps, exp.bound))
-    if len(post.returns) > len(pre.returns):
-        bad = _check_new_return(exp, pre.returns, post.returns)
-        if bad:
-            return bad
-    err = machine.check_frame(fr, post.failures)
-    if not err and post.objects is not pre.objects:
-        err = machine.check_objects(post.objects, post.failures)
+    fid = post[label.pid - 1]
+    bad = _rwf(exp, exp.frames_by_id[fid])
+    if bad:
+        return bad
+    others = exp.others_by_id[post[n + 1]]
+    if post[n + 1] != pre[n + 1]:
+        prior = exp.others_by_id[pre[n + 1]][1]
+        if len(others[1]) > len(prior):
+            bad = _check_new_return(exp, prior, others[1])
+            if bad:
+                return bad
+    err = exp.frame_check(fid, others[0])
+    if not err and post[n] != pre[n]:
+        err = exp.objects_check(post[n], others[0])
     return (INVARIANT, err) if err else None
 
 
@@ -192,39 +207,67 @@ def _check_new_return(exp: Experiment, prior, returns):
 
 
 def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """Both parts for one edge, given that `pre` passed the state checks;
-    None if clean."""
-    bad = post.objects is not pre.objects and edge_checks(exp, pre, label, post)
-    return bad or state_checks(exp, pre, label, post)
+    """Both check parts for one edge between whole states, given that `pre`
+    passed the state checks; None if clean.  `checked_edge` and
+    `state_checks` run the same checks on id states; this is their
+    reference, which reads the components themselves and caches nothing."""
+    machine = exp.machine
+    if post.objects is not pre.objects:
+        if label.kind != ORDINARY and post.objects != pre.objects:
+            # crash isolation: shared objects survive every crash untouched
+            return (INVARIANT, "crash step changed shared objects")
+        err = machine.check_edge(pre.objects, post.objects)
+        if err:
+            return (INVARIANT, err)
+    if label.kind != ORDINARY:
+        err = machine.check_state(post)
+        return (INVARIANT, err) if err else None
+    fr = post.frames[label.pid - 1]
+    bad = _rwf(exp, fr)
+    if not bad and len(post.returns) > len(pre.returns):
+        bad = _check_new_return(exp, pre.returns, post.returns)
+    if bad:
+        return bad
+    err = machine.check_frame(fr, post.failures)
+    if not err and post.objects is not pre.objects:
+        err = machine.check_objects(post.objects, post.failures)
+    return (INVARIANT, err) if err else None
 
 
-def checked_initial_state(exp: Experiment) -> SystemState:
-    """The initial state, after `check_state`; raises `_Violation` if it fails.
-    `explore`, `shortest_failure`, `fuzz` and `confirm_violation` start here."""
+def checked_initial_state(exp: Experiment):
+    """The id state of the initial state, after `check_state`; raises
+    `_Violation` if it fails.  `explore`, `shortest_failure`, `fuzz` and
+    `confirm_violation` start here."""
     init = exp.initial_state()
     err = exp.machine.check_state(init)
     if err:
         raise _Violation(INVARIANT, err)
-    return init
+    return exp.intern(init)
 
 
-def checked_edge(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
-    """The successor of `state` under `label`, after the edge checks.
+def checked_edge(exp: Experiment, state, label: StepLabel):
+    """The successor of the id state `state` under `label`, after the edge
+    checks.
 
     Raises `_Violation` on the first failed check: a genericity or
-    read-before-write error of the transition itself, then `edge_checks`."""
+    read-before-write error of the transition itself, crash isolation
+    (a crash edge must keep the objects id), then `machine.check_edge` on
+    an edge that changed the objects id."""
     try:
-        post = exp.apply_step(state, label)[0]
+        post = exp.successor(state, label)
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
-    if post.objects is not state.objects:
-        bad = edge_checks(exp, state, label, post)
-        if bad:
-            raise _Violation(*bad)
+    n = exp.n
+    if post[n] != state[n]:
+        if label.kind != ORDINARY:
+            raise _Violation(INVARIANT, "crash step changed shared objects")
+        err = exp.edge_check(state[n], post[n])
+        if err:
+            raise _Violation(INVARIANT, err)
     return post
 
 
-def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> SystemState:
+def checked_step(exp: Experiment, state, label: StepLabel):
     """`checked_edge`, then `state_checks`; raises `_Violation` on the first
     failed check.  For a search that keeps no record of the states it
     reached."""
@@ -236,8 +279,8 @@ def checked_step(exp: Experiment, state: SystemState, label: StepLabel) -> Syste
 
 
 def explore(x, memo=True, minimize=True) -> Verdict:
-    """Depth-first search over all enabled schedules, with memoization on
-    canonical states.
+    """Depth-first search over all enabled schedules, memoized on id states
+    (their `state_key`).
 
     The search keeps an explicit stack, so its depth is not bounded by
     Python's recursion limit.  Labels are visited in `enabled_steps`
@@ -251,10 +294,12 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     except _Violation as v:
         return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0))
     counts = {}  # memo key -> complete executions from that state
+    keyed = exp.config.hash_ignores_attempt
+    frames = exp.frames_by_id
     depth_limit = exp.depth_limit
     states, edges, max_steps = 1, 0, 0
     result, prop, detail, trace = "pass", None, None, None
-    # The state being expanded lives in locals: `state`, `todo` (an
+    # The id state being expanded lives in locals: `state`, `todo` (an
     # iterator over its enabled labels not yet taken), `total` (complete
     # executions counted below it so far), `key` (its memo key) and `via`
     # (the label that reached it).  Its ancestors wait on `stack` as
@@ -262,7 +307,7 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     stack = []
     post_key = None
     try:
-        labels = exp.enabled_steps(init)
+        labels = exp.enabled_ids(init)
         if labels and depth_limit <= 0:
             raise _DepthLimit()
         state, todo, total, key, via = init, iter(labels), 0 if labels else 1, None, None
@@ -271,7 +316,7 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 edges += 1
                 post = checked_edge(exp, state, lab)
                 if memo:
-                    post_key = exp.memo_key(post)
+                    post_key = exp.state_key(post) if keyed else post
                     c = counts.get(post_key)
                     if c is not None:
                         # `post` passed the state checks when it was first
@@ -282,11 +327,11 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 if bad:
                     raise _Violation(*bad)
                 if lab.kind == ORDINARY:
-                    steps = post.frames[lab.pid - 1].steps
+                    steps = frames[post[lab.pid - 1]].steps
                     if steps > max_steps:
                         max_steps = steps
                 states += 1
-                labels = exp.enabled_steps(post)
+                labels = exp.enabled_ids(post)
                 if not labels:
                     # a terminal state is one complete execution
                     total += 1
@@ -339,18 +384,18 @@ def shortest_failure(exp: Experiment):
         init = checked_initial_state(exp)
     except _Violation as v:
         return [], v.prop, v.detail
-    seen = {exp.memo_key(init)}
+    seen = {exp.state_key(init)}
     queue = deque([(init, [])])
     while queue:
         state, path = queue.popleft()
         if len(path) >= exp.depth_limit:
             continue
-        for lab in exp.enabled_steps(state):
+        for lab in exp.enabled_ids(state):
             try:
                 post = checked_edge(exp, state, lab)
             except _Violation as v:
                 return path + [lab], v.prop, v.detail
-            key = exp.memo_key(post)
+            key = exp.state_key(post)
             if key in seen:
                 continue
             bad = state_checks(exp, state, lab, post)
@@ -373,12 +418,13 @@ def fuzz(x, episodes=1000) -> Verdict:
     rng = random.Random(seed)
     max_steps, ep = 0, 0
     path: List[StepLabel] = []
+    frames = exp.frames_by_id
     try:
         init = checked_initial_state(exp)
         for ep in range(episodes):
             state, path = init, []
             while True:
-                labels = exp.enabled_steps(state)
+                labels = exp.enabled_ids(state)
                 if not labels:
                     break
                 if len(path) >= exp.depth_limit:
@@ -389,7 +435,7 @@ def fuzz(x, episodes=1000) -> Verdict:
                 path.append(lab)
                 state = checked_step(exp, state, lab)
                 if lab.kind == ORDINARY:
-                    max_steps = max(max_steps, state.frames[lab.pid - 1].steps)
+                    max_steps = max(max_steps, frames[state[lab.pid - 1]].steps)
     except _Violation as v:
         return Verdict("fail", v.prop, v.detail, path, {"episodes": ep + 1, "seed": seed})
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,
@@ -404,7 +450,8 @@ def confirm_violation(x, labels):
     try:
         state = checked_initial_state(exp)
         for i, lab in enumerate(labels):
-            require_enabled(exp, state, lab, i)
+            if lab not in exp.enabled_ids(state):
+                raise ScheduleError(i, lab)
             state = checked_step(exp, state, lab)
     except _Violation as v:
         return v.prop, v.detail

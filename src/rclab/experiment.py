@@ -1,32 +1,56 @@
 """Binds a configuration to a machine and implements the step semantics:
 initial state construction, step enabledness (including the assumption-1
-crash filter), and the pure state transition.
+crash filter), and the pure state transition, on whole `SystemState`s and
+on interned id states.
 
-Enabledness is decided only by `enabled_steps(state)`.  The transition
-trusts its label, which must come from there: the search draws its labels
-from it, and a schedule from outside the search passes each label through
-`simulator.require_enabled` first.
+Enabledness is decided only by `_enabled`, through `enabled_steps(state)`
+or `enabled_ids(ids)`.  The transition trusts its label, which must come
+from there: the search draws its labels from it, and a schedule from
+outside the search passes each label through `simulator.require_enabled`
+first.
 
-The transition has one entry point, `apply_step(state, label)`.  It
-returns the next state and the `StepRecord` a trace stores (op text with
-the JSON-encoded access arguments, and the response); a caller that needs
-only the state takes `[0]`.  A step that leaves every shared object
-unchanged (a read, an `rtas`, a failed `cas`, a crash) returns a state
-whose `objects` is the very tuple of the pre-state.
+Id states.  Each experiment interns the components of the states it
+meets to dense integer ids: frames, objects tuples, and the tuple of the
+other fields (`failures, returns, participants, tas_seen, cons_access`).
+An id state is the tuple `(frame id, ..., frame id, objects id, others
+id)`, one frame id per process.  Two id states are equal exactly when the
+states they stand for are, so an id state is its own memo key, and it
+hashes as a handful of ints, not as nested tuples.  The searches in
+`checker` step on id states with `successor`; `intern` and `materialize`
+convert at the edges of the API.  Under `hash_ignores_attempt`,
+`state_key` maps each frame id and the others id to an id of the same
+component with every attempt zeroed, which is `memo_key`'s partition on
+id states.
 
-Every step goes through the experiment's transition table.  A machine's
-`step(frame, access)` names at most one shared-object access, which the
-experiment performs (`objects.apply`) and answers, and is a pure function
-of the frame and of that response.  So the table runs it once per (frame,
-value of the object accessed) and keeps the access, the successor frame
-and the step's record; a later step from an equal frame on an equal value
-takes them from the table.  A step that raises is never recorded, so it
-raises again on every visit.  What depends on the whole state (the
-genericity monitor's accesses, `participants`, assumption 1's `tas_seen`
-and `armed_crash`) is worked out in `_ordinary` on every step, outside the
-table.  Equal values must therefore be interchangeable, which is why
-`ExperimentConfig.validate` rejects two proposals that compare equal but
-are not the same value.
+The transition on whole states has one entry point, `apply_step(state,
+label)`.  It returns the next state and the `StepRecord` a trace stores
+(op text with the JSON-encoded access arguments, and the response); a
+caller that needs only the state takes `[0]`.  A step that leaves every
+shared object unchanged (a read, an `rtas`, a failed `cas`, a crash)
+returns a state whose `objects` is the very tuple of the pre-state.
+`valency`, `simulator` and the tests use it.
+
+Both transitions go through the experiment's transition table.  A
+machine's `step(frame, access)` names at most one shared-object access,
+which the experiment performs (`objects.apply`) and answers, and is a pure
+function of the frame and of that response.  So `_fill` runs it once per
+(frame id, value of the object accessed) and keeps an `_Entry`: the
+access, the successor frame and its id, and what the step's record is made
+of.  The record itself is made by the first `apply_step` that returns it,
+so the id searches build none.  A later step from an equal frame on an
+equal value takes the entry from the table.  A step that raises is never
+recorded, so it raises again on every visit.  Equal values must therefore
+be interchangeable, which is why `ExperimentConfig.validate` rejects two
+proposals that compare equal but are not the same value.
+
+The genericity monitor on a consensus instance held in a `Cons` object
+reads that object's accessors, which are the value the step accessed, so
+`_fill` decides it.  What else depends on the rest of the state (returns,
+the monitor on an instance built from other objects, `participants`,
+assumption 1's `tas_seen` and `armed_crash`) is worked out once, in
+`_others_after`.  `apply_step` runs it on every such step; `successor`
+caches its result per (entry, others id), and the objects tuple a written
+value leaves per (entry, objects id).
 """
 
 from __future__ import annotations
@@ -67,6 +91,32 @@ class Access(NamedTuple):
     instance: Optional[str]
 
 
+class _Entry:
+    """One transition-table entry: a step from one frame on one value of the
+    object it accessed.
+
+    `outcome` is the `Ret` or the step's `Access`; `frame` and `fid` are the
+    successor frame and its id.  `slot` is the slot the step wrote, or None
+    when it changed no object; `objects_after` then maps an objects id to
+    the id after the write.  `others_after` is None when the step leaves
+    the other fields alone, and otherwise maps an others id to (successor
+    frame id, others id after the step).  `call` holds what `record` is
+    made of until it is made."""
+
+    __slots__ = ("outcome", "frame", "fid", "slot", "objects_after", "others_after",
+                 "call", "record")
+
+    def __init__(self, outcome, frame, fid, slot, touches_others, call):
+        self.outcome = outcome
+        self.frame = frame
+        self.fid = fid
+        self.slot = slot
+        self.objects_after = None if slot is None else {}
+        self.others_after = {} if touches_others else None
+        self.call = call
+        self.record = None
+
+
 class Experiment:
     def __init__(self, config: ExperimentConfig):
         config.validate()
@@ -80,11 +130,15 @@ class Experiment:
             scan_order=config.scan_order,
         )
         layout = self.machine.layout()
+        self.n = config.n
         self.names = [name for name, _ in layout]
         self.idx = {name: i for i, name in enumerate(self.names)}
+        # consensus instances held in one `Cons` object each, by name
+        self._cons_slots = {name: i for i, (name, v) in enumerate(layout)
+                            if isinstance(v, objects.Cons)}
         self.initial_objects = tuple(v for _, v in layout)
         self.bound = self.machine.bound()
-        self.tas_names = frozenset(self.machine.tas_objects())
+        self.tas_names = frozenset(name for name, v in layout if isinstance(v, objects.Tas))
         self.a1 = config.adversary == "assumption1"
         self.rerun = config.mode == "rerun-after-crash"
         pids = range(1, config.n + 1)
@@ -99,12 +153,34 @@ class Experiment:
             # of the configured budget.
             fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
+        # Interned components: id -> component, and component -> id.
+        self.frames_by_id = []
+        self.objects_by_id = []
+        self.others_by_id = []
+        self._frame_ids = {}
+        self._objects_ids = {}
+        self._others_ids = {}
         # The transition table (see the module docstring), filled as steps
-        # are taken: a frame maps to (slot accessed, {its value: (Access,
-        # successor frame, slot written or None, record)}), or for a return
-        # to (None, (Ret, returned frame, None, record)); (CRASH, frame)
-        # maps to the frame a crash resets it to.
+        # are taken: a frame id maps to (slot accessed, {its value: _Entry}),
+        # or for a return to (None, _Entry).  `apply_step` finds the same
+        # rows by the frame itself, which saves it a lookup.
         self._table = {}
+        self._rows_by_frame = {}
+        # per-id caches: the frame a crash resets a frame to, the frame with
+        # its crash armed, the others after a crash, and the attempt-free
+        # ids of `state_key`, which interns attempt-free frames and others
+        # tuples (never equal to each other) in `_attemptless_ids`
+        self._resets = {}
+        self._resets_by_frame = {}
+        self._armed = {}
+        self._crashed = {}
+        self._key_frames = {}
+        self._key_others = {}
+        self._attemptless_ids = {}
+        # the machine's invariants per component id (see `frame_check`)
+        self._frame_checks = {}
+        self._objects_checks = {}
+        self._edge_checks = {}
 
     # -- state construction -------------------------------------------------
 
@@ -121,6 +197,44 @@ class Experiment:
     def get_value(self, state: SystemState, name: str):
         return state.objects[self.idx[name]]
 
+    # -- interning ----------------------------------------------------------
+
+    # Each interns one component with a single hash: `setdefault` returns
+    # the next free id exactly when the component is new.
+
+    def _frame_id(self, frame: Frame) -> int:
+        frames = self.frames_by_id
+        fid = self._frame_ids.setdefault(frame, len(frames))
+        if fid == len(frames):
+            frames.append(frame)
+        return fid
+
+    def _objects_id(self, objs) -> int:
+        values = self.objects_by_id
+        oid = self._objects_ids.setdefault(objs, len(values))
+        if oid == len(values):
+            values.append(objs)
+        return oid
+
+    def _others_id(self, others) -> int:
+        values = self.others_by_id
+        xid = self._others_ids.setdefault(others, len(values))
+        if xid == len(values):
+            values.append(others)
+        return xid
+
+    def intern(self, state: SystemState):
+        """The id state of `state`."""
+        return tuple([self._frame_id(fr) for fr in state.frames]) + (
+            self._objects_id(state.objects), self._others_id(state[2:]))
+
+    def materialize(self, ids) -> SystemState:
+        """The `SystemState` the id state `ids` stands for."""
+        n = self.n
+        frames = self.frames_by_id
+        return SystemState(tuple([frames[f] for f in ids[:n]]), self.objects_by_id[ids[n]],
+                           *self.others_by_id[ids[n + 1]])
+
     # -- enabledness --------------------------------------------------------
 
     def _crashable(self, frame: Frame) -> bool:
@@ -131,23 +245,29 @@ class Experiment:
         return True  # running or fell off the end
 
     def enabled_steps(self, state: SystemState):
-        labels = [
-            self.ordinary_labels[fr.pid - 1] for fr in state.frames if fr.status == RUNNING
-        ]
+        return self._enabled(state.frames, state.failures, state.participants)
+
+    def enabled_ids(self, ids):
+        """`enabled_steps` of the state the id state `ids` stands for."""
+        n = self.n
+        frames = self.frames_by_id
+        others = self.others_by_id[ids[n + 1]]
+        return self._enabled([frames[f] for f in ids[:n]], others[0], others[2])
+
+    def _enabled(self, frames, failures, participants):
+        labels = [self.ordinary_labels[fr.pid - 1] for fr in frames if fr.status == RUNNING]
         kind = self.config.failure
         if kind == "independent":
-            if self.a1 or state.failures < self.config.budget:
-                labels += [
-                    self.crash_labels[fr.pid - 1] for fr in state.frames if self._crashable(fr)
-                ]
+            if self.a1 or failures < self.config.budget:
+                labels += [self.crash_labels[fr.pid - 1] for fr in frames if self._crashable(fr)]
         elif kind == "simultaneous":
-            if state.failures < self.config.budget:
+            if failures < self.config.budget:
                 labels.append(CRASH_ALL_LABEL)
         if self.a1:
-            labels = self.assumption1_filter(state, labels)
+            labels = self.assumption1_filter(frames, participants, labels)
         return labels
 
-    def assumption1_filter(self, state: SystemState, pending):
+    def assumption1_filter(self, frames, participants, pending):
         """Crash steps are forced, not optional: the lowest-numbered
         participating process crashes exactly when its previous step was
         its first access in the execution to some TAS object; no other
@@ -156,12 +276,12 @@ class Experiment:
         smaller ids must never participate (their steps are pruned, since
         any extension containing one would violate the failure pattern
         retroactively)."""
-        crashed = [fr.pid for fr in state.frames if fr.attempt > 1]
+        crashed = [fr.pid for fr in frames if fr.attempt > 1]
         low_crashed = min(crashed) if crashed else None
         forced = None
-        if state.participants:
-            low = min(state.participants)
-            if state.frames[low - 1].armed_crash:
+        if participants:
+            low = min(participants)
+            if frames[low - 1].armed_crash:
                 forced = low
         out = []
         for lab in pending:
@@ -178,20 +298,6 @@ class Experiment:
 
     # -- transition ---------------------------------------------------------
 
-    def _reset_frame(self, frame: Frame) -> Frame:
-        key = (CRASH, frame)
-        reset = self._table.get(key)
-        if reset is None:
-            reset = self._table[key] = self._entry_frame(frame.pid, frame.proposal,
-                                                         frame.attempt + 1)
-        return reset
-
-    def _instance_accesses(self, state: SystemState, instance: str):
-        i = self.idx.get(instance)
-        if i is not None and isinstance(state.objects[i], objects.Cons):
-            return state.objects[i].accessors
-        return {(p, a) for inst, p, a in state.cons_access if inst == instance}
-
     def apply_step(self, state: SystemState, label: StepLabel):
         """The transition: (new state, the step's record).  `label` must be
         one of `enabled_steps(state)`."""
@@ -203,63 +309,72 @@ class Experiment:
         """One ordinary step of `pid`: (new state, the step's record)."""
         frame = state.frames[pid - 1]
         objs = state.objects
-        entry = self._table.get(frame)
-        hit = None
-        if entry is not None:
-            slot, hit = entry
+        # the table entry, found by the frame itself (as in `successor`)
+        row = self._rows_by_frame.get(frame)
+        entry = None
+        if row is not None:
+            slot, entry = row
             if slot is not None:
-                hit = hit.get(objs[slot])
-        if hit is None:
-            hit = self._fill(frame, objs)
-        outcome, new_frame, written, record = hit
-        participants = state.participants | {pid} if self.a1 else state.participants
+                entry = entry.get(objs[slot])
+        if entry is None:
+            entry = self._fill(self._frame_id(frame), objs)
+        if entry.slot is not None:
+            objs = _swap(objs, entry.slot, entry.outcome.new_value)
+        if entry.others_after is None:
+            new_state = SystemState(_swap(state.frames, pid - 1, entry.frame), objs,
+                                    state.failures, state.returns, state.participants,
+                                    state.tas_seen, state.cons_access)
+        else:
+            others, armed = self._others_after(entry, state[2:])
+            new_frame = self.frames_by_id[self._armed_id(entry.fid)] if armed else entry.frame
+            new_state = SystemState(_swap(state.frames, pid - 1, new_frame), objs, *others)
+        return new_state, entry.record or self._record(entry)
 
-        if isinstance(outcome, Ret):
-            new_state = SystemState(
-                _swap(state.frames, pid - 1, new_frame),
-                objs,
-                state.failures,
-                state.returns + ((pid, frame.attempt, outcome.value),),
-                participants,
-                state.tas_seen,
-                state.cons_access,
-            )
-            return new_state, record
+    def successor(self, ids, label: StepLabel):
+        """The id state after `label` from the id state `ids`; `label` must
+        be one of `enabled_ids(ids)`.  Builds no `SystemState` and no
+        record."""
+        n = self.n
+        if label.kind != ORDINARY:
+            return self._crash_ids(ids, label)
+        i = label.pid - 1
+        oid = ids[n]
+        xid = ids[n + 1]
+        objs = self.objects_by_id[oid]
+        # the table entry of frame id ids[i] on the value its step accesses
+        row = self._table.get(ids[i])
+        entry = None
+        if row is not None:
+            slot, entry = row
+            if slot is not None:
+                entry = entry.get(objs[slot])
+        if entry is None:
+            entry = self._fill(ids[i], objs)
+        fid = entry.fid
+        if entry.slot is not None:
+            after = entry.objects_after
+            new_oid = after.get(oid)
+            if new_oid is None:
+                new_oid = after[oid] = self._objects_id(
+                    _swap(objs, entry.slot, entry.outcome.new_value))
+            oid = new_oid
+        if entry.others_after is not None:
+            after = entry.others_after
+            got = after.get(xid)
+            if got is None:
+                others, armed = self._others_after(entry, self.others_by_id[xid])
+                got = after[xid] = (self._armed_id(fid) if armed else fid,
+                                    self._others_id(others))
+            fid, xid = got
+        return ids[:i] + (fid,) + ids[i + 1:n] + (oid, xid)
 
-        cons_access = state.cons_access
-        if outcome.instance is not None and self.config.monitor:
-            for p2, a2 in self._instance_accesses(state, outcome.instance):
-                if p2 == pid:
-                    raise GenericityViolation(outcome.instance, pid, frame.attempt, a2)
-            if self.idx.get(outcome.instance) is None:
-                cons_access = cons_access | {(outcome.instance, pid, frame.attempt)}
-
-        tas_seen = state.tas_seen
-        if self.a1 and outcome.op in ("tas", "rtas"):
-            if (pid, outcome.obj) not in tas_seen:
-                new_frame = new_frame._replace(armed_crash=True)
-            tas_seen = tas_seen | {(pid, outcome.obj)}
-
-        new_state = SystemState(
-            _swap(state.frames, pid - 1, new_frame),
-            objs if written is None else _swap(objs, written, outcome.new_value),
-            state.failures,
-            state.returns,
-            participants,
-            tas_seen,
-            cons_access,
-        )
-        return new_state, record
-
-    def _fill(self, frame: Frame, objs):
-        """Run the machine's step for `frame` on the objects `objs`, enter it
-        in the transition table, and return the entry's (outcome, successor
-        frame, slot written, record): the outcome is the `Ret` or the
-        step's `Access`, the slot is None when the step changed no object,
-        and the record is the step's `StepRecord`.
-        A `Ret` accesses no object and is entered under the frame alone; a
-        `Next` is entered under the frame and the value of the one object
-        it accessed."""
+    def _fill(self, fid: int, objs) -> _Entry:
+        """Run the machine's step for frame `fid` on the objects `objs`,
+        enter it in the transition table, and return the entry.
+        A `Ret` accesses no object and is entered under the frame id alone;
+        a `Next` is entered under the frame id and the value of the one
+        object it accessed."""
+        frame = self.frames_by_id[fid]
         calls = []
         idx = self.idx
 
@@ -270,7 +385,6 @@ class Experiment:
             return resp
 
         outcome = self.machine.step(frame, access)
-        label = self.ordinary_labels[frame.pid - 1]
         if isinstance(outcome, Ret):
             if calls:
                 raise AssertionError("%s returned at %s after accessing %s"
@@ -279,15 +393,26 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            record = StepRecord(label, "%s return" % frame.pc, outcome.value)
-            hit = (outcome, new_frame, None, record)
-            self._table[frame] = (None, hit)
-            return hit
+            entry = _Entry(outcome, new_frame, self._frame_id(new_frame), None, True,
+                           (frame.pc, None, None, None, outcome.value))
+            self._table[fid] = self._rows_by_frame[frame] = (None, entry)
+            return entry
         if len(calls) != 1:
             raise AssertionError("%s at %s made %d accesses; a step makes exactly one"
                                  % (self.machine.program_id, frame.pc, len(calls)))
         (name, op, args, slot, new, resp), = calls
         value = objs[slot]
+        instance = outcome.instance
+        watched = instance is not None and self.config.monitor
+        if watched and instance in self._cons_slots:
+            # the monitor reads the instance's accessors, the value accessed
+            if self._cons_slots[instance] != slot:
+                raise AssertionError("%s at %s begins %s but accesses %s"
+                                     % (self.machine.program_id, frame.pc, instance, name))
+            for p2, a2 in value.accessors:
+                if p2 == frame.pid:
+                    raise GenericityViolation(instance, frame.pid, frame.attempt, a2)
+            watched = False
         new_frame = Frame(
             frame.pid,
             outcome.pc,
@@ -299,51 +424,177 @@ class Experiment:
             frame.steps + 1,
             False,
         )
-        text = "%s %s %s" % (frame.pc, op, name)
-        if args:
-            text += " " + json.dumps(list(args))
-        record = StepRecord(label, text, resp)
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects tuple, so callers can tell no object
         # changed
-        hit = (Access(name, op, new, outcome.instance), new_frame,
-               None if new is value else slot, record)
-        entry = self._table.setdefault(frame, (slot, {}))
-        if entry[0] != slot:
+        entry = _Entry(Access(name, op, new, instance), new_frame, self._frame_id(new_frame),
+                       None if new is value else slot, watched or self.a1,
+                       (frame.pc, name, op, args, resp))
+        row = self._table.get(fid)
+        if row is None:
+            row = self._table[fid] = self._rows_by_frame[frame] = (slot, {})
+        elif row[0] != slot:
             raise AssertionError("%s at %s accessed slot %s, earlier slot %s"
-                                 % (self.machine.program_id, frame.pc, slot, entry[0]))
-        entry[1][value] = hit
-        return hit
+                                 % (self.machine.program_id, frame.pc, slot, row[0]))
+        row[1][value] = entry
+        return entry
+
+    def _record(self, entry: _Entry) -> StepRecord:
+        """The entry's `StepRecord`, made on its first use."""
+        pc, name, op, args, resp = entry.call
+        if name is None:
+            text = "%s return" % pc
+        else:
+            text = "%s %s %s" % (pc, op, name)
+            if args:
+                text += " " + json.dumps(list(args))
+        entry.record = StepRecord(self.ordinary_labels[entry.frame.pid - 1], text, resp)
+        entry.call = None
+        return entry.record
+
+    def _others_after(self, entry: _Entry, others):
+        """(the other fields after the step of `entry` from a state whose
+        other fields are `others`, whether the step arms the stepper's
+        crash under assumption 1).  Raises `GenericityViolation` when the
+        step begins an instance its process accessed in an earlier
+        attempt."""
+        failures, returns, participants, tas_seen, cons_access = others
+        pid = entry.frame.pid
+        attempt = entry.frame.attempt
+        outcome = entry.outcome
+        armed = False
+        if self.a1:
+            participants = participants | {pid}
+        if isinstance(outcome, Ret):
+            returns = returns + ((pid, attempt, outcome.value),)
+        else:
+            instance = outcome.instance
+            if instance is not None and self.config.monitor:
+                for inst, p2, a2 in cons_access:
+                    if inst == instance and p2 == pid:
+                        raise GenericityViolation(instance, pid, attempt, a2)
+                cons_access = cons_access | {(instance, pid, attempt)}
+            if self.a1 and outcome.op in ("tas", "rtas"):
+                armed = (pid, outcome.obj) not in tas_seen
+                tas_seen = tas_seen | {(pid, outcome.obj)}
+        return (failures, returns, participants, tas_seen, cons_access), armed
+
+    def _armed_id(self, fid: int) -> int:
+        armed = self._armed.get(fid)
+        if armed is None:
+            frame = self.frames_by_id[fid]
+            armed = self._armed[fid] = self._frame_id(frame._replace(armed_crash=True))
+        return armed
+
+    def _reset_id(self, fid: int) -> int:
+        """The frame a crash resets frame `fid` to."""
+        reset = self._resets.get(fid)
+        if reset is None:
+            frame = self.frames_by_id[fid]
+            reset = self._resets[fid] = self._frame_id(
+                self._entry_frame(frame.pid, frame.proposal, frame.attempt + 1))
+        return reset
+
+    def _reset(self, frame: Frame) -> Frame:
+        """`_reset_id` by the frame itself."""
+        reset = self._resets_by_frame.get(frame)
+        if reset is None:
+            reset = self._resets_by_frame[frame] = self.frames_by_id[
+                self._reset_id(self._frame_id(frame))]
+        return reset
 
     def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
         """Reset the crashed frame, or for a simultaneous crash every frame
         that has not halted, and count one failure."""
+        frames = state.frames
         if label.kind == CRASH:
-            frame = state.frames[label.pid - 1]
-            frames = _swap(state.frames, label.pid - 1, self._reset_frame(frame))
+            frames = _swap(frames, label.pid - 1, self._reset(frames[label.pid - 1]))
         else:
-            frames = tuple(
-                fr if fr.status == HALTED else self._reset_frame(fr)
-                for fr in state.frames
-            )
-        return SystemState(
-            frames,
-            state.objects,
-            state.failures + 1,
-            state.returns,
-            state.participants,
-            state.tas_seen,
-            state.cons_access,
-        )
+            frames = tuple([fr if fr.status == HALTED else self._reset(fr) for fr in frames])
+        return SystemState(frames, state.objects, state.failures + 1, state.returns,
+                           state.participants, state.tas_seen, state.cons_access)
+
+    def _crash_ids(self, ids, label: StepLabel):
+        """`_crash` on id states."""
+        n = self.n
+        if label.kind == CRASH:
+            i = label.pid - 1
+            fids = ids[:i] + (self._reset_id(ids[i]),) + ids[i + 1:n]
+        else:
+            frames = self.frames_by_id
+            fids = tuple([f if frames[f].status == HALTED else self._reset_id(f)
+                          for f in ids[:n]])
+        xid = ids[n + 1]
+        crashed = self._crashed.get(xid)
+        if crashed is None:
+            others = self.others_by_id[xid]
+            crashed = self._crashed[xid] = self._others_id((others[0] + 1,) + others[1:])
+        return fids + (ids[n], crashed)
+
+    # -- the machine's invariants on ids --------------------------------------
+
+    def frame_check(self, fid: int, failures: int) -> Optional[str]:
+        """`machine.check_frame` of frame `fid`, cached per (frame id,
+        failures): the invariants are pure functions of their arguments."""
+        key = (fid, failures)
+        try:
+            return self._frame_checks[key]
+        except KeyError:
+            err = self._frame_checks[key] = self.machine.check_frame(
+                self.frames_by_id[fid], failures)
+            return err
+
+    def objects_check(self, oid: int, failures: int) -> Optional[str]:
+        """`machine.check_objects` of objects `oid`, cached per (objects id,
+        failures)."""
+        key = (oid, failures)
+        try:
+            return self._objects_checks[key]
+        except KeyError:
+            err = self._objects_checks[key] = self.machine.check_objects(
+                self.objects_by_id[oid], failures)
+            return err
+
+    def edge_check(self, pre_oid: int, post_oid: int) -> Optional[str]:
+        """`machine.check_edge` between two objects ids, cached per pair."""
+        key = (pre_oid, post_oid)
+        try:
+            return self._edge_checks[key]
+        except KeyError:
+            objs = self.objects_by_id
+            err = self._edge_checks[key] = self.machine.check_edge(objs[pre_oid], objs[post_oid])
+            return err
 
     # -- hashing ------------------------------------------------------------
 
     def memo_key(self, state: SystemState):
         if not self.config.hash_ignores_attempt:
             return state
-        frames = tuple(fr._replace(attempt=0) for fr in state.frames)
-        returns = tuple((p, 0, v) for p, _a, v in state.returns)
-        return state._replace(frames=frames, returns=returns)
+        return state._replace(frames=tuple([_attemptless(fr) for fr in state.frames]),
+                              returns=_attemptless_returns(state.returns))
+
+    def state_key(self, ids):
+        """`memo_key` on id states: under `hash_ignores_attempt`, `ids` with
+        each frame id and the others id mapped to the id of the same
+        component with its attempts zeroed; otherwise `ids` itself."""
+        if not self.config.hash_ignores_attempt:
+            return ids
+        n = self.n
+        attemptless = self._attemptless_ids
+        key = []
+        for fid in ids[:n]:
+            k = self._key_frames.get(fid)
+            if k is None:
+                fr = _attemptless(self.frames_by_id[fid])
+                k = self._key_frames[fid] = attemptless.setdefault(fr, len(attemptless))
+            key.append(k)
+        xid = ids[n + 1]
+        k = self._key_others.get(xid)
+        if k is None:
+            others = self.others_by_id[xid]
+            others = (others[0], _attemptless_returns(others[1])) + others[2:]
+            k = self._key_others[xid] = attemptless.setdefault(others, len(attemptless))
+        return tuple(key) + (ids[n], k)
 
 
 def as_experiment(x) -> Experiment:
@@ -353,6 +604,14 @@ def as_experiment(x) -> Experiment:
     if isinstance(x, ExperimentConfig):
         return Experiment(x)
     return Experiment(ExperimentConfig.from_dict(dict(x)))
+
+
+def _attemptless(frame: Frame) -> Frame:
+    return frame._replace(attempt=0)
+
+
+def _attemptless_returns(returns):
+    return tuple([(p, 0, v) for p, _a, v in returns])
 
 
 def _swap(tup, i, value):

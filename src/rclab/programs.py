@@ -160,9 +160,6 @@ class Machine:
         """Static upper bound on ordinary steps in a single attempt."""
         raise NotImplementedError
 
-    def tas_objects(self) -> list:
-        return [name for name, v in self.layout() if isinstance(v, objects.Tas)]
-
     # Machine-specific invariants; each returns an error string or None.
     def check_state(self, state) -> Optional[str]:
         for fr in state.frames:

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from rclab.config import ExperimentConfig
-from rclab.core import CRASH_ALL_LABEL, GenericityViolation, UninitializedRead, ordinary
+from rclab.core import BOTTOM, CRASH_ALL_LABEL, GenericityViolation, UninitializedRead, ordinary
 from rclab.experiment import Experiment
 from rclab.programs import Next, Ret
 
@@ -80,6 +80,34 @@ def keep_raced_decision(step):
         if zi + 1 < len(zs):
             return Next("xn:forp", {"zi": zi + 1})
         return Next("xn:retd")
+    return mutant
+
+
+def skip_decision_write(step):
+    """fig1 with a seeded bug: a process reads `D` where it should record its
+    decision there, so a recovering process never learns it."""
+    def mutant(self, frame, access):
+        if frame.pc != "x:wD":
+            return step(self, frame, access)
+        access("D", "read")
+        return Next("x:retd")
+    return mutant
+
+
+def scan_decisions_descending(step):
+    """fig2 with a seeded bug: the scan of `D[0..k-1]` runs from the top
+    down, so the decision of the smallest iteration wins, not the largest."""
+    def mutant(self, frame, access):
+        if frame.pc != "xn:forado":
+            return step(self, frame, access)
+        k = frame.loc("k")
+        kp = frame.loc("kp")
+        resp = access("D[%d]" % (k - 1 - kp), "read")
+        upd = {} if resp is BOTTOM else {"v": resp}
+        if kp + 1 <= k - 1:
+            upd["kp"] = kp + 1
+            return Next("xn:forado", upd)
+        return Next(self.inner.entry, upd)
     return mutant
 
 

@@ -1,5 +1,7 @@
 """Property evaluation, exhaustive search, minimization, fuzzing."""
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -23,7 +25,15 @@ from rclab.checker import (
     shortest_failure,
     state_checks,
 )
-from rclab.core import CRASH_ALL_LABEL, FELL_OFF, ORDINARY, crash, digest, ordinary
+from rclab.core import (
+    CRASH_ALL_LABEL,
+    FELL_OFF,
+    ORDINARY,
+    canonical,
+    crash,
+    digest,
+    ordinary,
+)
 from rclab.objects import Register
 from rclab.programs import Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
@@ -38,6 +48,8 @@ from conftest import (
     read_before_write,
     reachable_edges,
     reenter_after_crash,
+    scan_decisions_descending,
+    skip_decision_write,
 )
 
 
@@ -188,10 +200,48 @@ def test_incremental_state_checks_equal_full_checks(name):
     outcomes = set()
     for state, lab, post in reachable_edges(exp):
         if full_state_properties(exp, state) is None:
-            got = state_checks(exp, state, lab, post)
+            got = state_checks(exp, exp.intern(state), lab, exp.intern(post))
             assert got == reference_state_checks(exp, lab, post), (state, lab)
             outcomes.add(got and got[0])
     if name not in DIFFERENTIAL_CONFIGS:
+        assert outcomes - {None}, "no violating edge"
+
+
+# The differential configs and fig1 under assumption 1, whose frames arm
+# crashes, with the violating configs above.
+ID_CONFIGS = dict(INCREMENTAL_CONFIGS, **{
+    "fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1"),
+})
+
+
+def kernel_outcome(exp, pre, label):
+    """(post id state, the id kernel's check outcome) of one edge from the id
+    state `pre`; the post id state is None when the edge check failed."""
+    try:
+        post = checker.checked_edge(exp, pre, label)
+    except checker._Violation as v:
+        return None, (v.prop, v.detail)
+    return post, state_checks(exp, pre, label, post)
+
+
+@pytest.mark.parametrize("name", sorted(ID_CONFIGS))
+def test_id_states_match_whole_states(name):
+    exp = make_experiment(**ID_CONFIGS[name])
+    outcomes = set()
+    for state, lab, post in reachable_edges(exp):
+        pre = exp.intern(state)
+        assert exp.materialize(pre) == state
+        assert exp.enabled_ids(pre) == exp.enabled_steps(state)
+        got = exp.materialize(exp.successor(pre, lab))
+        assert got == post, (state, lab)
+        text = json.dumps(canonical(got), separators=(",", ":"))
+        assert digest(got) == hashlib.sha256(text.encode()).hexdigest()
+        if full_state_properties(exp, state) is None:
+            ids, outcome = kernel_outcome(exp, pre, lab)
+            assert ids is None or exp.materialize(ids) == post
+            assert outcome == inspect_edge(exp, state, lab, post), (state, lab)
+            outcomes.add(outcome and outcome[0])
+    if name not in DIFFERENTIAL_CONFIGS and name != "fig1-tas-a1":
         assert outcomes - {None}, "no violating edge"
 
 
@@ -200,7 +250,10 @@ def test_forged_step_into_an_early_iteration_is_reported():
     fr = init.frames[0]
     moved = fr._replace(pc="xn:inc", locals=fr.with_locals({"k": 1}), steps=1)
     post = init._replace(frames=(moved,) + init.frames[1:])
-    assert state_checks(exp, init, ordinary(1), post) == (
+    # the same frame after one failure is clean: the check is per failures
+    pre, after = init._replace(failures=1), post._replace(failures=1)
+    assert state_checks(exp, exp.intern(pre), ordinary(1), exp.intern(after)) is None
+    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
         INVARIANT, "p1 is in iteration 1 with only 0 failures so far")
 
 
@@ -209,7 +262,10 @@ def test_forged_register_write_past_the_failures_is_reported():
     slot = exp.idx["R[2]"]
     post = init._replace(objects=init.objects[:slot] + (Register(2),)
                          + init.objects[slot + 1:])
-    assert state_checks(exp, init, ordinary(1), post) == (
+    # the same objects after one failure are clean: the check is per failures
+    pre, after = init._replace(failures=1), post._replace(failures=1)
+    assert state_checks(exp, exp.intern(pre), ordinary(1), exp.intern(after)) is None
+    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
         INVARIANT, "R[2]=2 with only 0 failures so far")
 
 
@@ -228,7 +284,7 @@ def test_forged_return_is_checked_for_agreement(scope, prior, new, detail):
     init = exp.initial_state()
     pre = init._replace(returns=tuple(prior))
     post = pre._replace(returns=pre.returns + (new,))
-    got = state_checks(exp, pre, ordinary(new[0]), post)
+    got = state_checks(exp, exp.intern(pre), ordinary(new[0]), exp.intern(post))
     assert got == (detail and (AGREEMENT, detail))
     if detail:
         assert detail == check_agreement(post.returns, scope)
@@ -237,7 +293,7 @@ def test_forged_return_is_checked_for_agreement(scope, prior, new, detail):
 def test_forged_invalid_decision_is_reported():
     exp, init = fig2_forge()
     post = init._replace(returns=((1, 1, 99),))
-    assert state_checks(exp, init, ordinary(1), post) == (
+    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
         VALIDITY, "p1 (attempt 1) decided 99, not a proposal")
 
 
@@ -343,6 +399,25 @@ def test_memoization_does_not_change_verdict(fig1_sim1):
             == without.stats["terminal_executions"])
 
 
+# (states, edges, terminal_executions, max_attempt_steps) of each config
+# explored with `hash_ignores_attempt`
+IGNORING_ATTEMPT_STATS = {
+    "cas-rc-b3": (692, 1250, 18080, 2),
+    "fig1-tas-b1": (1364, 2215, 729438, 8),
+    "fig2-2-1-atomic": (1427, 2517, 10303268, 12),
+    "fig2-2-1-tas": (2100, 3750, 527593228, 16),
+    "fig3-b1": (570, 994, 42954, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_explore_ignoring_attempts_is_pinned(name):
+    verdict = explore(make_config(hash_ignores_attempt=True, **DIFFERENTIAL_CONFIGS[name]))
+    assert verdict.passed
+    assert tuple(verdict.stats[k] for k in ("states", "edges", "terminal_executions",
+                                            "max_attempt_steps")) == IGNORING_ATTEMPT_STATS[name]
+
+
 def test_explore_leaves_recursion_limit_unchanged():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default
@@ -402,6 +477,30 @@ def test_fig2_mutant_that_keeps_a_raced_decision_is_caught(monkeypatch, kw, leng
     assert confirm_violation(exp, verdict.trace_labels)[0] == AGREEMENT
     trace, final = simulator.run(exp, verdict.trace_labels)
     assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
+
+
+@pytest.mark.parametrize("machine,mutate,kw,length", [
+    (Fig1Machine, skip_decision_write, dict(failure="simultaneous", budget=1), 14),
+    (Fig1Machine, skip_decision_write, dict(failure="simultaneous", budget=1, cons="tas"), 15),
+    (Fig2Machine, scan_decisions_descending,
+     dict(program="fig2", f=2, failure="independent", budget=2), 26),
+])
+def test_mutant_is_caught_with_a_replayable_counterexample(monkeypatch, machine, mutate,
+                                                           kw, length):
+    monkeypatch.setattr(machine, "step", mutate(machine.step))
+    exp = make_experiment(monitor=True, **kw)
+    verdict = explore(exp)
+    assert (verdict.prop, len(verdict.trace_labels)) == (AGREEMENT, length)
+    assert confirm_violation(exp, verdict.trace_labels)[0] == AGREEMENT
+    trace, final = simulator.run(exp, verdict.trace_labels)
+    assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
+
+
+def test_descending_scan_passes_with_one_decision_register(monkeypatch):
+    # with f=1 a process scans only D[0], so the order cannot matter
+    monkeypatch.setattr(Fig2Machine, "step", scan_decisions_descending(Fig2Machine.step))
+    assert explore(make_config(program="fig2", f=1, failure="independent", budget=1,
+                               monitor=True)).passed
 
 
 def test_overload_shortest_failure_is_pinned():

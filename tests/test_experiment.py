@@ -55,7 +55,10 @@ def direct_step(exp, frame, objs):
 
 @pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
 def test_table_matches_direct_step(name):
+    """Every ordinary step the table serves, to `apply_step` and to the id
+    transition `successor`, equals the machine's own step."""
     exp = make_experiment(**TABLE_CONFIGS[name])
+    n = exp.n
     edges = 0
     for pre, lab, post in reachable_edges(exp):
         if lab.kind != ORDINARY:
@@ -63,6 +66,9 @@ def test_table_matches_direct_step(name):
         edges += 1
         frame = pre.frames[lab.pid - 1]
         got = post.frames[lab.pid - 1]
+        pre_ids = exp.intern(pre)
+        ids = exp.successor(pre_ids, lab)
+        got_by_id = exp.frames_by_id[ids[lab.pid - 1]]
         outcome, calls = direct_step(exp, frame, pre.objects)
         _, rec = exp.apply_step(pre, lab)
         if isinstance(outcome, Ret):
@@ -70,8 +76,9 @@ def test_table_matches_direct_step(name):
             status = RETURNED if exp.rerun else HALTED
             want = Frame(frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                          status, outcome.value, frame.steps + 1)
-            assert repr(got) == repr(want)
+            assert repr(got) == repr(got_by_id) == repr(want)
             assert post.objects is pre.objects
+            assert ids[n] == pre_ids[n]
             assert (rec.op, rec.resp) == ("%s return" % frame.pc, outcome.value)
             continue
         assert isinstance(outcome, Next) and len(calls) == 1
@@ -81,10 +88,11 @@ def test_table_matches_direct_step(name):
         status = FELL_OFF if outcome.pc == END else RUNNING
         want = Frame(frame.pid, outcome.pc, locs, frame.proposal, frame.attempt, status,
                      frame.retval, frame.steps + 1, got.armed_crash)
-        assert repr(got) == repr(want)
+        assert repr(got) == repr(got_by_id) == repr(want)
         objs = pre.objects[:slot] + (new,) + pre.objects[slot + 1:]
-        assert repr(post.objects) == repr(objs)
+        assert repr(post.objects) == repr(exp.objects_by_id[ids[n]]) == repr(objs)
         assert (post.objects is pre.objects) == (new is pre.objects[slot])
+        assert (ids[n] == pre_ids[n]) == (objs == pre.objects)
         text = "%s %s %s" % (frame.pc, op, obj)
         if args:
             text += " " + json.dumps(list(args))

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Frontier ladder: end-to-end numbers on configs of growing size.
+"""Frontier ladder: end-to-end numbers on configs of growing size, for a
+change against its parent.
 
 Each run executes in its own process, so each reports its own peak RSS:
 `explore` on four fig2 configs up to the current frontier, the
@@ -10,17 +11,23 @@ trace path (seeded `random_run` -> `run` -> `dump_trace` -> `replay`
 round trips on fig2 n=3 f=1), and the tier-1 test suite.  For every run
 it records wall seconds, states/s, edges/s, peak RSS and bytes per state
 ((peak RSS - RSS before the run) / states).  On the trace path, states
-are trace steps and edges are steps applied, three per trace step.  Times are raw seconds on the machine named in the
-output, not perfbench's reference seconds.
+are trace steps and edges are steps applied, three per trace step.  Times
+are raw seconds on the machine named in the output, not perfbench's
+reference seconds.
 
-The results go into one named column of a JSON file, so that two
-checkouts measured with this same script sit side by side:
+The host may be shared, and its speed drifts by more than a change
+moves, so the two checkouts are measured in pairs: each entry runs
+parent and change in turn, `--pairs` times, the side that goes first
+alternating from pair to pair.  The report gives each side's median and
+the number of pairs in which the change took less wall time:
 
-    python3 tools/ladder.py --out BENCH_6.json --column change
-    python3 tools/ladder.py --root ../parent --out BENCH_6.json --column parent
+    python3 tools/ladder.py --parent ../parent --out BENCH_12.json
+    python3 tools/ladder.py --parent ../parent --out BENCH_12.json --only "fig2 n=4 f=1"
 
-`--root` is the checkout whose `src/` and `tests/` are measured (default:
-the one holding this script).  Existing columns of `--out` are kept.
+`--root` is the change's checkout (default: the one holding this
+script) and `--parent` the parent's; each is measured from its own
+`src/` and `tests/`.  Without `--parent` only the change runs.  Entries
+of `--out` that this run does not measure are kept.
 """
 
 from __future__ import annotations
@@ -71,26 +78,22 @@ def _explore(lib, exp):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    and edges the transitions it took, counted around the instance.  An
-    older checkout steps through `successor`, which there does not call
-    `apply_step`, so both are counted when the instance has both."""
+    and edges the transitions it took, counted around the instance.  A
+    checkout's search calls either `enabled_steps` and `apply_step`, or
+    `enabled_ids` and `successor` (which calls neither of the first two),
+    so all four are counted where the instance has them."""
     counts = [0, 0]
-    enabled = exp.enabled_steps
 
-    def counted_enabled(state):
-        counts[0] += 1
-        return enabled(state)
-
-    def counted(step):
-        def wrapper(state, label):
-            counts[1] += 1
-            return step(state, label)
+    def counted(fn, i):
+        def wrapper(*args):
+            counts[i] += 1
+            return fn(*args)
         return wrapper
 
-    exp.enabled_steps = counted_enabled
-    for name in ("apply_step", "successor"):
+    for name, i in (("enabled_steps", 0), ("enabled_ids", 0),
+                    ("apply_step", 1), ("successor", 1)):
         if hasattr(exp, name):
-            setattr(exp, name, counted(getattr(exp, name)))
+            setattr(exp, name, counted(getattr(exp, name), i))
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
@@ -178,42 +181,91 @@ def commit(root):
     return proc.stdout.strip() or None
 
 
+def run_child(name, root):
+    """One entry measured in a fresh process; its result dict, or the
+    child's exit status when it failed."""
+    with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--root", root, "--one", name,
+             "--result", tmp.name],
+            stdout=subprocess.DEVNULL)
+        return json.load(tmp) if proc.returncode == 0 else {"exit": proc.returncode}
+
+
+MEDIAN_KEYS = ("wall_s", "states_per_s", "edges_per_s", "peak_rss_mb", "bytes_per_state")
+
+
+def summarize(results):
+    """The median of each of `MEDIAN_KEYS` over one side's runs."""
+    out = {}
+    for key in MEDIAN_KEYS:
+        vals = sorted(r[key] for r in results if r.get(key) is not None)
+        if vals:
+            mid = len(vals) // 2
+            out[key] = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
+    return out
+
+
+def measure(name, roots, pairs):
+    """`pairs` pairs of runs of entry `name`, one per side in `roots` (side
+    -> checkout), the first side alternating; the entry's report."""
+    sides = list(roots)
+    runs = {side: [] for side in sides}
+    wins = 0
+    for k in range(pairs):
+        order = sides if k % 2 == 0 else sides[::-1]
+        for side in order:
+            runs[side].append(run_child(name, roots[side]))
+        if len(sides) == 2:
+            parent, change = runs["parent"][-1], runs["change"][-1]
+            wins += change.get("wall_s", float("inf")) < parent.get("wall_s", float("inf"))
+        print("%-42s pair %d: %s" % (name, k + 1, "  ".join(
+            "%s %s s" % (side, runs[side][-1].get("wall_s")) for side in sides)),
+            file=sys.stderr)
+    report = {side: {"median": summarize(runs[side]), "runs": runs[side]} for side in sides}
+    if len(sides) == 2:
+        report["change_wins"] = wins
+    return report
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--root", default=os.path.dirname(HERE))
-    ap.add_argument("--out", required=True)
-    ap.add_argument("--column", required=True)
+    ap.add_argument("--root", default=os.path.dirname(HERE), help="the change's checkout")
+    ap.add_argument("--parent", help="the parent's checkout")
+    ap.add_argument("--out", help="JSON file the report is merged into")
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--only", action="append", choices=sorted(RUNS),
+                    help="measure this entry only (repeatable)")
     ap.add_argument("--one", choices=sorted(RUNS), help=argparse.SUPPRESS)
     ap.add_argument("--result", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    root = os.path.abspath(args.root)
     if args.one:
         # a child: run one entry, write its result where the parent reads it
-        result = run_one(args.one, root)
+        result = run_one(args.one, os.path.abspath(args.root))
         with open(args.result, "w") as fh:
             json.dump(result, fh)
         return 0
+    if not args.out:
+        ap.error("--out is required")
 
-    doc = {"columns": {}, "runs": {}}
+    roots = {"change": os.path.abspath(args.root)}
+    if args.parent:
+        roots = {"parent": os.path.abspath(args.parent), **roots}
+    doc = {"sides": {}, "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["columns"][args.column] = {"commit": commit(root), "machine": machine(),
-                                   "date": time.strftime("%Y-%m-%d")}
-    for name, (what, cfg) in RUNS.items():
-        with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--root", root, "--out", args.out,
-                 "--column", args.column, "--one", name, "--result", tmp.name],
-                stdout=subprocess.DEVNULL)
-            result = json.load(tmp) if proc.returncode == 0 else {"exit": proc.returncode}
-        run = doc["runs"].setdefault(name, {"run": what, "config": cfg})
-        run[args.column] = result
-        print("%-42s %s" % (name, json.dumps(result)), file=sys.stderr)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc["pairs"] = args.pairs
+    doc["sides"] = {side: {"commit": commit(root), "machine": machine(),
+                           "date": time.strftime("%Y-%m-%d")}
+                    for side, root in roots.items()}
+    for name in args.only or RUNS:
+        what, cfg = RUNS[name]
+        doc["runs"][name] = dict(run=what, config=cfg, **measure(name, roots, args.pairs))
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
