@@ -9,36 +9,38 @@ from there: the search draws its labels from it, and a schedule from
 outside the search passes each label through `simulator.require_enabled`
 first.
 
-Id states.  Each experiment interns the components of the states it
-meets to dense integer ids: frames, objects tuples, and the tuple of the
-other fields (`failures, returns, participants, tas_seen, cons_access`).
-An id state is the tuple `(frame id, ..., frame id, objects id, others
-id)`, one frame id per process.  Two id states are equal exactly when the
+Id states.  Each experiment interns the components of the states it meets
+to dense integer ids: frames, objects tuples, and the tuple of the other
+fields (`failures, returns, participants, tas_seen, cons_access`).  An id
+state is the tuple `(frame id, ..., frame id, objects id, others id)`,
+one frame id per process.  Two id states are equal exactly when the
 states they stand for are, so an id state is its own memo key, and it
 hashes as a handful of ints, not as nested tuples.  The searches in
-`checker` step on id states with `successor`; `intern` and `materialize`
-convert at the edges of the API.  Under `hash_ignores_attempt`,
-`state_key` maps each frame id and the others id to an id of the same
-component with every attempt zeroed, which is `memo_key`'s partition on
-id states.
+`checker` step on id states with `successor` and build a `SystemState`
+(`materialize`) only where a caller needs a whole one.  Under
+`hash_ignores_attempt`, `state_key` maps each frame id and the others id
+to an id of the same component with every attempt zeroed, which is
+`memo_key`'s partition on id states.
 
-The transition on whole states has one entry point, `apply_step(state,
-label)`.  It returns the next state and the `StepRecord` a trace stores
-(op text with the JSON-encoded access arguments, and the response); a
-caller that needs only the state takes `[0]`.  A step that leaves every
-shared object unchanged (a read, an `rtas`, a failed `cas`, a crash)
-returns a state whose `objects` is the very tuple of the pre-state.
-`valency`, `simulator` and the tests use it.
+The transition on whole states, `apply_step(state, label)`, returns the
+next state and the `StepRecord` a trace stores (op text with the
+JSON-encoded access arguments, and the response); a caller that needs only
+the state takes `[0]`.  A step that leaves every shared object unchanged
+(a read, an `rtas`, a failed `cas`, a crash) returns a state whose
+`objects` is the very tuple of the pre-state.  `valency`, `simulator` and
+the tests use it.  It interns frames but no whole state: going through
+id states and back on every step would cost its callers more than it
+saves.
 
 Both transitions go through the experiment's transition table.  A
 machine's `step(frame, access)` names at most one shared-object access,
 which the experiment performs (`objects.apply`) and answers, and is a pure
 function of the frame and of that response.  So `_fill` runs it once per
 (frame id, value of the object accessed) and keeps an `_Entry`: the
-access, the successor frame and its id, and what the step's record is made
-of.  The record itself is made by the first `apply_step` that returns it,
-so the id searches build none.  A later step from an equal frame on an
-equal value takes the entry from the table.  A step that raises is never
+access, the successor frame, and what the step's record is made of.  The
+record itself is made by the first `apply_step` that returns it, so the
+id searches build none.  A later step from an equal frame on an equal
+value takes the entry from the table.  A step that raises is never
 recorded, so it raises again on every visit.  Equal values must therefore
 be interchangeable, which is why `ExperimentConfig.validate` rejects two
 proposals that compare equal but are not the same value.
@@ -48,9 +50,10 @@ reads that object's accessors, which are the value the step accessed, so
 `_fill` decides it.  What else depends on the rest of the state (returns,
 the monitor on an instance built from other objects, `participants`,
 assumption 1's `tas_seen` and `armed_crash`) is worked out once, in
-`_others_after`.  `apply_step` runs it on every such step; `successor`
-caches its result per (entry, others id), and the objects tuple a written
-value leaves per (entry, objects id).
+`_others_after`.  `apply_step` runs it on every such step.  `successor`
+caches per entry both what `_others_after` makes of an others id and the
+objects id a write leaves from an objects id (an entry fixes the slot and
+the value written).
 """
 
 from __future__ import annotations
@@ -95,26 +98,46 @@ class _Entry:
     """One transition-table entry: a step from one frame on one value of the
     object it accessed.
 
-    `outcome` is the `Ret` or the step's `Access`; `frame` and `fid` are the
-    successor frame and its id.  `slot` is the slot the step wrote, or None
-    when it changed no object; `objects_after` then maps an objects id to
-    the id after the write.  `others_after` is None when the step leaves
-    the other fields alone, and otherwise maps an others id to (successor
-    frame id, others id after the step).  `call` holds what `record` is
-    made of until it is made."""
+    `outcome` is the `Ret` or the step's `Access`; `frame` is the successor
+    frame, and `fid` its id, interned when first asked for.  `slot` is the
+    slot the step wrote, or None when it changed no object; `objects_after`
+    then maps an objects id to the id after the write.  `others_after` is
+    None when the step leaves the other fields alone, and otherwise maps an
+    others id to (successor frame id, others id after the step).  `call`
+    holds what `record` is made of until it is made."""
 
     __slots__ = ("outcome", "frame", "fid", "slot", "objects_after", "others_after",
                  "call", "record")
 
-    def __init__(self, outcome, frame, fid, slot, touches_others, call):
+    def __init__(self, outcome, frame, slot, touches_others, call):
         self.outcome = outcome
         self.frame = frame
-        self.fid = fid
+        self.fid = None
         self.slot = slot
         self.objects_after = None if slot is None else {}
         self.others_after = {} if touches_others else None
         self.call = call
         self.record = None
+
+
+class _Interner:
+    """Dense integer ids for components: equal components share the id of
+    the first one met, which is its index in `values`."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self):
+        self.ids = {}
+        self.values = []
+
+    def id(self, x) -> int:
+        # one hash: `setdefault` returns the next free id exactly when `x`
+        # is new
+        values = self.values
+        i = self.ids.setdefault(x, len(values))
+        if i == len(values):
+            values.append(x)
+        return i
 
 
 class Experiment:
@@ -141,6 +164,9 @@ class Experiment:
         self.tas_names = frozenset(name for name, v in layout if isinstance(v, objects.Tas))
         self.a1 = config.adversary == "assumption1"
         self.rerun = config.mode == "rerun-after-crash"
+        # the statuses of a frame an independent crash may hit: a halted one
+        # never, a returned one when it may run again
+        self._crashable = {RUNNING, FELL_OFF, RETURNED} if self.rerun else {RUNNING, FELL_OFF}
         pids = range(1, config.n + 1)
         self.ordinary_labels = tuple(ordinary(pid) for pid in pids)
         self.crash_labels = tuple(crash(pid) for pid in pids)
@@ -153,30 +179,26 @@ class Experiment:
             # of the configured budget.
             fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
-        # Interned components: id -> component, and component -> id.
-        self.frames_by_id = []
-        self.objects_by_id = []
-        self.others_by_id = []
-        self._frame_ids = {}
-        self._objects_ids = {}
-        self._others_ids = {}
+        # Interned components; `frames_by_id[fid]` is the frame of id fid,
+        # and so on.
+        self._frames, self._objects, self._others = _Interner(), _Interner(), _Interner()
+        self.frames_by_id = self._frames.values
+        self.objects_by_id = self._objects.values
+        self.others_by_id = self._others.values
         # The transition table (see the module docstring), filled as steps
         # are taken: a frame id maps to (slot accessed, {its value: _Entry}),
-        # or for a return to (None, _Entry).  `apply_step` finds the same
-        # rows by the frame itself, which saves it a lookup.
+        # or for a return to (None, _Entry).
         self._table = {}
-        self._rows_by_frame = {}
         # per-id caches: the frame a crash resets a frame to, the frame with
         # its crash armed, the others after a crash, and the attempt-free
         # ids of `state_key`, which interns attempt-free frames and others
-        # tuples (never equal to each other) in `_attemptless_ids`
+        # tuples (never equal to each other) in `_attemptless`
         self._resets = {}
-        self._resets_by_frame = {}
         self._armed = {}
         self._crashed = {}
         self._key_frames = {}
         self._key_others = {}
-        self._attemptless_ids = {}
+        self._attemptless = _Interner()
         # the machine's invariants per component id (see `frame_check`)
         self._frame_checks = {}
         self._objects_checks = {}
@@ -199,34 +221,10 @@ class Experiment:
 
     # -- interning ----------------------------------------------------------
 
-    # Each interns one component with a single hash: `setdefault` returns
-    # the next free id exactly when the component is new.
-
-    def _frame_id(self, frame: Frame) -> int:
-        frames = self.frames_by_id
-        fid = self._frame_ids.setdefault(frame, len(frames))
-        if fid == len(frames):
-            frames.append(frame)
-        return fid
-
-    def _objects_id(self, objs) -> int:
-        values = self.objects_by_id
-        oid = self._objects_ids.setdefault(objs, len(values))
-        if oid == len(values):
-            values.append(objs)
-        return oid
-
-    def _others_id(self, others) -> int:
-        values = self.others_by_id
-        xid = self._others_ids.setdefault(others, len(values))
-        if xid == len(values):
-            values.append(others)
-        return xid
-
     def intern(self, state: SystemState):
         """The id state of `state`."""
-        return tuple([self._frame_id(fr) for fr in state.frames]) + (
-            self._objects_id(state.objects), self._others_id(state[2:]))
+        return tuple([self._frames.id(fr) for fr in state.frames]) + (
+            self._objects.id(state.objects), self._others.id(state[2:]))
 
     def materialize(self, ids) -> SystemState:
         """The `SystemState` the id state `ids` stands for."""
@@ -236,13 +234,6 @@ class Experiment:
                            *self.others_by_id[ids[n + 1]])
 
     # -- enabledness --------------------------------------------------------
-
-    def _crashable(self, frame: Frame) -> bool:
-        if frame.status == HALTED:
-            return False
-        if frame.status == RETURNED:
-            return self.rerun
-        return True  # running or fell off the end
 
     def enabled_steps(self, state: SystemState):
         return self._enabled(state.frames, state.failures, state.participants)
@@ -255,13 +246,17 @@ class Experiment:
         return self._enabled([frames[f] for f in ids[:n]], others[0], others[2])
 
     def _enabled(self, frames, failures, participants):
-        labels = [self.ordinary_labels[fr.pid - 1] for fr in frames if fr.status == RUNNING]
-        kind = self.config.failure
+        ordinary = self.ordinary_labels
+        labels = [ordinary[fr.pid - 1] for fr in frames if fr.status == RUNNING]
+        config = self.config
+        kind = config.failure
         if kind == "independent":
-            if self.a1 or failures < self.config.budget:
-                labels += [self.crash_labels[fr.pid - 1] for fr in frames if self._crashable(fr)]
+            if self.a1 or failures < config.budget:
+                crashes = self.crash_labels
+                crashable = self._crashable
+                labels += [crashes[fr.pid - 1] for fr in frames if fr.status in crashable]
         elif kind == "simultaneous":
-            if failures < self.config.budget:
+            if failures < config.budget:
                 labels.append(CRASH_ALL_LABEL)
         if self.a1:
             labels = self.assumption1_filter(frames, participants, labels)
@@ -309,15 +304,17 @@ class Experiment:
         """One ordinary step of `pid`: (new state, the step's record)."""
         frame = state.frames[pid - 1]
         objs = state.objects
-        # the table entry, found by the frame itself (as in `successor`)
-        row = self._rows_by_frame.get(frame)
+        # as in `successor`, but the frame id is looked up (None for a frame
+        # not met before, which has no row)
+        fid = self._frames.ids.get(frame)
+        row = self._table.get(fid)
         entry = None
         if row is not None:
             slot, entry = row
             if slot is not None:
                 entry = entry.get(objs[slot])
         if entry is None:
-            entry = self._fill(self._frame_id(frame), objs)
+            entry = self._fill(self._frames.id(frame) if fid is None else fid, objs)
         if entry.slot is not None:
             objs = _swap(objs, entry.slot, entry.outcome.new_value)
         if entry.others_after is None:
@@ -326,7 +323,7 @@ class Experiment:
                                     state.tas_seen, state.cons_access)
         else:
             others, armed = self._others_after(entry, state[2:])
-            new_frame = self.frames_by_id[self._armed_id(entry.fid)] if armed else entry.frame
+            new_frame = entry.frame._replace(armed_crash=True) if armed else entry.frame
             new_state = SystemState(_swap(state.frames, pid - 1, new_frame), objs, *others)
         return new_state, entry.record or self._record(entry)
 
@@ -351,11 +348,13 @@ class Experiment:
         if entry is None:
             entry = self._fill(ids[i], objs)
         fid = entry.fid
+        if fid is None:
+            fid = entry.fid = self._frames.id(entry.frame)
         if entry.slot is not None:
             after = entry.objects_after
             new_oid = after.get(oid)
             if new_oid is None:
-                new_oid = after[oid] = self._objects_id(
+                new_oid = after[oid] = self._objects.id(
                     _swap(objs, entry.slot, entry.outcome.new_value))
             oid = new_oid
         if entry.others_after is not None:
@@ -364,9 +363,13 @@ class Experiment:
             if got is None:
                 others, armed = self._others_after(entry, self.others_by_id[xid])
                 got = after[xid] = (self._armed_id(fid) if armed else fid,
-                                    self._others_id(others))
+                                    self._others.id(others))
             fid, xid = got
-        return ids[:i] + (fid,) + ids[i + 1:n] + (oid, xid)
+        post = list(ids)
+        post[i] = fid
+        post[n] = oid
+        post[n + 1] = xid
+        return tuple(post)
 
     def _fill(self, fid: int, objs) -> _Entry:
         """Run the machine's step for frame `fid` on the objects `objs`,
@@ -393,9 +396,9 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            entry = _Entry(outcome, new_frame, self._frame_id(new_frame), None, True,
+            entry = _Entry(outcome, new_frame, None, True,
                            (frame.pc, None, None, None, outcome.value))
-            self._table[fid] = self._rows_by_frame[frame] = (None, entry)
+            self._table[fid] = (None, entry)
             return entry
         if len(calls) != 1:
             raise AssertionError("%s at %s made %d accesses; a step makes exactly one"
@@ -427,12 +430,12 @@ class Experiment:
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects tuple, so callers can tell no object
         # changed
-        entry = _Entry(Access(name, op, new, instance), new_frame, self._frame_id(new_frame),
+        entry = _Entry(Access(name, op, new, instance), new_frame,
                        None if new is value else slot, watched or self.a1,
                        (frame.pc, name, op, args, resp))
         row = self._table.get(fid)
         if row is None:
-            row = self._table[fid] = self._rows_by_frame[frame] = (slot, {})
+            row = self._table[fid] = (slot, {})
         elif row[0] != slot:
             raise AssertionError("%s at %s accessed slot %s, earlier slot %s"
                                  % (self.machine.program_id, frame.pc, slot, row[0]))
@@ -480,10 +483,11 @@ class Experiment:
         return (failures, returns, participants, tas_seen, cons_access), armed
 
     def _armed_id(self, fid: int) -> int:
+        """Frame `fid` with its crash armed."""
         armed = self._armed.get(fid)
         if armed is None:
             frame = self.frames_by_id[fid]
-            armed = self._armed[fid] = self._frame_id(frame._replace(armed_crash=True))
+            armed = self._armed[fid] = self._frames.id(frame._replace(armed_crash=True))
         return armed
 
     def _reset_id(self, fid: int) -> int:
@@ -491,17 +495,16 @@ class Experiment:
         reset = self._resets.get(fid)
         if reset is None:
             frame = self.frames_by_id[fid]
-            reset = self._resets[fid] = self._frame_id(
+            reset = self._resets[fid] = self._frames.id(
                 self._entry_frame(frame.pid, frame.proposal, frame.attempt + 1))
         return reset
 
     def _reset(self, frame: Frame) -> Frame:
-        """`_reset_id` by the frame itself."""
-        reset = self._resets_by_frame.get(frame)
+        """`_reset_id` on frames."""
+        reset = self._resets.get(self._frames.ids.get(frame))
         if reset is None:
-            reset = self._resets_by_frame[frame] = self.frames_by_id[
-                self._reset_id(self._frame_id(frame))]
-        return reset
+            reset = self._reset_id(self._frames.id(frame))
+        return self.frames_by_id[reset]
 
     def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
         """Reset the crashed frame, or for a simultaneous crash every frame
@@ -528,7 +531,7 @@ class Experiment:
         crashed = self._crashed.get(xid)
         if crashed is None:
             others = self.others_by_id[xid]
-            crashed = self._crashed[xid] = self._others_id((others[0] + 1,) + others[1:])
+            crashed = self._crashed[xid] = self._others.id((others[0] + 1,) + others[1:])
         return fids + (ids[n], crashed)
 
     # -- the machine's invariants on ids --------------------------------------
@@ -580,20 +583,19 @@ class Experiment:
         if not self.config.hash_ignores_attempt:
             return ids
         n = self.n
-        attemptless = self._attemptless_ids
         key = []
         for fid in ids[:n]:
             k = self._key_frames.get(fid)
             if k is None:
                 fr = _attemptless(self.frames_by_id[fid])
-                k = self._key_frames[fid] = attemptless.setdefault(fr, len(attemptless))
+                k = self._key_frames[fid] = self._attemptless.id(fr)
             key.append(k)
         xid = ids[n + 1]
         k = self._key_others.get(xid)
         if k is None:
             others = self.others_by_id[xid]
             others = (others[0], _attemptless_returns(others[1])) + others[2:]
-            k = self._key_others[xid] = attemptless.setdefault(others, len(attemptless))
+            k = self._key_others[xid] = self._attemptless.id(others)
         return tuple(key) + (ids[n], k)
 
 
