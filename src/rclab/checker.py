@@ -284,7 +284,7 @@ def explore(x, memo=True, minimize=True) -> Verdict:
 
     The search keeps an explicit stack, so its depth is not bounded by
     Python's recursion limit.  Labels are visited in `enabled_steps`
-    order.  Terminal executions are counted exactly (number of distinct
+    order, which `enabled_ids` keeps.  Terminal executions are counted exactly (number of distinct
     complete schedules) by accumulating per-state path counts over the
     acyclic state graph.
     """
