@@ -284,9 +284,9 @@ def explore(x, memo=True, minimize=True) -> Verdict:
 
     The search keeps an explicit stack, so its depth is not bounded by
     Python's recursion limit.  Labels are visited in `enabled_steps`
-    order, which `enabled_ids` keeps.  Terminal executions are counted exactly (number of distinct
-    complete schedules) by accumulating per-state path counts over the
-    acyclic state graph.
+    order, which `enabled_ids` keeps.  Terminal executions are counted
+    exactly (number of distinct complete schedules) by accumulating
+    per-state path counts over the acyclic state graph.
     """
     exp = as_experiment(x)
     try:

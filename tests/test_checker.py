@@ -122,6 +122,11 @@ def test_forged_register_decrease_is_reported():
     pre = init._replace(objects=init.objects[:slot] + (Register(1),)
                         + init.objects[slot + 1:])
     assert inspect_edge(exp, pre, ordinary(1), init) == (INVARIANT, "R[2] decreased")
+    # the id kernel's check, cached per (pre, post) pair of objects ids
+    oids = [exp.intern(init._replace(objects=init.objects[:slot] + (Register(r),)
+                                     + init.objects[slot + 1:]))[exp.n] for r in range(3)]
+    assert exp.edge_check(oids[2], oids[1]) == "R[2] decreased"
+    assert exp.edge_check(oids[0], oids[1]) is None
 
 
 def test_forged_early_iteration_is_reported():
@@ -524,6 +529,19 @@ def test_initial_state_invariant_is_checked_by_every_entry_point(monkeypatch):
     assert (verdict.result, verdict.prop, verdict.trace_labels) == ("fail", INVARIANT, [])
     assert confirm_violation(exp, []) == (INVARIANT, "flagged")
     assert confirm_violation(exp, [ordinary(1)]) == (INVARIANT, "flagged")
+
+
+def test_edge_invariant_is_checked_by_every_entry_point(monkeypatch):
+    # p1's second step, xn:inc, is the first that writes an object
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
+    monkeypatch.setattr(Fig2Machine, "check_edge",
+                        lambda self, pre, post: "flagged" if pre != post else None)
+    verdict = explore(exp)
+    assert (verdict.result, verdict.prop, verdict.detail) == ("fail", INVARIANT, "flagged")
+    assert shortest_failure(exp) == ([ordinary(1)] * 2, INVARIANT, "flagged")
+    assert fuzz(exp, episodes=10).prop == INVARIANT
+    assert confirm_violation(exp, [ordinary(1)]) is None
+    assert confirm_violation(exp, [ordinary(1)] * 2) == (INVARIANT, "flagged")
 
 
 def test_depth_limit_is_exact():
