@@ -472,7 +472,8 @@ class Experiment:
             returns = returns + ((pid, attempt, outcome.value),)
         else:
             instance = outcome.instance
-            if instance is not None and self.config.monitor:
+            # `_fill` watched an instance held in a `Cons` object
+            if instance is not None and self.config.monitor and instance not in self._cons_slots:
                 for inst, p2, a2 in cons_access:
                     if inst == instance and p2 == pid:
                         raise GenericityViolation(instance, pid, attempt, a2)
@@ -571,6 +572,9 @@ class Experiment:
     # -- hashing ------------------------------------------------------------
 
     def memo_key(self, state: SystemState):
+        """The memo key of a whole state: the state itself, or under
+        `hash_ignores_attempt` the state with the attempts of its frames
+        and returns zeroed."""
         if not self.config.hash_ignores_attempt:
             return state
         return state._replace(frames=tuple([_attemptless(fr) for fr in state.frames]),

@@ -224,6 +224,17 @@ def test_tas_cons2_not_recoverable():
 # -- genericity monitor -------------------------------------------------------
 
 
+@pytest.mark.parametrize("adversary", ["exhaustive", "assumption1"])
+def test_monitor_watches_a_cons_instance_through_its_object(adversary):
+    # a decide on C records (pid, attempt) in C's accessors and nothing in
+    # cons_access, also where assumption 1 updates the state's other fields
+    exp = make_experiment(failure="independent", budget=1, monitor=True,
+                          adversary=adversary)
+    _, final = run(exp, [ordinary(1)] * 4)  # x:if x:if2 x:wP x:C
+    assert exp.get_value(final, "C").accessors == {(1, 1)}
+    assert final.cons_access == frozenset()
+
+
 def test_monitor_allows_distinct_instances_across_crash():
     exp = fig2_experiment(monitor=True)
     plan = [("until_pc", 1, "xn:wD"), ("crash", 1), ("until_done", 1)]
