@@ -39,6 +39,7 @@ import os
 import platform
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -199,10 +200,9 @@ def summarize(results):
     """The median of each of `MEDIAN_KEYS` over one side's runs."""
     out = {}
     for key in MEDIAN_KEYS:
-        vals = sorted(r[key] for r in results if r.get(key) is not None)
+        vals = [r[key] for r in results if r.get(key) is not None]
         if vals:
-            mid = len(vals) // 2
-            out[key] = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
+            out[key] = statistics.median(vals)
     return out
 
 
