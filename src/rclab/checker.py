@@ -73,7 +73,7 @@ from .core import (
     UninitializedRead,
 )
 from .experiment import Experiment, as_experiment
-from .simulator import ScheduleError
+from .simulator import require_enabled
 
 AGREEMENT = "Agreement"
 VALIDITY = "Validity"
@@ -450,8 +450,7 @@ def confirm_violation(x, labels):
     try:
         state = checked_initial_state(exp)
         for i, lab in enumerate(labels):
-            if lab not in exp.enabled_ids(state):
-                raise ScheduleError(i, lab)
+            require_enabled(exp, state, lab, i)
             state = checked_step(exp, state, lab)
     except _Violation as v:
         return v.prop, v.detail

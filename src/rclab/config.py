@@ -36,6 +36,9 @@ class ExperimentConfig:
     agreement_scope: str = "all-returns"  # or "cross-process"
     cap: Optional[int] = None  # node cap for graph building
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless every field has a legal type and value;
         the machines and the transition rely on this and check nothing."""
@@ -125,10 +128,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         try:
-            cfg = ExperimentConfig(**d)
+            return ExperimentConfig(**d)
         except TypeError as e:
             raise ConfigError(str(e))
-        return cfg.validate()
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":

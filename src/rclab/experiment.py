@@ -1,7 +1,6 @@
 """Binds a configuration to a machine and implements the step semantics:
 initial state construction, step enabledness (including the assumption-1
-crash filter), and the pure state transition, on whole `SystemState`s and
-on interned id states.
+crash filter), and the pure state transition on interned id states.
 
 Enabledness is decided only by `_enabled`, through `enabled_steps(state)`
 or `enabled_ids(ids)`.  The transition trusts its label, which must come
@@ -16,44 +15,44 @@ state is the tuple `(frame id, ..., frame id, objects id, others id)`,
 one frame id per process.  Two id states are equal exactly when the
 states they stand for are, so an id state is its own memo key, and it
 hashes as a handful of ints, not as nested tuples.  The searches in
-`checker` step on id states with `successor` and build a `SystemState`
-(`materialize`) only where a caller needs a whole one.  Under
-`hash_ignores_attempt`, `state_key` maps each frame id and the others id
-to an id of the same component with every attempt zeroed, which is
-`memo_key`'s partition on id states.
+`checker`, the valency graph and the simulator step on id states with
+`successor` and build a `SystemState` (`materialize`) only where a caller
+needs a whole one.  Under `hash_ignores_attempt`, `state_key` maps each
+frame id and the others id to an id of the same component with every
+attempt zeroed, which is `memo_key`'s partition on id states.
 
-The transition on whole states, `apply_step(state, label)`, returns the
-next state and the `StepRecord` a trace stores (op text with the
-JSON-encoded access arguments, and the response); a caller that needs only
-the state takes `[0]`.  A step that leaves every shared object unchanged
-(a read, an `rtas`, a failed `cas`, a crash) returns a state whose
-`objects` is the very tuple of the pre-state.  `valency`, `simulator` and
-the tests use it.  It interns frames but no whole state: going through
-id states and back on every step would cost its callers more than it
-saves.
+`successor` is the one transition.  `apply_step(state, label)` is a view
+of it on whole states: it interns `state`, steps, and materializes the
+result, returning it with the `StepRecord` a trace stores (op text with
+the JSON-encoded access arguments, and the response, from `record`).  A
+caller that needs only the state takes `[0]`.  The components of a state
+it returns are the interned ones, so after a step that leaves every shared
+object unchanged (a read, an `rtas`, a failed `cas`, a crash), `objects`
+is the very tuple of a pre-state that `apply_step` or `materialize` made.
+`apply_step` keeps the id state of the state it last returned, so a
+caller stepping along one path interns nothing.
 
-Both transitions go through the experiment's transition table.  A
+The transition goes through the experiment's transition table.  A
 machine's `step(frame, access)` names at most one shared-object access,
 which the experiment performs (`objects.apply`) and answers, and is a pure
 function of the frame and of that response.  So `_fill` runs it once per
 (frame id, value of the object accessed) and keeps an `_Entry`: the
 access, the successor frame, and what the step's record is made of.  The
-record itself is made by the first `apply_step` that returns it, so the
-id searches build none.  A later step from an equal frame on an equal
-value takes the entry from the table.  A step that raises is never
-recorded, so it raises again on every visit.  Equal values must therefore
-be interchangeable, which is why `ExperimentConfig.validate` rejects two
+record itself is made by the first `record` that asks for it, so the
+searches build none.  A later step from an equal frame on an equal value
+takes the entry from the table.  A step that raises is never recorded, so
+it raises again on every visit.  Equal values must therefore be
+interchangeable, which is why `ExperimentConfig.validate` rejects two
 proposals that compare equal but are not the same value.
 
 The genericity monitor on a consensus instance held in a `Cons` object
 reads that object's accessors, which are the value the step accessed, so
 `_fill` decides it.  What else depends on the rest of the state (returns,
 the monitor on an instance built from other objects, `participants`,
-assumption 1's `tas_seen` and `armed_crash`) is worked out once, in
-`_others_after`.  `apply_step` runs it on every such step.  `successor`
-caches per entry both what `_others_after` makes of an others id and the
-objects id a write leaves from an objects id (an entry fixes the slot and
-the value written).
+assumption 1's `tas_seen` and `armed_crash`) is worked out in
+`_others_after`.  `successor` caches per entry both what `_others_after`
+makes of an others id and the objects id a write leaves from an objects id
+(an entry fixes the slot and the value written).
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ class _Interner:
 
 class Experiment:
     def __init__(self, config: ExperimentConfig):
-        config.validate()
         self.config = config
         self.machine = build_machine(
             config.program,
@@ -203,6 +201,8 @@ class Experiment:
         self._frame_checks = {}
         self._objects_checks = {}
         self._edge_checks = {}
+        # the state `apply_step` last returned, and its id state
+        self._last = (None, None)
 
     # -- state construction -------------------------------------------------
 
@@ -294,38 +294,27 @@ class Experiment:
     # -- transition ---------------------------------------------------------
 
     def apply_step(self, state: SystemState, label: StepLabel):
-        """The transition: (new state, the step's record).  `label` must be
-        one of `enabled_steps(state)`."""
-        if label.kind == ORDINARY:
-            return self._ordinary(state, label.pid)
-        return self._crash(state, label), self._crash_records[label]
+        """The transition on whole states, a view of `successor`: (new
+        state, the step's record).  `label` must be one of
+        `enabled_steps(state)`."""
+        last, ids = self._last
+        if state is not last:
+            ids = self.intern(state)
+        post = self.successor(ids, label)
+        new_state = self.materialize(post)
+        self._last = (new_state, post)
+        return new_state, self.record(ids, label)
 
-    def _ordinary(self, state: SystemState, pid: int):
-        """One ordinary step of `pid`: (new state, the step's record)."""
-        frame = state.frames[pid - 1]
-        objs = state.objects
-        # as in `successor`, but the frame id is looked up (None for a frame
-        # not met before, which has no row)
-        fid = self._frames.ids.get(frame)
-        row = self._table.get(fid)
-        entry = None
-        if row is not None:
-            slot, entry = row
-            if slot is not None:
-                entry = entry.get(objs[slot])
-        if entry is None:
-            entry = self._fill(self._frames.id(frame) if fid is None else fid, objs)
-        if entry.slot is not None:
-            objs = _swap(objs, entry.slot, entry.outcome.new_value)
-        if entry.others_after is None:
-            new_state = SystemState(_swap(state.frames, pid - 1, entry.frame), objs,
-                                    state.failures, state.returns, state.participants,
-                                    state.tas_seen, state.cons_access)
-        else:
-            others, armed = self._others_after(entry, state[2:])
-            new_frame = entry.frame._replace(armed_crash=True) if armed else entry.frame
-            new_state = SystemState(_swap(state.frames, pid - 1, new_frame), objs, *others)
-        return new_state, entry.record or self._record(entry)
+    def record(self, ids, label: StepLabel) -> StepRecord:
+        """The `StepRecord` of the step `label` from the id state `ids`,
+        which `successor` has taken: it reads the table entry that step
+        used."""
+        if label.kind != ORDINARY:
+            return self._crash_records[label]
+        slot, entry = self._table[ids[label.pid - 1]]
+        if slot is not None:
+            entry = entry[self.objects_by_id[ids[self.n]][slot]]
+        return entry.record or self._record(entry)
 
     def successor(self, ids, label: StepLabel):
         """The id state after `label` from the id state `ids`; `label` must
@@ -428,8 +417,7 @@ class Experiment:
             False,
         )
         # reads, rtas and a failed cas return the object value itself; the
-        # state then keeps its objects tuple, so callers can tell no object
-        # changed
+        # state then keeps its objects id without a lookup
         entry = _Entry(Access(name, op, new, instance), new_frame,
                        None if new is value else slot, watched or self.a1,
                        (frame.pc, name, op, args, resp))
@@ -500,26 +488,9 @@ class Experiment:
                 self._entry_frame(frame.pid, frame.proposal, frame.attempt + 1))
         return reset
 
-    def _reset(self, frame: Frame) -> Frame:
-        """`_reset_id` on frames."""
-        reset = self._resets.get(self._frames.ids.get(frame))
-        if reset is None:
-            reset = self._reset_id(self._frames.id(frame))
-        return self.frames_by_id[reset]
-
-    def _crash(self, state: SystemState, label: StepLabel) -> SystemState:
+    def _crash_ids(self, ids, label: StepLabel):
         """Reset the crashed frame, or for a simultaneous crash every frame
         that has not halted, and count one failure."""
-        frames = state.frames
-        if label.kind == CRASH:
-            frames = _swap(frames, label.pid - 1, self._reset(frames[label.pid - 1]))
-        else:
-            frames = tuple([fr if fr.status == HALTED else self._reset(fr) for fr in frames])
-        return SystemState(frames, state.objects, state.failures + 1, state.returns,
-                           state.participants, state.tas_seen, state.cons_access)
-
-    def _crash_ids(self, ids, label: StepLabel):
-        """`_crash` on id states."""
         n = self.n
         if label.kind == CRASH:
             i = label.pid - 1

@@ -3,7 +3,12 @@ bit-exact replay.  Traces are JSON lines: one header object carrying the
 full configuration, then one record per step with fixed field names
 step/label/pid/op/resp.  A last step that raised a transition error (a
 genericity or read-before-write violation) has no post-state and is
-recorded as step/label/pid/error/detail."""
+recorded as step/label/pid/error/detail.
+
+Every execution here steps on id states (see `experiment`) with
+`enabled_ids` and `successor`; a `SystemState` is built only for what is
+returned or digested: `run`'s and `random_run`'s last state, and each
+state `replay` hashes."""
 
 from __future__ import annotations
 
@@ -36,11 +41,11 @@ class ScheduleError(RcError):
         super().__init__("schedule step %d (%s): %s" % (index, label, why))
 
 
-def require_enabled(exp: Experiment, state: SystemState, label, index) -> None:
-    """Raise ScheduleError unless `label` is enabled in `state`.  The
-    transition trusts its label, so every schedule from outside the search
-    passes each step through here first."""
-    if label not in exp.enabled_steps(state):
+def require_enabled(exp: Experiment, ids, label, index) -> None:
+    """Raise ScheduleError unless `label` is enabled in the id state `ids`.
+    The transition trusts its label, so every schedule from outside the
+    search passes each step through here first."""
+    if label not in exp.enabled_ids(ids):
         raise ScheduleError(index, label)
 
 
@@ -48,44 +53,48 @@ def run(exp: Experiment, labels) -> Tuple[Trace, SystemState]:
     """The trace of a scripted schedule from the initial state (see
     `_steps`), and its last state: for a step that raised, the state
     before it."""
-    state = exp.initial_state()
+    ids = exp.intern(exp.initial_state())
     records = []
-    for state, rec in _steps(exp, state, labels):
+    for ids, rec in _steps(exp, ids, labels):
         records.append(rec)
-    return Trace(exp.config.to_dict(), tuple(records)), state
+    return Trace(exp.config.to_dict(), tuple(records)), exp.materialize(ids)
 
 
-def _steps(exp: Experiment, state: SystemState, labels):
-    """Take a scripted schedule from `state`, yielding (state, record) after
-    each step; every label must be enabled in turn.  A step that raises a
-    `TransitionError` has no post-state: it yields the state before it with
-    a record of the error, and it must be the schedule's last."""
+def _steps(exp: Experiment, ids, labels):
+    """Take a scripted schedule from the id state `ids`, yielding (id state,
+    record) after each step; every label must be enabled in turn.  A step
+    that raises a `TransitionError` has no post-state: it yields the state
+    before it with a record of the error, and it must be the schedule's
+    last."""
     failed = None
     for i, lab in enumerate(labels):
         if failed is not None:
             raise ScheduleError(i, lab, "follows step %d, which raised %s"
                                 % (i - 1, failed.error))
-        require_enabled(exp, state, lab, i)
+        require_enabled(exp, ids, lab, i)
         try:
-            state, rec = exp.apply_step(state, lab)
+            post = exp.successor(ids, lab)
         except TransitionError as e:
             rec = failed = StepRecord(lab, None, None, e.prop, str(e))
-        yield state, rec
+        else:
+            rec = exp.record(ids, lab)
+            ids = post
+        yield ids, rec
 
 
 def random_run(exp: Experiment, rng: random.Random):
     """One execution choosing uniformly among enabled steps, cut after
     `depth_limit` steps."""
-    state = exp.initial_state()
+    ids = exp.intern(exp.initial_state())
     labels: List[StepLabel] = []
     while len(labels) < exp.depth_limit:
-        enabled = exp.enabled_steps(state)
+        enabled = exp.enabled_ids(ids)
         if not enabled:
             break
         lab = rng.choice(enabled)
-        state = exp.apply_step(state, lab)[0]
+        ids = exp.successor(ids, lab)
         labels.append(lab)
-    return labels, state
+    return labels, exp.materialize(ids)
 
 
 # -- serialization ----------------------------------------------------------
@@ -147,12 +156,12 @@ def replay(text: str) -> ReplayResult:
     exp = Experiment(ExperimentConfig.from_dict(header["config"]))
     state = exp.initial_state()
     digests = [digest(state)]
-    # from the very state hashed above, as the digest cache is keyed by identity
-    steps = _steps(exp, state, [rec.label for rec in records])
-    for i, (rec, (state, fresh)) in enumerate(zip(records, steps)):
+    steps = _steps(exp, exp.intern(state), [rec.label for rec in records])
+    for i, (rec, (ids, fresh)) in enumerate(zip(records, steps)):
         if fresh != rec:
             raise ScheduleError(i, rec.label, "replayed %r, recorded %r" % (fresh, rec))
         if fresh.error is None:
+            state = exp.materialize(ids)
             digests.append(digest(state))
     failed = records[-1] if records and records[-1].error is not None else None
     return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, failed)
@@ -180,13 +189,14 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
       ("crash", pid)          one independent crash of pid
       ("crash_all",)          one simultaneous crash
     """
-    state = exp.initial_state()
+    ids = exp.intern(exp.initial_state())
+    frames = exp.frames_by_id
     labels: List[StepLabel] = []
 
     def take(lab):
-        nonlocal state
-        require_enabled(exp, state, lab, len(labels))
-        state = exp.apply_step(state, lab)[0]
+        nonlocal ids
+        require_enabled(exp, ids, lab, len(labels))
+        ids = exp.successor(ids, lab)
         labels.append(lab)
 
     for item in plan:
@@ -194,15 +204,15 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
         if kind == "until_pc":
             _, pid, pc = item
             guard = 0
-            while state.frames[pid - 1].pc != pc:
-                if state.frames[pid - 1].status != RUNNING or guard > exp.depth_limit:
+            while frames[ids[pid - 1]].pc != pc:
+                if frames[ids[pid - 1]].status != RUNNING or guard > exp.depth_limit:
                     raise RcError("plan: p%d never reached %s" % (pid, pc))
                 take(ordinary(pid))
                 guard += 1
         elif kind == "until_done":
             _, pid = item
             guard = 0
-            while state.frames[pid - 1].status == RUNNING:
+            while frames[ids[pid - 1]].status == RUNNING:
                 if guard > exp.depth_limit:
                     raise RcError("plan: p%d never finished" % pid)
                 take(ordinary(pid))

@@ -7,28 +7,33 @@ whose potent set is a singleton are univalent; with two processes and
 two proposals a state with both values still reachable is bivalent, and
 a bivalent state all of whose successors are univalent is critical.
 
-The graph holds each state once (see `ExecGraph`), so the passes over it
-find a child's node id and label by object identity, in dicts keyed by
-`id(state)` that hash no state: the `labels` they take are `classify`'s
-mapping for that same graph."""
+The graph's nodes are id states (see `experiment`): tuples of a few ints,
+each standing for one full state, which hash cheaply, so the passes over
+the graph key their dicts by the states themselves.  The `labels` they
+take are `classify`'s mapping for that same graph; `g.exp.materialize`
+gives the `SystemState` a node stands for."""
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import ORDINARY, RcError, StepLabel, SystemState
+from .core import ORDINARY, RcError, StepLabel
 from .experiment import Experiment, as_experiment
 
 
+IdState = Tuple[int, ...]
+
+
 class ExecGraph(NamedTuple):
-    """Every state object in `adj`, as a key or a child, is its node's key
-    object in `nodes`; node ids are dense, in breadth-first order."""
+    """The reachable graph over id states of `exp`.  Every id state in
+    `adj`, as a key or a child, is its node's key object in `nodes`; node
+    ids are dense, in breadth-first order."""
 
     exp: Experiment
-    init: SystemState
-    nodes: Dict[SystemState, int]  # state -> dense node id
-    adj: Dict[SystemState, List[Tuple[StepLabel, SystemState]]]
-    terminals: Dict[SystemState, frozenset]  # terminal -> decided values
+    init: IdState
+    nodes: Dict[IdState, int]  # state -> dense node id
+    adj: Dict[IdState, List[Tuple[StepLabel, IdState]]]
+    terminals: Dict[IdState, frozenset]  # terminal -> decided values
     capped: bool
 
 
@@ -42,7 +47,9 @@ def build_graph(x) -> ExecGraph:
     config's `cap` nodes when it sets one."""
     exp = as_experiment(x)
     cap = exp.config.cap
-    init = exp.initial_state()
+    others = exp.others_by_id
+    n = exp.n
+    init = exp.intern(exp.initial_state())
     nodes = {init: 0}
     order = [init]  # node id -> the node's key object
     adj = {}
@@ -50,14 +57,14 @@ def build_graph(x) -> ExecGraph:
     capped = False
     # `order` grows while it is walked: it is the breadth-first queue
     for state in order:
-        labels = exp.enabled_steps(state)
+        labels = exp.enabled_ids(state)
         if not labels:
             adj[state] = []
-            terminals[state] = frozenset(v for _p, _a, v in state.returns)
+            terminals[state] = frozenset(v for _p, _a, v in others[state[n + 1]][1])
             continue
         succ = []
         for lab in labels:
-            post = exp.apply_step(state, lab)[0]
+            post = exp.successor(state, lab)
             fresh = len(order)
             nid = nodes.setdefault(post, fresh)
             if nid != fresh:
@@ -83,64 +90,64 @@ def _classify_set(potent: frozenset, exp: Experiment) -> str:
     return "multivalent"
 
 
-def classify(g: ExecGraph) -> Dict[SystemState, ValencyLabel]:
+def classify(g: ExecGraph) -> Dict[IdState, ValencyLabel]:
     """Backward propagation of decided values over the (acyclic) graph;
-    states with equal potent sets share one `ValencyLabel`."""
+    states with equal potent sets share one `ValencyLabel`.  The labels
+    are in post-order."""
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
-    adj = {id(s): succ for s, succ in g.adj.items()}
-    done = {}  # id(state) -> its label
+    adj = g.adj
+    others = g.exp.others_by_id
+    n = g.exp.n
+    done = {}  # state -> its label, in post-order
     shared = {}  # potent set -> its label
-    out = {}  # state -> its label, in post-order
 
     # iterative post-order, children last to first; every step strictly
     # increases progress, so the graph is a DAG and a child met again is done
-    stack = [(g.init, reversed(adj[id(g.init)]))]
+    stack = [(g.init, reversed(adj[g.init]))]
     while stack:
         state, todo = stack[-1]
         for _lab, child in todo:
-            if id(child) not in done:
-                stack.append((child, reversed(adj[id(child)])))
+            if child not in done:
+                stack.append((child, reversed(adj[child])))
                 break
         else:
             stack.pop()
-            potent = frozenset(v for _p, _a, v in state.returns).union(
-                *[done[id(child)].potent for _lab, child in adj[id(state)]])
+            potent = frozenset(v for _p, _a, v in others[state[n + 1]][1]).union(
+                *[done[child].potent for _lab, child in adj[state]])
             lab = shared.get(potent)
             if lab is None:
                 lab = shared[potent] = ValencyLabel(potent, _classify_set(potent, g.exp))
-            done[id(state)] = out[state] = lab
-    return out
+            done[state] = lab
+    return done
 
 
-def find_critical(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
+def find_critical(g: ExecGraph, labels: Dict[IdState, ValencyLabel]):
     """Bivalent states all of whose successors are univalent, with the
     per-successor decided value for each outgoing edge."""
-    by_id = {id(s): lab for s, lab in labels.items()}
     out = []
     for state, lab in labels.items():
         if lab.klass not in ("bivalent", "multivalent"):
             continue
-        succs = [(step, by_id[id(child)]) for step, child in g.adj[state]]
+        succs = [(step, labels[child]) for step, child in g.adj[state]]
         if succs and all(sl.klass == "univalent" for _s, sl in succs):
             out.append((state, [(step, next(iter(sl.potent))) for step, sl in succs]))
     return out
 
 
-def crash_decision_edges(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
+def crash_decision_edges(g: ExecGraph, labels: Dict[IdState, ValencyLabel]):
     """Edges where a crash step moves the system from bivalent to univalent."""
-    by_id = {id(s): lab for s, lab in labels.items()}
     out = []
     for state, succ in g.adj.items():
-        if by_id[id(state)].klass != "bivalent":
+        if labels[state].klass != "bivalent":
             continue
         for step, child in succ:
-            if step.kind != ORDINARY and by_id[id(child)].klass == "univalent":
+            if step.kind != ORDINARY and labels[child].klass == "univalent":
                 out.append((state, step, child))
     return out
 
 
-def summary(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> dict:
+def summary(g: ExecGraph, labels: Dict[IdState, ValencyLabel]) -> dict:
     crit = find_critical(g, labels)
     return {
         "nodes": len(g.nodes),
@@ -152,17 +159,17 @@ def summary(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> dict:
     }
 
 
-def _node_desc(state: SystemState) -> str:
-    return " / ".join(
-        "p%d@%s#%d" % (fr.pid, fr.pc, fr.attempt) for fr in state.frames
-    )
+def _node_desc(exp: Experiment, state: IdState) -> str:
+    frames = exp.frames_by_id
+    return " / ".join("p%d@%s#%d" % (fr.pid, fr.pc, fr.attempt)
+                      for fr in (frames[f] for f in state[:exp.n]))
 
 
-def to_dot(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]) -> str:
+def to_dot(g: ExecGraph, labels: Dict[IdState, ValencyLabel]) -> str:
     return "".join(dot_lines(g, labels))
 
 
-def dot_lines(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
+def dot_lines(g: ExecGraph, labels: Dict[IdState, ValencyLabel]):
     """The lines of `to_dot`'s text, each ending in a newline, made one at
     a time, so that a caller can write them out without holding them."""
     colors = {
@@ -171,21 +178,19 @@ def dot_lines(g: ExecGraph, labels: Dict[SystemState, ValencyLabel]):
         "multivalent": "gold",
         "undecided": "gray",
     }
-    ids = {id(s): nid for s, nid in g.nodes.items()}
-    by_id = {id(s): lab for s, lab in labels.items()}
-    terminal = {id(s) for s in g.terminals}
+    nodes = g.nodes
     yield "digraph executions {\n"
     yield "  rankdir=TB;\n"
     yield "  node [style=filled];\n"
-    for state, nid in g.nodes.items():
-        lab = by_id[id(state)]
-        text = _node_desc(state)
+    for state, nid in nodes.items():
+        lab = labels[state]
+        text = _node_desc(g.exp, state)
         if lab.klass == "univalent":
             text += "\\n-> %r" % (next(iter(lab.potent)),)
-        shape = "doublecircle" if id(state) in terminal else "box"
+        shape = "doublecircle" if state in g.terminals else "box"
         yield ('  n%d [label="%s", fillcolor=%s, shape=%s];\n'
                % (nid, text, colors[lab.klass], shape))
     for state, succ in g.adj.items():
         for step, child in succ:
-            yield '  n%d -> n%d [label="%s"];\n' % (ids[id(state)], ids[id(child)], step)
+            yield '  n%d -> n%d [label="%s"];\n' % (nodes[state], nodes[child], step)
     yield "}\n"

@@ -3,10 +3,26 @@ from collections import deque
 
 import pytest
 
+from rclab import objects
 from rclab.config import ExperimentConfig
-from rclab.core import BOTTOM, CRASH_ALL_LABEL, GenericityViolation, UninitializedRead, ordinary
+from rclab.core import (
+    BOTTOM,
+    CRASH,
+    CRASH_ALL_LABEL,
+    FELL_OFF,
+    HALTED,
+    ORDINARY,
+    RETURNED,
+    RUNNING,
+    Frame,
+    GenericityViolation,
+    SystemState,
+    UninitializedRead,
+    locals_tuple,
+    ordinary,
+)
 from rclab.experiment import Experiment
-from rclab.programs import Next, Ret
+from rclab.programs import END, Next, Ret
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CASES_DIR = os.path.join(GOLDEN_DIR, "cases")
@@ -33,16 +49,90 @@ DIFFERENTIAL_CONFIGS = {
 }
 
 
+def direct_step(exp, frame, objs):
+    """The machine's own step for `frame` on `objs`: (outcome, accesses),
+    each access an (object, op, args, new value, response)."""
+    calls = []
+
+    def access(name, op, args=()):
+        new, resp = objects.apply(objs[exp.idx[name]], op, args)
+        calls.append((name, op, args, new, resp))
+        return resp
+
+    return exp.machine.step(frame, access), calls
+
+
+def reference_step(exp, state, label):
+    """The state after `label` from the whole state `state`, worked out
+    from the machine's own step and the model's rules alone: no transition
+    table, id state or cache of the experiment.  The transition is held to
+    it.  Raises what the step raises, and `GenericityViolation` where the
+    monitor sees a process begin an instance it accessed in an earlier
+    attempt."""
+    machine, config = exp.machine, exp.config
+    frames, objs = state.frames, state.objects
+    failures, returns, participants, tas_seen, cons_access = state[2:]
+    if label.kind != ORDINARY:
+        # a crash resets its frame, a simultaneous one every frame that has
+        # not halted, to the top of the program in the next attempt
+        def hit(fr):
+            return fr.pid == label.pid if label.kind == CRASH else fr.status != HALTED
+
+        frames = tuple(
+            Frame(fr.pid, machine.entry, locals_tuple(machine.init_locals(fr.pid, fr.proposal)),
+                  fr.proposal, fr.attempt + 1) if hit(fr) else fr
+            for fr in frames)
+        return state._replace(frames=frames, failures=failures + 1)
+    pid = label.pid
+    frame = frames[pid - 1]
+    outcome, calls = direct_step(exp, frame, objs)
+    a1 = config.adversary == "assumption1"
+    if a1:
+        participants = participants | {pid}
+    armed = False
+    if isinstance(outcome, Ret):
+        status = RETURNED if config.mode == "rerun-after-crash" else HALTED
+        new_frame = Frame(pid, "done", frame.locals, frame.proposal, frame.attempt, status,
+                          outcome.value, frame.steps + 1)
+        returns = returns + ((pid, frame.attempt, outcome.value),)
+    else:
+        (name, op, _args, new, _resp), = calls
+        instance = outcome.instance
+        if instance is not None and config.monitor:
+            held = objs[exp.idx[instance]] if instance in exp.idx else None
+            if isinstance(held, objects.Cons):
+                # the instance is one `Cons` object, which keeps its accessors
+                prior = [a for p, a in held.accessors if p == pid]
+            else:
+                prior = [a for inst, p, a in cons_access if inst == instance and p == pid]
+                cons_access = cons_access | {(instance, pid, frame.attempt)}
+            if prior:
+                raise GenericityViolation(instance, pid, frame.attempt, prior[0])
+        if a1 and op in ("tas", "rtas"):
+            armed = (pid, name) not in tas_seen
+            tas_seen = tas_seen | {(pid, name)}
+        slot = exp.idx[name]
+        if new is not objs[slot]:
+            objs = objs[:slot] + (new,) + objs[slot + 1:]
+        new_frame = Frame(pid, outcome.pc,
+                          frame.with_locals(outcome.updates) if outcome.updates else frame.locals,
+                          frame.proposal, frame.attempt,
+                          FELL_OFF if outcome.pc == END else RUNNING, frame.retval,
+                          frame.steps + 1, armed)
+    frames = frames[:pid - 1] + (new_frame,) + frames[pid:]
+    return SystemState(frames, objs, failures, returns, participants, tas_seen, cons_access)
+
+
 def reachable_edges(exp):
     """Every edge (state, label, post) of the reachable state graph, found
-    by breadth-first search over `apply_step`."""
+    by breadth-first search over `reference_step`."""
     init = exp.initial_state()
     seen = {init}
     queue = deque([init])
     while queue:
         state = queue.popleft()
         for lab in exp.enabled_steps(state):
-            post, _ = exp.apply_step(state, lab)
+            post = reference_step(exp, state, lab)
             yield state, lab, post
             if post not in seen:
                 seen.add(post)

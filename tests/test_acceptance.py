@@ -149,8 +149,9 @@ def test_criterion_5_fig3_valency_narrative():
     failures = []
     s = None
     for state in g.nodes:
-        if ([fr.pc for fr in state.frames] == ["ex:wP", "ex:wP"]
-                and state.failures == 0):
+        whole = g.exp.materialize(state)
+        if ([fr.pc for fr in whole.frames] == ["ex:wP", "ex:wP"]
+                and whole.failures == 0):
             s = state
     if s is None:
         failures.append("state s (both poised to announce) not found")
@@ -188,7 +189,7 @@ def test_criterion_6_assumption1_mechanics():
     for cfg in cases:
         g = valency.build_graph(cfg)
         m = len(g.exp.tas_names)
-        max_failures = max(s.failures for s in g.terminals)
+        max_failures = max(g.exp.materialize(s).failures for s in g.terminals)
         if max_failures > m:
             failures.append((cfg.program, cfg.f, "failures %d > m %d"
                              % (max_failures, m)))

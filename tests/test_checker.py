@@ -212,10 +212,14 @@ def test_incremental_state_checks_equal_full_checks(name):
         assert outcomes - {None}, "no violating edge"
 
 
-# The differential configs and fig1 under assumption 1, whose frames arm
-# crashes, with the violating configs above.
+# The configs above, fig1 under assumption 1, whose frames arm crashes, and
+# two under the genericity monitor: fig1's instance is one `Cons` object,
+# fig2's is built from registers and a TAS.
 ID_CONFIGS = dict(INCREMENTAL_CONFIGS, **{
     "fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1"),
+    "fig1-atomic-monitor": dict(failure="simultaneous", budget=1, monitor=True),
+    "fig2-2-1-tas-monitor": dict(program="fig2", f=1, cons="tas", failure="independent",
+                                 budget=1, monitor=True),
 })
 
 
@@ -246,7 +250,7 @@ def test_id_states_match_whole_states(name):
             assert ids is None or exp.materialize(ids) == post
             assert outcome == inspect_edge(exp, state, lab, post), (state, lab)
             outcomes.add(outcome and outcome[0])
-    if name not in DIFFERENTIAL_CONFIGS and name != "fig1-tas-a1":
+    if name in INCREMENTAL_CONFIGS and name not in DIFFERENTIAL_CONFIGS:
         assert outcomes - {None}, "no violating edge"
 
 

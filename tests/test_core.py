@@ -7,6 +7,7 @@ import json
 import pytest
 
 from rclab import core
+from rclab.config import ExperimentConfig
 from rclab.core import (
     BOTTOM,
     CRASH_ALL_LABEL,
@@ -18,6 +19,7 @@ from rclab.core import (
     digest,
     ordinary,
 )
+from rclab.experiment import as_experiment
 from rclab.simulator import ScheduleError, require_enabled, run, run_plan
 
 from conftest import (
@@ -44,6 +46,19 @@ def test_to_dict_gives_the_fields_and_a_fresh_proposals_list():
     assert d == dataclasses.asdict(cfg)
     d["proposals"].append(30)
     assert cfg.proposals == [10, 20]
+
+
+def test_experiment_from_a_dict_validates_its_config_once(monkeypatch):
+    calls = []
+    validate = ExperimentConfig.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    as_experiment(dict(program="fig1", n=2, proposals=[10, 20]))
+    assert len(calls) == 1
 
 
 def test_bottom_is_not_a_proposal():
@@ -130,11 +145,11 @@ def test_apply_step_is_pure(fig1_sim1):
 def test_disabled_crash_raises():
     exp = make_experiment(failure="none")
     with pytest.raises(ScheduleError) as err:
-        require_enabled(exp, exp.initial_state(), CRASH_ALL_LABEL, 0)
+        require_enabled(exp, exp.intern(exp.initial_state()), CRASH_ALL_LABEL, 0)
     assert err.value.index == 0 and err.value.label == CRASH_ALL_LABEL
     exp = make_experiment(failure="independent", budget=0)
     with pytest.raises(ScheduleError) as err:
-        require_enabled(exp, exp.initial_state(), crash(1), 3)
+        require_enabled(exp, exp.intern(exp.initial_state()), crash(1), 3)
     assert err.value.index == 3 and err.value.label == crash(1)
 
 

@@ -18,11 +18,11 @@ from rclab.core import (
     UninitializedRead,
     ordinary,
 )
-from rclab import objects
 from rclab.programs import END, Fig1Machine, Next, Ret
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
+    direct_step,
     make_config,
     make_experiment,
     read_before_write,
@@ -40,45 +40,31 @@ TABLE_CONFIGS = dict(
 )
 
 
-def direct_step(exp, frame, objs):
-    """The machine's own step for `frame` on `objs`: (outcome, accesses),
-    each access an (object, op, args, new value, response)."""
-    calls = []
-
-    def access(name, op, args=()):
-        new, resp = objects.apply(objs[exp.idx[name]], op, args)
-        calls.append((name, op, args, new, resp))
-        return resp
-
-    return exp.machine.step(frame, access), calls
-
-
 @pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
 def test_table_matches_direct_step(name):
-    """Every ordinary step the table serves, to `apply_step` and to the id
-    transition `successor`, equals the machine's own step."""
+    """Every ordinary step the table serves to `apply_step` equals the
+    machine's own step and the reference step."""
     exp = make_experiment(**TABLE_CONFIGS[name])
-    n = exp.n
     edges = 0
-    for pre, lab, post in reachable_edges(exp):
+    for state, lab, ref in reachable_edges(exp):
         if lab.kind != ORDINARY:
             continue
         edges += 1
+        pre = exp.materialize(exp.intern(state))
+        post, rec = exp.apply_step(pre, lab)
+        assert post == ref
+        # interned components: equal objects tuples are one tuple
+        assert (post.objects is pre.objects) == (post.objects == pre.objects)
         frame = pre.frames[lab.pid - 1]
         got = post.frames[lab.pid - 1]
-        pre_ids = exp.intern(pre)
-        ids = exp.successor(pre_ids, lab)
-        got_by_id = exp.frames_by_id[ids[lab.pid - 1]]
         outcome, calls = direct_step(exp, frame, pre.objects)
-        _, rec = exp.apply_step(pre, lab)
         if isinstance(outcome, Ret):
             assert calls == []
             status = RETURNED if exp.rerun else HALTED
             want = Frame(frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                          status, outcome.value, frame.steps + 1)
-            assert repr(got) == repr(got_by_id) == repr(want)
+            assert repr(got) == repr(want)
             assert post.objects is pre.objects
-            assert ids[n] == pre_ids[n]
             assert (rec.op, rec.resp) == ("%s return" % frame.pc, outcome.value)
             continue
         assert isinstance(outcome, Next) and len(calls) == 1
@@ -88,11 +74,9 @@ def test_table_matches_direct_step(name):
         status = FELL_OFF if outcome.pc == END else RUNNING
         want = Frame(frame.pid, outcome.pc, locs, frame.proposal, frame.attempt, status,
                      frame.retval, frame.steps + 1, got.armed_crash)
-        assert repr(got) == repr(got_by_id) == repr(want)
+        assert repr(got) == repr(want)
         objs = pre.objects[:slot] + (new,) + pre.objects[slot + 1:]
-        assert repr(post.objects) == repr(exp.objects_by_id[ids[n]]) == repr(objs)
-        assert (post.objects is pre.objects) == (new is pre.objects[slot])
-        assert (ids[n] == pre_ids[n]) == (objs == pre.objects)
+        assert repr(post.objects) == repr(objs)
         text = "%s %s %s" % (frame.pc, op, obj)
         if args:
             text += " " + json.dumps(list(args))
@@ -207,3 +191,17 @@ def test_step_that_reads_another_object_from_an_equal_frame_fails_loudly(monkeyp
         s = exp.apply_step(s, lab)[0]
     with pytest.raises(AssertionError, match="slot"):
         exp.apply_step(s, ordinary(1))
+
+
+def test_apply_step_interns_nothing_along_its_own_path(monkeypatch):
+    exp = make_experiment(failure="simultaneous", budget=1)
+    interned = []
+    intern = exp.intern
+    monkeypatch.setattr(exp, "intern", lambda state: interned.append(state) or intern(state))
+    state = exp.initial_state()
+    for lab in [ordinary(1), CRASH_ALL_LABEL, ordinary(2), ordinary(1)]:
+        state = exp.apply_step(state, lab)[0]
+    assert len(interned) == 1
+    # a state `apply_step` did not return last is interned
+    exp.apply_step(exp.initial_state(), ordinary(1))
+    assert len(interned) == 2

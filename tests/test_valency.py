@@ -58,7 +58,7 @@ def reference_labels(g):
             stack.extend(pending)
             continue
         stack.pop()
-        vals = {v for _p, _a, v in state.returns}
+        vals = {v for _p, _a, v in g.exp.materialize(state).returns}
         for _lab, child in g.adj[state]:
             vals |= potent[child]
         potent[state] = frozenset(vals)
@@ -173,7 +173,7 @@ def test_tas_cons2_critical_state_sits_on_the_tas_object():
     assert crit
     found = False
     for state, succs in crit:
-        if all(fr.pc == "t:tas" for fr in state.frames):
+        if all(fr.pc == "t:tas" for fr in g.exp.materialize(state).frames):
             found = True
             # the two decision steps reach distinct decisions
             assert {val for _step, val in succs} == {10, 20}
@@ -222,8 +222,9 @@ def test_fig3_valency_narrative_states():
     labels = classify(g)
     s = None
     for state in g.nodes:
-        pcs = [fr.pc for fr in state.frames]
-        if pcs == ["ex:wP", "ex:wP"] and state.failures == 0:
+        whole = g.exp.materialize(state)
+        pcs = [fr.pc for fr in whole.frames]
+        if pcs == ["ex:wP", "ex:wP"] and whole.failures == 0:
             s = state
     assert s is not None and labels[s].klass == "bivalent"
     succ = dict()
