@@ -230,8 +230,8 @@ class Experiment:
         """The `SystemState` the id state `ids` stands for."""
         n = self.n
         frames = self.frames_by_id
-        return SystemState(tuple([frames[f] for f in ids[:n]]), self.objects_by_id[ids[n]],
-                           *self.others_by_id[ids[n + 1]])
+        return SystemState._make((tuple([frames[f] for f in ids[:n]]), self.objects_by_id[ids[n]])
+                                 + self.others_by_id[ids[n + 1]])
 
     # -- enabledness --------------------------------------------------------
 
