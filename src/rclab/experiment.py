@@ -230,8 +230,14 @@ class Experiment:
         """The `SystemState` the id state `ids` stands for."""
         n = self.n
         frames = self.frames_by_id
-        return SystemState._make((tuple([frames[f] for f in ids[:n]]), self.objects_by_id[ids[n]])
-                                 + self.others_by_id[ids[n + 1]])
+        # a loop, not a comprehension, and `tuple.__new__` (what `_make`
+        # calls), not the constructor: each saves a Python call, and the
+        # simulator materializes every state it digests
+        fs = []
+        for f in ids[:n]:
+            fs.append(frames[f])
+        return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[ids[n]])
+                             + self.others_by_id[ids[n + 1]])
 
     # -- enabledness --------------------------------------------------------
 
@@ -243,7 +249,10 @@ class Experiment:
         n = self.n
         frames = self.frames_by_id
         others = self.others_by_id[ids[n + 1]]
-        return self._enabled([frames[f] for f in ids[:n]], others[0], others[2])
+        fs = []  # a loop, as in `materialize`
+        for f in ids[:n]:
+            fs.append(frames[f])
+        return self._enabled(fs, others[0], others[2])
 
     def _enabled(self, frames, failures, participants):
         ordinary = self.ordinary_labels
