@@ -82,7 +82,9 @@ def _shortest_failure(lib, exp):
     and edges the transitions it took, counted around the instance.  A
     checkout's search calls either `enabled_steps` and `apply_step`, or
     `enabled_ids` and `successor` (which calls neither of the first two),
-    so all four are counted where the instance has them."""
+    so all four are counted where the instance has them.  Where
+    `apply_step` wraps `successor`, no search calls `apply_step`, so no
+    edge is counted twice."""
     counts = [0, 0]
 
     def counted(fn, i):
