@@ -46,14 +46,17 @@ The machine's invariant reads the moved frame, and the objects only when
 the objects id changed (see `programs.Machine`).  The initial state and
 every crash edge get the whole `check_state`.
 
-Because the machine's invariants are pure functions of their arguments,
-each is cached per id (`Experiment.frame_check` per frame id and
-failures, `objects_check` per objects id and failures, `edge_check` per
-pair of objects ids), and equal ids mean equal components: a write that
-leaves an equal objects tuple leaves its id, and by the `Machine`
-contract such an edge has nothing to check.  `inspect_edge` runs both
-parts on whole states, reading the components themselves; it is the
-reference the tests hold the id kernel to.
+Because the state checks and the machine's invariants are pure functions
+of their arguments, each is cached per id, and equal ids mean equal
+components: RWF per frame id (`Experiment.rwf_checks`), agreement and
+validity of a new return per pair of pre and post others ids
+(`Experiment.return_checks`), `Experiment.frame_check` per frame id and
+failures, `objects_check` per objects id and failures, and `edge_check`
+per pair of objects ids.  A write that leaves an equal objects tuple
+leaves its id, and by the `Machine` contract such an edge has nothing to
+check.  `inspect_edge` runs both parts on whole states, reading the
+components themselves; it is the reference the tests hold the id kernel
+to.
 """
 
 from __future__ import annotations
@@ -170,19 +173,29 @@ def state_checks(exp: Experiment, pre, label, post):
         err = exp.machine.check_state(exp.materialize(post))
         return (INVARIANT, err) if err else None
     fid = post[label.pid - 1]
-    bad = _rwf(exp, exp.frames_by_id[fid])
+    try:
+        bad = exp.rwf_checks[fid]
+    except IndexError:
+        exp.rwf_checks += [_rwf(exp, fr) for fr in exp.frames_by_id[len(exp.rwf_checks):]]
+        bad = exp.rwf_checks[fid]
     if bad:
         return bad
-    others = exp.others_by_id[post[n + 1]]
-    if post[n + 1] != pre[n + 1]:
-        prior = exp.others_by_id[pre[n + 1]][1]
-        if len(others[1]) > len(prior):
-            bad = _check_new_return(exp, prior, others[1])
-            if bad:
-                return bad
-    err = exp.frame_check(fid, others[0])
+    xid = post[n + 1]
+    if xid != pre[n + 1]:
+        key = (pre[n + 1], xid)
+        try:
+            bad = exp.return_checks[key]
+        except KeyError:
+            prior = exp.others_by_id[pre[n + 1]][1]
+            returns = exp.others_by_id[xid][1]
+            bad = exp.return_checks[key] = (_check_new_return(exp, prior, returns)
+                                            if len(returns) > len(prior) else None)
+        if bad:
+            return bad
+    failures = exp.others_by_id[xid][0]
+    err = exp.frame_check(fid, failures)
     if not err and post[n] != pre[n]:
-        err = exp.objects_check(post[n], others[0])
+        err = exp.objects_check(post[n], failures)
     return (INVARIANT, err) if err else None
 
 

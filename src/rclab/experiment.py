@@ -3,10 +3,13 @@ initial state construction, step enabledness (including the assumption-1
 crash filter), and the pure state transition on interned id states.
 
 Enabledness is decided only by `_enabled`, through `enabled_steps(state)`
-or `enabled_ids(ids)`.  The transition trusts its label, which must come
-from there: the search draws its labels from it, and a schedule from
-outside the search passes each label through `simulator.require_enabled`
-first.
+or `enabled_ids(ids)`.  `enabled_ids` caches its result per status key:
+each frame's status and whether `failures < budget`, all that `_enabled`
+reads outside assumption 1 (which also reads `participants`, attempts and
+armed crashes, and so is never cached).  The transition trusts its label,
+which must come from there: the search draws its labels from it, and a
+schedule from outside the search passes each label through
+`simulator.require_enabled` first.
 
 Id states.  Each experiment interns the components of the states it meets
 to dense integer ids: frames, objects tuples, and the tuple of the other
@@ -80,6 +83,9 @@ from .core import (
     ordinary,
 )
 from .programs import END, Ret, build_machine
+
+# a frame's status as two bits of the enabledness key (see `enabled_ids`)
+_STATUS_CODES = {RUNNING: 0, FELL_OFF: 1, RETURNED: 2, HALTED: 3}
 
 
 class Access(NamedTuple):
@@ -201,6 +207,16 @@ class Experiment:
         self._frame_checks = {}
         self._objects_checks = {}
         self._edge_checks = {}
+        # the enabledness cache (see `enabled_ids`): the key part of each
+        # frame id and of each others id, and the labels of each key
+        self._status_codes = []
+        self._budget_bits = []
+        self._enabled_by_key = {}
+        # the checker's state checks of an ordinary edge (see
+        # `checker.state_checks`): RWF of each frame id, and agreement and
+        # validity of each (pre others id, post others id) pair
+        self.rwf_checks = []
+        self.return_checks = {}
         # the state `apply_step` last returned, and its id state
         self._last = (None, None)
 
@@ -245,7 +261,29 @@ class Experiment:
         return self._enabled(state.frames, state.failures, state.participants)
 
     def enabled_ids(self, ids):
-        """`enabled_steps` of the state the id state `ids` stands for."""
+        """`enabled_steps` of the state the id state `ids` stands for, cached
+        per status key outside assumption 1.  The list is shared by every
+        state of its key: callers must not mutate it."""
+        if self.a1:
+            return self._enabled_ids(ids)
+        n = self.n
+        codes = self._status_codes
+        # the key: each frame's status code, shifted to its pid's position,
+        # plus the failures bit
+        try:
+            key = self._budget_bits[ids[n + 1]]
+            for f in ids[:n]:
+                key += codes[f]
+        except IndexError:
+            self._extend_keys()
+            return self.enabled_ids(ids)
+        labels = self._enabled_by_key.get(key)
+        if labels is None:
+            labels = self._enabled_by_key[key] = self._enabled_ids(ids)
+        return labels
+
+    def _enabled_ids(self, ids):
+        """`_enabled` of the state the id state `ids` stands for."""
         n = self.n
         frames = self.frames_by_id
         others = self.others_by_id[ids[n + 1]]
@@ -253,6 +291,16 @@ class Experiment:
         for f in ids[:n]:
             fs.append(frames[f])
         return self._enabled(fs, others[0], others[2])
+
+    def _extend_keys(self):
+        """Extend the key parts of `enabled_ids` to every id interned."""
+        codes = self._status_codes
+        for fr in self.frames_by_id[len(codes):]:
+            codes.append(_STATUS_CODES[fr.status] << 2 * fr.pid - 1)
+        bits = self._budget_bits
+        budget = self.config.budget
+        for others in self.others_by_id[len(bits):]:
+            bits.append(int(others[0] < budget))
 
     def _enabled(self, frames, failures, participants):
         ordinary = self.ordinary_labels

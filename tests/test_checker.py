@@ -5,7 +5,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rclab import checker, simulator
@@ -35,7 +35,7 @@ from rclab.core import (
     ordinary,
 )
 from rclab.objects import Register
-from rclab.programs import Fig1Machine, Fig2Machine
+from rclab.programs import END, Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
 from rclab.valency import build_graph
 
@@ -212,14 +212,21 @@ def test_incremental_state_checks_equal_full_checks(name):
         assert outcomes - {None}, "no violating edge"
 
 
-# The configs above, fig1 under assumption 1, whose frames arm crashes, and
-# two under the genericity monitor: fig1's instance is one `Cons` object,
-# fig2's is built from registers and a TAS.
+# The configs above, fig1 under assumption 1, whose frames arm crashes, two
+# under the genericity monitor (fig1's instance is one `Cons` object, fig2's
+# is built from registers and a TAS), and configs where a returned frame
+# halts, so that no crash may hit it.  fig1's frames never fall off the end,
+# so there a frame that is not running has halted; fig2 f=0 at budget 2 also
+# reaches a frame that fell off, which a crash may still hit.
 ID_CONFIGS = dict(INCREMENTAL_CONFIGS, **{
     "fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1"),
     "fig1-atomic-monitor": dict(failure="simultaneous", budget=1, monitor=True),
     "fig2-2-1-tas-monitor": dict(program="fig2", f=1, cons="tas", failure="independent",
                                  budget=1, monitor=True),
+    "fig1-halt-ind-b1": dict(mode="halt-after-return", failure="independent", budget=1),
+    "fig1-halt-sim-b1": dict(mode="halt-after-return", failure="simultaneous", budget=1),
+    "fig2-2-0-halt-b2": dict(program="fig2", f=0, mode="halt-after-return",
+                             failure="independent", budget=2),
 })
 
 
@@ -304,6 +311,63 @@ def test_forged_invalid_decision_is_reported():
     post = init._replace(returns=((1, 1, 99),))
     assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
         VALIDITY, "p1 (attempt 1) decided 99, not a proposal")
+
+
+def forged_edges(exp):
+    """Forged edges (pre, label, post) between whole states of `exp`, a fig2
+    n=2 f=1 experiment with independent failures and budget 1, whose state
+    checks find each property: RWF, both invariants (each edge first after a
+    failure, where it is clean), validity and agreement.  The last two edges
+    reach one post-state: one adds p2's clashing return, the other, out of a
+    state that already holds it, only records p2's access to `C[0]`, which
+    the state checks do not read."""
+    init = exp.initial_state()
+    fr = init.frames[0]
+    o1, o2 = ordinary(1), ordinary(2)
+
+    def moved(frame):
+        return init._replace(frames=(frame,) + init.frames[1:])
+
+    slot = exp.idx["R[2]"]
+    written = init._replace(objects=init.objects[:slot] + (Register(2),)
+                            + init.objects[slot + 1:])
+    early = moved(fr._replace(pc="xn:inc", locals=fr.with_locals({"k": 1}), steps=1))
+    decided = init._replace(returns=((1, 1, 10),))
+    clash = decided._replace(returns=decided.returns + ((2, 1, 20),),
+                             cons_access=frozenset({("C[0]", 2, 1)}))
+    edges = [
+        (init, o1, moved(fr._replace(pc=END, status=FELL_OFF, steps=1))),
+        (init, o1, moved(fr._replace(steps=exp.bound + 1))),
+    ]
+    for post in (early, written):
+        edges += [(init._replace(failures=1), o1, post._replace(failures=1)),
+                  (init, o1, post)]
+    return edges + [
+        (init, o1, init._replace(returns=((1, 1, 99),))),
+        (decided, o1, decided._replace(returns=decided.returns + ((1, 2, 20),))),
+        (clash._replace(returns=decided.returns), o2, clash),
+        (clash._replace(cons_access=frozenset()), o2, clash),
+    ]
+
+
+@pytest.mark.parametrize("scope", ["all-returns", "cross-process"])
+def test_warm_check_caches_give_the_cold_outcomes(scope):
+    kw = dict(program="fig2", f=1, failure="independent", budget=1, agreement_scope=scope)
+    exp = make_experiment(**kw)
+    clean = explore(exp)
+    assert clean.passed
+    edges = forged_edges(exp)
+    # every forged component is interned before the first check that reads it
+    ids = [(exp.intern(pre), lab, exp.intern(post)) for pre, lab, post in edges]
+    props = set()
+    for (pre, lab, post), (pre_ids, _, post_ids) in zip(edges, ids):
+        cold = make_experiment(**kw)
+        want = state_checks(cold, cold.intern(pre), lab, cold.intern(post))
+        assert state_checks(exp, pre_ids, lab, post_ids) == want, (pre, lab, post)
+        props.add(want and want[0])
+    assert props == {None, RWF, INVARIANT, VALIDITY, AGREEMENT}
+    # no violation cached for a forged edge leaks into a clean one
+    assert explore(exp).to_json() == clean.to_json()
 
 
 # Without the memo every edge reaches a new state; of these configs only
@@ -406,6 +470,33 @@ def test_memoization_does_not_change_verdict(fig1_sim1):
     assert with_memo.result == without.result
     assert (with_memo.stats["terminal_executions"]
             == without.stats["terminal_executions"])
+
+
+# Without the memo `explore` walks the execution tree, so a draw with more
+# complete executions than this is skipped.
+NOMEMO_EXECUTIONS = 50_000
+
+
+@settings(deadline=None, max_examples=60)
+@given(program=st.sampled_from([dict(program="fig1"), dict(program="fig3"),
+                                dict(program="cas-rc"), dict(program="tas-cons2"),
+                                dict(program="fig2", f=0)]),
+       failure=st.sampled_from(["none", "independent", "simultaneous"]),
+       budget=st.integers(0, 1),
+       mode=st.sampled_from(["rerun-after-crash", "halt-after-return"]),
+       scope=st.sampled_from(["all-returns", "cross-process"]))
+def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
+    cfg = make_config(failure=failure, budget=budget, mode=mode, agreement_scope=scope,
+                      **program)
+    memo = explore(cfg, memo=True, minimize=False)
+    assume(memo.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
+    nomemo = explore(cfg, memo=False, minimize=False)
+    # a state the memo skips passed every check below it, so both searches
+    # meet the same first violation by the same path
+    assert ((nomemo.result, nomemo.prop, nomemo.detail, nomemo.trace_labels,
+             nomemo.stats["terminal_executions"])
+            == (memo.result, memo.prop, memo.detail, memo.trace_labels,
+                memo.stats["terminal_executions"]))
 
 
 # (states, edges, terminal_executions, max_attempt_steps) of each config

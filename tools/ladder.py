@@ -3,7 +3,8 @@
 change against its parent.
 
 Each run executes in its own process, so each reports its own peak RSS:
-`explore` on four fig2 configs up to the current frontier, the
+`explore` on four fig2 configs up to the current frontier and, with
+`memo=False`, on perfbench's `explore-nomemo` config, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
 and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 3's target), the
@@ -60,6 +61,9 @@ RUNS = {
     "fig2 n=4 f=1": ("explore", _fig2(4, 1, 1)),
     "fig2 n=3 f=2 budget 2": ("explore", _fig2(3, 2, 2)),
     "fig2 n=2 f=3 cons=tas budget 3": ("explore", _fig2(2, 3, 3, "tas")),
+    "fig1 simultaneous budget 1, memo=False": (
+        "explore-nomemo", dict(program="fig1", n=2, proposals=[10, 20], cons="atomic",
+                               failure="simultaneous", budget=1, monitor=True)),
     "criterion 4: fig2 n=2 f=1 budget 2": ("shortest_failure", _fig2(2, 1, 2)),
     "valency: fig2 n=2 f=2 cons=tas budget 2": ("valency", _fig2(2, 2, 2, "tas")),
     "valency: fig2 n=2 f=3 cons=tas budget 3": ("valency", _fig2(2, 3, 3, "tas")),
@@ -72,8 +76,8 @@ def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _explore(lib, exp):
-    v = lib.checker.explore(exp, memo=True, minimize=False)
+def _explore(lib, exp, memo=True):
+    v = lib.checker.explore(exp, memo=memo, minimize=False)
     return v.stats["states"], v.stats["edges"], {"result": v.result}
 
 
@@ -139,7 +143,9 @@ def run_one(name, root):
     exp = lib.experiment.Experiment(lib.config.ExperimentConfig.from_dict(dict(cfg)))
     before = maxrss_mb()
     start = time.perf_counter()
-    states, edges, outputs = {"explore": _explore, "shortest_failure": _shortest_failure,
+    states, edges, outputs = {"explore": _explore,
+                              "explore-nomemo": lambda lib, exp: _explore(lib, exp, memo=False),
+                              "shortest_failure": _shortest_failure,
                               "valency": _valency, "trace": _trace}[what](lib, exp)
     wall = time.perf_counter() - start
     peak = maxrss_mb()
