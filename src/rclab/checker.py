@@ -7,9 +7,8 @@ minimized to the shallowest violating prefix.
 All four searches (`explore`, `shortest_failure`, `fuzz`,
 `confirm_violation`) step on id states (see `experiment`): tuples of
 interned frame, objects and other-field ids, which are their own memo
-keys.  A `SystemState` is built only at the edges: the initial state,
-which `checked_initial_state` checks whole and then interns, and the
-post-state of a crash edge, which `check_state` reads.  The searches
+keys.  A search builds one `SystemState`, the initial state, which
+`checked_initial_state` checks whole and then interns.  The searches
 return schedules, never states.  They step through one kernel in two
 parts:
 
@@ -18,10 +17,10 @@ parts:
   (a crash edge keeps the objects id), and `machine.check_edge` on an
   edge that changed the objects id.
 - The state checks, `state_checks`: recoverable wait-freedom of the
-  moved frame, agreement and validity, and the machine's state invariant.
-  They are facts about the post-state, so they run once per state, when
-  the search first reaches it: `explore` skips them on a memo hit and
-  `shortest_failure` on a state already in `seen`.
+  frames, agreement and validity of the returns, and the machine's state
+  invariant.  They are facts about the post-state, so they run once per
+  state, when the search first reaches it: `explore` skips them on a
+  memo hit and `shortest_failure` on a state already in `seen`.
 
 The skip is sound because a search stops at its first violation, so every
 state it holds has passed every state check.  A state that only shares a
@@ -35,28 +34,24 @@ memo key with it under `hash_ignores_attempt` differs from it in
 - Validity: the returns' values.
 - The machine's invariant: `Machine.check_state` reads no attempt.
 
-The state checks are also incremental, because the pre-state of every
-edge passed them.  On an ordinary edge, RWF reads the moved frame: every
-other frame is unchanged, and a crash resets frames to a running entry
-with no steps.  Agreement and validity run only when the others id
-changed and gained a return, and read only that return: under
-`cross-process` a later return of a pid that already returned is
-ignored, and on a clash the full `check_agreement` writes the detail.
-The machine's invariant reads the moved frame, and the objects only when
-the objects id changed (see `programs.Machine`).  The initial state and
-every crash edge get the whole `check_state`.
-
-Because the state checks and the machine's invariants are pure functions
-of their arguments, each is cached per id, and equal ids mean equal
-components: RWF per frame id (`Experiment.rwf_checks`), agreement and
-validity of a new return per pair of pre and post others ids
+Each state check is a fact of one component of the post-state, and each
+is a pure function of it, so each is cached per id: RWF per frame id
+(`Experiment.rwf_checks`), agreement and validity per others id
 (`Experiment.return_checks`), `Experiment.frame_check` per frame id and
-failures, `objects_check` per objects id and failures, and `edge_check`
-per pair of objects ids.  A write that leaves an equal objects tuple
-leaves its id, and by the `Machine` contract such an edge has nothing to
-check.  `inspect_edge` runs both parts on whole states, reading the
-components themselves; it is the reference the tests hold the id kernel
-to.
+failures, and `objects_check` per objects id and failures.  The pre-state
+of every edge passed them, so an edge re-checks only the components it
+changed.  An ordinary edge changes the moved frame, and perhaps the
+others id and the objects id: it checks RWF and the invariant of that
+frame, the returns when the others id changed, and the objects when the
+objects id changed (see `programs.Machine`).  A crash resets frames to a
+running entry with no steps and leaves the returns alone, but it changes
+`failures`, which every invariant reads: it re-checks every frame's
+invariant and the objects'.  The edge check is cached the same way,
+`edge_check` per pair of objects ids; a write that leaves an equal
+objects tuple leaves its id, and by the `Machine` contract such an edge
+has nothing to check.  `inspect_edge` runs both parts on whole states,
+its state part on every component of the post-state, and caches nothing;
+it is the reference the tests hold the id kernel to.
 """
 
 from __future__ import annotations
@@ -155,7 +150,7 @@ class _DepthLimit(Exception):
 
 
 def _rwf(exp: Experiment, fr):
-    """Recoverable wait-freedom of a frame that just moved; None if clean."""
+    """Recoverable wait-freedom of a frame; None if clean."""
     if fr.status == FELL_OFF:
         return (RWF, "p%d reached the end of the program without returning" % fr.pid)
     if fr.steps > exp.bound:
@@ -164,13 +159,31 @@ def _rwf(exp: Experiment, fr):
     return None
 
 
+def _check_returns(exp: Experiment, returns):
+    """Agreement, then validity, of a state's `returns`; None if both hold."""
+    err = check_agreement(returns, exp.config.agreement_scope)
+    if err:
+        return (AGREEMENT, err)
+    err = check_validity(returns, exp.config.proposals)
+    if err:
+        return (VALIDITY, err)
+    return None
+
+
 def state_checks(exp: Experiment, pre, label, post):
     """The state checks of the id state `post`, reached from the id state
     `pre` by `label`; None if clean.  `pre` must have passed them: only
-    what the edge touched is checked (see the module docstring)."""
+    the components the edge changed are checked (see the module
+    docstring)."""
     n = exp.n
     if label.kind != ORDINARY:
-        err = exp.machine.check_state(exp.materialize(post))
+        # a crash changes `failures`: every frame, then the objects
+        failures = exp.others_by_id[post[n + 1]][0]
+        for fid in post[:n]:
+            err = exp.frame_check(fid, failures)
+            if err:
+                return (INVARIANT, err)
+        err = exp.objects_check(post[n], failures)
         return (INVARIANT, err) if err else None
     fid = post[label.pid - 1]
     try:
@@ -182,14 +195,12 @@ def state_checks(exp: Experiment, pre, label, post):
         return bad
     xid = post[n + 1]
     if xid != pre[n + 1]:
-        key = (pre[n + 1], xid)
         try:
-            bad = exp.return_checks[key]
-        except KeyError:
-            prior = exp.others_by_id[pre[n + 1]][1]
-            returns = exp.others_by_id[xid][1]
-            bad = exp.return_checks[key] = (_check_new_return(exp, prior, returns)
-                                            if len(returns) > len(prior) else None)
+            bad = exp.return_checks[xid]
+        except IndexError:
+            exp.return_checks += [_check_returns(exp, others[1])
+                                  for others in exp.others_by_id[len(exp.return_checks):]]
+            bad = exp.return_checks[xid]
         if bad:
             return bad
     failures = exp.others_by_id[xid][0]
@@ -199,31 +210,12 @@ def state_checks(exp: Experiment, pre, label, post):
     return (INVARIANT, err) if err else None
 
 
-def _check_new_return(exp: Experiment, prior, returns):
-    """Agreement and validity of `returns`, given that `prior`, all of its
-    returns but the last, passed both."""
-    pid, _att, value = returns[-1]
-    scope = exp.config.agreement_scope
-    # every return in `prior` that counts (under `cross-process`, each pid's
-    # first) has the value of the first one, and under `cross-process` a
-    # pid's later return does not count
-    if prior and value != prior[0][2] and not (
-        scope == "cross-process" and any(p == pid for p, _a, _v in prior)
-    ):
-        err = check_agreement(returns, scope)
-        if err:
-            return (AGREEMENT, err)
-    err = check_validity(returns[-1:], exp.config.proposals)
-    if err:
-        return (VALIDITY, err)
-    return None
-
-
 def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """Both check parts for one edge between whole states, given that `pre`
-    passed the state checks; None if clean.  `checked_edge` and
-    `state_checks` run the same checks on id states; this is their
-    reference, which reads the components themselves and caches nothing."""
+    """Both check parts for one edge between whole states; None if clean.
+    `checked_edge` and `state_checks` run the same checks on id states;
+    this is their reference, which caches nothing.  Its state part checks
+    every state property of `post` in full, so for a `pre` that passed the
+    state checks it finds what `state_checks` finds."""
     machine = exp.machine
     if post.objects is not pre.objects:
         if label.kind != ORDINARY and post.objects != pre.objects:
@@ -232,18 +224,14 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
         err = machine.check_edge(pre.objects, post.objects)
         if err:
             return (INVARIANT, err)
-    if label.kind != ORDINARY:
-        err = machine.check_state(post)
-        return (INVARIANT, err) if err else None
-    fr = post.frames[label.pid - 1]
-    bad = _rwf(exp, fr)
-    if not bad and len(post.returns) > len(pre.returns):
-        bad = _check_new_return(exp, pre.returns, post.returns)
+    for fr in post.frames:
+        bad = _rwf(exp, fr)
+        if bad:
+            return bad
+    bad = _check_returns(exp, post.returns)
     if bad:
         return bad
-    err = machine.check_frame(fr, post.failures)
-    if not err and post.objects is not pre.objects:
-        err = machine.check_objects(post.objects, post.failures)
+    err = machine.check_state(post)
     return (INVARIANT, err) if err else None
 
 

@@ -104,20 +104,20 @@ class _Entry:
     object it accessed.
 
     `outcome` is the `Ret` or the step's `Access`; `frame` is the successor
-    frame, and `fid` its id, interned when first asked for.  `slot` is the
-    slot the step wrote, or None when it changed no object; `objects_after`
-    then maps an objects id to the id after the write.  `others_after` is
-    None when the step leaves the other fields alone, and otherwise maps an
-    others id to (successor frame id, others id after the step).  `call`
-    holds what `record` is made of until it is made."""
+    frame, and `fid` its id.  `slot` is the slot the step wrote, or None
+    when it changed no object; `objects_after` then maps an objects id to
+    the id after the write.  `others_after` is None when the step leaves
+    the other fields alone, and otherwise maps an others id to (successor
+    frame id, others id after the step).  `call` holds what `record` is
+    made of until it is made."""
 
     __slots__ = ("outcome", "frame", "fid", "slot", "objects_after", "others_after",
                  "call", "record")
 
-    def __init__(self, outcome, frame, slot, touches_others, call):
+    def __init__(self, outcome, frame, fid, slot, touches_others, call):
         self.outcome = outcome
         self.frame = frame
-        self.fid = None
+        self.fid = fid
         self.slot = slot
         self.objects_after = None if slot is None else {}
         self.others_after = {} if touches_others else None
@@ -214,9 +214,9 @@ class Experiment:
         self._enabled_by_key = {}
         # the checker's state checks of an ordinary edge (see
         # `checker.state_checks`): RWF of each frame id, and agreement and
-        # validity of each (pre others id, post others id) pair
+        # validity of each others id's returns
         self.rwf_checks = []
-        self.return_checks = {}
+        self.return_checks = []
         # the state `apply_step` last returned, and its id state
         self._last = (None, None)
 
@@ -394,8 +394,6 @@ class Experiment:
         if entry is None:
             entry = self._fill(ids[i], objs)
         fid = entry.fid
-        if fid is None:
-            fid = entry.fid = self._frames.id(entry.frame)
         if entry.slot is not None:
             after = entry.objects_after
             new_oid = after.get(oid)
@@ -419,7 +417,8 @@ class Experiment:
 
     def _fill(self, fid: int, objs) -> _Entry:
         """Run the machine's step for frame `fid` on the objects `objs`,
-        enter it in the transition table, and return the entry.
+        intern the successor frame, enter the step in the transition table,
+        and return the entry.
         A `Ret` accesses no object and is entered under the frame id alone;
         a `Next` is entered under the frame id and the value of the one
         object it accessed."""
@@ -442,7 +441,7 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            entry = _Entry(outcome, new_frame, None, True,
+            entry = _Entry(outcome, new_frame, self._frames.id(new_frame), None, True,
                            (frame.pc, None, None, None, outcome.value))
             self._table[fid] = (None, entry)
             return entry
@@ -475,7 +474,7 @@ class Experiment:
         )
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects id without a lookup
-        entry = _Entry(Access(name, op, new, instance), new_frame,
+        entry = _Entry(Access(name, op, new, instance), new_frame, self._frames.id(new_frame),
                        None if new is value else slot, watched or self.a1,
                        (frame.pc, name, op, args, resp))
         row = self._table.get(fid)

@@ -113,11 +113,14 @@ class Machine:
     checker reaches must pass.  It is a conjunction: `check_frame(frame,
     failures)` on each frame, then `check_objects(objects, failures)`.  A
     machine overrides those two, not `check_state`, and neither may read a
-    frame's `attempt`.  An ordinary step changes one frame and at most one
-    object and leaves `failures` alone, and its pre-state already passed,
-    so on an ordinary edge the checker re-checks only the moved frame, and
-    the objects only when the step wrote one.  The initial state and every
-    crash edge get the whole `check_state`.
+    frame's `attempt`.  The checker caches each per component id, and
+    since an edge's pre-state already passed, it re-checks only the
+    components the edge changed.  An ordinary step changes one frame and
+    at most one object and leaves `failures` alone, so the checker
+    re-checks the moved frame, and the objects only when the step wrote
+    one.  A crash changes `failures`, so it re-checks every frame and the
+    objects.  In a search, `check_state` itself runs on the initial state
+    alone.
 
     `check_edge(pre_objects, post_objects)` sees only the object tuples
     before and after an edge, and the checker skips it on edges that left

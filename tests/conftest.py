@@ -139,8 +139,9 @@ def reachable_edges(exp):
                 queue.append(post)
 
 
-# Seeded bugs.  Each takes a machine's `step` and returns a mutant to patch
-# over it.  The two fig1 bugs' last step raises in the transition.
+# Seeded bugs.  Each takes a machine's method, its `step` or its `bound`, and
+# returns a mutant to patch over it.  The first two fig1 bugs' last step
+# raises in the transition.
 
 
 def reenter_after_crash(step):
@@ -198,6 +199,24 @@ def scan_decisions_descending(step):
             upd["kp"] = kp + 1
             return Next("xn:forado", upd)
         return Next(self.inner.entry, upd)
+    return mutant
+
+
+def trust_unset_decision(step):
+    """fig1 with a seeded bug: recovery returns the `D` it read even when it
+    is unset."""
+    def mutant(self, frame, access):
+        if frame.pc != "x:recD":
+            return step(self, frame, access)
+        return Next("x:recDret", {"d": access("D", "read")})
+    return mutant
+
+
+def bound_off_by_one(bound):
+    """fig2 with a seeded bug: the static bound on the steps of one attempt
+    is one less than the longest attempt."""
+    def mutant(self):
+        return bound(self) - 1
     return mutant
 
 

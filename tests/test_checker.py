@@ -42,6 +42,7 @@ from rclab.valency import build_graph
 from conftest import (
     DIFFERENTIAL_CONFIGS,
     SEEDED_SCHEDULES,
+    bound_off_by_one,
     keep_raced_decision,
     make_config,
     make_experiment,
@@ -50,6 +51,7 @@ from conftest import (
     reenter_after_crash,
     scan_decisions_descending,
     skip_decision_write,
+    trust_unset_decision,
 )
 
 
@@ -319,8 +321,9 @@ def forged_edges(exp):
     checks find each property: RWF, both invariants (each edge first after a
     failure, where it is clean), validity and agreement.  The last two edges
     reach one post-state: one adds p2's clashing return, the other, out of a
-    state that already holds it, only records p2's access to `C[0]`, which
-    the state checks do not read."""
+    state that already holds it, only records p2's access to `C[0]`.  Both
+    change the others id, so the state checks read the post-state's
+    returns on both."""
     init = exp.initial_state()
     fr = init.frames[0]
     o1, o2 = ordinary(1), ordinary(2)
@@ -385,6 +388,39 @@ def test_state_checks_run_once_per_new_state(monkeypatch, name, memo):
     verdict = explore(make_config(**DIFFERENTIAL_CONFIGS[name]), memo=memo)
     assert verdict.passed
     assert len(calls) == verdict.stats["states"] - 1
+
+
+# Configs with crash edges: two that pass under the genericity monitor, and
+# one under assumption 1, whose forced crashes lead to an agreement violation.
+CRASHING_CONFIGS = [
+    dict(program="fig2", f=1, failure="independent", budget=1, monitor=True),
+    dict(failure="simultaneous", budget=2, monitor=True),
+    dict(cons="tas", failure="independent", adversary="assumption1"),
+]
+
+
+@pytest.mark.parametrize("kw", CRASHING_CONFIGS)
+def test_a_search_builds_no_state_but_the_initial_one(monkeypatch, kw):
+    # every state check past the initial state is served from the per-id
+    # caches, crash edges' included
+    exp = make_experiment(**kw)
+    calls = []
+    check_state = exp.machine.check_state
+
+    def counted(state):
+        calls.append(state)
+        return check_state(state)
+
+    def refused(ids):
+        raise AssertionError("a search built the state of %r" % (ids,))
+
+    monkeypatch.setattr(exp.machine, "check_state", counted)
+    monkeypatch.setattr(exp, "materialize", refused)
+    for search in (lambda e: explore(e, minimize=False), shortest_failure,
+                   lambda e: fuzz(e, episodes=50)):
+        del calls[:]
+        search(exp)
+        assert calls == [exp.initial_state()]
 
 
 # -- exhaustive exploration ---------------------------------------------------
@@ -489,6 +525,9 @@ def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
     cfg = make_config(failure=failure, budget=budget, mode=mode, agreement_scope=scope,
                       **program)
     memo = explore(cfg, memo=True, minimize=False)
+    if memo.passed:
+        # the memo holds one state per node of the reachable state graph
+        assert len(build_graph(cfg).nodes) == memo.stats["states"]
     assume(memo.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
     nomemo = explore(cfg, memo=False, minimize=False)
     # a state the memo skips passed every check below it, so both searches
@@ -579,19 +618,27 @@ def test_fig2_mutant_that_keeps_a_raced_decision_is_caught(monkeypatch, kw, leng
     assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
 
 
-@pytest.mark.parametrize("machine,mutate,kw,length", [
-    (Fig1Machine, skip_decision_write, dict(failure="simultaneous", budget=1), 14),
-    (Fig1Machine, skip_decision_write, dict(failure="simultaneous", budget=1, cons="tas"), 15),
-    (Fig2Machine, scan_decisions_descending,
-     dict(program="fig2", f=2, failure="independent", budget=2), 26),
+@pytest.mark.parametrize("machine,attr,mutate,kw,prop,length", [
+    (Fig1Machine, "step", skip_decision_write, dict(failure="simultaneous", budget=1),
+     AGREEMENT, 14),
+    (Fig1Machine, "step", skip_decision_write,
+     dict(failure="simultaneous", budget=1, cons="tas"), AGREEMENT, 15),
+    (Fig2Machine, "step", scan_decisions_descending,
+     dict(program="fig2", f=2, failure="independent", budget=2), AGREEMENT, 26),
+    (Fig1Machine, "step", trust_unset_decision, dict(failure="simultaneous", budget=1),
+     VALIDITY, 7),
+    (Fig1Machine, "step", trust_unset_decision,
+     dict(failure="simultaneous", budget=1, cons="tas"), VALIDITY, 7),
+    (Fig2Machine, "bound", bound_off_by_one,
+     dict(program="fig2", f=1, failure="independent", budget=1), RWF, 18),
 ])
-def test_mutant_is_caught_with_a_replayable_counterexample(monkeypatch, machine, mutate,
-                                                           kw, length):
-    monkeypatch.setattr(machine, "step", mutate(machine.step))
+def test_mutant_is_caught_with_a_replayable_counterexample(monkeypatch, machine, attr, mutate,
+                                                           kw, prop, length):
+    monkeypatch.setattr(machine, attr, mutate(getattr(machine, attr)))
     exp = make_experiment(monitor=True, **kw)
     verdict = explore(exp)
-    assert (verdict.prop, len(verdict.trace_labels)) == (AGREEMENT, length)
-    assert confirm_violation(exp, verdict.trace_labels)[0] == AGREEMENT
+    assert (verdict.prop, len(verdict.trace_labels)) == (prop, length)
+    assert confirm_violation(exp, verdict.trace_labels)[0] == prop
     trace, final = simulator.run(exp, verdict.trace_labels)
     assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
 

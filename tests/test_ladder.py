@@ -1,0 +1,46 @@
+"""The frontier ladder's record of the checkout it measured."""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+
+import pytest
+
+LADDER = os.path.join(os.path.dirname(__file__), "..", "tools", "ladder.py")
+
+
+def load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder
+
+
+def git(root, *args):
+    proc = subprocess.run(["git", "-C", root, "-c", "user.name=rclab",
+                           "-c", "user.email=rclab@example.com",
+                           "-c", "commit.gpgsign=false", *args],
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_marks_a_dirty_tree_and_names_only_its_own_checkout(tmp_path):
+    ladder = load_ladder()
+    root = str(tmp_path / "checkout")
+    copy = os.path.join(root, "copy")
+    os.makedirs(copy)
+    git(root, "init", "-q")
+    with open(os.path.join(root, "a.txt"), "w") as fh:
+        fh.write("a\n")
+    git(root, "add", "a.txt")
+    git(root, "commit", "-q", "-m", "a")
+    sha = git(root, "rev-parse", "--short", "HEAD")
+    assert ladder.commit(root) == sha
+    with open(os.path.join(root, "a.txt"), "w") as fh:
+        fh.write("b\n")
+    assert ladder.commit(root) == sha + "-dirty"
+    # a copy inside the checkout, and a directory in no checkout at all
+    assert ladder.commit(copy) is None
+    assert ladder.commit(str(tmp_path)) is None

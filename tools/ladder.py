@@ -185,9 +185,19 @@ def machine():
 
 
 def commit(root):
-    proc = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    return proc.stdout.strip() or None
+    """The commit `root` has checked out, as `git describe --always --dirty`
+    writes it (`<sha>-dirty` for a tree with uncommitted changes); None
+    unless `root` is the top level of its own git work tree, so that a copy
+    inside another checkout does not report that checkout's commit."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", root] + list(args), stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top) != os.path.realpath(root):
+        return None
+    return git("describe", "--always", "--dirty") or None
 
 
 def run_child(name, root):
