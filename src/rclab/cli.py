@@ -16,9 +16,10 @@ Exit codes:
       be opened, and --episodes below 1
   65  bad configuration, including choice min or max with proposals that
       mix strings and numbers, a trace that is not JSON lines or whose
-      header carries no config, and a trace record whose step is not its
-      position, whose label is not ordinary, crash or crash_all, or whose
-      pid is not an integer (null for crash_all)
+      header carries no config or a final_hash that is not a string, and
+      a trace record whose step is not its position, whose label is not
+      ordinary, crash or crash_all, or whose pid is not an integer (null
+      for crash_all)
 """
 
 from __future__ import annotations

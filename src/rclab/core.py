@@ -247,15 +247,17 @@ def _encode_default(x):
 # text for a component is that of `json.dumps(_jsonable(component))`.
 # `JSONEncoder.encode` builds a new C encoder on every call; this one is
 # built once, with the same arguments but no circular-reference check (a
-# state holds no cycle).  Without the C encoder, `encode` is used.
+# state holds no cycle).  Without the C encoder, `JSONEncoder.encode` is
+# used.
 if json.encoder.c_make_encoder is None:
-    _encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
+    encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
 else:
     _c_encode = json.encoder.c_make_encoder(
         None, _encode_default, json.encoder.encode_basestring_ascii, None,
         ":", ",", False, False, True)
 
-    def _encode(x) -> str:
+    def encode(x) -> str:
+        """The JSON text of a state component, as in `digest`."""
         return "".join(_c_encode(x, 0))
 
 
@@ -271,7 +273,7 @@ def _fragment(x) -> str:
         return hit[1]
     if len(_fragments) >= _FRAGMENTS_MAX:
         _fragments.clear()
-    text = _encode(x)
+    text = encode(x)
     _fragments[id(x)] = (x, text)
     return text
 
@@ -279,8 +281,8 @@ def _fragment(x) -> str:
 def digest(state: SystemState) -> str:
     """SHA-256 of `json.dumps(canonical(state), separators=(",", ":"))`.
 
-    Those bytes are joined from the JSON text of each frame, each object
-    value and the `returns`, `participants`, `tas_seen` and `cons_access`
+    Those bytes are joined from the JSON text of each frame, the objects
+    tuple and the `returns`, `participants`, `tas_seen` and `cons_access`
     fields, which the transition shares between states, so each is
     encoded once and cached.  The cache is keyed by identity, and each
     entry holds its component, so a text always belongs to the object it
@@ -288,13 +290,17 @@ def digest(state: SystemState) -> str:
     equal, as are `0.0` and `-0.0`, but their texts differ.  It is
     emptied when it holds `_FRAGMENTS_MAX` entries."""
     frames, objects, failures, returns, participants, tas_seen, cons_access = state
-    text = "[[%s],[%s],%d,%s,%s,%s,%s]" % (
+    return digest_texts(
         ",".join([_fragment(fr) for fr in frames]),
-        ",".join([_fragment(v) for v in objects]),
-        failures,
-        _fragment(returns),
-        _fragment(participants),
-        _fragment(tas_seen),
-        _fragment(cons_access),
+        _fragment(objects),
+        "%d,%s,%s,%s,%s" % (failures, _fragment(returns), _fragment(participants),
+                            _fragment(tas_seen), _fragment(cons_access)),
     )
+
+
+def digest_texts(frames: str, objects: str, others: str) -> str:
+    """`digest` of the state with these JSON texts: `frames` of its frames
+    joined by commas, `objects` of its objects tuple, and `others` of the
+    fields from `failures` on, joined by commas."""
+    text = "[[%s],%s,%s]" % (frames, objects, others)
     return hashlib.sha256(text.encode()).hexdigest()

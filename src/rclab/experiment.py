@@ -79,6 +79,8 @@ from .core import (
     StepRecord,
     SystemState,
     crash,
+    digest_texts,
+    encode,
     locals_tuple,
     ordinary,
 )
@@ -217,6 +219,11 @@ class Experiment:
         # validity of each others id's returns
         self.rwf_checks = []
         self.return_checks = []
+        # the JSON text of each frame id, objects id and others id (see
+        # `digest_ids`)
+        self._frame_texts = []
+        self._objects_texts = []
+        self._others_texts = []
         # the state `apply_step` last returned, and its id state
         self._last = (None, None)
 
@@ -247,13 +254,39 @@ class Experiment:
         n = self.n
         frames = self.frames_by_id
         # a loop, not a comprehension, and `tuple.__new__` (what `_make`
-        # calls), not the constructor: each saves a Python call, and the
-        # simulator materializes every state it digests
+        # calls), not the constructor: each saves a Python call, and
+        # `apply_step` materializes every state it returns
         fs = []
         for f in ids[:n]:
             fs.append(frames[f])
         return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[ids[n]])
                              + self.others_by_id[ids[n + 1]])
+
+    def digest_ids(self, ids) -> str:
+        """`core.digest` of the state the id state `ids` stands for, joined
+        from JSON text cached per frame id, objects id and others id.  Each
+        text is encoded from the interned component, so the digest is that
+        of `materialize(ids)` bit for bit, and no `SystemState` is built."""
+        n = self.n
+        texts = self._frame_texts
+        try:
+            frames = ",".join([texts[f] for f in ids[:n]])
+            objs = self._objects_texts[ids[n]]
+            others = self._others_texts[ids[n + 1]]
+        except IndexError:
+            self._extend_texts()
+            return self.digest_ids(ids)
+        return digest_texts(frames, objs, others)
+
+    def _extend_texts(self):
+        """Extend the texts of `digest_ids` to every id interned."""
+        for texts, values in ((self._frame_texts, self.frames_by_id),
+                              (self._objects_texts, self.objects_by_id)):
+            texts += [encode(x) for x in values[len(texts):]]
+        # the other fields are joined by commas, without the brackets of
+        # their tuple
+        texts = self._others_texts
+        texts += [encode(x)[1:-1] for x in self.others_by_id[len(texts):]]
 
     # -- enabledness --------------------------------------------------------
 

@@ -144,6 +144,8 @@ class Machine:
 
     program_id = ""
     entry = ""
+    # the config fields the constructor takes, by keyword (`build_machine`)
+    params = ("n",)
 
     def __init__(self, n: int):
         self.n = n
@@ -197,6 +199,7 @@ class Fig1Machine(Machine):
 
     program_id = "fig1"
     entry = "x:if"
+    params = ("cons", "choice")
 
     def __init__(self, cons="atomic", choice="p1"):
         super().__init__(2)
@@ -281,6 +284,7 @@ class Fig2Machine(Machine):
 
     program_id = "fig2"
     entry = "xn:if"
+    params = ("n", "f", "cons", "scan_order")
 
     def __init__(self, n, f, cons="atomic", scan_order="asc"):
         super().__init__(n)
@@ -417,6 +421,7 @@ class Fig3Machine(Machine):
 
     program_id = "fig3"
     entry = "ex:if"
+    params = ()
 
     def __init__(self):
         super().__init__(2)
@@ -494,6 +499,7 @@ class TasCons2Machine(Machine):
     program_id = "tas-cons2"
     inner = InnerCons("tas", "t:", "t:ret")
     entry = inner.entry
+    params = ()
 
     def __init__(self):
         super().__init__(2)
@@ -513,20 +519,17 @@ class TasCons2Machine(Machine):
         return self.inner.step(frame, access, "", frame.proposal)
 
 
-PROGRAM_IDS = ("fig1", "fig2", "fig3", "cas-rc", "tas-cons2")
+# program -> its machine class
+MACHINES = {cls.program_id: cls for cls in
+            (Fig1Machine, Fig2Machine, Fig3Machine, CasRcMachine, TasCons2Machine)}
+PROGRAM_IDS = tuple(MACHINES)
 
 
 def build_machine(program, n, f=None, cons="atomic", choice="p1", scan_order="asc"):
     """The machine for a configuration that `ExperimentConfig.validate`
     accepted; the machines themselves check no parameter."""
-    if program == "fig1":
-        return Fig1Machine(cons=cons, choice=choice)
-    if program == "fig2":
-        return Fig2Machine(n, f, cons=cons, scan_order=scan_order)
-    if program == "fig3":
-        return Fig3Machine()
-    if program == "cas-rc":
-        return CasRcMachine(n)
-    if program == "tas-cons2":
-        return TasCons2Machine()
-    raise ConfigError("unknown program %r" % program)
+    cls = MACHINES.get(program)
+    if cls is None:
+        raise ConfigError("unknown program %r" % program)
+    args = dict(n=n, f=f, cons=cons, choice=choice, scan_order=scan_order)
+    return cls(**{key: args[key] for key in cls.params})

@@ -7,8 +7,19 @@ recorded as step/label/pid/error/detail.
 
 Every execution here steps on id states (see `experiment`) with
 `enabled_ids` and `successor`; a `SystemState` is built only for what is
-returned or digested: `run`'s and `random_run`'s last state, and each
-state `replay` hashes."""
+returned: `run`'s, `random_run`'s and `replay`'s last state.  `replay`
+digests each state from its ids (`Experiment.digest_ids`).
+
+`replay` re-executes on an experiment it keeps from earlier calls, so a
+trace of a config already replayed steps through a warm transition
+table.  This is sound because an experiment is a pure function of its
+config and of its machine's `step`: the cache is keyed by both, by the
+config's canonical JSON text (not by equality: `[1, 2]` and `[1.0, 2.0]`
+are equal configs whose states digest differently) and by the `step`
+function itself, so a machine whose `step` was patched or restored gets
+an experiment of its own.  The config is validated on every call, and a
+config that fails never reaches the cache.  It holds at most
+`_EXPERIMENTS_MAX` experiments, dropping the least recently used."""
 
 from __future__ import annotations
 
@@ -28,10 +39,10 @@ from .core import (
     Trace,
     TransitionError,
     crash,
-    digest,
     ordinary,
 )
 from .experiment import Experiment
+from .programs import MACHINES
 
 
 class ScheduleError(RcError):
@@ -116,8 +127,9 @@ def write_trace(trace: Trace, path, final_hash: Optional[str] = None) -> None:
 
 def parse_trace(text: str):
     """(header, records) of a serialized trace; ConfigError if it is not
-    a header object with a `config` followed by step records, each
-    numbered by its position and with a well-formed label."""
+    a header object with a `config`, and a string `final_hash` if any,
+    followed by step records, each numbered by its position and with a
+    well-formed label."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("empty trace")
@@ -128,6 +140,8 @@ def parse_trace(text: str):
         raise ConfigError("malformed trace: %s: %s" % (type(e).__name__, e))
     if not isinstance(header, dict) or "config" not in header:
         raise ConfigError("trace header carries no config")
+    if "final_hash" in header and not isinstance(header["final_hash"], str):
+        raise ConfigError("trace header's final_hash %r is not a string" % (header["final_hash"],))
     return header, records
 
 
@@ -148,23 +162,46 @@ def replay(text: str) -> ReplayResult:
 
     A trace may end in a step recorded with a transition error; replay
     requires the same error from it and returns that record as
-    `failed_step`.  Raises ScheduleError if a recorded step is not enabled, its
+    `failed_step`.  Raises ConfigError if the trace or its header's config
+    is malformed, and ScheduleError if a recorded step is not enabled, its
     regenerated record differs from the recorded one, or a step follows
     one that raised.
+
+    The header's config is validated on every call; the experiment is
+    then taken from the cache of the module docstring, since it is a pure
+    function of that config and of its machine's `step`.
     """
     header, records = parse_trace(text)
-    exp = Experiment(ExperimentConfig.from_dict(header["config"]))
-    state = exp.initial_state()
-    digests = [digest(state)]
-    steps = _steps(exp, exp.intern(state), [rec.label for rec in records])
+    exp = _experiment(ExperimentConfig.from_dict(header["config"]))
+    ids = exp.intern(exp.initial_state())
+    digests = [exp.digest_ids(ids)]
+    steps = _steps(exp, ids, [rec.label for rec in records])
     for i, (rec, (ids, fresh)) in enumerate(zip(records, steps)):
         if fresh != rec:
             raise ScheduleError(i, rec.label, "replayed %r, recorded %r" % (fresh, rec))
         if fresh.error is None:
-            state = exp.materialize(ids)
-            digests.append(digest(state))
+            digests.append(exp.digest_ids(ids))
     failed = records[-1] if records and records[-1].error is not None else None
-    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests), state, failed)
+    return ReplayResult(digests[-1], header.get("final_hash"), tuple(digests),
+                        exp.materialize(ids), failed)
+
+
+# replay's experiments by (config text, machine `step`), least recently
+# used first (see the module docstring)
+_experiments = {}
+_EXPERIMENTS_MAX = 8
+
+
+def _experiment(config: ExperimentConfig) -> Experiment:
+    """The cached experiment of a validated `config`, built on a miss."""
+    key = (json.dumps(config.to_dict(), sort_keys=True), MACHINES[config.program].step)
+    exp = _experiments.pop(key, None)
+    if exp is None:
+        exp = Experiment(config)
+        if len(_experiments) >= _EXPERIMENTS_MAX:
+            del _experiments[next(iter(_experiments))]
+    _experiments[key] = exp
+    return exp
 
 
 def replay_file(path) -> ReplayResult:

@@ -305,6 +305,16 @@ def test_replay_that_does_not_reproduce_exits_2(tmp_path, fig1_config, tamper):
     assert main(["replay", "--trace", str(path)]) == 2
 
 
+@pytest.mark.parametrize("final_hash", [5, None, ["0" * 64]])
+def test_replay_final_hash_that_is_not_a_string_is_config_error(tmp_path, fig1_config,
+                                                                final_hash):
+    lines = solo_trace_lines(fig1_config)
+    lines[0]["final_hash"] = final_hash
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["replay", "--trace", str(path)]) == EXIT_CONFIG
+
+
 def test_replay_missing_final_hash_still_verifies(capsys, tmp_path,
                                                   fig1_config):
     # header without final_hash: replay succeeds and reports its own hash

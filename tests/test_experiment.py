@@ -16,6 +16,7 @@ from rclab.core import (
     Frame,
     ObjectTypeError,
     UninitializedRead,
+    digest,
     ordinary,
 )
 from rclab.programs import END, Fig1Machine, Next, Ret
@@ -205,3 +206,23 @@ def test_apply_step_interns_nothing_along_its_own_path(monkeypatch):
     # a state `apply_step` did not return last is interned
     exp.apply_step(exp.initial_state(), ordinary(1))
     assert len(interned) == 2
+
+
+@pytest.mark.parametrize("props", [[10, 20], [0.5, -0.0], ["a", "b"]])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_digest_ids_is_the_digest_of_the_materialized_state(name, props):
+    exp = make_experiment(proposals=props, **DIFFERENTIAL_CONFIGS[name])
+    states = [exp.initial_state()]
+    states += list(dict.fromkeys(post for _state, _lab, post in reachable_edges(exp)))
+    # cold: each id is digested as soon as it is interned, so every digest
+    # extends the texts; then warm: every text is cached
+    cold = []
+    for state in states:
+        ids = exp.intern(state)
+        cold.append(exp.digest_ids(ids))
+        assert cold[-1] == digest(exp.materialize(ids))
+    assert [exp.digest_ids(exp.intern(state)) for state in states] == cold
+    # every id interned before the first digest
+    other = make_experiment(proposals=props, **DIFFERENTIAL_CONFIGS[name])
+    all_ids = [other.intern(state) for state in states]
+    assert [other.digest_ids(ids) for ids in all_ids] == cold

@@ -10,6 +10,7 @@ import pytest
 from rclab import simulator
 from rclab.core import (
     CRASH_ALL_LABEL,
+    ConfigError,
     GenericityViolation,
     RcError,
     UninitializedRead,
@@ -17,6 +18,7 @@ from rclab.core import (
     digest,
     ordinary,
 )
+from rclab.experiment import Experiment
 from rclab.programs import Fig1Machine
 from rclab.simulator import (
     ScheduleError,
@@ -155,6 +157,94 @@ def test_replay_requires_the_recorded_error(monkeypatch, mutate, prop):
     monkeypatch.undo()
     with pytest.raises(ScheduleError):
         replay(text)
+
+
+# the four configs of acceptance criterion 9, which perfbench's `replay`
+# workload round-trips
+REPLAY_CONFIGS = [
+    dict(failure="simultaneous", budget=2, monitor=True),
+    dict(program="fig2", f=1, failure="independent", budget=1, monitor=True),
+    dict(program="fig3", failure="independent", budget=1, monitor=True),
+    dict(program="cas-rc", failure="independent", budget=3, monitor=True),
+]
+
+
+def trace_text(exp, labels):
+    trace, final = run(exp, labels)
+    return dump_trace(trace, final_hash=digest(final))
+
+
+def cold_replay(monkeypatch, text):
+    """`replay` on an experiment built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_experiment", Experiment)
+        return replay(text)
+
+
+def test_warm_replay_equals_cold_replay(monkeypatch):
+    rng = random.Random(16)
+    exps = [make_experiment(**kw) for kw in REPLAY_CONFIGS]
+    texts = [trace_text(exp, random_run(exp, rng)[0]) for _ in range(20) for exp in exps]
+    cold = [cold_replay(monkeypatch, text) for text in texts]
+    assert all(res.matches_header for res in cold)
+    simulator._experiments.clear()
+    assert [replay(text) for text in texts] == cold
+    assert len(simulator._experiments) == len(REPLAY_CONFIGS)
+
+
+def test_replay_keeps_equal_configs_of_another_text_apart(monkeypatch):
+    plan = [("until_done", 1), ("crash_all",), ("until_done", 2)]
+    texts = []
+    for props in ([1, 2], [1.0, 2.0]):
+        exp = make_experiment(proposals=props, failure="simultaneous", budget=1)
+        texts.append(trace_text(exp, run_plan(exp, plan)))
+    ints, floats = [replay(text) for text in texts]
+    assert ints.matches_header and floats.matches_header
+    assert ints.final_hash != floats.final_hash
+    assert type(floats.state.frames[0].proposal) is float
+    assert [ints, floats] == [cold_replay(monkeypatch, text) for text in texts]
+
+
+def test_replay_validates_the_config_on_every_call(fig1_sim1):
+    text = trace_text(fig1_sim1, [ordinary(1)])
+    replay(text)
+    cached = list(simulator._experiments)
+    header, *records = text.splitlines()
+    doc = json.loads(header)
+    doc["config"]["budget"] = "one"
+    bad = "\n".join([json.dumps(doc)] + records)
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            replay(bad)
+    assert list(simulator._experiments) == cached
+
+
+def test_replay_that_fails_partway_leaves_the_cache_usable(monkeypatch, fig1_sim1):
+    labels = run_plan(fig1_sim1, [("until_done", 1), ("crash_all",), ("until_done", 2)])
+    text = trace_text(fig1_sim1, labels)
+    lines = text.splitlines()
+    tampered = json.loads(lines[5])
+    tampered["resp"] = 999
+    with pytest.raises(ScheduleError, match="schedule step 4"):
+        replay("\n".join(lines[:5] + [json.dumps(tampered)] + lines[6:]))
+    assert replay(text) == cold_replay(monkeypatch, text)
+
+
+def test_replay_caches_at_most_its_bound():
+    simulator._experiments.clear()
+    bound = simulator._EXPERIMENTS_MAX
+    texts = [trace_text(make_experiment(failure="simultaneous", budget=b), [ordinary(1)])
+             for b in range(bound + 3)]
+    for text in texts:
+        replay(text)
+        assert len(simulator._experiments) <= bound
+    # the least recently used goes first: the first kept, once used again,
+    # outlives the next miss
+    first_kept = list(simulator._experiments.values())[0]
+    replay(texts[3])
+    replay(texts[0])
+    assert len(simulator._experiments) == bound
+    assert first_kept in simulator._experiments.values()
 
 
 def test_replay_file(tmp_path, fig1_sim1):
