@@ -141,7 +141,8 @@ def parse_trace(text: str):
     if not isinstance(header, dict) or "config" not in header:
         raise ConfigError("trace header carries no config")
     if "final_hash" in header and not isinstance(header["final_hash"], str):
-        raise ConfigError("trace header's final_hash %r is not a string" % (header["final_hash"],))
+        raise ConfigError("trace header's final_hash %s is not a string"
+                          % json.dumps(header["final_hash"]))
     return header, records
 
 
