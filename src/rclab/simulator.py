@@ -39,6 +39,7 @@ from .core import (
     Trace,
     TransitionError,
     crash,
+    digest,  # not called here; perfbench's tracer patches `simulator.digest`
     ordinary,
 )
 from .experiment import Experiment

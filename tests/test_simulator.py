@@ -241,7 +241,7 @@ def test_replay_caches_at_most_its_bound():
     # the least recently used goes first: the first kept, once used again,
     # outlives the next miss
     first_kept = list(simulator._experiments.values())[0]
-    replay(texts[3])
+    replay(texts[-bound])
     replay(texts[0])
     assert len(simulator._experiments) == bound
     assert first_kept in simulator._experiments.values()
