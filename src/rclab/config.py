@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from .core import BOTTOM, ConfigError
-from .programs import PROGRAM_IDS
+from .programs import MACHINES
 
 FAILURE_KINDS = ("none", "simultaneous", "independent")
 ADVERSARIES = ("exhaustive", "assumption1")
@@ -42,8 +42,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless every field has a legal type and value;
         the machines and the transition rely on this and check nothing."""
-        if self.program not in PROGRAM_IDS:
+        if self.program not in MACHINES:
             raise ConfigError("unknown program %r" % self.program)
+        params = MACHINES[self.program].params
         for key in ("n", "budget", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ConfigError("%s must be an integer" % key)
@@ -51,7 +52,7 @@ class ExperimentConfig:
             raise ConfigError("f must be an integer")
         if self.n < 1:
             raise ConfigError("n must be positive")
-        if self.program in ("fig1", "fig3", "tas-cons2") and self.n != 2:
+        if "n" not in params and self.n != 2:
             raise ConfigError("%s is a 2-process algorithm, got n=%d" % (self.program, self.n))
         if self.program == "fig2":
             if self.f is None or self.f < 0:
@@ -97,8 +98,8 @@ class ExperimentConfig:
             raise ConfigError("unknown return mode %r" % self.mode)
         if self.scan_order not in ("asc", "desc"):
             raise ConfigError("scan order must be asc or desc")
-        for key, programs in _PROGRAM_KEYS.items():
-            if self.program not in programs and getattr(self, key) != _DEFAULTS[key]:
+        for key in _PROGRAM_KEYS:
+            if key not in params and getattr(self, key) != _DEFAULTS[key]:
                 raise ConfigError("%s does not read %s; leave it %s"
                                   % (self.program, key, json.dumps(_DEFAULTS[key])))
         if self.agreement_scope not in ("all-returns", "cross-process"):
@@ -137,11 +138,11 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(read_config_file(path))
 
 
-# Keys that only some programs read, and those programs.
-_PROGRAM_KEYS = {"f": ("fig2",), "cons": ("fig1", "fig2"), "choice": ("fig1",),
-                 "scan_order": ("fig2",)}
 _FIELDS = dataclasses.fields(ExperimentConfig)
 _DEFAULTS = {f.name: f.default for f in _FIELDS}
+# keys besides `n` that only some programs' machines take
+_PROGRAM_KEYS = [key for key in _DEFAULTS if key != "n"
+                 and any(key in cls.params for cls in MACHINES.values())]
 
 
 def read_config_file(path) -> dict:

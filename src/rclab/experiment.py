@@ -150,14 +150,7 @@ class _Interner:
 class Experiment:
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.machine = build_machine(
-            config.program,
-            config.n,
-            f=config.f,
-            cons=config.cons,
-            choice=config.choice,
-            scan_order=config.scan_order,
-        )
+        self.machine = build_machine(config)
         layout = self.machine.layout()
         self.n = config.n
         self.names = [name for name, _ in layout]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional
 
 from . import objects
-from .core import BOTTOM, UNINIT, ConfigError, Frame
+from .core import BOTTOM, UNINIT, Frame
 
 END = "end"
 
@@ -144,7 +144,8 @@ class Machine:
 
     program_id = ""
     entry = ""
-    # the config fields the constructor takes, by keyword (`build_machine`)
+    # the config fields the constructor takes, by keyword (`build_machine`);
+    # a machine that takes no `n` runs 2 processes
     params = ("n",)
 
     def __init__(self, n: int):
@@ -522,14 +523,10 @@ class TasCons2Machine(Machine):
 # program -> its machine class
 MACHINES = {cls.program_id: cls for cls in
             (Fig1Machine, Fig2Machine, Fig3Machine, CasRcMachine, TasCons2Machine)}
-PROGRAM_IDS = tuple(MACHINES)
 
 
-def build_machine(program, n, f=None, cons="atomic", choice="p1", scan_order="asc"):
+def build_machine(config):
     """The machine for a configuration that `ExperimentConfig.validate`
     accepted; the machines themselves check no parameter."""
-    cls = MACHINES.get(program)
-    if cls is None:
-        raise ConfigError("unknown program %r" % program)
-    args = dict(n=n, f=f, cons=cons, choice=choice, scan_order=scan_order)
-    return cls(**{key: args[key] for key in cls.params})
+    cls = MACHINES[config.program]
+    return cls(**{key: getattr(config, key) for key in cls.params})

@@ -148,11 +148,11 @@ def test_criterion_5_fig3_valency_narrative():
     labels = valency.classify(g)
     failures = []
     s = None
-    for state in g.nodes:
+    for nid, state in enumerate(g.nodes):
         whole = g.exp.materialize(state)
         if ([fr.pc for fr in whole.frames] == ["ex:wP", "ex:wP"]
                 and whole.failures == 0):
-            s = state
+            s = nid
     if s is None:
         failures.append("state s (both poised to announce) not found")
     else:
@@ -189,7 +189,7 @@ def test_criterion_6_assumption1_mechanics():
     for cfg in cases:
         g = valency.build_graph(cfg)
         m = len(g.exp.tas_names)
-        max_failures = max(g.exp.materialize(s).failures for s in g.terminals)
+        max_failures = max(g.exp.materialize(g.nodes[t]).failures for t in g.terminals)
         if max_failures > m:
             failures.append((cfg.program, cfg.f, "failures %d > m %d"
                              % (max_failures, m)))

@@ -281,17 +281,17 @@ def test_static_bounds_match_exhaustive_oracle():
 
 
 def test_bound_values():
-    assert build_machine("fig1", 2).bound() == 6
-    assert build_machine("fig1", 2, cons="tas").bound() == 8
-    assert build_machine("fig2", 2, f=1).bound() == 12
-    assert build_machine("fig2", 2, f=2, cons="tas").bound() == 26
-    assert build_machine("fig3", 2).bound() == 6
-    assert build_machine("cas-rc", 2).bound() == 2
-    assert build_machine("tas-cons2", 2).bound() == 4
+    assert build_machine(make_config()).bound() == 6
+    assert build_machine(make_config(cons="tas")).bound() == 8
+    assert build_machine(make_config(program="fig2", f=1)).bound() == 12
+    assert build_machine(make_config(program="fig2", f=2, cons="tas")).bound() == 26
+    assert build_machine(make_config(program="fig3")).bound() == 6
+    assert build_machine(make_config(program="cas-rc")).bound() == 2
+    assert build_machine(make_config(program="tas-cons2")).bound() == 4
 
 
 def test_bound_is_never_exceeded_with_crashes():
     cfg = make_config(failure="simultaneous", budget=2)
     verdict = checker.explore(cfg)
     assert verdict.passed
-    assert verdict.stats["max_attempt_steps"] <= build_machine("fig1", 2).bound()
+    assert verdict.stats["max_attempt_steps"] <= build_machine(cfg).bound()

@@ -1,5 +1,7 @@
 """Execution graphs, valency classification, critical states."""
 
+import hashlib
+import re
 from collections import deque
 
 import pytest
@@ -41,27 +43,40 @@ PINNED_SUMMARIES = {
 }
 
 
+# sha256 of `to_dot`'s text; fig3-b1 is configs/fig3-valency.json
+PINNED_DOT_SHA256 = {
+    "cas-rc-b3": "5c911332e6e2eee3b8887645bcf99b8d2a9c2b576691cda5ec10aa975148a38c",
+    "fig1-tas-a1": "5540fa4b5509886e5bef39fe2447678c12d282d8752cae7a38342dc09ecc0317",
+    "fig1-tas-b1": "3ae4a2649531c92f188c12850502e7329f46ad31f35e34662dd58741070401dc",
+    "fig2-2-0-tas-monitor": "b961b9210d9c3722a9635a4ceed3297bb6c691102a3b4b6df57faa5677669118",
+    "fig2-2-1-atomic": "4524120b52a51c6f5e81b639a929052d3741ae2f73ec0730d61eb5b6023b3ac0",
+    "fig2-2-1-tas": "5d4a78a8755e8276e7d9bc0520750db900d6db81092a9859f9da353dab47ced2",
+    "fig2-2-2-tas-monitor": "57165a95e6552bfcc1481ed9310ce8acc3f662551122301879a705d9b2043950",
+    "fig3-b1": "31777236a54b0c8bef4d2a324db8a7f502a50807132a6e0fccdef60f171405d4",
+}
+
+
 @pytest.fixture(scope="module", params=sorted(GRAPH_CONFIGS))
 def named_graph(request):
     return request.param, build_graph(make_config(**GRAPH_CONFIGS[request.param]))
 
 
 def reference_labels(g):
-    """The valency label of every state, folded from the terminals up in
-    a dict keyed by state value, with the class rule written out again."""
+    """The valency label of every node, by node id, folded from the
+    terminals up over whole states, with the class rule written out again."""
     potent = {}
-    stack = [g.init]
+    stack = [0]
     while stack:
-        state = stack[-1]
-        pending = [child for _lab, child in g.adj[state] if child not in potent]
+        nid = stack[-1]
+        pending = [child for _lab, child in g.adj[nid] if child not in potent]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        vals = {v for _p, _a, v in g.exp.materialize(state).returns}
-        for _lab, child in g.adj[state]:
+        vals = {v for _p, _a, v in g.exp.materialize(g.nodes[nid]).returns}
+        for _lab, child in g.adj[nid]:
             vals |= potent[child]
-        potent[state] = frozenset(vals)
+        potent[nid] = frozenset(vals)
     cfg = g.exp.config
     two_way = cfg.n == 2 and len(set(cfg.proposals)) == 2
 
@@ -70,7 +85,7 @@ def reference_labels(g):
             return ("undecided", "univalent")[len(p)]
         return "bivalent" if two_way else "multivalent"
 
-    return {s: ValencyLabel(p, klass(p)) for s, p in potent.items()}
+    return [ValencyLabel(potent[nid], klass(potent[nid])) for nid in range(len(g.nodes))]
 
 
 def test_summary_is_pinned(named_graph):
@@ -83,27 +98,34 @@ def test_summary_is_pinned(named_graph):
 
 
 def test_every_child_is_its_nodes_key_object(named_graph):
+    # a node id names one id state, and every edge ends at a node id
     _name, g = named_graph
-    key_object = {s: s for s in g.nodes}
-    assert key_object[g.init] is g.init
-    for state, succ in g.adj.items():
-        assert key_object[state] is state
+    assert len(set(g.nodes)) == len(g.nodes)
+    assert list(g.adj) == list(range(len(g.nodes)))
+    for succ in g.adj.values():
         for _lab, child in succ:
-            assert key_object[child] is child
-    for state in g.terminals:
-        assert key_object[state] is state
+            assert 0 <= child < len(g.nodes)
+    assert all(0 <= nid < len(g.nodes) for nid in g.terminals)
 
 
 def test_node_ids_are_breadth_first(named_graph):
     _name, g = named_graph
-    ids = {g.init: 0}
-    queue = deque([g.init])
+    order = [0]
+    seen = {0}
+    queue = deque([0])
     while queue:
         for _lab, child in g.adj[queue.popleft()]:
-            if child not in ids:
-                ids[child] = len(ids)
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
                 queue.append(child)
-    assert list(ids.items()) == list(g.nodes.items())
+    assert order == list(range(len(g.nodes)))
+
+
+def test_dot_bytes_are_pinned(named_graph):
+    name, g = named_graph
+    dot = to_dot(g, classify(g))
+    assert hashlib.sha256(dot.encode()).hexdigest() == PINNED_DOT_SHA256[name]
 
 
 def test_classify_equals_reference_fold(named_graph):
@@ -119,7 +141,7 @@ def test_fig3_crash_free_graph():
     for vals in g.terminals.values():
         decided |= vals
     assert decided == {10, 20}
-    assert labels[g.init].klass == "bivalent"
+    assert labels[0].klass == "bivalent"
 
 
 def test_cas_rc_single_process_graph_is_linear():
@@ -127,7 +149,7 @@ def test_cas_rc_single_process_graph_is_linear():
     assert len(g.terminals) == 1
     assert all(len(succ) <= 1 for succ in g.adj.values())
     labels = classify(g)
-    assert all(lab.potent == frozenset({10}) for lab in labels.values())
+    assert all(lab.potent == frozenset({10}) for lab in labels)
 
 
 def test_fig1_graph_node_count_matches_checker():
@@ -163,7 +185,7 @@ def test_classification_is_deterministic():
 def test_single_proposal_has_no_bivalent_states():
     g = build_graph(make_config(program="tas-cons2", proposals=[10, 10]))
     labels = classify(g)
-    assert all(lab.klass != "bivalent" for lab in labels.values())
+    assert all(lab.klass != "bivalent" for lab in labels)
 
 
 def test_tas_cons2_critical_state_sits_on_the_tas_object():
@@ -172,8 +194,8 @@ def test_tas_cons2_critical_state_sits_on_the_tas_object():
     crit = find_critical(g, labels)
     assert crit
     found = False
-    for state, succs in crit:
-        if all(fr.pc == "t:tas" for fr in g.exp.materialize(state).frames):
+    for nid, succs in crit:
+        if all(fr.pc == "t:tas" for fr in g.exp.materialize(g.nodes[nid]).frames):
             found = True
             # the two decision steps reach distinct decisions
             assert {val for _step, val in succs} == {10, 20}
@@ -192,7 +214,7 @@ def test_crash_step_can_be_a_decision_step():
 def test_node_cap_blocks_classification():
     g = build_graph(make_config(failure="simultaneous", budget=1, cap=10))
     assert g.capped and len(g.nodes) == 10
-    assert all(child in g.nodes for succ in g.adj.values() for _lab, child in succ)
+    assert all(child < len(g.nodes) for succ in g.adj.values() for _lab, child in succ)
     with pytest.raises(RcError):
         classify(g)
 
@@ -213,6 +235,22 @@ def test_summary_and_dot_output():
     assert len(edge_lines) == sum(len(s) for s in g.adj.values())
 
 
+def test_dot_labels_escape_quotes_and_backslashes():
+    proposals = ['say "hi"', "a\\b"]
+    g = build_graph(make_config(program="fig3", failure="independent", budget=1,
+                                proposals=proposals))
+    label = re.compile(r'\[label="((?:[^"\\]|\\.)*)"[,\]]')
+    decided = set()
+    for line in to_dot(g, classify(g)).splitlines():
+        if "[label=" in line:
+            m = label.search(line)
+            assert m, line
+            text = m.group(1)
+            if "\\n-> " in text:
+                decided.add(re.sub(r"\\(.)", r"\1", text.split("\\n-> ", 1)[1]))
+    assert decided == {repr(p) for p in proposals}
+
+
 def test_fig3_valency_narrative_states():
     # both processes poised to announce: bivalent; after p1 announces the
     # state stays bivalent; p1's CAS and p2's crash both settle on p1's
@@ -221,11 +259,11 @@ def test_fig3_valency_narrative_states():
     g = build_graph(cfg)
     labels = classify(g)
     s = None
-    for state in g.nodes:
+    for nid, state in enumerate(g.nodes):
         whole = g.exp.materialize(state)
         pcs = [fr.pc for fr in whole.frames]
         if pcs == ["ex:wP", "ex:wP"] and whole.failures == 0:
-            s = state
+            s = nid
     assert s is not None and labels[s].klass == "bivalent"
     succ = dict()
     for step, child in g.adj[s]:

@@ -83,12 +83,8 @@ def _explore(lib, exp, memo=True):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    and edges the transitions it took, counted around the instance.  A
-    checkout's search calls either `enabled_steps` and `apply_step`, or
-    `enabled_ids` and `successor` (which calls neither of the first two),
-    so all four are counted where the instance has them.  Where
-    `apply_step` wraps `successor`, no search calls `apply_step`, so no
-    edge is counted twice."""
+    (`enabled_ids` calls) and edges the transitions it took (`successor`
+    calls), counted around the instance."""
     counts = [0, 0]
 
     def counted(fn, i):
@@ -97,10 +93,8 @@ def _shortest_failure(lib, exp):
             return fn(*args)
         return wrapper
 
-    for name, i in (("enabled_steps", 0), ("enabled_ids", 0),
-                    ("apply_step", 1), ("successor", 1)):
-        if hasattr(exp, name):
-            setattr(exp, name, counted(getattr(exp, name), i))
+    exp.enabled_ids = counted(exp.enabled_ids, 0)
+    exp.successor = counted(exp.successor, 1)
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
