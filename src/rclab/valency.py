@@ -11,13 +11,19 @@ The graph's nodes are dense ints in breadth-first order, node 0 the
 initial state.  `g.nodes[i]` is node i's id state (see `experiment`) and
 `g.exp.materialize` the `SystemState` it stands for; every pass after the
 build indexes lists and dicts by node id.  The `labels` they take are
-`classify`'s list for that same graph."""
+`classify`'s list for that same graph.
+
+An edge is one int, `child * len(g.steps) + i` for the step `g.steps[i]`,
+and `g.adj[nid]` the tuple of node nid's edges in `enabled_ids` order, so
+a graph of a million nodes holds no object the cyclic garbage collector
+walks per node or per edge (a tuple of ints is untracked at its first
+collection).  `g.edges(nid)` decodes them into (step, child) pairs."""
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import ORDINARY, RcError, StepLabel
+from .core import CRASH_ALL_LABEL, ORDINARY, RcError, StepLabel
 from .experiment import Experiment, as_experiment
 
 
@@ -26,14 +32,23 @@ IdState = Tuple[int, ...]
 
 class ExecGraph(NamedTuple):
     """The reachable graph of `exp`: `nodes` maps a node id to its id
-    state, `adj` every node id to its (step, child node id) edges, and
-    `terminals` a terminal's node id to the values decided there."""
+    state, `adj` every node id to its edges, each the int
+    `child * len(steps) + i` for the step `steps[i]` to the child node id
+    `child`, and `terminals` a terminal's node id to the values decided
+    there.  `len(adj[nid])` is node nid's out-degree."""
 
     exp: Experiment
     nodes: List[IdState]
-    adj: Dict[int, List[Tuple[StepLabel, int]]]
+    steps: Tuple[StepLabel, ...]
+    adj: Dict[int, Tuple[int, ...]]
     terminals: Dict[int, frozenset]
     capped: bool
+
+    def edges(self, nid: int) -> List[Tuple[StepLabel, int]]:
+        """Node nid's edges as (step, child node id) pairs."""
+        steps = self.steps
+        width = len(steps)
+        return [(steps[e % width], e // width) for e in self.adj[nid]]
 
 
 class ValencyLabel(NamedTuple):
@@ -41,31 +56,45 @@ class ValencyLabel(NamedTuple):
     klass: str  # "univalent" | "bivalent" | "multivalent" | "undecided"
 
 
-def _decided(exp: Experiment, state: IdState) -> frozenset:
-    """The values returned in id state `state`."""
-    return frozenset(v for _p, _a, v in exp.others_by_id[state[exp.n + 1]][1])
+def _decided(exp: Experiment, oid: int) -> frozenset:
+    """The values returned in the states of others id `oid`."""
+    return frozenset(v for _p, _a, v in exp.others_by_id[oid][1])
 
 
 def build_graph(x) -> ExecGraph:
     """Breadth-first graph of every reachable state, holding at most the
-    config's `cap` nodes when it sets one."""
+    config's `cap` nodes when it sets one; an edge to a node not held is
+    left out."""
     exp = as_experiment(x)
     cap = exp.config.cap
+    steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
+    width = len(steps)
+    code = {lab: i for i, lab in enumerate(steps)}
+    others = exp.n + 1
+    decided = {}  # others id -> its `_decided` set, shared by its terminals
     nodes = [exp.intern(exp.initial_state())]
     ids = {nodes[0]: 0}  # id state -> node id, only while building
-    adj = {}
+    # edges by node id, a dict only at the end: a full collection untracks
+    # a dict of untracked values, and its next insertion tracks it again as
+    # young, to be walked whole by the young collections that follow
+    adj = []
     terminals = {}
     capped = False
     # `nodes` grows while it is walked: it is the breadth-first queue
+    enabled, successor = exp.enabled_ids, exp.successor
     for nid, state in enumerate(nodes):
-        labels = exp.enabled_ids(state)
+        labels = enabled(state)
         if not labels:
-            adj[nid] = []
-            terminals[nid] = _decided(exp, state)
+            adj.append(())
+            oid = state[others]
+            vals = decided.get(oid)
+            if vals is None:
+                vals = decided[oid] = _decided(exp, oid)
+            terminals[nid] = vals
             continue
         succ = []
         for lab in labels:
-            post = exp.successor(state, lab)
+            post = successor(state, lab)
             fresh = len(nodes)
             child = ids.setdefault(post, fresh)
             if child == fresh:
@@ -74,9 +103,10 @@ def build_graph(x) -> ExecGraph:
                     capped = True
                     continue
                 nodes.append(post)
-            succ.append((lab, child))
-        adj[nid] = succ
-    return ExecGraph(exp, nodes, adj, terminals, capped)
+            succ.append(child * width + code[lab])
+        adj.append(tuple(succ))
+    del ids  # before the dict of edges takes its place in memory
+    return ExecGraph(exp, nodes, steps, dict(enumerate(adj)), terminals, capped)
 
 
 def _classify_set(potent: frozenset, exp: Experiment) -> str:
@@ -98,26 +128,51 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     adj = g.adj
     nodes = g.nodes
     exp = g.exp
-    done = [None] * len(nodes)
+    width = len(g.steps)
+    others = exp.n + 1
     shared = {}  # potent set -> its label
+    by_others = {}  # others id -> the label of the values decided there
+    joins = {}  # (label, label) -> the label of their potent sets' union
+    done = [None] * len(nodes)
 
-    # iterative post-order, children last to first; every step strictly
-    # increases progress, so the graph is a DAG and a child met again is done
-    stack = [(0, reversed(adj[0]))]
-    while stack:
-        nid, todo = stack[-1]
-        for _lab, child in todo:
-            if done[child] is None:
-                stack.append((child, reversed(adj[child])))
-                break
-        else:
-            stack.pop()
-            potent = _decided(exp, nodes[nid]).union(
-                *[done[child].potent for _lab, child in adj[nid]])
-            lab = shared.get(potent)
+    def label(potent):
+        lab = shared.get(potent)
+        if lab is None:
+            lab = shared[potent] = ValencyLabel(potent, _classify_set(potent, exp))
+        return lab
+
+    def fold(nid):
+        """Node nid's label, or None while one of its children has none."""
+        oid = nodes[nid][others]
+        lab = by_others.get(oid)
+        if lab is None:
+            lab = by_others[oid] = label(_decided(exp, oid))
+        for e in adj[nid]:
+            kid = done[e // width]
+            if kid is not lab:
+                if kid is None:
+                    return None
+                joined = joins.get((lab, kid))
+                if joined is None:
+                    joined = joins[lab, kid] = label(lab.potent | kid.potent)
+                lab = joined
+        return lab
+
+    # most edges lead to a higher node id, so a node met in descending id
+    # order mostly finds its children done; the rest go depth first.  Every
+    # step strictly increases progress, so the graph is a DAG.
+    for root in range(len(nodes) - 1, -1, -1):
+        if done[root] is not None:
+            continue
+        stack = [root]
+        while stack:
+            nid = stack[-1]
+            lab = fold(nid)
             if lab is None:
-                lab = shared[potent] = ValencyLabel(potent, _classify_set(potent, exp))
-            done[nid] = lab
+                stack += [e // width for e in adj[nid] if done[e // width] is None]
+            else:
+                done[nid] = lab
+                stack.pop()
     return done
 
 
@@ -128,7 +183,7 @@ def find_critical(g: ExecGraph, labels: List[ValencyLabel]):
     for nid, lab in enumerate(labels):
         if lab.klass not in ("bivalent", "multivalent"):
             continue
-        succs = [(step, labels[child]) for step, child in g.adj[nid]]
+        succs = [(step, labels[child]) for step, child in g.edges(nid)]
         if succs and all(sl.klass == "univalent" for _s, sl in succs):
             out.append((nid, [(step, next(iter(sl.potent))) for step, sl in succs]))
     return out
@@ -138,10 +193,10 @@ def crash_decision_edges(g: ExecGraph, labels: List[ValencyLabel]):
     """Edges, as (node id, step, child node id), where a crash step moves
     the system from bivalent to univalent."""
     out = []
-    for nid, succ in g.adj.items():
-        if labels[nid].klass != "bivalent":
+    for nid, lab in enumerate(labels):
+        if lab.klass != "bivalent":
             continue
-        for step, child in succ:
+        for step, child in g.edges(nid):
             if step.kind != ORDINARY and labels[child].klass == "univalent":
                 out.append((nid, step, child))
     return out
@@ -191,7 +246,7 @@ def dot_lines(g: ExecGraph, labels: List[ValencyLabel]):
         shape = "doublecircle" if nid in g.terminals else "box"
         yield ('  n%d [label="%s", fillcolor=%s, shape=%s];\n'
                % (nid, text, colors[lab.klass], shape))
-    for nid, succ in g.adj.items():
-        for step, child in succ:
+    for nid in g.adj:
+        for step, child in g.edges(nid):
             yield '  n%d -> n%d [label="%s"];\n' % (nid, child, step)
     yield "}\n"

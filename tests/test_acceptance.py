@@ -158,11 +158,11 @@ def test_criterion_5_fig3_valency_narrative():
     else:
         if labels[s].klass != "bivalent":
             failures.append(("s not bivalent", labels[s]))
-        succ = dict(g.adj[s])
+        succ = dict(g.edges(s))
         s2 = succ[ordinary(1)]
         if labels[s2].klass != "bivalent":
             failures.append(("s' not bivalent", labels[s2]))
-        out = {step: labels[child] for step, child in g.adj[s2]}
+        out = {step: labels[child] for step, child in g.edges(s2)}
         v1 = frozenset({10})
         if out[ordinary(1)] != (v1, "univalent"):
             failures.append(("CAS successor", out[ordinary(1)]))
@@ -193,8 +193,8 @@ def test_criterion_6_assumption1_mechanics():
         if max_failures > m:
             failures.append((cfg.program, cfg.f, "failures %d > m %d"
                              % (max_failures, m)))
-        for state, succ in g.adj.items():
-            per_pid = Counter(lab.pid for lab, _ in succ)
+        for nid in g.adj:
+            per_pid = Counter(lab.pid for lab, _ in g.edges(nid))
             if per_pid and max(per_pid.values()) > 1:
                 failures.append((cfg.program, cfg.f,
                                  "process with 2 enabled steps"))

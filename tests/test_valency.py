@@ -1,5 +1,6 @@
 """Execution graphs, valency classification, critical states."""
 
+import gc
 import hashlib
 import re
 from collections import deque
@@ -43,6 +44,20 @@ PINNED_SUMMARIES = {
 }
 
 
+# sum(len(edges) for edges in g.adj.values()): the edges perfbench and
+# tools/ladder.py count
+PINNED_EDGE_COUNTS = {
+    "cas-rc-b3": 2334,
+    "fig1-tas-a1": 298,
+    "fig1-tas-b1": 2215,
+    "fig2-2-0-tas-monitor": 106,
+    "fig2-2-1-atomic": 2620,
+    "fig2-2-1-tas": 3952,
+    "fig2-2-2-tas-monitor": 92500,
+    "fig3-b1": 1110,
+}
+
+
 # sha256 of `to_dot`'s text; fig3-b1 is configs/fig3-valency.json
 PINNED_DOT_SHA256 = {
     "cas-rc-b3": "5c911332e6e2eee3b8887645bcf99b8d2a9c2b576691cda5ec10aa975148a38c",
@@ -68,13 +83,13 @@ def reference_labels(g):
     stack = [0]
     while stack:
         nid = stack[-1]
-        pending = [child for _lab, child in g.adj[nid] if child not in potent]
+        pending = [child for _lab, child in g.edges(nid) if child not in potent]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
         vals = {v for _p, _a, v in g.exp.materialize(g.nodes[nid]).returns}
-        for _lab, child in g.adj[nid]:
+        for _lab, child in g.edges(nid):
             vals |= potent[child]
         potent[nid] = frozenset(vals)
     cfg = g.exp.config
@@ -102,8 +117,8 @@ def test_every_child_is_its_nodes_key_object(named_graph):
     _name, g = named_graph
     assert len(set(g.nodes)) == len(g.nodes)
     assert list(g.adj) == list(range(len(g.nodes)))
-    for succ in g.adj.values():
-        for _lab, child in succ:
+    for nid in g.adj:
+        for _lab, child in g.edges(nid):
             assert 0 <= child < len(g.nodes)
     assert all(0 <= nid < len(g.nodes) for nid in g.terminals)
 
@@ -114,12 +129,34 @@ def test_node_ids_are_breadth_first(named_graph):
     seen = {0}
     queue = deque([0])
     while queue:
-        for _lab, child in g.adj[queue.popleft()]:
+        for _lab, child in g.edges(queue.popleft()):
             if child not in seen:
                 seen.add(child)
                 order.append(child)
                 queue.append(child)
     assert order == list(range(len(g.nodes)))
+
+
+def test_edge_count_is_pinned(named_graph):
+    name, g = named_graph
+    assert sum(len(edges) for edges in g.adj.values()) == PINNED_EDGE_COUNTS[name]
+
+
+def test_edges_decode_to_the_enabled_steps(named_graph):
+    # every enabled step of every node, in `enabled_ids` order, to the node
+    # of its successor
+    _name, g = named_graph
+    exp = g.exp
+    ids = {state: nid for nid, state in enumerate(g.nodes)}
+    for nid, state in enumerate(g.nodes):
+        assert g.edges(nid) == [(lab, ids[exp.successor(state, lab)])
+                                for lab in exp.enabled_ids(state)]
+
+
+def test_collector_tracks_no_edge_tuple(named_graph):
+    _name, g = named_graph
+    gc.collect()
+    assert not any(gc.is_tracked(edges) for edges in g.adj.values())
 
 
 def test_dot_bytes_are_pinned(named_graph):
@@ -164,9 +201,9 @@ def test_potency_shrinks_along_edges():
     g = build_graph(make_config(program="fig3", failure="independent",
                                 budget=1))
     labels = classify(g)
-    for state, succ in g.adj.items():
-        for _step, child in succ:
-            assert labels[child].potent <= labels[state].potent
+    for nid in g.adj:
+        for _step, child in g.edges(nid):
+            assert labels[child].potent <= labels[nid].potent
 
 
 def test_terminal_potency_is_what_was_decided():
@@ -214,7 +251,16 @@ def test_crash_step_can_be_a_decision_step():
 def test_node_cap_blocks_classification():
     g = build_graph(make_config(failure="simultaneous", budget=1, cap=10))
     assert g.capped and len(g.nodes) == 10
-    assert all(child < len(g.nodes) for succ in g.adj.values() for _lab, child in succ)
+    assert all(child < len(g.nodes) for nid in g.adj for _lab, child in g.edges(nid))
+    # the edges to held nodes, and only those, remain
+    exp = g.exp
+    ids = {state: nid for nid, state in enumerate(g.nodes)}
+    dropped = 0
+    for nid, state in enumerate(g.nodes):
+        posts = [(lab, exp.successor(state, lab)) for lab in exp.enabled_ids(state)]
+        assert g.edges(nid) == [(lab, ids[post]) for lab, post in posts if post in ids]
+        dropped += sum(post not in ids for _lab, post in posts)
+    assert dropped
     with pytest.raises(RcError):
         classify(g)
 
@@ -265,12 +311,10 @@ def test_fig3_valency_narrative_states():
         if pcs == ["ex:wP", "ex:wP"] and whole.failures == 0:
             s = nid
     assert s is not None and labels[s].klass == "bivalent"
-    succ = dict()
-    for step, child in g.adj[s]:
-        succ[step] = child
+    succ = dict(g.edges(s))
     s2 = succ[ordinary(1)]
     assert labels[s2].klass == "bivalent"
-    outcomes = {step: labels[child] for step, child in g.adj[s2]}
+    outcomes = {step: labels[child] for step, child in g.edges(s2)}
     assert outcomes[ordinary(1)].klass == "univalent"
     assert outcomes[ordinary(1)].potent == frozenset({10})
     assert outcomes[crash(2)].klass == "univalent"

@@ -7,7 +7,7 @@ Each run executes in its own process, so each reports its own peak RSS:
 `memo=False`, on perfbench's `explore-nomemo` config, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
-and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 3's target), the
+and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 2's target), the
 trace path (seeded `random_run` -> `run` -> `dump_trace` -> `replay`
 round trips on fig2 n=3 f=1), and the tier-1 test suite.  For every run
 it records wall seconds, states/s, edges/s, peak RSS and bytes per state
