@@ -47,11 +47,13 @@ objects id changed (see `programs.Machine`).  A crash resets frames to a
 running entry with no steps and leaves the returns alone, but it changes
 `failures`, which every invariant reads: it re-checks every frame's
 invariant and the objects'.  The edge check is cached the same way,
-`edge_check` per pair of objects ids; a write that leaves an equal
-objects tuple leaves its id, and by the `Machine` contract such an edge
-has nothing to check.  `inspect_edge` runs both parts on whole states,
-its state part on every component of the post-state, and caches nothing;
-it is the reference the tests hold the id kernel to.
+`edge_check` per pair of objects ids, and an ordinary edge reads its
+verdict from the row it steps through (`Experiment.rows`), so it costs no
+call; a write that leaves an equal objects tuple leaves its id, and by
+the `Machine` contract such an edge has nothing to check.
+`inspect_edge` runs both parts on whole states, its state part on every
+component of the post-state, and caches nothing; it is the reference the
+tests hold the id kernel to.
 """
 
 from __future__ import annotations
@@ -253,19 +255,30 @@ def checked_edge(exp: Experiment, state, label: StepLabel):
     Raises `_Violation` on the first failed check: a genericity or
     read-before-write error of the transition itself, crash isolation
     (a crash edge must keep the objects id), then `machine.check_edge` on
-    an edge that changed the objects id."""
-    try:
+    an edge that changed the objects id, whose verdict an ordinary edge
+    reads from its row (see `experiment`)."""
+    n = exp.n
+    if label.kind != ORDINARY:
         post = exp.successor(state, label)
+        if post[n] != state[n]:
+            raise _Violation(INVARIANT, "crash step changed shared objects")
+        return post
+    i = label.pid - 1
+    pre_fid, pre_oid, xid = state[i], state[n], state[n + 1]
+    try:
+        fid, oid, others, err = exp.rows[pre_fid].get(pre_oid) or exp.make_row(pre_fid, pre_oid)
+        if others is not None:
+            fid, xid = others.get(xid) or exp.step_others(pre_fid, pre_oid, xid)
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
-    n = exp.n
-    if post[n] != state[n]:
-        if label.kind != ORDINARY:
-            raise _Violation(INVARIANT, "crash step changed shared objects")
-        err = exp.edge_check(state[n], post[n])
-        if err:
-            raise _Violation(INVARIANT, err)
-    return post
+    if err:
+        raise _Violation(INVARIANT, err)
+    post = list(state)
+    post[i] = fid
+    if oid is not None:
+        post[n] = oid
+    post[n + 1] = xid
+    return tuple(post)
 
 
 def checked_step(exp: Experiment, state, label: StepLabel):

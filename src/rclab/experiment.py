@@ -53,9 +53,19 @@ reads that object's accessors, which are the value the step accessed, so
 `_fill` decides it.  What else depends on the rest of the state (returns,
 the monitor on an instance built from other objects, `participants`,
 assumption 1's `tas_seen` and `armed_crash`) is worked out in
-`_others_after`.  `successor` caches per entry both what `_others_after`
-makes of an others id and the objects id a write leaves from an objects id
-(an entry fixes the slot and the value written).
+`step_others` and kept in the entry's others map, keyed by others id.
+
+Rows.  A search steps through `rows`, not the table: one row per (frame
+id, objects id) that an ordinary step has been taken from.  `rows` is a
+list with a dict for each frame id interned, keyed by objects id, so an
+ordinary step takes one list index and one dict lookup on an int.  A row
+is the tuple (successor frame id, objects id after the step, the entry's
+others map or None, `edge_check`'s verdict on the objects change), built
+by `make_row` from the table entry.  A step that keeps the objects id has
+None for both, and all its rows from one table entry are one tuple.  A row depends on nothing but its key, and a row
+and an others-map entry are made only for a step that did not raise, so a
+step that raises raises again on every visit.  `successor` reads a row
+unchecked; `checker.checked_edge` reads it with its verdict.
 """
 
 from __future__ import annotations
@@ -107,22 +117,21 @@ class _Entry:
 
     `outcome` is the `Ret` or the step's `Access`; `frame` is the successor
     frame, and `fid` its id.  `slot` is the slot the step wrote, or None
-    when it changed no object; `objects_after` then maps an objects id to
-    the id after the write.  `others_after` is None when the step leaves
-    the other fields alone, and otherwise maps an others id to (successor
-    frame id, others id after the step).  `call` holds what `record` is
-    made of until it is made."""
+    when it changed no object.  `others_after` is None when the step leaves
+    the other fields alone, and otherwise the others map of the step's
+    rows: it maps an others id to (successor frame id, others id after the
+    step).  `row` is the step's row from every objects id it keeps.  `call`
+    holds what `record` is made of until it is made."""
 
-    __slots__ = ("outcome", "frame", "fid", "slot", "objects_after", "others_after",
-                 "call", "record")
+    __slots__ = ("outcome", "frame", "fid", "slot", "others_after", "row", "call", "record")
 
     def __init__(self, outcome, frame, fid, slot, touches_others, call):
         self.outcome = outcome
         self.frame = frame
         self.fid = fid
         self.slot = slot
-        self.objects_after = None if slot is None else {}
         self.others_after = {} if touches_others else None
+        self.row = (fid, None, self.others_after, None)
         self.call = call
         self.record = None
 
@@ -144,6 +153,23 @@ class _Interner:
         i = self.ids.setdefault(x, len(values))
         if i == len(values):
             values.append(x)
+        return i
+
+
+class _FrameInterner(_Interner):
+    """The interner of frames, which gives each new frame id an empty dict
+    of rows (see `Experiment.rows`)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def id(self, x) -> int:
+        i = _Interner.id(self, x)
+        if i == len(self.rows):
+            self.rows.append({})
         return i
 
 
@@ -180,7 +206,7 @@ class Experiment:
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
         # Interned components; `frames_by_id[fid]` is the frame of id fid,
         # and so on.
-        self._frames, self._objects, self._others = _Interner(), _Interner(), _Interner()
+        self._frames, self._objects, self._others = _FrameInterner(), _Interner(), _Interner()
         self.frames_by_id = self._frames.values
         self.objects_by_id = self._objects.values
         self.others_by_id = self._others.values
@@ -188,6 +214,9 @@ class Experiment:
         # are taken: a frame id maps to (slot accessed, {its value: _Entry}),
         # or for a return to (None, _Entry).
         self._table = {}
+        # the rows (see the module docstring): `rows[fid][oid]` is the row of
+        # frame id fid on objects id oid
+        self.rows = self._frames.rows
         # per-id caches: the frame a crash resets a frame to, the frame with
         # its crash armed, the others after a crash, and the attempt-free
         # ids of `state_key`, which interns attempt-free frames and others
@@ -394,52 +423,52 @@ class Experiment:
         used."""
         if label.kind != ORDINARY:
             return self._crash_records[label]
-        slot, entry = self._table[ids[label.pid - 1]]
-        if slot is not None:
-            entry = entry[self.objects_by_id[ids[self.n]][slot]]
+        entry = self._entry(ids[label.pid - 1], self.objects_by_id[ids[self.n]])
         return entry.record or self._record(entry)
 
     def successor(self, ids, label: StepLabel):
         """The id state after `label` from the id state `ids`; `label` must
         be one of `enabled_ids(ids)`.  Builds no `SystemState` and no
-        record."""
+        record, and reads no row's verdict."""
         n = self.n
         if label.kind != ORDINARY:
             return self._crash_ids(ids, label)
         i = label.pid - 1
-        oid = ids[n]
-        xid = ids[n + 1]
-        objs = self.objects_by_id[oid]
-        # the table entry of frame id ids[i] on the value its step accesses
-        row = self._table.get(ids[i])
-        entry = None
-        if row is not None:
-            slot, entry = row
-            if slot is not None:
-                entry = entry.get(objs[slot])
-        if entry is None:
-            entry = self._fill(ids[i], objs)
-        fid = entry.fid
-        if entry.slot is not None:
-            after = entry.objects_after
-            new_oid = after.get(oid)
-            if new_oid is None:
-                new_oid = after[oid] = self._objects.id(
-                    _swap(objs, entry.slot, entry.outcome.new_value))
-            oid = new_oid
-        if entry.others_after is not None:
-            after = entry.others_after
-            got = after.get(xid)
-            if got is None:
-                others, armed = self._others_after(entry, self.others_by_id[xid])
-                got = after[xid] = (self._armed_id(fid) if armed else fid,
-                                    self._others.id(others))
-            fid, xid = got
+        pre_fid, pre_oid, xid = ids[i], ids[n], ids[n + 1]
+        fid, oid, others, _ = self.rows[pre_fid].get(pre_oid) or self.make_row(pre_fid, pre_oid)
+        if others is not None:
+            fid, xid = others.get(xid) or self.step_others(pre_fid, pre_oid, xid)
         post = list(ids)
         post[i] = fid
-        post[n] = oid
+        if oid is not None:
+            post[n] = oid
         post[n + 1] = xid
         return tuple(post)
+
+    def make_row(self, fid: int, oid: int):
+        """Build and keep the row of the step of frame `fid` on the objects
+        `oid`, from the table entry, and return it."""
+        objs = self.objects_by_id[oid]
+        entry = self._entry(fid, objs)
+        row = entry.row
+        if entry.slot is not None:
+            new_oid = self._objects.id(_swap(objs, entry.slot, entry.outcome.new_value))
+            if new_oid != oid:
+                row = (entry.fid, new_oid, entry.others_after, self.edge_check(oid, new_oid))
+        self.rows[fid][oid] = row
+        return row
+
+    def _entry(self, fid: int, objs) -> _Entry:
+        """The table entry of the step of frame `fid` on the objects `objs`,
+        made by `_fill` if there is none."""
+        got = self._table.get(fid)
+        if got is not None:
+            slot, entry = got
+            if slot is not None:
+                entry = entry.get(objs[slot])
+            if entry is not None:
+                return entry
+        return self._fill(fid, objs)
 
     def _fill(self, fid: int, objs) -> _Entry:
         """Run the machine's step for frame `fid` on the objects `objs`,
@@ -503,13 +532,13 @@ class Experiment:
         entry = _Entry(Access(name, op, new, instance), new_frame, self._frames.id(new_frame),
                        None if new is value else slot, watched or self.a1,
                        (frame.pc, name, op, args, resp))
-        row = self._table.get(fid)
-        if row is None:
-            row = self._table[fid] = (slot, {})
-        elif row[0] != slot:
+        got = self._table.get(fid)
+        if got is None:
+            got = self._table[fid] = (slot, {})
+        elif got[0] != slot:
             raise AssertionError("%s at %s accessed slot %s, earlier slot %s"
-                                 % (self.machine.program_id, frame.pc, slot, row[0]))
-        row[1][value] = entry
+                                 % (self.machine.program_id, frame.pc, slot, got[0]))
+        got[1][value] = entry
         return entry
 
     def _record(self, entry: _Entry) -> StepRecord:
@@ -525,13 +554,13 @@ class Experiment:
         entry.call = None
         return entry.record
 
-    def _others_after(self, entry: _Entry, others):
-        """(the other fields after the step of `entry` from a state whose
-        other fields are `others`, whether the step arms the stepper's
-        crash under assumption 1).  Raises `GenericityViolation` when the
-        step begins an instance its process accessed in an earlier
-        attempt."""
-        failures, returns, participants, tas_seen, cons_access = others
+    def step_others(self, fid: int, oid: int, xid: int):
+        """(successor frame id, others id after the step) of the step of frame
+        `fid` on the objects `oid` from the others `xid`, entered in the
+        entry's others map.  Raises `GenericityViolation` when the step
+        begins an instance its process accessed in an earlier attempt."""
+        entry = self._entry(fid, self.objects_by_id[oid])
+        failures, returns, participants, tas_seen, cons_access = self.others_by_id[xid]
         pid = entry.frame.pid
         attempt = entry.frame.attempt
         outcome = entry.outcome
@@ -551,7 +580,10 @@ class Experiment:
             if self.a1 and outcome.op in ("tas", "rtas"):
                 armed = (pid, outcome.obj) not in tas_seen
                 tas_seen = tas_seen | {(pid, outcome.obj)}
-        return (failures, returns, participants, tas_seen, cons_access), armed
+        got = entry.others_after[xid] = (
+            self._armed_id(entry.fid) if armed else entry.fid,
+            self._others.id((failures, returns, participants, tas_seen, cons_access)))
+        return got
 
     def _armed_id(self, fid: int) -> int:
         """Frame `fid` with its crash armed."""

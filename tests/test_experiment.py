@@ -1,9 +1,11 @@
 """The transition table: every step it serves equals the machine's own step."""
 
 import json
+import random
 
 import pytest
 
+from rclab import checker
 from rclab.checker import GENERICITY, explore
 from rclab.core import (
     BOTTOM,
@@ -20,6 +22,8 @@ from rclab.core import (
     ordinary,
 )
 from rclab.programs import END, Fig1Machine, Next, Ret
+from rclab.simulator import random_run
+from rclab.valency import build_graph
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -92,6 +96,17 @@ def test_warm_table_gives_the_cold_verdict(name):
     cold = explore(exp).to_json()
     assert explore(exp).to_json() == cold
     assert explore(cfg).to_json() == cold
+    # rows that the unchecked `successor` filled, which `checked_edge` then
+    # reads with their edge verdicts
+    graph_warmed = make_experiment(**TABLE_CONFIGS[name])
+    build_graph(graph_warmed)
+    run_warmed = make_experiment(**TABLE_CONFIGS[name])
+    rng = random.Random(1)
+    for _ in range(20):
+        random_run(run_warmed, rng)
+    for warm in (graph_warmed, run_warmed):
+        assert any(warm.rows)
+        assert explore(warm).to_json() == cold
 
 
 def test_mutant_is_caught_after_a_correct_table_was_filled(monkeypatch):
@@ -226,3 +241,42 @@ def test_digest_ids_is_the_digest_of_the_materialized_state(name, props):
     other = make_experiment(proposals=props, **DIFFERENTIAL_CONFIGS[name])
     all_ids = [other.intern(state) for state in states]
     assert [other.digest_ids(ids) for ids in all_ids] == cold
+
+
+def row_keys(exp):
+    return {(fid, oid) for fid, rows in enumerate(exp.rows) for oid in rows}
+
+
+def recording(step, pairs):
+    """`step`, whose last two arguments are an id state and a label, adding
+    to `pairs` the (frame id, objects id) of each ordinary step it takes."""
+    def wrapper(*args):
+        ids, lab = args[-2:]
+        if lab.kind == ORDINARY:
+            pairs.add((ids[lab.pid - 1], ids[-2]))
+        return step(*args)
+    return wrapper
+
+
+# perfbench's `valency` and `explore-memo` configs: a row more than the
+# pairs stepped from would be a row keyed more finely than its step
+def test_one_row_per_frame_and_objects_stepped_from_in_the_graph():
+    exp = make_experiment(program="fig2", f=2, cons="tas", failure="independent", budget=2,
+                          monitor=True)
+    pairs = set()
+    exp.successor = recording(exp.successor, pairs)
+    build_graph(exp)
+    assert len(pairs) == 14668
+    assert sum(map(len, exp.rows)) == len(pairs)
+    assert row_keys(exp) == pairs
+
+
+def test_one_row_per_frame_and_objects_stepped_from_in_explore(monkeypatch):
+    exp = make_experiment(program="fig2", n=3, f=1, proposals=[10, 20, 30],
+                          failure="independent", budget=1, monitor=True)
+    pairs = set()
+    monkeypatch.setattr(checker, "checked_edge", recording(checker.checked_edge, pairs))
+    assert explore(exp, minimize=False).passed
+    assert len(pairs) == 11970
+    assert sum(map(len, exp.rows)) == len(pairs)
+    assert row_keys(exp) == pairs

@@ -4,8 +4,13 @@ import importlib.util
 import os
 import shutil
 import subprocess
+from types import SimpleNamespace
 
 import pytest
+
+from rclab import checker
+from rclab.config import ExperimentConfig
+from rclab.experiment import Experiment
 
 LADDER = os.path.join(os.path.dirname(__file__), "..", "tools", "ladder.py")
 
@@ -44,3 +49,15 @@ def test_commit_marks_a_dirty_tree_and_names_only_its_own_checkout(tmp_path):
     # a copy inside the checkout, and a directory in no checkout at all
     assert ladder.commit(copy) is None
     assert ladder.commit(str(tmp_path)) is None
+
+
+def test_shortest_failure_entry_counts_every_checked_edge():
+    ladder = load_ladder()
+    what, cfg = ladder.RUNS["criterion 4: fig2 n=2 f=1 budget 2"]
+    assert what == "shortest_failure"
+    checked_edge = checker.checked_edge
+    exp = Experiment(ExperimentConfig.from_dict(dict(cfg)))
+    states, edges, outputs = ladder._shortest_failure(SimpleNamespace(checker=checker), exp)
+    assert (states, edges) == (425, 1239)
+    assert outputs == {"property": "RecoverableWaitFreedom", "length": 9}
+    assert checker.checked_edge is checked_edge

@@ -83,8 +83,9 @@ def _explore(lib, exp, memo=True):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    (`enabled_ids` calls) and edges the transitions it took (`successor`
-    calls), counted around the instance."""
+    (`enabled_ids` calls, counted around the instance) and edges the edges
+    it checked (calls of `checker.checked_edge`, which `shortest_failure`
+    makes once per edge and looks up in its module)."""
     counts = [0, 0]
 
     def counted(fn, i):
@@ -94,8 +95,12 @@ def _shortest_failure(lib, exp):
         return wrapper
 
     exp.enabled_ids = counted(exp.enabled_ids, 0)
-    exp.successor = counted(exp.successor, 1)
-    found = lib.checker.shortest_failure(exp)
+    checked_edge = lib.checker.checked_edge
+    lib.checker.checked_edge = counted(checked_edge, 1)
+    try:
+        found = lib.checker.shortest_failure(exp)
+    finally:
+        lib.checker.checked_edge = checked_edge
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
 
