@@ -18,17 +18,19 @@ state is the tuple `(frame id, ..., frame id, objects id, others id)`,
 one frame id per process.  Two id states are equal exactly when the
 states they stand for are, so an id state is its own memo key, and it
 hashes as a handful of ints, not as nested tuples.  The searches in
-`checker`, the valency graph and the simulator step on id states with
-`successor` and build a `SystemState` (`materialize`) only where a caller
-needs a whole one.  Under `hash_ignores_attempt`, `state_key` maps each
+`checker`, the valency graph and the simulator step on id states and
+build a `SystemState` (`materialize`) only where a caller needs a whole
+one.  Under `hash_ignores_attempt`, `state_key` maps each
 frame id and the others id to an id of the same component with every
 attempt zeroed, which is `memo_key`'s partition on id states.
 
-`successor` is the one transition.  `apply_step(state, label)` is a view
-of it on whole states: it interns `state`, steps, and materializes the
-result, returning it with the `StepRecord` a trace stores (op text with
-the JSON-encoded access arguments, and the response, from `record`).  A
-caller that needs only the state takes `[0]`.  The components of a state
+`successor` is the one unchecked transition; the searches take the same
+step, with the edge checks, through `checker.checked_edge` (see Rows
+below).  `apply_step(state, label)` is a view of `successor` on whole
+states: it interns `state`, steps, and materializes the result, returning
+it with the `StepRecord` a trace stores (op text with the JSON-encoded
+access arguments, and the response, from `record`).  A caller that needs
+only the state takes `[0]`.  The components of a state
 it returns are the interned ones, so after a step that leaves every shared
 object unchanged (a read, an `rtas`, a failed `cas`, a crash), `objects`
 is the very tuple of a pre-state that `apply_step` or `materialize` made.
