@@ -34,11 +34,12 @@ memo key with it under `hash_ignores_attempt` differs from it in
 - Validity: the returns' values.
 - The machine's invariant: `Machine.check_state` reads no attempt.
 
-Each state check is a fact of one component of the post-state, and each
-is a pure function of it, so each is cached per id: RWF per frame id
+Each state check is a pure function of one component of the post-state,
+so each is kept per id in an experiment's `core.Cache`: RWF per frame id
 (`Experiment.rwf_checks`), agreement and validity per others id
-(`Experiment.return_checks`), `Experiment.frame_check` per frame id and
-failures, and `objects_check` per objects id and failures.  The pre-state
+(`return_checks`), and the machine's invariants per frame id and
+failures (`frame_checks`) and objects id and failures (`objects_checks`).
+The rules live in `core`; this module re-exports them.  The pre-state
 of every edge passed them, so an edge re-checks only the components it
 changed.  An ordinary edge changes the moved frame, and perhaps the
 others id and the objects id: it checks RWF and the invariant of that
@@ -46,11 +47,11 @@ frame, the returns when the others id changed, and the objects when the
 objects id changed (see `programs.Machine`).  A crash resets frames to a
 running entry with no steps and leaves the returns alone, but it changes
 `failures`, which every invariant reads: it re-checks every frame's
-invariant and the objects'.  The edge check is cached the same way,
-`edge_check` per pair of objects ids, and an ordinary edge reads its
-verdict from the row it steps through (`Experiment.rows`), so it costs no
-call; a write that leaves an equal objects tuple leaves its id, and by
-the `Machine` contract such an edge has nothing to check.
+invariant and the objects'.  The edge check is kept per pair of objects
+ids (`edge_checks`), and an ordinary edge, which steps through a row
+without a verdict (`Experiment.rows`), looks it up only when the objects
+id changed: a write that leaves an equal objects tuple leaves its id, and
+by the `Machine` contract such an edge has nothing to check.
 `inspect_edge` runs both parts on whole states, its state part on every
 component of the post-state, and caches nothing; it is the reference the
 tests hold the id kernel to.
@@ -64,23 +65,26 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .core import (
-    FELL_OFF,
+    AGREEMENT,
+    INVARIANT,
     ORDINARY,
+    RWF,
+    VALIDITY,
     GenericityViolation,
     StepLabel,
     SystemState,
     TransitionError,
     UninitializedRead,
+    check_agreement,
+    check_returns,
+    check_rwf,
+    check_validity,
 )
 from .experiment import Experiment, as_experiment
 from .simulator import require_enabled
 
-AGREEMENT = "Agreement"
-VALIDITY = "Validity"
-RWF = "RecoverableWaitFreedom"
 GENERICITY = GenericityViolation.prop
 READ_BEFORE_WRITE = UninitializedRead.prop
-INVARIANT = "Invariant"
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -116,30 +120,6 @@ class Verdict:
         return out
 
 
-def check_agreement(returns, scope="all-returns") -> Optional[str]:
-    """None if all decisions agree; otherwise a description of the clash."""
-    if scope == "cross-process":
-        # a process's first decision stands for it; its later ones are ignored
-        by_pid = {}
-        for pid, _att, v in returns:
-            by_pid.setdefault(pid, v)
-        vals = set(by_pid.values())
-        if len(vals) > 1:
-            return "distinct processes decided %s" % sorted(map(repr, vals))
-        return None
-    vals = {v for _pid, _att, v in returns}
-    if len(vals) > 1:
-        return "returns disagree: %s" % sorted(map(repr, vals))
-    return None
-
-
-def check_validity(returns, proposals) -> Optional[str]:
-    for pid, att, v in returns:
-        if v not in proposals:
-            return "p%d (attempt %d) decided %r, not a proposal" % (pid, att, v)
-    return None
-
-
 class _Violation(Exception):
     def __init__(self, prop, detail):
         self.prop = prop
@@ -149,27 +129,6 @@ class _Violation(Exception):
 
 class _DepthLimit(Exception):
     pass
-
-
-def _rwf(exp: Experiment, fr):
-    """Recoverable wait-freedom of a frame; None if clean."""
-    if fr.status == FELL_OFF:
-        return (RWF, "p%d reached the end of the program without returning" % fr.pid)
-    if fr.steps > exp.bound:
-        return (RWF, "p%d took %d steps in one attempt, bound is %d"
-                % (fr.pid, fr.steps, exp.bound))
-    return None
-
-
-def _check_returns(exp: Experiment, returns):
-    """Agreement, then validity, of a state's `returns`; None if both hold."""
-    err = check_agreement(returns, exp.config.agreement_scope)
-    if err:
-        return (AGREEMENT, err)
-    err = check_validity(returns, exp.config.proposals)
-    if err:
-        return (VALIDITY, err)
-    return None
 
 
 def state_checks(exp: Experiment, pre, label, post):
@@ -182,33 +141,24 @@ def state_checks(exp: Experiment, pre, label, post):
         # a crash changes `failures`: every frame, then the objects
         failures = exp.others_by_id[post[n + 1]][0]
         for fid in post[:n]:
-            err = exp.frame_check(fid, failures)
+            err = exp.frame_checks[fid, failures]
             if err:
                 return (INVARIANT, err)
-        err = exp.objects_check(post[n], failures)
+        err = exp.objects_checks[post[n], failures]
         return (INVARIANT, err) if err else None
     fid = post[label.pid - 1]
-    try:
-        bad = exp.rwf_checks[fid]
-    except IndexError:
-        exp.rwf_checks += [_rwf(exp, fr) for fr in exp.frames_by_id[len(exp.rwf_checks):]]
-        bad = exp.rwf_checks[fid]
+    bad = exp.rwf_checks[fid]
     if bad:
         return bad
     xid = post[n + 1]
     if xid != pre[n + 1]:
-        try:
-            bad = exp.return_checks[xid]
-        except IndexError:
-            exp.return_checks += [_check_returns(exp, others[1])
-                                  for others in exp.others_by_id[len(exp.return_checks):]]
-            bad = exp.return_checks[xid]
+        bad = exp.return_checks[xid]
         if bad:
             return bad
     failures = exp.others_by_id[xid][0]
-    err = exp.frame_check(fid, failures)
+    err = exp.frame_checks[fid, failures]
     if not err and post[n] != pre[n]:
-        err = exp.objects_check(post[n], failures)
+        err = exp.objects_checks[post[n], failures]
     return (INVARIANT, err) if err else None
 
 
@@ -227,10 +177,10 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
         if err:
             return (INVARIANT, err)
     for fr in post.frames:
-        bad = _rwf(exp, fr)
+        bad = check_rwf(fr, exp.bound)
         if bad:
             return bad
-    bad = _check_returns(exp, post.returns)
+    bad = check_returns(post.returns, exp.config)
     if bad:
         return bad
     err = machine.check_state(post)
@@ -256,7 +206,7 @@ def checked_edge(exp: Experiment, state, label: StepLabel):
     read-before-write error of the transition itself, crash isolation
     (a crash edge must keep the objects id), then `machine.check_edge` on
     an edge that changed the objects id, whose verdict an ordinary edge
-    reads from its row (see `experiment`)."""
+    looks up in `exp.edge_checks` (see `experiment`)."""
     n = exp.n
     if label.kind != ORDINARY:
         post = exp.successor(state, label)
@@ -266,16 +216,17 @@ def checked_edge(exp: Experiment, state, label: StepLabel):
     i = label.pid - 1
     pre_fid, pre_oid, xid = state[i], state[n], state[n + 1]
     try:
-        fid, oid, others, err = exp.rows[pre_fid].get(pre_oid) or exp.make_row(pre_fid, pre_oid)
+        fid, oid, others = exp.rows[pre_fid].get(pre_oid) or exp.make_row(pre_fid, pre_oid)
         if others is not None:
             fid, xid = others.get(xid) or exp.step_others(pre_fid, pre_oid, xid)
     except TransitionError as e:
         raise _Violation(e.prop, str(e))
-    if err:
-        raise _Violation(INVARIANT, err)
     post = list(state)
     post[i] = fid
     if oid is not None:
+        err = exp.edge_checks[pre_oid, oid]
+        if err:
+            raise _Violation(INVARIANT, err)
         post[n] = oid
     post[n + 1] = xid
     return tuple(post)

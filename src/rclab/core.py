@@ -1,6 +1,7 @@
-"""Execution model primitives: states, steps, traces.
+"""Execution model primitives: states, steps, traces, the rules of the
+state properties, and `Cache`, the one memo of a pure function.
 
-Everything here is an immutable value.  A step function elsewhere maps
+Every state here is an immutable value.  A step function elsewhere maps
 (state, label) -> (state, record) and never mutates its input, which is
 what makes memoized search and bit-exact replay possible.
 """
@@ -81,6 +82,75 @@ class GenericityViolation(TransitionError):
             "p%d accessed %s in attempt %d after accessing it in attempt %d"
             % (pid, instance, attempt, prior_attempt)
         )
+
+
+# The state properties, as a verdict names them.
+AGREEMENT = "Agreement"
+VALIDITY = "Validity"
+RWF = "RecoverableWaitFreedom"
+INVARIANT = "Invariant"
+
+
+def check_agreement(returns, scope="all-returns") -> Optional[str]:
+    """None if all decisions agree; otherwise a description of the clash."""
+    if scope == "cross-process":
+        # a process's first decision stands for it; its later ones are ignored
+        by_pid = {}
+        for pid, _att, v in returns:
+            by_pid.setdefault(pid, v)
+        vals = set(by_pid.values())
+        if len(vals) > 1:
+            return "distinct processes decided %s" % sorted(map(repr, vals))
+        return None
+    vals = {v for _pid, _att, v in returns}
+    if len(vals) > 1:
+        return "returns disagree: %s" % sorted(map(repr, vals))
+    return None
+
+
+def check_validity(returns, proposals) -> Optional[str]:
+    for pid, att, v in returns:
+        if v not in proposals:
+            return "p%d (attempt %d) decided %r, not a proposal" % (pid, att, v)
+    return None
+
+
+def check_rwf(frame, bound: int):
+    """Recoverable wait-freedom of a frame, whose attempt may take at most
+    `bound` steps: (RWF, detail), or None if clean."""
+    if frame.status == FELL_OFF:
+        return (RWF, "p%d reached the end of the program without returning" % frame.pid)
+    if frame.steps > bound:
+        return (RWF, "p%d took %d steps in one attempt, bound is %d"
+                % (frame.pid, frame.steps, bound))
+    return None
+
+
+def check_returns(returns, config):
+    """Agreement, then validity, of a state's `returns` under `config`:
+    (property, detail), or None if both hold."""
+    err = check_agreement(returns, config.agreement_scope)
+    if err:
+        return (AGREEMENT, err)
+    err = check_validity(returns, config.proposals)
+    if err:
+        return (VALIDITY, err)
+    return None
+
+
+class Cache(dict):
+    """The memo of a pure function `fn`: `cache[key]` is `fn(key)`, computed
+    on the first lookup of `key` and kept, so a hit is a plain dict lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class StepLabel(NamedTuple):

@@ -58,16 +58,28 @@ assumption 1's `tas_seen` and `armed_crash`) is worked out in
 `step_others` and kept in the entry's others map, keyed by others id.
 
 Rows.  A search steps through `rows`, not the table: one row per (frame
-id, objects id) that an ordinary step has been taken from.  `rows` is a
-list with a dict for each frame id interned, keyed by objects id, so an
-ordinary step takes one list index and one dict lookup on an int.  A row
-is the tuple (successor frame id, objects id after the step, the entry's
-others map or None, `edge_check`'s verdict on the objects change), built
-by `make_row` from the table entry.  A step that keeps the objects id has
-None for both, and all its rows from one table entry are one tuple.  A row depends on nothing but its key, and a row
-and an others-map entry are made only for a step that did not raise, so a
-step that raises raises again on every visit.  `successor` reads a row
-unchecked; `checker.checked_edge` reads it with its verdict.
+id, objects id) that an ordinary step has been taken from, in a list
+with a dict for each frame id, keyed by objects id, so an ordinary step
+takes one list index and one dict lookup on an int.  A row is the
+transition alone, built by `make_row` from the table entry: (successor
+frame id, objects id after the step or None when the step keeps it, the
+entry's others map or None); a step that keeps the objects id has one
+row tuple for all of them.  A row holds no verdict: `checker.checked_edge`
+looks the edge check up in `edge_checks` when the objects id changed,
+and `successor`, which the valency graph steps through, runs none.  A
+row and an others-map entry are made only for a step that did not raise,
+so a step that raises raises again on every visit.
+
+Every fact derived from an id has one of two homes.  A list the hot path
+indexes by id (`rows`, the key parts of `enabled_ids`) is extended by the
+interner as it mints the id (`_Interner`'s `born`).  Any other fact is a
+`core.Cache` of a pure function, built in `__init__`: crash resets,
+armed frames, `state_key`'s ids, the machine's invariants, the checker's
+state checks and `digest_ids`' texts.  The function closes over
+interners, the machine (whose methods it looks up on each call, so a
+patch on the instance is seen) and config values, never over the
+experiment, so an experiment holds no reference cycle and is freed as
+soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -85,11 +97,14 @@ from .core import (
     ORDINARY,
     RETURNED,
     RUNNING,
+    Cache,
     Frame,
     GenericityViolation,
     StepLabel,
     StepRecord,
     SystemState,
+    check_returns,
+    check_rwf,
     crash,
     digest_texts,
     encode,
@@ -133,20 +148,22 @@ class _Entry:
         self.fid = fid
         self.slot = slot
         self.others_after = {} if touches_others else None
-        self.row = (fid, None, self.others_after, None)
+        self.row = (fid, None, self.others_after)
         self.call = call
         self.record = None
 
 
 class _Interner:
     """Dense integer ids for components: equal components share the id of
-    the first one met, which is its index in `values`."""
+    the first one met, which is its index in `values`.  `born`, if given,
+    is called with each new component as its id is minted."""
 
-    __slots__ = ("ids", "values")
+    __slots__ = ("ids", "values", "born")
 
-    def __init__(self):
+    def __init__(self, born=None):
         self.ids = {}
         self.values = []
+        self.born = born
 
     def id(self, x) -> int:
         # one hash: `setdefault` returns the next free id exactly when `x`
@@ -155,23 +172,8 @@ class _Interner:
         i = self.ids.setdefault(x, len(values))
         if i == len(values):
             values.append(x)
-        return i
-
-
-class _FrameInterner(_Interner):
-    """The interner of frames, which gives each new frame id an empty dict
-    of rows (see `Experiment.rows`)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        super().__init__()
-        self.rows = []
-
-    def id(self, x) -> int:
-        i = _Interner.id(self, x)
-        if i == len(self.rows):
-            self.rows.append({})
+            if self.born is not None:
+                self.born(x)
         return i
 
 
@@ -206,65 +208,82 @@ class Experiment:
             # of the configured budget.
             fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
+        # Lists born with each id: `rows[fid][oid]` is the row of frame id
+        # fid on objects id oid, and the key parts of `enabled_ids` are each
+        # frame id's status code and each others id's budget bit.
+        self.rows, self._status_codes, self._budget_bits = rows, codes, bits = [], [], []
+        budget = config.budget
+
+        def frame_born(fr):
+            rows.append({})
+            codes.append(_STATUS_CODES[fr.status] << 2 * fr.pid - 1)
+
         # Interned components; `frames_by_id[fid]` is the frame of id fid,
         # and so on.
-        self._frames, self._objects, self._others = _FrameInterner(), _Interner(), _Interner()
-        self.frames_by_id = self._frames.values
-        self.objects_by_id = self._objects.values
-        self.others_by_id = self._others.values
+        self._frames = frames = _Interner(born=frame_born)
+        self._objects = _Interner()
+        self._others = others = _Interner(born=lambda x: bits.append(int(x[0] < budget)))
+        self.frames_by_id = frames_by_id = frames.values
+        self.objects_by_id = objects_by_id = self._objects.values
+        self.others_by_id = others_by_id = others.values
         # The transition table (see the module docstring), filled as steps
         # are taken: a frame id maps to (slot accessed, {its value: _Entry}),
         # or for a return to (None, _Entry).
         self._table = {}
-        # the rows (see the module docstring): `rows[fid][oid]` is the row of
-        # frame id fid on objects id oid
-        self.rows = self._frames.rows
-        # per-id caches: the frame a crash resets a frame to, the frame with
-        # its crash armed, the others after a crash, and the attempt-free
-        # ids of `state_key`, which interns attempt-free frames and others
-        # tuples (never equal to each other) in `_attemptless`
-        self._resets = {}
-        self._armed = {}
-        self._crashed = {}
-        self._key_frames = {}
-        self._key_others = {}
-        self._attemptless = _Interner()
-        # the machine's invariants per component id (see `frame_check`)
-        self._frame_checks = {}
-        self._objects_checks = {}
-        self._edge_checks = {}
-        # the enabledness cache (see `enabled_ids`): the key part of each
-        # frame id and of each others id, and the labels of each key
-        self._status_codes = []
-        self._budget_bits = []
+        # the labels of each enabledness key (see `enabled_ids`)
         self._enabled_by_key = {}
-        # the checker's state checks of an ordinary edge (see
-        # `checker.state_checks`): RWF of each frame id, and agreement and
-        # validity of each others id's returns
-        self.rwf_checks = []
-        self.return_checks = []
+        # Caches of pure functions of ids.  No cache function closes over
+        # `self`: that would make a reference cycle, which only the cyclic
+        # collector frees.
+        machine, bound = self.machine, self.bound
+
+        def reset(fid):
+            fr = frames_by_id[fid]
+            return frames.id(_entry_frame(machine, fr.pid, fr.proposal, fr.attempt + 1))
+
+        def crashed(xid):
+            x = others_by_id[xid]
+            return others.id((x[0] + 1,) + x[1:])
+
+        def key_others(xid):
+            x = others_by_id[xid]
+            return attemptless.id((x[0], _attemptless_returns(x[1])) + x[2:])
+
+        # the frame a crash resets a frame to, the frame with its crash
+        # armed, and the others after a crash
+        self._resets = Cache(reset)
+        self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
+        self._crashed = Cache(crashed)
+        # the attempt-free ids of `state_key`, of attempt-free frames and
+        # others tuples (never equal to each other)
+        attemptless = _Interner()
+        self._key_frames = Cache(lambda fid: attemptless.id(_attemptless(frames_by_id[fid])))
+        self._key_others = Cache(key_others)
+        # the machine's invariants, keyed by (frame id, failures), (objects
+        # id, failures) and (pre objects id, post objects id)
+        self.frame_checks = Cache(lambda k: machine.check_frame(frames_by_id[k[0]], k[1]))
+        self.objects_checks = Cache(lambda k: machine.check_objects(objects_by_id[k[0]], k[1]))
+        self.edge_checks = Cache(
+            lambda k: machine.check_edge(objects_by_id[k[0]], objects_by_id[k[1]]))
+        # the checker's state checks (see `checker.state_checks`): RWF of
+        # each frame id, agreement and validity of each others id's returns
+        self.rwf_checks = Cache(lambda fid: check_rwf(frames_by_id[fid], bound))
+        self.return_checks = Cache(lambda xid: check_returns(others_by_id[xid][1], config))
         # the JSON text of each frame id, objects id and others id (see
-        # `digest_ids`)
-        self._frame_texts = []
-        self._objects_texts = []
-        self._others_texts = []
+        # `digest_ids`); the other fields are joined by commas, without the
+        # brackets of their tuple
+        self._frame_texts = Cache(lambda fid: encode(frames_by_id[fid]))
+        self._objects_texts = Cache(lambda oid: encode(objects_by_id[oid]))
+        self._others_texts = Cache(lambda xid: encode(others_by_id[xid])[1:-1])
         # the state `apply_step` last returned, and its id state
         self._last = (None, None)
 
     # -- state construction -------------------------------------------------
 
-    def _entry_frame(self, pid: int, proposal, attempt: int = 1) -> Frame:
-        """The frame of `pid` at the top of the program, in `attempt`."""
-        locs = locals_tuple(self.machine.init_locals(pid, proposal))
-        return Frame(pid, self.machine.entry, locs, proposal, attempt)
-
     def initial_state(self) -> SystemState:
-        frames = tuple(self._entry_frame(pid, prop)
+        frames = tuple(_entry_frame(self.machine, pid, prop)
                        for pid, prop in enumerate(self.config.proposals, start=1))
         return SystemState(frames=frames, objects=self.initial_objects)
-
-    def get_value(self, state: SystemState, name: str):
-        return state.objects[self.idx[name]]
 
     # -- interning ----------------------------------------------------------
 
@@ -293,24 +312,8 @@ class Experiment:
         of `materialize(ids)` bit for bit, and no `SystemState` is built."""
         n = self.n
         texts = self._frame_texts
-        try:
-            frames = ",".join([texts[f] for f in ids[:n]])
-            objs = self._objects_texts[ids[n]]
-            others = self._others_texts[ids[n + 1]]
-        except IndexError:
-            self._extend_texts()
-            return self.digest_ids(ids)
-        return digest_texts(frames, objs, others)
-
-    def _extend_texts(self):
-        """Extend the texts of `digest_ids` to every id interned."""
-        for texts, values in ((self._frame_texts, self.frames_by_id),
-                              (self._objects_texts, self.objects_by_id)):
-            texts += [encode(x) for x in values[len(texts):]]
-        # the other fields are joined by commas, without the brackets of
-        # their tuple
-        texts = self._others_texts
-        texts += [encode(x)[1:-1] for x in self.others_by_id[len(texts):]]
+        return digest_texts(",".join([texts[f] for f in ids[:n]]),
+                            self._objects_texts[ids[n]], self._others_texts[ids[n + 1]])
 
     # -- enabledness --------------------------------------------------------
 
@@ -327,13 +330,9 @@ class Experiment:
         codes = self._status_codes
         # the key: each frame's status code, shifted to its pid's position,
         # plus the failures bit
-        try:
-            key = self._budget_bits[ids[n + 1]]
-            for f in ids[:n]:
-                key += codes[f]
-        except IndexError:
-            self._extend_keys()
-            return self.enabled_ids(ids)
+        key = self._budget_bits[ids[n + 1]]
+        for f in ids[:n]:
+            key += codes[f]
         labels = self._enabled_by_key.get(key)
         if labels is None:
             labels = self._enabled_by_key[key] = self._enabled_ids(ids)
@@ -348,16 +347,6 @@ class Experiment:
         for f in ids[:n]:
             fs.append(frames[f])
         return self._enabled(fs, others[0], others[2])
-
-    def _extend_keys(self):
-        """Extend the key parts of `enabled_ids` to every id interned."""
-        codes = self._status_codes
-        for fr in self.frames_by_id[len(codes):]:
-            codes.append(_STATUS_CODES[fr.status] << 2 * fr.pid - 1)
-        bits = self._budget_bits
-        budget = self.config.budget
-        for others in self.others_by_id[len(bits):]:
-            bits.append(int(others[0] < budget))
 
     def _enabled(self, frames, failures, participants):
         ordinary = self.ordinary_labels
@@ -431,13 +420,13 @@ class Experiment:
     def successor(self, ids, label: StepLabel):
         """The id state after `label` from the id state `ids`; `label` must
         be one of `enabled_ids(ids)`.  Builds no `SystemState` and no
-        record, and reads no row's verdict."""
+        record, and runs no check."""
         n = self.n
         if label.kind != ORDINARY:
             return self._crash_ids(ids, label)
         i = label.pid - 1
         pre_fid, pre_oid, xid = ids[i], ids[n], ids[n + 1]
-        fid, oid, others, _ = self.rows[pre_fid].get(pre_oid) or self.make_row(pre_fid, pre_oid)
+        fid, oid, others = self.rows[pre_fid].get(pre_oid) or self.make_row(pre_fid, pre_oid)
         if others is not None:
             fid, xid = others.get(xid) or self.step_others(pre_fid, pre_oid, xid)
         post = list(ids)
@@ -456,7 +445,7 @@ class Experiment:
         if entry.slot is not None:
             new_oid = self._objects.id(_swap(objs, entry.slot, entry.outcome.new_value))
             if new_oid != oid:
-                row = (entry.fid, new_oid, entry.others_after, self.edge_check(oid, new_oid))
+                row = (entry.fid, new_oid, entry.others_after)
         self.rows[fid][oid] = row
         return row
 
@@ -583,78 +572,22 @@ class Experiment:
                 armed = (pid, outcome.obj) not in tas_seen
                 tas_seen = tas_seen | {(pid, outcome.obj)}
         got = entry.others_after[xid] = (
-            self._armed_id(entry.fid) if armed else entry.fid,
+            self._armed[entry.fid] if armed else entry.fid,
             self._others.id((failures, returns, participants, tas_seen, cons_access)))
         return got
-
-    def _armed_id(self, fid: int) -> int:
-        """Frame `fid` with its crash armed."""
-        armed = self._armed.get(fid)
-        if armed is None:
-            frame = self.frames_by_id[fid]
-            armed = self._armed[fid] = self._frames.id(frame._replace(armed_crash=True))
-        return armed
-
-    def _reset_id(self, fid: int) -> int:
-        """The frame a crash resets frame `fid` to."""
-        reset = self._resets.get(fid)
-        if reset is None:
-            frame = self.frames_by_id[fid]
-            reset = self._resets[fid] = self._frames.id(
-                self._entry_frame(frame.pid, frame.proposal, frame.attempt + 1))
-        return reset
 
     def _crash_ids(self, ids, label: StepLabel):
         """Reset the crashed frame, or for a simultaneous crash every frame
         that has not halted, and count one failure."""
         n = self.n
+        resets = self._resets
         if label.kind == CRASH:
             i = label.pid - 1
-            fids = ids[:i] + (self._reset_id(ids[i]),) + ids[i + 1:n]
+            fids = ids[:i] + (resets[ids[i]],) + ids[i + 1:n]
         else:
             frames = self.frames_by_id
-            fids = tuple([f if frames[f].status == HALTED else self._reset_id(f)
-                          for f in ids[:n]])
-        xid = ids[n + 1]
-        crashed = self._crashed.get(xid)
-        if crashed is None:
-            others = self.others_by_id[xid]
-            crashed = self._crashed[xid] = self._others.id((others[0] + 1,) + others[1:])
-        return fids + (ids[n], crashed)
-
-    # -- the machine's invariants on ids --------------------------------------
-
-    def frame_check(self, fid: int, failures: int) -> Optional[str]:
-        """`machine.check_frame` of frame `fid`, cached per (frame id,
-        failures): the invariants are pure functions of their arguments."""
-        key = (fid, failures)
-        try:
-            return self._frame_checks[key]
-        except KeyError:
-            err = self._frame_checks[key] = self.machine.check_frame(
-                self.frames_by_id[fid], failures)
-            return err
-
-    def objects_check(self, oid: int, failures: int) -> Optional[str]:
-        """`machine.check_objects` of objects `oid`, cached per (objects id,
-        failures)."""
-        key = (oid, failures)
-        try:
-            return self._objects_checks[key]
-        except KeyError:
-            err = self._objects_checks[key] = self.machine.check_objects(
-                self.objects_by_id[oid], failures)
-            return err
-
-    def edge_check(self, pre_oid: int, post_oid: int) -> Optional[str]:
-        """`machine.check_edge` between two objects ids, cached per pair."""
-        key = (pre_oid, post_oid)
-        try:
-            return self._edge_checks[key]
-        except KeyError:
-            objs = self.objects_by_id
-            err = self._edge_checks[key] = self.machine.check_edge(objs[pre_oid], objs[post_oid])
-            return err
+            fids = tuple([f if frames[f].status == HALTED else resets[f] for f in ids[:n]])
+        return fids + (ids[n], self._crashed[ids[n + 1]])
 
     # -- hashing ------------------------------------------------------------
 
@@ -674,20 +607,8 @@ class Experiment:
         if not self.config.hash_ignores_attempt:
             return ids
         n = self.n
-        key = []
-        for fid in ids[:n]:
-            k = self._key_frames.get(fid)
-            if k is None:
-                fr = _attemptless(self.frames_by_id[fid])
-                k = self._key_frames[fid] = self._attemptless.id(fr)
-            key.append(k)
-        xid = ids[n + 1]
-        k = self._key_others.get(xid)
-        if k is None:
-            others = self.others_by_id[xid]
-            others = (others[0], _attemptless_returns(others[1])) + others[2:]
-            k = self._key_others[xid] = self._attemptless.id(others)
-        return tuple(key) + (ids[n], k)
+        key_frames = self._key_frames
+        return tuple([key_frames[f] for f in ids[:n]]) + (ids[n], self._key_others[ids[n + 1]])
 
 
 def as_experiment(x) -> Experiment:
@@ -697,6 +618,12 @@ def as_experiment(x) -> Experiment:
     if isinstance(x, ExperimentConfig):
         return Experiment(x)
     return Experiment(ExperimentConfig.from_dict(dict(x)))
+
+
+def _entry_frame(machine, pid: int, proposal, attempt: int = 1) -> Frame:
+    """The frame of `pid` at the top of `machine`'s program, in `attempt`."""
+    locs = locals_tuple(machine.init_locals(pid, proposal))
+    return Frame(pid, machine.entry, locs, proposal, attempt)
 
 
 def _attemptless(frame: Frame) -> Frame:

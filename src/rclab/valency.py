@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import CRASH_ALL_LABEL, ORDINARY, RcError, StepLabel
+from .core import CRASH_ALL_LABEL, ORDINARY, Cache, RcError, StepLabel
 from .experiment import Experiment, as_experiment
 
 
@@ -56,9 +56,9 @@ class ValencyLabel(NamedTuple):
     klass: str  # "univalent" | "bivalent" | "multivalent" | "undecided"
 
 
-def _decided(exp: Experiment, oid: int) -> frozenset:
-    """The values returned in the states of others id `oid`."""
-    return frozenset(v for _p, _a, v in exp.others_by_id[oid][1])
+def _decided(others) -> frozenset:
+    """The values returned in the states of the other fields `others`."""
+    return frozenset(v for _p, _a, v in others[1])
 
 
 def build_graph(x) -> ExecGraph:
@@ -71,7 +71,9 @@ def build_graph(x) -> ExecGraph:
     width = len(steps)
     code = {lab: i for i, lab in enumerate(steps)}
     others = exp.n + 1
-    decided = {}  # others id -> its `_decided` set, shared by its terminals
+    # an others id -> its `_decided` set, shared by its terminals
+    others_by_id = exp.others_by_id
+    decided = Cache(lambda oid: _decided(others_by_id[oid]))
     nodes = [exp.intern(exp.initial_state())]
     ids = {nodes[0]: 0}  # id state -> node id, only while building
     # edges by node id, a dict only at the end: a full collection untracks
@@ -86,11 +88,7 @@ def build_graph(x) -> ExecGraph:
         labels = enabled(state)
         if not labels:
             adj.append(())
-            oid = state[others]
-            vals = decided.get(oid)
-            if vals is None:
-                vals = decided[oid] = _decided(exp, oid)
-            terminals[nid] = vals
+            terminals[nid] = decided[state[others]]
             continue
         succ = []
         for lab in labels:
@@ -109,12 +107,12 @@ def build_graph(x) -> ExecGraph:
     return ExecGraph(exp, nodes, steps, dict(enumerate(adj)), terminals, capped)
 
 
-def _classify_set(potent: frozenset, exp: Experiment) -> str:
+def _classify_set(potent: frozenset, config) -> str:
     if len(potent) == 0:
         return "undecided"
     if len(potent) == 1:
         return "univalent"
-    if exp.config.n == 2 and len(set(exp.config.proposals)) == 2:
+    if config.n == 2 and len(set(config.proposals)) == 2:
         return "bivalent"
     return "multivalent"
 
@@ -130,32 +128,23 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     exp = g.exp
     width = len(g.steps)
     others = exp.n + 1
-    shared = {}  # potent set -> its label
-    by_others = {}  # others id -> the label of the values decided there
-    joins = {}  # (label, label) -> the label of their potent sets' union
+    config, others_by_id = exp.config, exp.others_by_id
+    # a potent set -> its label; an others id -> the label of the values
+    # decided there; a pair of labels -> the label of their union
+    shared = Cache(lambda potent: ValencyLabel(potent, _classify_set(potent, config)))
+    by_others = Cache(lambda oid: shared[_decided(others_by_id[oid])])
+    joins = Cache(lambda pair: shared[pair[0].potent | pair[1].potent])
     done = [None] * len(nodes)
-
-    def label(potent):
-        lab = shared.get(potent)
-        if lab is None:
-            lab = shared[potent] = ValencyLabel(potent, _classify_set(potent, exp))
-        return lab
 
     def fold(nid):
         """Node nid's label, or None while one of its children has none."""
-        oid = nodes[nid][others]
-        lab = by_others.get(oid)
-        if lab is None:
-            lab = by_others[oid] = label(_decided(exp, oid))
+        lab = by_others[nodes[nid][others]]
         for e in adj[nid]:
             kid = done[e // width]
             if kid is not lab:
                 if kid is None:
                     return None
-                joined = joins.get((lab, kid))
-                if joined is None:
-                    joined = joins[lab, kid] = label(lab.potent | kid.potent)
-                lab = joined
+                lab = joins[lab, kid]
         return lab
 
     # most edges lead to a higher node id, so a node met in descending id

@@ -38,6 +38,11 @@ def make_experiment(**kw):
     return Experiment(make_config(**kw))
 
 
+def get_value(exp, state, name):
+    """The value of the shared object `name` in the whole state `state`."""
+    return state.objects[exp.idx[name]]
+
+
 # Small configurations whose whole state graphs the differential tests walk.
 DIFFERENTIAL_CONFIGS = {
     "fig1-tas-b1": dict(cons="tas", failure="simultaneous", budget=1),

@@ -20,7 +20,7 @@ from rclab.core import crash, digest, ordinary
 from rclab.experiment import Experiment
 from rclab.simulator import parse_trace, replay_file
 
-from conftest import CASES_DIR, GOLDEN_DIR
+from conftest import CASES_DIR, GOLDEN_DIR, get_value
 
 pytestmark = pytest.mark.acceptance
 
@@ -312,7 +312,7 @@ def _check_recover_after_inc(res, records):
         parse_trace(open(os.path.join(CASES_DIR,
                                       "fig2_recover_after_inc.jsonl")).read()
                     )[0]["config"]))
-    assert exp.get_value(res.state, "R[2]").value == 2
+    assert get_value(exp, res.state, "R[2]").value == 2
     assert res.state.frames[1].steps <= exp.bound
 
 

@@ -37,7 +37,7 @@ from rclab.core import (
 from rclab.objects import Register
 from rclab.programs import END, Fig1Machine, Fig2Machine
 from rclab.simulator import ScheduleError
-from rclab.valency import build_graph
+from rclab.valency import build_graph, classify
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -113,6 +113,36 @@ def test_check_edge_runs_whenever_an_object_changed(name):
     assert calls
 
 
+def test_explore_consults_the_machines_instance_patches():
+    # perfbench's tracer patches the machine's checks on the instance after
+    # the experiment is built; every check must go through the patch
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
+    calls = dict.fromkeys(("check_frame", "check_objects", "check_edge"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        setattr(exp.machine, name, counted(name, getattr(exp.machine, name)))
+    assert explore(exp).passed
+    assert all(calls.values()), calls
+
+
+def test_the_valency_graph_runs_no_edge_check():
+    # perfbench's `valency` config: the graph steps through `successor`,
+    # which checks nothing
+    exp = make_experiment(program="fig2", f=2, cons="tas", failure="independent", budget=2,
+                          monitor=True)
+    calls = []
+    check_edge = exp.machine.check_edge
+    exp.machine.check_edge = lambda pre, post: calls.append(1) or check_edge(pre, post)
+    assert classify(build_graph(exp))
+    assert calls == []
+
+
 def fig2_forge():
     exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
     return exp, exp.initial_state()
@@ -127,8 +157,8 @@ def test_forged_register_decrease_is_reported():
     # the id kernel's check, cached per (pre, post) pair of objects ids
     oids = [exp.intern(init._replace(objects=init.objects[:slot] + (Register(r),)
                                      + init.objects[slot + 1:]))[exp.n] for r in range(3)]
-    assert exp.edge_check(oids[2], oids[1]) == "R[2] decreased"
-    assert exp.edge_check(oids[0], oids[1]) is None
+    assert exp.edge_checks[oids[2], oids[1]] == "R[2] decreased"
+    assert exp.edge_checks[oids[0], oids[1]] is None
 
 
 def test_forged_early_iteration_is_reported():

@@ -24,6 +24,7 @@ from rclab.simulator import ScheduleError, require_enabled, run, run_plan
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
+    get_value,
     make_config,
     make_experiment,
     reachable_edges,
@@ -72,8 +73,8 @@ def test_initial_state_shape(fig1_sim1):
     assert all(fr.pc == "x:if" and fr.status == RUNNING and fr.attempt == 1
                for fr in s.frames)
     assert s.failures == 0 and s.returns == ()
-    assert fig1_sim1.get_value(s, "P[1]").value is BOTTOM
-    assert fig1_sim1.get_value(s, "D").value is BOTTOM
+    assert get_value(fig1_sim1, s, "P[1]").value is BOTTOM
+    assert get_value(fig1_sim1, s, "D").value is BOTTOM
 
 
 def test_initial_enabled_steps_simultaneous(fig1_sim1):

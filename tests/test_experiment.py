@@ -1,7 +1,9 @@
 """The transition table: every step it serves equals the machine's own step."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -23,7 +25,7 @@ from rclab.core import (
 )
 from rclab.programs import END, Fig1Machine, Next, Ret
 from rclab.simulator import random_run
-from rclab.valency import build_graph
+from rclab.valency import build_graph, classify
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -280,3 +282,37 @@ def test_one_row_per_frame_and_objects_stepped_from_in_explore(monkeypatch):
     assert len(pairs) == 11970
     assert sum(map(len, exp.rows)) == len(pairs)
     assert row_keys(exp) == pairs
+
+
+# Each run leaves the experiment's caches filled; explore on fig1 under one
+# independent crash fails Agreement and minimizes its counterexample.
+FREED_RUNS = {
+    "explore": (dict(program="fig2", f=1, failure="independent", budget=1),
+                lambda exp: explore(exp).passed),
+    "explore-fails": (dict(failure="independent", budget=1),
+                      lambda exp: not explore(exp).passed),
+    "valency": (dict(cons="tas", failure="simultaneous", budget=1),
+                lambda exp: bool(classify(build_graph(exp)))),
+    "random_run": (dict(failure="simultaneous", budget=2, hash_ignores_attempt=True),
+                   lambda exp: bool(random_run(exp, random.Random(1))[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREED_RUNS))
+def test_an_experiment_is_freed_without_the_collector(name):
+    # a cache function that held its experiment would make a reference
+    # cycle, which only the cyclic collector frees
+    kw, run = FREED_RUNS[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        exp = make_experiment(**kw)
+        assert run(exp)
+        assert exp.state_key(exp.intern(exp.initial_state()))
+        assert exp.digest_ids(exp.intern(exp.initial_state()))
+        ref = weakref.ref(exp)
+        del exp
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

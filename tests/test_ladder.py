@@ -58,6 +58,6 @@ def test_shortest_failure_entry_counts_every_checked_edge():
     checked_edge = checker.checked_edge
     exp = Experiment(ExperimentConfig.from_dict(dict(cfg)))
     states, edges, outputs = ladder._shortest_failure(SimpleNamespace(checker=checker), exp)
-    assert (states, edges) == (425, 1239)
+    assert (states, edges) == (416, 1239)
     assert outputs == {"property": "RecoverableWaitFreedom", "length": 9}
     assert checker.checked_edge is checked_edge

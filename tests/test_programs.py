@@ -10,7 +10,7 @@ from rclab.core import GenericityViolation, crash, ordinary
 from rclab.programs import build_machine
 from rclab.simulator import run, run_plan
 
-from conftest import GOLDEN_DIR, make_config, make_experiment
+from conftest import GOLDEN_DIR, get_value, make_config, make_experiment
 
 
 def ops(trace):
@@ -98,8 +98,8 @@ def test_fig2_solo_first_iteration():
         "xn:forp read R[2]",
         "xn:retd return",
     ]
-    assert exp.get_value(final, "D[0]").value == 10
-    assert exp.get_value(final, "R[2]").value == 0
+    assert get_value(exp, final, "D[0]").value == 10
+    assert get_value(exp, final, "R[2]").value == 0
 
 
 def test_fig2_crashed_process_adopts_earlier_decision():
@@ -110,7 +110,7 @@ def test_fig2_crashed_process_adopts_earlier_decision():
     assert final.returns == ((1, 1, 10), (2, 2, 10))
     # p2 recovered into iteration 1 and read the iteration-0 decision
     assert "xn:forado read D[0]" in ops(trace)
-    assert exp.get_value(final, "R[2]").value == 2
+    assert get_value(exp, final, "R[2]").value == 2
 
 
 def test_fig2_forgets_decision_when_overtaken():
@@ -159,7 +159,7 @@ def test_fig3_solo_cas_path():
         "ex:rC cas_read C",
         "ex:retC return",
     ]
-    assert exp.get_value(final, "C").value == 10
+    assert get_value(exp, final, "C").value == 10
 
 
 def test_fig3_loser_reads_winner_from_cas():
@@ -231,7 +231,7 @@ def test_monitor_watches_a_cons_instance_through_its_object(adversary):
     exp = make_experiment(failure="independent", budget=1, monitor=True,
                           adversary=adversary)
     _, final = run(exp, [ordinary(1)] * 4)  # x:if x:if2 x:wP x:C
-    assert exp.get_value(final, "C").accessors == {(1, 1)}
+    assert get_value(exp, final, "C").accessors == {(1, 1)}
     assert final.cons_access == frozenset()
 
 
