@@ -236,6 +236,9 @@ class Experiment:
         # `self`: that would make a reference cycle, which only the cyclic
         # collector frees.
         machine, bound = self.machine, self.bound
+        # interns the attempt-free frames and others tuples of `state_key`
+        # (never equal to each other)
+        attemptless = _Interner()
 
         def reset(fid):
             fr = frames_by_id[fid]
@@ -254,9 +257,7 @@ class Experiment:
         self._resets = Cache(reset)
         self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
         self._crashed = Cache(crashed)
-        # the attempt-free ids of `state_key`, of attempt-free frames and
-        # others tuples (never equal to each other)
-        attemptless = _Interner()
+        # the attempt-free ids of `state_key`
         self._key_frames = Cache(lambda fid: attemptless.id(_attemptless(frames_by_id[fid])))
         self._key_others = Cache(key_others)
         # the machine's invariants, keyed by (frame id, failures), (objects
