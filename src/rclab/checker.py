@@ -9,18 +9,23 @@ All four searches (`explore`, `shortest_failure`, `fuzz`,
 interned frame, objects and other-field ids, which are their own memo
 keys.  A search builds one `SystemState`, the initial state, which
 `checked_initial_state` checks whole and then interns.  The searches
-return schedules, never states.  They step through one kernel in two
-parts:
+return schedules, never states.  Every edge is one `Experiment.successor`
+call, the one step walk, followed by the checks in two parts:
 
-- The edge checks, run by `checked_edge` on every edge: the transition's
-  own `TransitionError`s (genericity, read-before-write), crash isolation
-  (a crash edge keeps the objects id), and `machine.check_edge` on an
-  edge that changed the objects id.
+- The edge checks: the transition's own `TransitionError`s (genericity,
+  read-before-write), which `successor` raises, then `edge_rule` on an
+  edge that changed the objects id: crash isolation (a crash edge keeps
+  the objects id) and `machine.check_edge`.  `checked_edge` is the two
+  together; `explore` makes the same two calls itself, which saves a
+  Python call per edge.
 - The state checks, `state_checks`: recoverable wait-freedom of the
   frames, agreement and validity of the returns, and the machine's state
   invariant.  They are facts about the post-state, so they run once per
   state, when the search first reaches it: `explore` skips them on a
   memo hit and `shortest_failure` on a state already in `seen`.
+
+A failed check raises `core.Violation(prop, detail)`, of which every
+`TransitionError` is a subclass, so each search catches one type.
 
 The skip is sound because a search stops at its first violation, so every
 state it holds has passed every state check.  A state that only shares a
@@ -48,10 +53,9 @@ objects id changed (see `programs.Machine`).  A crash resets frames to a
 running entry with no steps and leaves the returns alone, but it changes
 `failures`, which every invariant reads: it re-checks every frame's
 invariant and the objects'.  The edge check is kept per pair of objects
-ids (`edge_checks`), and an ordinary edge, which steps through a row
-without a verdict (`Experiment.rows`), looks it up only when the objects
-id changed: a write that leaves an equal objects tuple leaves its id, and
-by the `Machine` contract such an edge has nothing to check.
+ids (`edge_checks`), and `edge_rule` looks it up only when the objects id
+changed: a write that leaves an equal objects tuple leaves its id, and by
+the `Machine` contract such an edge has nothing to check.
 `inspect_edge` runs both parts on whole states, its state part on every
 component of the post-state, and caches nothing; it is the reference the
 tests hold the id kernel to.
@@ -73,8 +77,8 @@ from .core import (
     GenericityViolation,
     StepLabel,
     SystemState,
-    TransitionError,
     UninitializedRead,
+    Violation,
     check_agreement,
     check_returns,
     check_rwf,
@@ -118,13 +122,6 @@ class Verdict:
         if self.trace_labels is not None:
             out["trace"] = [lab.to_json() for lab in self.trace_labels]
         return out
-
-
-class _Violation(Exception):
-    def __init__(self, prop, detail):
-        self.prop = prop
-        self.detail = detail
-        super().__init__(detail)
 
 
 class _DepthLimit(Exception):
@@ -189,57 +186,48 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
 
 def checked_initial_state(exp: Experiment):
     """The id state of the initial state, after `check_state`; raises
-    `_Violation` if it fails.  `explore`, `shortest_failure`, `fuzz` and
+    `Violation` if it fails.  `explore`, `shortest_failure`, `fuzz` and
     `confirm_violation` start here."""
     init = exp.initial_state()
     err = exp.machine.check_state(init)
     if err:
-        raise _Violation(INVARIANT, err)
+        raise Violation(INVARIANT, err)
     return exp.intern(init)
+
+
+def edge_rule(exp: Experiment, label: StepLabel, pre_oid: int, oid: int):
+    """The edge rule for an edge by `label` that took the objects id
+    `pre_oid` to `oid`, applied only when the two differ: raises
+    `Violation` if the edge is a crash (crash isolation: shared objects
+    survive every crash untouched) or if `machine.check_edge`, whose
+    verdict is kept in `exp.edge_checks`, rejects it."""
+    if label.kind != ORDINARY:
+        raise Violation(INVARIANT, "crash step changed shared objects")
+    err = exp.edge_checks[pre_oid, oid]
+    if err:
+        raise Violation(INVARIANT, err)
 
 
 def checked_edge(exp: Experiment, state, label: StepLabel):
     """The successor of the id state `state` under `label`, after the edge
-    checks.
-
-    Raises `_Violation` on the first failed check: a genericity or
-    read-before-write error of the transition itself, crash isolation
-    (a crash edge must keep the objects id), then `machine.check_edge` on
-    an edge that changed the objects id, whose verdict an ordinary edge
-    looks up in `exp.edge_checks` (see `experiment`)."""
+    checks: `exp.successor`, which raises the transition's own
+    `TransitionError`s, then `edge_rule`.  Raises `Violation` on the first
+    failed check."""
+    post = exp.successor(state, label)
     n = exp.n
-    if label.kind != ORDINARY:
-        post = exp.successor(state, label)
-        if post[n] != state[n]:
-            raise _Violation(INVARIANT, "crash step changed shared objects")
-        return post
-    i = label.pid - 1
-    pre_fid, pre_oid, xid = state[i], state[n], state[n + 1]
-    try:
-        fid, oid, others = exp.rows[pre_fid].get(pre_oid) or exp.make_row(pre_fid, pre_oid)
-        if others is not None:
-            fid, xid = others.get(xid) or exp.step_others(pre_fid, pre_oid, xid)
-    except TransitionError as e:
-        raise _Violation(e.prop, str(e))
-    post = list(state)
-    post[i] = fid
-    if oid is not None:
-        err = exp.edge_checks[pre_oid, oid]
-        if err:
-            raise _Violation(INVARIANT, err)
-        post[n] = oid
-    post[n + 1] = xid
-    return tuple(post)
+    if post[n] != state[n]:
+        edge_rule(exp, label, state[n], post[n])
+    return post
 
 
 def checked_step(exp: Experiment, state, label: StepLabel):
-    """`checked_edge`, then `state_checks`; raises `_Violation` on the first
+    """`checked_edge`, then `state_checks`; raises `Violation` on the first
     failed check.  For a search that keeps no record of the states it
     reached."""
     post = checked_edge(exp, state, label)
     bad = state_checks(exp, state, label, post)
     if bad:
-        raise _Violation(*bad)
+        raise Violation(*bad)
     return post
 
 
@@ -256,11 +244,12 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     exp = as_experiment(x)
     try:
         init = checked_initial_state(exp)
-    except _Violation as v:
+    except Violation as v:
         return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0))
     counts = {}  # memo key -> complete executions from that state
     keyed = exp.config.hash_ignores_attempt
     frames = exp.frames_by_id
+    successor, n = exp.successor, exp.n
     depth_limit = exp.depth_limit
     states, edges, max_steps = 1, 0, 0
     result, prop, detail, trace = "pass", None, None, None
@@ -279,7 +268,10 @@ def explore(x, memo=True, minimize=True) -> Verdict:
         while True:
             for lab in todo:
                 edges += 1
-                post = checked_edge(exp, state, lab)
+                # `checked_edge`'s two steps, here to save a call per edge
+                post = successor(state, lab)
+                if post[n] != state[n]:
+                    edge_rule(exp, lab, state[n], post[n])
                 if memo:
                     post_key = exp.state_key(post) if keyed else post
                     c = counts.get(post_key)
@@ -290,7 +282,7 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                         continue
                 bad = state_checks(exp, state, lab, post)
                 if bad:
-                    raise _Violation(*bad)
+                    raise Violation(*bad)
                 if lab.kind == ORDINARY:
                     steps = frames[post[lab.pid - 1]].steps
                     if steps > max_steps:
@@ -319,7 +311,7 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 total += c
     except _DepthLimit:
         result, detail = "depth-limit", "depth limit %d reached" % depth_limit
-    except _Violation as v:
+    except Violation as v:
         result, prop, detail = "fail", v.prop, v.detail
         # the label that reached each state on the path, but the initial
         # state's, then the violating one
@@ -347,7 +339,7 @@ def shortest_failure(exp: Experiment):
     """
     try:
         init = checked_initial_state(exp)
-    except _Violation as v:
+    except Violation as v:
         return [], v.prop, v.detail
     seen = {exp.state_key(init)}
     queue = deque([(init, [])])
@@ -358,7 +350,7 @@ def shortest_failure(exp: Experiment):
         for lab in exp.enabled_ids(state):
             try:
                 post = checked_edge(exp, state, lab)
-            except _Violation as v:
+            except Violation as v:
                 return path + [lab], v.prop, v.detail
             key = exp.state_key(post)
             if key in seen:
@@ -401,7 +393,7 @@ def fuzz(x, episodes=1000) -> Verdict:
                 state = checked_step(exp, state, lab)
                 if lab.kind == ORDINARY:
                     max_steps = max(max_steps, frames[state[lab.pid - 1]].steps)
-    except _Violation as v:
+    except Violation as v:
         return Verdict("fail", v.prop, v.detail, path, {"episodes": ep + 1, "seed": seed})
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,
                                   "max_attempt_steps": max_steps})
@@ -417,6 +409,6 @@ def confirm_violation(x, labels):
         for i, lab in enumerate(labels):
             require_enabled(exp, state, lab, i)
             state = checked_step(exp, state, lab)
-    except _Violation as v:
+    except Violation as v:
         return v.prop, v.detail
     return None

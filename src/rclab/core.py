@@ -55,11 +55,25 @@ class ObjectTypeError(RcError):
     """An operation was applied to an object of the wrong type."""
 
 
-class TransitionError(RcError):
-    """A step the transition cannot take: it has no post-state.  `prop`
-    names the property the step violates."""
+class Violation(RcError):
+    """A failed check: `prop` names the property violated and `detail`,
+    also the error's text, says how.  Every search stops on the first one
+    and catches this type alone."""
+
+    def __init__(self, prop, detail):
+        super().__init__(detail)
+        self.prop = prop
+        self.detail = detail
+
+
+class TransitionError(Violation):
+    """A step the transition cannot take: it has no post-state.  The class's
+    `prop` names the property the step violates."""
 
     prop = ""
+
+    def __init__(self, detail):
+        super().__init__(self.prop, detail)
 
 
 class UninitializedRead(TransitionError):

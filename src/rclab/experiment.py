@@ -24,31 +24,31 @@ one.  Under `hash_ignores_attempt`, `state_key` maps each
 frame id and the others id to an id of the same component with every
 attempt zeroed, which is `memo_key`'s partition on id states.
 
-`successor` is the one unchecked transition; the searches take the same
-step, with the edge checks, through `checker.checked_edge` (see Rows
-below).  `apply_step(state, label)` is a view of `successor` on whole
-states: it interns `state`, steps, and materializes the result, returning
-it with the `StepRecord` a trace stores (op text with the JSON-encoded
-access arguments, and the response, from `record`).  A caller that needs
-only the state takes `[0]`.  The components of a state
-it returns are the interned ones, so after a step that leaves every shared
-object unchanged (a read, an `rtas`, a failed `cas`, a crash), `objects`
-is the very tuple of a pre-state that `apply_step` or `materialize` made.
+`successor` is the one step walk, and it runs no check: the searches in
+`checker` step through it and then apply their edge checks, and the
+valency graph, the simulator and `apply_step` step through it alone.
+`apply_step(state, label)` is a view of `successor` on whole states: it
+interns `state`, steps, and materializes the result, returning it with
+the `StepRecord` a trace stores (op text with the JSON-encoded access
+arguments, and the response, from `record`).  A caller that needs only
+the state takes `[0]`.  The components of a state it returns are the
+interned ones, so after a step that leaves every shared object unchanged
+(a read, an `rtas`, a failed `cas`, a crash), `objects` is the very
+tuple of a pre-state that `apply_step` or `materialize` made.
 `apply_step` keeps the id state of the state it last returned, so a
 caller stepping along one path interns nothing.
 
 The transition goes through the experiment's transition table.  A
 machine's `step(frame, access)` names at most one shared-object access,
-which the experiment performs (`objects.apply`) and answers, and is a pure
-function of the frame and of that response.  So `_fill` runs it once per
-(frame id, value of the object accessed) and keeps an `_Entry`: the
-access, the successor frame, and what the step's record is made of.  The
-record itself is made by the first `record` that asks for it, so the
-searches build none.  A later step from an equal frame on an equal value
-takes the entry from the table.  A step that raises is never recorded, so
-it raises again on every visit.  Equal values must therefore be
-interchangeable, which is why `ExperimentConfig.validate` rejects two
-proposals that compare equal but are not the same value.
+which the experiment performs (`objects.apply`) and answers, and is a
+pure function of the frame and of that response.  So `_fill` runs it
+once per (frame id, value of the object accessed) and keeps an `_Entry`:
+the access, the successor frame, and the step's `StepRecord`.  A later
+step from an equal frame on an equal value takes the entry from the
+table.  A step that raises is never recorded, so it raises again on
+every visit.  Equal values must therefore be interchangeable, which is
+why `ExperimentConfig.validate` rejects two proposals that compare equal
+but are not the same value.
 
 The genericity monitor on a consensus instance held in a `Cons` object
 reads that object's accessors, which are the value the step accessed, so
@@ -57,18 +57,18 @@ the monitor on an instance built from other objects, `participants`,
 assumption 1's `tas_seen` and `armed_crash`) is worked out in
 `step_others` and kept in the entry's others map, keyed by others id.
 
-Rows.  A search steps through `rows`, not the table: one row per (frame
+Rows.  `successor` steps through `rows`, not the table: one row per (frame
 id, objects id) that an ordinary step has been taken from, in a list
 with a dict for each frame id, keyed by objects id, so an ordinary step
 takes one list index and one dict lookup on an int.  A row is the
 transition alone, built by `make_row` from the table entry: (successor
 frame id, objects id after the step or None when the step keeps it, the
 entry's others map or None); a step that keeps the objects id has one
-row tuple for all of them.  A row holds no verdict: `checker.checked_edge`
-looks the edge check up in `edge_checks` when the objects id changed,
-and `successor`, which the valency graph steps through, runs none.  A
-row and an others-map entry are made only for a step that did not raise,
-so a step that raises raises again on every visit.
+row tuple for all of them.  A row holds no verdict: the searches look
+the edge check up in `edge_checks` when the objects id changed
+(`checker.edge_rule`), and the valency graph runs none.  A row and an
+others-map entry are made only for a step that did not raise, so a step
+that raises raises again on every visit.
 
 Every fact derived from an id has one of two homes.  A list the hot path
 indexes by id (`rows`, the key parts of `enabled_ids`) is extended by the
@@ -137,20 +137,19 @@ class _Entry:
     when it changed no object.  `others_after` is None when the step leaves
     the other fields alone, and otherwise the others map of the step's
     rows: it maps an others id to (successor frame id, others id after the
-    step).  `row` is the step's row from every objects id it keeps.  `call`
-    holds what `record` is made of until it is made."""
+    step).  `row` is the step's row from every objects id it keeps, and
+    `record` its `StepRecord`."""
 
-    __slots__ = ("outcome", "frame", "fid", "slot", "others_after", "row", "call", "record")
+    __slots__ = ("outcome", "frame", "fid", "slot", "others_after", "row", "record")
 
-    def __init__(self, outcome, frame, fid, slot, touches_others, call):
+    def __init__(self, outcome, frame, fid, slot, touches_others, record):
         self.outcome = outcome
         self.frame = frame
         self.fid = fid
         self.slot = slot
         self.others_after = {} if touches_others else None
         self.row = (fid, None, self.others_after)
-        self.call = call
-        self.record = None
+        self.record = record
 
 
 class _Interner:
@@ -415,8 +414,7 @@ class Experiment:
         used."""
         if label.kind != ORDINARY:
             return self._crash_records[label]
-        entry = self._entry(ids[label.pid - 1], self.objects_by_id[ids[self.n]])
-        return entry.record or self._record(entry)
+        return self._entry(ids[label.pid - 1], self.objects_by_id[ids[self.n]]).record
 
     def successor(self, ids, label: StepLabel):
         """The id state after `label` from the id state `ids`; `label` must
@@ -470,6 +468,7 @@ class Experiment:
         a `Next` is entered under the frame id and the value of the one
         object it accessed."""
         frame = self.frames_by_id[fid]
+        label = self.ordinary_labels[frame.pid - 1]
         calls = []
         idx = self.idx
 
@@ -489,13 +488,16 @@ class Experiment:
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
             entry = _Entry(outcome, new_frame, self._frames.id(new_frame), None, True,
-                           (frame.pc, None, None, None, outcome.value))
+                           StepRecord(label, "%s return" % frame.pc, outcome.value))
             self._table[fid] = (None, entry)
             return entry
         if len(calls) != 1:
             raise AssertionError("%s at %s made %d accesses; a step makes exactly one"
                                  % (self.machine.program_id, frame.pc, len(calls)))
         (name, op, args, slot, new, resp), = calls
+        text = "%s %s %s" % (frame.pc, op, name)
+        if args:
+            text += " " + json.dumps(list(args))
         value = objs[slot]
         instance = outcome.instance
         watched = instance is not None and self.config.monitor
@@ -523,7 +525,7 @@ class Experiment:
         # state then keeps its objects id without a lookup
         entry = _Entry(Access(name, op, new, instance), new_frame, self._frames.id(new_frame),
                        None if new is value else slot, watched or self.a1,
-                       (frame.pc, name, op, args, resp))
+                       StepRecord(label, text, resp))
         got = self._table.get(fid)
         if got is None:
             got = self._table[fid] = (slot, {})
@@ -532,19 +534,6 @@ class Experiment:
                                  % (self.machine.program_id, frame.pc, slot, got[0]))
         got[1][value] = entry
         return entry
-
-    def _record(self, entry: _Entry) -> StepRecord:
-        """The entry's `StepRecord`, made on its first use."""
-        pc, name, op, args, resp = entry.call
-        if name is None:
-            text = "%s return" % pc
-        else:
-            text = "%s %s %s" % (pc, op, name)
-            if args:
-                text += " " + json.dumps(list(args))
-        entry.record = StepRecord(self.ordinary_labels[entry.frame.pid - 1], text, resp)
-        entry.call = None
-        return entry.record
 
     def step_others(self, fid: int, oid: int, xid: int):
         """(successor frame id, others id after the step) of the step of frame

@@ -29,6 +29,7 @@ from rclab.core import (
     CRASH_ALL_LABEL,
     FELL_OFF,
     ORDINARY,
+    Violation,
     canonical,
     crash,
     digest,
@@ -267,7 +268,7 @@ def kernel_outcome(exp, pre, label):
     state `pre`; the post id state is None when the edge check failed."""
     try:
         post = checker.checked_edge(exp, pre, label)
-    except checker._Violation as v:
+    except Violation as v:
         return None, (v.prop, v.detail)
     return post, state_checks(exp, pre, label, post)
 
@@ -418,6 +419,27 @@ def test_state_checks_run_once_per_new_state(monkeypatch, name, memo):
     verdict = explore(make_config(**DIFFERENTIAL_CONFIGS[name]), memo=memo)
     assert verdict.passed
     assert len(calls) == verdict.stats["states"] - 1
+
+
+# Without the memo, fig2's execution tree is too large for a quick test.
+@pytest.mark.parametrize("kw,memo", [
+    (dict(program="fig2", f=1, failure="independent", budget=1, monitor=True), True),
+    (DIFFERENTIAL_CONFIGS["cas-rc-b3"], False)])
+def test_every_explored_edge_is_one_successor_call(kw, memo):
+    # `successor` is the one step walk: ordinary and crash edges alike
+    exp = make_experiment(**kw)
+    kinds = []
+    successor = exp.successor
+
+    def counted(ids, label):
+        kinds.append(label.kind)
+        return successor(ids, label)
+
+    exp.successor = counted
+    verdict = explore(exp, memo=memo, minimize=False)
+    assert verdict.passed
+    assert len(kinds) == verdict.stats["edges"]
+    assert ORDINARY in kinds and set(kinds) != {ORDINARY}
 
 
 # Configs with crash edges: two that pass under the genericity monitor, and

@@ -7,7 +7,6 @@ import weakref
 
 import pytest
 
-from rclab import checker
 from rclab.checker import GENERICITY, explore
 from rclab.core import (
     BOTTOM,
@@ -98,8 +97,8 @@ def test_warm_table_gives_the_cold_verdict(name):
     cold = explore(exp).to_json()
     assert explore(exp).to_json() == cold
     assert explore(cfg).to_json() == cold
-    # rows that the unchecked `successor` filled, which `checked_edge` then
-    # reads with their edge verdicts
+    # rows that the unchecked valency graph or simulator filled, which the
+    # search then steps through with its edge checks
     graph_warmed = make_experiment(**TABLE_CONFIGS[name])
     build_graph(graph_warmed)
     run_warmed = make_experiment(**TABLE_CONFIGS[name])
@@ -273,11 +272,11 @@ def test_one_row_per_frame_and_objects_stepped_from_in_the_graph():
     assert row_keys(exp) == pairs
 
 
-def test_one_row_per_frame_and_objects_stepped_from_in_explore(monkeypatch):
+def test_one_row_per_frame_and_objects_stepped_from_in_explore():
     exp = make_experiment(program="fig2", n=3, f=1, proposals=[10, 20, 30],
                           failure="independent", budget=1, monitor=True)
     pairs = set()
-    monkeypatch.setattr(checker, "checked_edge", recording(checker.checked_edge, pairs))
+    exp.successor = recording(exp.successor, pairs)
     assert explore(exp, minimize=False).passed
     assert len(pairs) == 11970
     assert sum(map(len, exp.rows)) == len(pairs)

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -55,9 +56,18 @@ def test_shortest_failure_entry_counts_every_checked_edge():
     ladder = load_ladder()
     what, cfg = ladder.RUNS["criterion 4: fig2 n=2 f=1 budget 2"]
     assert what == "shortest_failure"
-    checked_edge = checker.checked_edge
     exp = Experiment(ExperimentConfig.from_dict(dict(cfg)))
     states, edges, outputs = ladder._shortest_failure(SimpleNamespace(checker=checker), exp)
     assert (states, edges) == (416, 1239)
     assert outputs == {"property": "RecoverableWaitFreedom", "length": 9}
-    assert checker.checked_edge is checked_edge
+
+
+def test_entry_reports_cpu_time_and_no_per_state_cost_below_a_mib(monkeypatch):
+    # 416 states raise the peak RSS of this process by far less than 1 MiB
+    ladder = load_ladder()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    result = ladder.run_one("criterion 4: fig2 n=2 f=1 budget 2",
+                            os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    assert result["cpu_s"] >= 0
+    assert result["bytes_per_state"] is None
+    assert "cpu_s" in ladder.MEDIAN_KEYS

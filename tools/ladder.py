@@ -10,8 +10,12 @@ criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 2's target), the
 trace path (seeded `random_run` -> `run` -> `dump_trace` -> `replay`
 round trips on fig2 n=3 f=1), and the tier-1 test suite.  For every run
-it records wall seconds, states/s, edges/s, peak RSS and bytes per state
-((peak RSS - RSS before the run) / states).  On the trace path, states
+it records wall seconds, CPU seconds of the process, states/s, edges/s,
+peak RSS and bytes per state ((peak RSS - RSS before the run) / states,
+null when the run raised the peak by less than 1 MiB, a step too small to
+tell from allocator noise).  CPU seconds leave out the time the process
+waited for a core on a shared host, so a change in wall time that CPU
+time does not show is the host's, not the code's.  On the trace path, states
 are trace steps and edges are steps applied, three per trace step.  Times
 are raw seconds on the machine named in the output, not perfbench's
 reference seconds.
@@ -83,9 +87,8 @@ def _explore(lib, exp, memo=True):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    (`enabled_ids` calls, counted around the instance) and edges the edges
-    it checked (calls of `checker.checked_edge`, which `shortest_failure`
-    makes once per edge and looks up in its module)."""
+    and edges the edges it stepped: the calls of `enabled_ids` and of
+    `successor`, counted around the instance."""
     counts = [0, 0]
 
     def counted(fn, i):
@@ -95,12 +98,8 @@ def _shortest_failure(lib, exp):
         return wrapper
 
     exp.enabled_ids = counted(exp.enabled_ids, 0)
-    checked_edge = lib.checker.checked_edge
-    lib.checker.checked_edge = counted(checked_edge, 1)
-    try:
-        found = lib.checker.shortest_failure(exp)
-    finally:
-        lib.checker.checked_edge = checked_edge
+    exp.successor = counted(exp.successor, 1)
+    found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
 
@@ -141,17 +140,21 @@ def run_one(name, root):
                                        "simulator", "valency")})
     exp = lib.experiment.Experiment(lib.config.ExperimentConfig.from_dict(dict(cfg)))
     before = maxrss_mb()
+    cpu = time.process_time()
     start = time.perf_counter()
     states, edges, outputs = {"explore": _explore,
                               "explore-nomemo": lambda lib, exp: _explore(lib, exp, memo=False),
                               "shortest_failure": _shortest_failure,
                               "valency": _valency, "trace": _trace}[what](lib, exp)
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu
     peak = maxrss_mb()
-    return dict(outputs, wall_s=round(wall, 3), states=states, edges=edges,
-                states_per_s=round(states / wall), edges_per_s=round(edges / wall),
+    # a rise of the peak below 1 MiB is allocator noise, not a per-state cost
+    grown = peak - before
+    return dict(outputs, wall_s=round(wall, 3), cpu_s=round(cpu, 3), states=states,
+                edges=edges, states_per_s=round(states / wall), edges_per_s=round(edges / wall),
                 peak_rss_mb=round(peak, 1),
-                bytes_per_state=round((peak - before) * 2**20 / states))
+                bytes_per_state=round(grown * 2**20 / states) if grown >= 1 else None)
 
 
 def _pytest(root):
@@ -169,11 +172,13 @@ def _pytest(root):
     sys.path.insert(0, os.path.join(root, "src"))
     os.chdir(root)
     outcomes = Outcomes()
+    cpu = time.process_time()
     start = time.perf_counter()
     pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "tests"],
                 plugins=[outcomes])
     wall = time.perf_counter() - start
-    return dict(wall_s=round(wall, 1), peak_rss_mb=round(maxrss_mb(), 1),
+    cpu = time.process_time() - cpu
+    return dict(wall_s=round(wall, 1), cpu_s=round(cpu, 1), peak_rss_mb=round(maxrss_mb(), 1),
                 **{k: outcomes.counts[k] for k in sorted(outcomes.counts)})
 
 
@@ -210,7 +215,7 @@ def run_child(name, root):
         return json.load(tmp) if proc.returncode == 0 else {"exit": proc.returncode}
 
 
-MEDIAN_KEYS = ("wall_s", "states_per_s", "edges_per_s", "peak_rss_mb", "bytes_per_state")
+MEDIAN_KEYS = ("wall_s", "cpu_s", "states_per_s", "edges_per_s", "peak_rss_mb", "bytes_per_state")
 
 
 def summarize(results):
