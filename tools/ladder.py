@@ -15,10 +15,10 @@ peak RSS and bytes per state ((peak RSS - RSS before the run) / states,
 null when the run raised the peak by less than 1 MiB, a step too small to
 tell from allocator noise).  CPU seconds leave out the time the process
 waited for a core on a shared host, so a change in wall time that CPU
-time does not show is the host's, not the code's.  On the trace path, states
-are trace steps and edges are steps applied, three per trace step.  Times
-are raw seconds on the machine named in the output, not perfbench's
-reference seconds.
+time does not show is the host's, not the code's.  On the trace path,
+states are trace steps and edges are steps applied, three per trace
+step.  Times are raw seconds on the machine named in the output, not
+perfbench's reference seconds.
 
 The host may be shared, and its speed drifts by more than a change
 moves, so the two checkouts are measured in pairs: each entry runs
@@ -149,7 +149,6 @@ def run_one(name, root):
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu
     peak = maxrss_mb()
-    # a rise of the peak below 1 MiB is allocator noise, not a per-state cost
     grown = peak - before
     return dict(outputs, wall_s=round(wall, 3), cpu_s=round(cpu, 3), states=states,
                 edges=edges, states_per_s=round(states / wall), edges_per_s=round(edges / wall),
