@@ -1,8 +1,10 @@
-"""Exhaustive (memoized DFS) and randomized exploration of all executions
-under a configuration, evaluating agreement, validity, and recoverable
+"""Exhaustive and randomized exploration of all executions under a
+configuration, evaluating agreement, validity, and recoverable
 wait-freedom, plus machine-specific invariants and the genericity
-monitor.  Failures come back as replayable counterexample schedules,
-minimized to the shallowest violating prefix.
+monitor.  `explore` sweeps the states in order of a rank that every edge
+raises, and forgets each rank once it has passed it (see `explore`).
+Failures come back as replayable counterexample schedules, minimized to
+the shallowest violating prefix.
 
 All four searches (`explore`, `shortest_failure`, `fuzz`,
 `confirm_violation`) step on id states (see `experiment`): tuples of
@@ -21,16 +23,18 @@ call, the one step walk, followed by the checks in two parts:
 - The state checks, `state_checks`: recoverable wait-freedom of the
   frames, agreement and validity of the returns, and the machine's state
   invariant.  They are facts about the post-state, so they run once per
-  state, when the search first reaches it: `explore` skips them on a
-  memo hit and `shortest_failure` on a state already in `seen`.
+  state, when the search first reaches it: `explore`'s sweep skips them
+  on an edge into a key its rank already holds, and `shortest_failure`
+  on a state already in `seen`.
 
 A failed check raises `core.Violation(prop, detail)`, of which every
 `TransitionError` is a subclass, so each search catches one type.
 
-The skip is sound because a search stops at its first violation, so every
-state it holds has passed every state check.  A state that only shares a
-memo key with it under `hash_ignores_attempt` differs from it in
-`attempt` fields alone, and no state check reads one to decide:
+The skip is sound because a search never holds a state that failed a
+check, so every state it holds has passed every state check.  A state
+that only shares a memo key with it under `hash_ignores_attempt` differs
+from it in `attempt` fields alone, and no state check reads one to
+decide:
 
 - RWF: no frame has fallen off the end or taken more than `bound` steps
   in its attempt.  It reads each frame's status and step count.
@@ -102,6 +106,9 @@ class Verdict:
     detail: Optional[str] = None
     trace_labels: Optional[List[StepLabel]] = None
     stats: dict = field(default_factory=dict)
+    # on a fail of `explore`'s sweep, the fewest crashes any violation
+    # needs; kept out of `stats`, which the pinned counts compare whole
+    crashes: Optional[int] = None
 
     @property
     def passed(self):
@@ -119,6 +126,8 @@ class Verdict:
             out["property"] = self.prop
         if self.detail:
             out["detail"] = self.detail
+        if self.crashes is not None:
+            out["crashes"] = self.crashes
         if self.trace_labels is not None:
             out["trace"] = [lab.to_json() for lab in self.trace_labels]
         return out
@@ -232,39 +241,199 @@ def checked_step(exp: Experiment, state, label: StepLabel):
 
 
 def explore(x, memo=True, minimize=True) -> Verdict:
-    """Depth-first search over all enabled schedules, memoized on id states
-    (their `state_key`).
+    """Search every enabled schedule for a violation; returns a `Verdict`.
 
-    The search keeps an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  Labels are visited in `enabled_steps`
-    order, which `enabled_ids` keeps.  Terminal executions are counted
-    exactly (number of distinct complete schedules) by accumulating
-    per-state path counts over the acyclic state graph.
+    With `memo` (the default) the search is a sweep-line search
+    (Christensen, Kristensen & Mailund, TACAS 2001) over the state keys
+    (`state_key`), by `rank`: failures · W plus the steps of the frames,
+    W = n · bound + 1, which `state_key` keeps.  Every edge raises the
+    rank.  An ordinary step adds 1 to its frame's steps.  A crash adds W
+    and resets frames that took at most n · bound steps between them, as
+    every state the sweep expands passed RWF.  So the sweep expands the
+    pending ranks in increasing order, each state after all its
+    predecessors, and drops each rank once it has expanded it: no later
+    edge reaches it.  A rank maps each key to [paths, depth, state]: the
+    number of paths from the initial state to it, the length of the
+    longest, and the first id state met with it.  Both fold over its
+    incoming edges, a sum and a max, so both are whole when it is
+    expanded.  Terminal executions are the sum of the paths of the
+    terminal states: the number of distinct complete schedules.
+
+    Without `memo` the search is a depth-first walk of the execution tree
+    with an explicit stack, so its depth is not bounded by Python's
+    recursion limit; every edge reaches a new state and every leaf is one
+    terminal execution.
+
+    Both searches run the edge checks on every edge and the state checks
+    once per state they hold, on its first arrival (see the module
+    docstring).  Labels are taken in `enabled_ids` order.
+
+    Depth limit: a search that meets no violation returns "depth-limit"
+    exactly when some path reaches a non-terminal state at depth
+    `depth_limit` or more.  The sweep tests each state's longest path when
+    it expands it, the walk each path.  A search that meets both ends at
+    whichever it meets first.
+
+    Violations: a violation's rank is that of its post-state, r + 1 on an
+    ordinary edge from rank r, and often several ranks ahead on a crash
+    edge.  The sweep holds the violation of lowest rank, then fewest
+    crashes, and stops once no later edge can beat it: at once on an
+    ordinary edge, since every later one lands on r + 1 or higher with at
+    least as many crashes, or when it reaches the held rank.  A state the
+    sweep expands with j failures ranks below every state with j + 1, and
+    a violating post-state, whose moved frame may be one step past its
+    bound, at most ties with them.  So the held violation's crash count,
+    `Verdict.crashes`, is the fewest any violation needs.  The walk
+    reports the first violation it meets and sets no `crashes`.  With
+    `minimize` the trace is `shortest_failure`'s; without it, the sweep's
+    trace is the shortest path to its own violating edge, which
+    `shortest_failure` finds after the violation (the sweep keeps no
+    path), and the walk's is its own path.  The verdict's property and
+    detail are those of its trace.
     """
     exp = as_experiment(x)
     try:
         init = checked_initial_state(exp)
     except Violation as v:
-        return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0))
-    counts = {}  # memo key -> complete executions from that state
+        return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0),
+                       0 if memo else None)
+    return (_sweep if memo else _walk)(exp, init, minimize)
+
+
+def rank(exp: Experiment, ids):
+    """The rank of the id state `ids`: its failures times n · bound + 1,
+    plus the steps its frames took in their attempts (see `explore`)."""
+    n = exp.n
+    frames = exp.frames_by_id
+    steps = 0
+    for f in ids[:n]:
+        steps += frames[f].steps
+    return exp.others_by_id[ids[n + 1]][0] * (n * exp.bound + 1) + steps
+
+
+def _sweep(exp: Experiment, init, minimize) -> Verdict:
+    """`explore` with `memo`: the sweep over ranks."""
     keyed = exp.config.hash_ignores_attempt
+    state_key, enabled_ids = exp.state_key, exp.enabled_ids
+    frames, others = exp.frames_by_id, exp.others_by_id
+    successor, n = exp.successor, exp.n
+    depth_limit = exp.depth_limit
+    w = n * exp.bound + 1
+    states, edges, executions, max_steps = 1, 0, 0, 0
+    # rank -> (keys, slots) of each pending rank: `keys` maps each state key
+    # of the rank to the index in `slots` of its three slots, its paths, its
+    # longest path and its id state.  Flat lists, not a list per state, so
+    # the cyclic collector tracks no object per state.
+    layers = {rank(exp, init): ({state_key(init): 0}, [1, 0, init])}
+    # the violating edge held: (rank, crashes, pre-state, label, the
+    # pre-state's rank)
+    held = None
+    while layers:
+        r = min(layers)
+        if held is not None and held[0] <= r:
+            break
+        slots = iter(layers.pop(r)[1])
+        up = layers.get(r + 1)
+        if up is None:
+            up = layers[r + 1] = ({}, [])
+        for count, depth, state in zip(slots, slots, slots):
+            labels = enabled_ids(state)
+            if not labels:
+                # a terminal state ends `count` complete executions
+                executions += count
+                continue
+            if depth >= depth_limit:
+                return Verdict("depth-limit", detail="depth limit %d reached" % depth_limit,
+                               stats=_explore_stats(states, edges, 0, max_steps))
+            depth += 1
+            for lab in labels:
+                edges += 1
+                try:
+                    post = successor(state, lab)
+                    # `checked_edge`'s second step, here to save a call per edge
+                    if post[n] != state[n]:
+                        edge_rule(exp, lab, state[n], post[n])
+                    post_key = state_key(post) if keyed else post
+                    # an ordinary edge lands on r + 1, and a key has one rank
+                    keys, into = up
+                    i = keys.get(post_key)
+                    if i is None and lab.kind != ORDINARY:
+                        # a crash adds W and resets frames to no steps
+                        pr = r + w
+                        for j in range(n):
+                            if post[j] != state[j]:
+                                pr -= frames[state[j]].steps
+                        layer = layers.get(pr)
+                        if layer is None:
+                            layer = layers[pr] = ({}, [])
+                        keys, into = layer
+                        i = keys.get(post_key)
+                    if i is not None:
+                        # `post` passed the state checks when its key first
+                        # arrived
+                        into[i] += count
+                        if into[i + 1] < depth:
+                            into[i + 1] = depth
+                        continue
+                    bad = state_checks(exp, state, lab, post)
+                    if bad:
+                        raise Violation(*bad)
+                except Violation:
+                    crashed = lab.kind != ORDINARY
+                    # `successor` raises on ordinary edges alone
+                    at = (rank(exp, post) if crashed else r + 1,
+                          others[state[n + 1]][0] + crashed)
+                    if held is None or at < held[:2]:
+                        held = at + (state, lab, r)
+                    if crashed:
+                        continue
+                    # every later edge lands on r + 1 or higher, with at least
+                    # as many crashes
+                    break
+                if lab.kind == ORDINARY:
+                    steps = frames[post[lab.pid - 1]].steps
+                    if steps > max_steps:
+                        max_steps = steps
+                states += 1
+                keys[post_key] = len(into)
+                into += count, depth, post
+            else:
+                continue
+            break
+        if not up[0]:
+            del layers[r + 1]
+    if held is None:
+        return Verdict("pass", stats=_explore_stats(states, edges, executions, max_steps))
+    _, crashes, pre, lab, pre_rank = held
+    # The path search checks every edge it takes, and finds a path: the
+    # sweep expanded `pre`, so its longest path, and its shortest, is
+    # shorter than the depth limit.
+    goal = None if minimize else (pre_rank, state_key(pre), lab)
+    trace, prop, detail = shortest_failure(exp, init, goal)
+    return Verdict("fail", prop, detail, trace, _explore_stats(states, edges, 0, max_steps),
+                   crashes)
+
+
+def _walk(exp: Experiment, init, minimize) -> Verdict:
+    """`explore` without `memo`: the depth-first walk of the execution
+    tree."""
     frames = exp.frames_by_id
     successor, n = exp.successor, exp.n
     depth_limit = exp.depth_limit
-    states, edges, max_steps = 1, 0, 0
+    states, edges, executions, max_steps = 1, 0, 0, 0
     result, prop, detail, trace = "pass", None, None, None
     # The id state being expanded lives in locals: `state`, `todo` (an
-    # iterator over its enabled labels not yet taken), `total` (complete
-    # executions counted below it so far), `key` (its memo key) and `via`
-    # (the label that reached it).  Its ancestors wait on `stack` as
-    # tuples of the same five values, so the depth of `state` is len(stack).
+    # iterator over its enabled labels not yet taken) and `via` (the label
+    # that reached it).  Its ancestors wait on `stack` as tuples of the
+    # same three values, so the depth of `state` is len(stack).
     stack = []
-    post_key = None
     try:
         labels = exp.enabled_ids(init)
-        if labels and depth_limit <= 0:
+        if not labels:
+            executions = 1
+        elif depth_limit <= 0:
             raise _DepthLimit()
-        state, todo, total, key, via = init, iter(labels), 0 if labels else 1, None, None
+        state, todo, via = init, iter(labels), None
         while True:
             for lab in todo:
                 edges += 1
@@ -272,14 +441,6 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 post = successor(state, lab)
                 if post[n] != state[n]:
                     edge_rule(exp, lab, state[n], post[n])
-                if memo:
-                    post_key = exp.state_key(post) if keyed else post
-                    c = counts.get(post_key)
-                    if c is not None:
-                        # `post` passed the state checks when it was first
-                        # reached, by a path whose steps max_steps counted
-                        total += c
-                        continue
                 bad = state_checks(exp, state, lab, post)
                 if bad:
                     raise Violation(*bad)
@@ -291,36 +452,30 @@ def explore(x, memo=True, minimize=True) -> Verdict:
                 labels = exp.enabled_ids(post)
                 if not labels:
                     # a terminal state is one complete execution
-                    total += 1
-                    if memo:
-                        counts[post_key] = 1
+                    executions += 1
                     continue
                 if len(stack) + 1 >= depth_limit:
                     raise _DepthLimit()
-                stack.append((state, todo, total, key, via))
-                state, todo, total, key, via = post, iter(labels), 0, post_key, lab
+                stack.append((state, todo, via))
+                state, todo, via = post, iter(labels), lab
                 break
             else:
-                # every label of `state` is taken: add its count to its parent's
                 if not stack:
                     break
-                if memo:
-                    counts[key] = total
-                c = total
-                state, todo, total, key, via = stack.pop()
-                total += c
+                state, todo, via = stack.pop()
     except _DepthLimit:
         result, detail = "depth-limit", "depth limit %d reached" % depth_limit
     except Violation as v:
         result, prop, detail = "fail", v.prop, v.detail
         # the label that reached each state on the path, but the initial
         # state's, then the violating one
-        trace = ([f[4] for f in stack] + [via, lab])[1:]
+        trace = ([f[2] for f in stack] + [via, lab])[1:]
         if minimize:
-            found = shortest_failure(exp)
+            found = shortest_failure(exp, init)
             if found is not None:
                 trace, prop, detail = found
-    executions = total if result == "pass" else 0
+    if result != "pass":
+        executions = 0
     return Verdict(result, prop, detail, trace,
                    _explore_stats(states, edges, executions, max_steps))
 
@@ -330,36 +485,52 @@ def _explore_stats(states, edges, executions, max_steps):
             "max_attempt_steps": max_steps}
 
 
-def shortest_failure(exp: Experiment):
-    """BFS for a minimal-depth violating schedule.
+def shortest_failure(exp: Experiment, init=None, goal=None):
+    """BFS for a minimal-depth violating schedule: (labels, prop, detail),
+    or None.  It starts from `init`, an id state that passed the state
+    checks, by default `checked_initial_state`'s.
+
+    With `goal`, (rank, key, label) of an edge that `explore`'s sweep found
+    violating, it seeks the shortest schedule that ends with that edge:
+    `label` from a state of that `state_key` and rank.  Then every other
+    violation is a dead end, and no state of a higher rank is expanded,
+    since no path to the goal passes one.
 
     Sound because every check evaluated per edge is a function of
     (pre-state, label, post-state) only, never of the path taken.  An
     edge into a state already in `seen` gets only the edge checks.
     """
-    try:
-        init = checked_initial_state(exp)
-    except Violation as v:
-        return [], v.prop, v.detail
+    if init is None:
+        try:
+            init = checked_initial_state(exp)
+        except Violation as v:
+            return [], v.prop, v.detail
     seen = {exp.state_key(init)}
     queue = deque([(init, [])])
     while queue:
         state, path = queue.popleft()
         if len(path) >= exp.depth_limit:
             continue
-        for lab in exp.enabled_ids(state):
+        labels = exp.enabled_ids(state)
+        report = goal is None
+        if not report and exp.state_key(state) == goal[1]:
+            labels, report = [goal[2]], True
+        for lab in labels:
             try:
                 post = checked_edge(exp, state, lab)
+                key = exp.state_key(post)
+                if key in seen:
+                    continue
+                bad = state_checks(exp, state, lab, post)
+                if bad:
+                    raise Violation(*bad)
             except Violation as v:
-                return path + [lab], v.prop, v.detail
-            key = exp.state_key(post)
-            if key in seen:
+                if report:
+                    return path + [lab], v.prop, v.detail
                 continue
-            bad = state_checks(exp, state, lab, post)
-            if bad:
-                return (path + [lab],) + bad
             seen.add(key)
-            queue.append((post, path + [lab]))
+            if goal is None or rank(exp, post) <= goal[0]:
+                queue.append((post, path + [lab]))
     return None
 
 

@@ -582,8 +582,16 @@ def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
         assert len(build_graph(cfg).nodes) == memo.stats["states"]
     assume(memo.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
     nomemo = explore(cfg, memo=False, minimize=False)
-    # a state the memo skips passed every check below it, so both searches
-    # meet the same first violation by the same path
+    if memo.result == "fail":
+        # the sweep reports the violation of fewest crashes, the walk the
+        # first on its path; each trace replays to its own violation
+        assert ((nomemo.result, nomemo.stats["terminal_executions"])
+                == (memo.result, memo.stats["terminal_executions"]))
+        for verdict in (memo, nomemo):
+            assert (confirm_violation(cfg, verdict.trace_labels)
+                    == (verdict.prop, verdict.detail))
+        assert memo.crashes <= sum(lab.kind != ORDINARY for lab in nomemo.trace_labels)
+        return
     assert ((nomemo.result, nomemo.prop, nomemo.detail, nomemo.trace_labels,
              nomemo.stats["terminal_executions"])
             == (memo.result, memo.prop, memo.detail, memo.trace_labels,
@@ -640,18 +648,27 @@ def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
     assert confirm_violation(exp, verdict.trace_labels)[0] == prop
 
 
-# Counterexamples pinned against changes to the search and its checks.
-@pytest.mark.parametrize("mutate,trace,prop,detail", [
-    (reenter_after_crash,
+# Counterexamples pinned against changes to the search and its checks: the
+# depth-first walk's path to its first violation, and the sweep's shortest
+# path to its violation of fewest crashes, with that count.
+@pytest.mark.parametrize("mutate,memo,trace,prop,detail,crashes", [
+    (reenter_after_crash, False,
      [ordinary(1)] * 6 + [ordinary(2)] * 6 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
-     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1"),
-    (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if"),
+     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", None),
+    (read_before_write, False, [ordinary(1)], READ_BEFORE_WRITE,
+     "p1 read uninitialized 'd' at x:if", None),
+    (reenter_after_crash, True, [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
+     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", 1),
+    (read_before_write, True, [ordinary(1)], READ_BEFORE_WRITE,
+     "p1 read uninitialized 'd' at x:if", 0),
 ])
-def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail):
+def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, memo, trace, prop, detail,
+                                             crashes):
     monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
     exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
-    verdict = explore(exp, minimize=False)
-    assert (verdict.trace_labels, verdict.prop, verdict.detail) == (trace, prop, detail)
+    verdict = explore(exp, memo=memo, minimize=False)
+    assert ((verdict.trace_labels, verdict.prop, verdict.detail, verdict.crashes)
+            == (trace, prop, detail, crashes))
 
 
 @pytest.mark.parametrize("kw,length", [
@@ -748,6 +765,74 @@ def test_depth_limit_verdict():
     cfg = make_config(failure="simultaneous", budget=1, depth=3)
     verdict = explore(cfg)
     assert verdict.result == "depth-limit" and verdict.exit_code == 3
+
+
+def assert_depth_limit_agrees(kw, depth):
+    # the verdict does not depend on the order in which a search meets the
+    # paths: both searches see a path to a non-terminal state at `depth`
+    full = explore(make_config(**kw))
+    cfg = make_config(depth=depth, **kw)
+    sweep, walk = explore(cfg), explore(cfg, memo=False)
+    assert sweep.result == walk.result
+    if sweep.passed:
+        assert sweep.stats == full.stats
+        assert ((walk.stats["terminal_executions"], walk.stats["max_attempt_steps"])
+                == (full.stats["terminal_executions"], full.stats["max_attempt_steps"]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(program=st.sampled_from([dict(program="fig1"), dict(program="fig1", cons="tas"),
+                                dict(program="fig3"), dict(program="cas-rc")]),
+       failure=st.sampled_from(["none", "independent", "simultaneous"]),
+       budget=st.integers(0, 1),
+       mode=st.sampled_from(["rerun-after-crash", "halt-after-return"]),
+       depth=st.integers(0, 16))
+def test_depth_limit_does_not_depend_on_the_search_order(program, failure, budget, mode,
+                                                          depth):
+    kw = dict(failure=failure, budget=budget, mode=mode, **program)
+    full = explore(make_config(**kw))
+    assume(full.passed and full.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
+    assert_depth_limit_agrees(kw, depth)
+
+
+FIG2_DEPTH = dict(program="fig2", f=1, failure="independent", budget=1)
+
+
+# A non-terminal state lies at depth 26, none at 27, so both searches stop
+# early below 27.
+@pytest.mark.parametrize("depth", range(1, 27))
+def test_depth_limit_agrees_on_fig2(depth):
+    assert_depth_limit_agrees(FIG2_DEPTH, depth)
+
+
+def test_fig2_passes_from_depth_27():
+    # the walk passes here too, with these executions, but takes over a
+    # minute to count them one by one
+    full = explore(make_config(**FIG2_DEPTH))
+    assert explore(make_config(depth=27, **FIG2_DEPTH)).stats == full.stats
+    assert full.stats["terminal_executions"] == 10303268
+
+
+@settings(deadline=None, max_examples=40)
+@given(program=st.sampled_from([dict(program="fig1"), dict(program="fig1", cons="tas"),
+                                dict(program="tas-cons2"), dict(program="fig2", f=0),
+                                dict(program="fig2", f=1)]),
+       failure=st.sampled_from(["independent", "simultaneous"]),
+       budget=st.integers(1, 2),
+       mode=st.sampled_from(["rerun-after-crash", "halt-after-return"]),
+       scope=st.sampled_from(["all-returns", "cross-process"]))
+def test_sweep_reports_the_fewest_crashes(program, failure, budget, mode, scope):
+    kw = dict(failure=failure, mode=mode, agreement_scope=scope, **program)
+    verdict = explore(make_config(budget=budget, **kw), minimize=False)
+    assume(verdict.result == "fail")
+    crashes = verdict.crashes
+    assert sum(lab.kind != ORDINARY for lab in verdict.trace_labels) == crashes
+    # the budget gates crashes alone: the violation is still reachable at
+    # its own crash count, and no violation is at one fewer
+    at = explore(make_config(budget=crashes, **kw), minimize=False)
+    assert (at.result, at.crashes) == ("fail", crashes)
+    if crashes:
+        assert explore(make_config(budget=crashes - 1, **kw)).result != "fail"
 
 
 @settings(deadline=None, max_examples=10)

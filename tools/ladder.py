@@ -3,7 +3,8 @@
 change against its parent.
 
 Each run executes in its own process, so each reports its own peak RSS:
-`explore` on four fig2 configs up to the current frontier and, with
+`explore` on five fig2 configs up to the current frontier (fig2 n=2 f=4
+`cons=tas` budget 4, 12.9 M states) and, with
 `memo=False`, on perfbench's `explore-nomemo` config, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
@@ -65,6 +66,7 @@ RUNS = {
     "fig2 n=4 f=1": ("explore", _fig2(4, 1, 1)),
     "fig2 n=3 f=2 budget 2": ("explore", _fig2(3, 2, 2)),
     "fig2 n=2 f=3 cons=tas budget 3": ("explore", _fig2(2, 3, 3, "tas")),
+    "fig2 n=2 f=4 cons=tas budget 4": ("explore", _fig2(2, 4, 4, "tas")),
     "fig1 simultaneous budget 1, memo=False": (
         "explore-nomemo", dict(program="fig1", n=2, proposals=[10, 20], cons="atomic",
                                failure="simultaneous", budget=1, monitor=True)),
