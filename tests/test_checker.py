@@ -767,10 +767,10 @@ def test_depth_limit_verdict():
     assert verdict.result == "depth-limit" and verdict.exit_code == 3
 
 
-def assert_depth_limit_agrees(kw, depth):
+def assert_depth_limit_agrees(kw, full, depth):
     # the verdict does not depend on the order in which a search meets the
-    # paths: both searches see a path to a non-terminal state at `depth`
-    full = explore(make_config(**kw))
+    # paths: both searches see a path to a non-terminal state at `depth`;
+    # `full` is the sweep's pass without a depth limit
     cfg = make_config(depth=depth, **kw)
     sweep, walk = explore(cfg), explore(cfg, memo=False)
     assert sweep.result == walk.result
@@ -792,7 +792,7 @@ def test_depth_limit_does_not_depend_on_the_search_order(program, failure, budge
     kw = dict(failure=failure, budget=budget, mode=mode, **program)
     full = explore(make_config(**kw))
     assume(full.passed and full.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
-    assert_depth_limit_agrees(kw, depth)
+    assert_depth_limit_agrees(kw, full, depth)
 
 
 FIG2_DEPTH = dict(program="fig2", f=1, failure="independent", budget=1)
@@ -802,7 +802,7 @@ FIG2_DEPTH = dict(program="fig2", f=1, failure="independent", budget=1)
 # early below 27.
 @pytest.mark.parametrize("depth", range(1, 27))
 def test_depth_limit_agrees_on_fig2(depth):
-    assert_depth_limit_agrees(FIG2_DEPTH, depth)
+    assert_depth_limit_agrees(FIG2_DEPTH, explore(make_config(**FIG2_DEPTH)), depth)
 
 
 def test_fig2_passes_from_depth_27():
