@@ -243,53 +243,40 @@ def checked_step(exp: Experiment, state, label: StepLabel):
 def explore(x, memo=True, minimize=True) -> Verdict:
     """Search every enabled schedule for a violation; returns a `Verdict`.
 
-    With `memo` (the default) the search is a sweep-line search
-    (Christensen, Kristensen & Mailund, TACAS 2001) over the state keys
-    (`state_key`), by `rank`: failures · W plus the steps of the frames,
-    W = n · bound + 1, which `state_key` keeps.  Every edge raises the
-    rank.  An ordinary step adds 1 to its frame's steps.  A crash adds W
-    and resets frames that took at most n · bound steps between them, as
-    every state the sweep expands passed RWF.  So the sweep expands the
-    pending ranks in increasing order, each state after all its
-    predecessors, and drops each rank once it has expanded it: no later
-    edge reaches it.  A rank maps each key to [paths, depth, state]: the
-    number of paths from the initial state to it, the length of the
-    longest, and the first id state met with it.  Both fold over its
-    incoming edges, a sum and a max, so both are whole when it is
-    expanded.  Terminal executions are the sum of the paths of the
-    terminal states: the number of distinct complete schedules.
-
-    Without `memo` the search is a depth-first walk of the execution tree
-    with an explicit stack, so its depth is not bounded by Python's
-    recursion limit; every edge reaches a new state and every leaf is one
-    terminal execution.
-
-    Both searches run the edge checks on every edge and the state checks
-    once per state they hold, on its first arrival (see the module
-    docstring).  Labels are taken in `enabled_ids` order.
+    With `memo`, a sweep-line search (Christensen, Kristensen & Mailund,
+    TACAS 2001) over state keys by `rank`: failures · W plus the frames'
+    steps, W = n · bound + 1, which `state_key` keeps.  Every edge raises
+    it: an ordinary step adds 1, and a crash adds W and resets at most
+    n · bound steps, as every state the sweep expands passed RWF.  So the
+    sweep expands the pending ranks in increasing order, each state after
+    all its predecessors, and drops each rank once expanded.  Each key
+    carries its number of paths from the initial state and its longest
+    path, a sum and a max over its incoming edges, whole by the time it is
+    expanded.  Terminal executions, the distinct complete schedules, are
+    the sum of the terminal states' paths.  Without `memo`, a depth-first
+    walk of the execution tree with an explicit stack (no recursion
+    limit), counting its leaves.  Both run the edge checks on every edge
+    and the state checks once per state they hold (see the module
+    docstring), taking labels in `enabled_ids` order.
 
     Depth limit: a search that meets no violation returns "depth-limit"
     exactly when some path reaches a non-terminal state at depth
-    `depth_limit` or more.  The sweep tests each state's longest path when
-    it expands it, the walk each path.  A search that meets both ends at
-    whichever it meets first.
+    `depth_limit` or more: the sweep tests each state's longest path, the
+    walk every path.  A search that meets both ends at the first it meets.
 
-    Violations: a violation's rank is that of its post-state, r + 1 on an
-    ordinary edge from rank r, and often several ranks ahead on a crash
-    edge.  The sweep holds the violation of lowest rank, then fewest
-    crashes, and stops once no later edge can beat it: at once on an
-    ordinary edge, since every later one lands on r + 1 or higher with at
-    least as many crashes, or when it reaches the held rank.  A state the
-    sweep expands with j failures ranks below every state with j + 1, and
-    a violating post-state, whose moved frame may be one step past its
-    bound, at most ties with them.  So the held violation's crash count,
-    `Verdict.crashes`, is the fewest any violation needs.  The walk
-    reports the first violation it meets and sets no `crashes`.  With
-    `minimize` the trace is `shortest_failure`'s; without it, the sweep's
-    trace is the shortest path to its own violating edge, which
-    `shortest_failure` finds after the violation (the sweep keeps no
-    path), and the walk's is its own path.  The verdict's property and
-    detail are those of its trace.
+    Violations: the rank of a violation is its post-state's, r + 1 on an
+    ordinary edge from rank r and often more on a crash edge.  The sweep
+    holds the violation of lowest rank, then fewest crashes, until no
+    later edge can beat it: at once on an ordinary edge, or when the sweep
+    reaches the held rank.  An expanded state with j failures ranks below
+    every state with j + 1, and a violating post-state, one step past a
+    bound at most, can only tie, so `Verdict.crashes` is the fewest
+    crashes any violation needs.  The walk reports the first violation it
+    meets, without `crashes`.  With `minimize` the trace is
+    `shortest_failure`'s.  Without it, the walk's trace is its own path,
+    and the sweep's, which keeps no path, is `shortest_failure`'s shortest
+    path to the sweep's violating edge.  The verdict's property and detail
+    are its trace's.
     """
     exp = as_experiment(x)
     try:

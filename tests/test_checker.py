@@ -649,24 +649,31 @@ def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
 
 
 # Counterexamples pinned against changes to the search and its checks: the
-# depth-first walk's path to its first violation, and the sweep's shortest
-# path to its violation of fewest crashes, with that count.
-@pytest.mark.parametrize("mutate,memo,trace,prop,detail,crashes", [
-    (reenter_after_crash, False,
+# depth-first walk's path to the first violation it meets.
+@pytest.mark.parametrize("mutate,trace,prop,detail", [
+    (reenter_after_crash,
      [ordinary(1)] * 6 + [ordinary(2)] * 6 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
-     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", None),
-    (read_before_write, False, [ordinary(1)], READ_BEFORE_WRITE,
-     "p1 read uninitialized 'd' at x:if", None),
-    (reenter_after_crash, True, [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
-     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", 1),
-    (read_before_write, True, [ordinary(1)], READ_BEFORE_WRITE,
-     "p1 read uninitialized 'd' at x:if", 0),
+     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1"),
+    (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if"),
 ])
-def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, memo, trace, prop, detail,
-                                             crashes):
+def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail):
     monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
     exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
-    verdict = explore(exp, memo=memo, minimize=False)
+    verdict = explore(exp, memo=False, minimize=False)
+    assert (verdict.trace_labels, verdict.prop, verdict.detail) == (trace, prop, detail)
+
+
+# The sweep's shortest path to its violation of fewest crashes, and that count.
+@pytest.mark.parametrize("mutate,trace,prop,detail,crashes", [
+    (reenter_after_crash, [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
+     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", 1),
+    (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if", 0),
+])
+def test_seeded_bug_sweep_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail,
+                                                   crashes):
+    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
+    exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
+    verdict = explore(exp, minimize=False)
     assert ((verdict.trace_labels, verdict.prop, verdict.detail, verdict.crashes)
             == (trace, prop, detail, crashes))
 
