@@ -592,6 +592,7 @@ def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
                     == (verdict.prop, verdict.detail))
         assert memo.crashes <= sum(lab.kind != ORDINARY for lab in nomemo.trace_labels)
         return
+    # a pass or a depth limit reports nothing that depends on the order
     assert ((nomemo.result, nomemo.prop, nomemo.detail, nomemo.trace_labels,
              nomemo.stats["terminal_executions"])
             == (memo.result, memo.prop, memo.detail, memo.trace_labels,
@@ -775,9 +776,9 @@ def test_depth_limit_verdict():
 
 
 def assert_depth_limit_agrees(kw, full, depth):
-    # the verdict does not depend on the order in which a search meets the
-    # paths: both searches see a path to a non-terminal state at `depth`;
-    # `full` is the sweep's pass without a depth limit
+    # whether some path reaches a non-terminal state at `depth` does not
+    # depend on the order in which a search meets the paths; `full` is the
+    # sweep's pass without a depth limit
     cfg = make_config(depth=depth, **kw)
     sweep, walk = explore(cfg), explore(cfg, memo=False)
     assert sweep.result == walk.result
