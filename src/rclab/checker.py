@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .core import (
@@ -99,16 +98,28 @@ EXIT_FAIL = 2
 EXIT_DEPTH = 3
 
 
-@dataclass
 class Verdict:
-    result: str  # "pass" | "fail" | "depth-limit"
-    prop: Optional[str] = None
-    detail: Optional[str] = None
-    trace_labels: Optional[List[StepLabel]] = None
-    stats: dict = field(default_factory=dict)
-    # on a fail of `explore`'s sweep, the fewest crashes any violation
-    # needs; kept out of `stats`, which the pinned counts compare whole
-    crashes: Optional[int] = None
+    """A search's outcome.  `result` is "pass", "fail" or "depth-limit";
+    a fail names the property `prop`, says how in `detail` and gives the
+    schedule `trace_labels` that reaches it.  `crashes` is set on a fail
+    of `explore`'s sweep: the fewest crashes any violation needs, kept out
+    of `stats`, which the pinned counts compare whole."""
+
+    __slots__ = ("result", "prop", "detail", "trace_labels", "stats", "crashes")
+
+    def __init__(self, result: str, prop: Optional[str] = None, detail: Optional[str] = None,
+                 trace_labels: Optional[List[StepLabel]] = None, stats: Optional[dict] = None,
+                 crashes: Optional[int] = None):
+        self.result = result
+        self.prop = prop
+        self.detail = detail
+        self.trace_labels = trace_labels
+        self.stats = {} if stats is None else stats
+        self.crashes = crashes
+
+    def __repr__(self):
+        return "Verdict(%s)" % ", ".join(
+            "%s=%r" % (key, getattr(self, key)) for key in self.__slots__)
 
     @property
     def passed(self):

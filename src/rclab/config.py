@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
-from typing import Any, List, Optional
 
 from .core import BOTTOM, ConfigError
 from .programs import MACHINES
@@ -15,29 +12,57 @@ ADVERSARIES = ("exhaustive", "assumption1")
 MODES = ("rerun-after-crash", "halt-after-return")
 CHOICES = ("p1", "p2", "min", "max")
 
+_REQUIRED = object()  # the default of a field that must be given
 
-@dataclass
+# Every config field, in order, with its default.
+_FIELDS = {
+    "program": _REQUIRED,
+    "n": _REQUIRED,
+    "proposals": _REQUIRED,
+    "failure": "none",
+    "budget": 0,
+    "f": None,  # fig2 instance count parameter
+    "cons": "atomic",  # inner consensus: "atomic" | "tas"
+    "choice": "p1",  # fig1 tie-break: p1 | p2 | min | max
+    "scan_order": "asc",
+    "mode": "rerun-after-crash",
+    "adversary": "exhaustive",
+    "seed": 0,
+    "monitor": False,  # genericity monitor armed
+    "depth": None,
+    "hash_ignores_attempt": False,
+    "agreement_scope": "all-returns",  # or "cross-process"
+    "cap": None,  # node cap for graph building
+}
+_DEFAULTS = {key: value for key, value in _FIELDS.items() if value is not _REQUIRED}
+# keys with a default that only some programs' machines take
+_PROGRAM_KEYS = [key for key in _DEFAULTS
+                 if any(key in cls.params for cls in MACHINES.values())]
+
+
 class ExperimentConfig:
-    program: str
-    n: int
-    proposals: List[Any]
-    failure: str = "none"
-    budget: int = 0
-    f: Optional[int] = None  # fig2 instance count parameter
-    cons: str = "atomic"  # inner consensus: "atomic" | "tas"
-    choice: str = "p1"  # fig1 tie-break: p1 | p2 | min | max
-    scan_order: str = "asc"
-    mode: str = "rerun-after-crash"
-    adversary: str = "exhaustive"
-    seed: int = 0
-    monitor: bool = False  # genericity monitor armed
-    depth: Optional[int] = None
-    hash_ignores_attempt: bool = False
-    agreement_scope: str = "all-returns"  # or "cross-process"
-    cap: Optional[int] = None  # node cap for graph building
+    """A validated experiment configuration: one attribute per key of
+    `_FIELDS`, given by keyword.  Configs compare equal field by field and
+    are unhashable, since their fields can be assigned."""
 
-    def __post_init__(self):
+    def __init__(self, **fields):
+        for key, default in _FIELDS.items():
+            value = fields.pop(key, default)
+            if value is _REQUIRED:
+                raise TypeError("missing config field %r" % key)
+            setattr(self, key, value)
+        if fields:
+            raise TypeError("unknown config fields: %s" % ", ".join(sorted(map(str, fields))))
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return "ExperimentConfig(%s)" % ", ".join(
+            "%s=%r" % (key, getattr(self, key)) for key in _FIELDS)
 
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless every field has a legal type and value;
@@ -116,7 +141,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The fields as a dict; every value is immutable but `proposals`,
         which is a fresh list."""
-        d = {f.name: getattr(self, f.name) for f in _FIELDS}
+        d = {key: getattr(self, key) for key in _FIELDS}
         d["proposals"] = list(self.proposals)
         return d
 
@@ -124,8 +149,7 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f.name for f in _FIELDS}
-        unknown = set(d) - known
+        unknown = set(d) - set(_FIELDS)
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         try:
@@ -137,12 +161,6 @@ class ExperimentConfig:
     def from_file(path) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(read_config_file(path))
 
-
-_FIELDS = dataclasses.fields(ExperimentConfig)
-_DEFAULTS = {f.name: f.default for f in _FIELDS}
-# keys besides `n` that only some programs' machines take
-_PROGRAM_KEYS = [key for key in _DEFAULTS if key != "n"
-                 and any(key in cls.params for cls in MACHINES.values())]
 
 
 def read_config_file(path) -> dict:

@@ -8,7 +8,6 @@ what makes memoized search and bit-exact replay possible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, NamedTuple, Optional, Tuple
 
@@ -326,23 +325,31 @@ def _encode_default(x):
     raise TypeError("%s is not JSON serializable" % type(x).__name__)
 
 
-# The C-accelerated encoder writes tuples, NamedTuples among them, as
-# arrays and calls `_encode_default` only for frozensets and UNINIT, so its
-# text for a component is that of `json.dumps(_jsonable(component))`.
-# `JSONEncoder.encode` builds a new C encoder on every call; this one is
-# built once, with the same arguments but no circular-reference check (a
-# state holds no cycle).  Without the C encoder, `JSONEncoder.encode` is
-# used.
-if json.encoder.c_make_encoder is None:
-    encode = json.JSONEncoder(separators=(",", ":"), default=_encode_default).encode
-else:
-    _c_encode = json.encoder.c_make_encoder(
-        None, _encode_default, json.encoder.encode_basestring_ascii, None,
-        ":", ",", False, False, True)
+def json_encoder(separators=None, sort_keys=False, default=None):
+    """`json.JSONEncoder(...).encode` with these arguments and no
+    circular-reference check, for values that hold no cycle.
+    `JSONEncoder.encode` builds a new C encoder on every call; the one
+    returned here is built once, with the same arguments.  Without the C
+    encoder, `JSONEncoder.encode` is returned."""
+    enc = json.JSONEncoder(separators=separators, sort_keys=sort_keys, default=default,
+                           check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return enc.encode
+    c_encode = json.encoder.c_make_encoder(
+        None, enc.default, json.encoder.encode_basestring_ascii, None,
+        enc.key_separator, enc.item_separator, sort_keys, False, True)
 
     def encode(x) -> str:
-        """The JSON text of a state component, as in `digest`."""
-        return "".join(_c_encode(x, 0))
+        return "".join(c_encode(x, 0))
+
+    return encode
+
+
+# The JSON text of a state component, as in `digest`.  The encoder writes
+# tuples, NamedTuples among them, as arrays and calls `_encode_default`
+# only for frozensets and UNINIT, so its text for a component is that of
+# `json.dumps(_jsonable(component))`.
+encode = json_encoder(separators=(",", ":"), default=_encode_default)
 
 
 # id(component) -> (component, its JSON text).  The entry holds the
@@ -372,7 +379,10 @@ def digest(state: SystemState) -> str:
     entry holds its component, so a text always belongs to the object it
     was made from.  It is never keyed by value: `1`, `1.0` and `True` are
     equal, as are `0.0` and `-0.0`, but their texts differ.  It is
-    emptied when it holds `_FRAGMENTS_MAX` entries."""
+    emptied when it holds `_FRAGMENTS_MAX` entries.
+
+    `hashlib` is imported on the first digest, not with this module, so a
+    process that digests no state never loads OpenSSL's libcrypto."""
     frames, objects, failures, returns, participants, tas_seen, cons_access = state
     return digest_texts(
         ",".join([_fragment(fr) for fr in frames]),
@@ -387,4 +397,15 @@ def digest_texts(frames: str, objects: str, others: str) -> str:
     joined by commas, `objects` of its objects tuple, and `others` of the
     fields from `failures` on, joined by commas."""
     text = "[[%s],%s,%s]" % (frames, objects, others)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(text.encode()).hexdigest()
+
+
+def _sha256(data):
+    """`hashlib.sha256(data)`.  The first call imports hashlib, which maps
+    OpenSSL's libcrypto into the process, and rebinds this name to
+    `hashlib.sha256`, so a run that digests nothing never loads it."""
+    global _sha256
+    import hashlib
+
+    _sha256 = hashlib.sha256
+    return _sha256(data)

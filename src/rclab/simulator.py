@@ -40,6 +40,7 @@ from .core import (
     TransitionError,
     crash,
     digest,  # not called here; perfbench's tracer patches `simulator.digest`
+    json_encoder,
     ordinary,
 )
 from .experiment import Experiment
@@ -111,13 +112,17 @@ def random_run(exp: Experiment, rng: random.Random):
 
 # -- serialization ----------------------------------------------------------
 
+# The text of `json.dumps(x, sort_keys=True)` from one encoder built once,
+# not one per call: every line of a trace, and replay's cache key
+dumps = json_encoder(sort_keys=True)
+
 
 def dump_trace(trace: Trace, final_hash: Optional[str] = None) -> str:
     header = {"config": trace.config}
     if final_hash is not None:
         header["final_hash"] = final_hash
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(r.to_json(i), sort_keys=True) for i, r in enumerate(trace.records)]
+    lines = [dumps(header)]
+    lines += [dumps(r.to_json(i)) for i, r in enumerate(trace.records)]
     return "\n".join(lines) + "\n"
 
 
@@ -196,7 +201,7 @@ _EXPERIMENTS_MAX = 8
 
 def _experiment(config: ExperimentConfig) -> Experiment:
     """The cached experiment of a validated `config`, built on a miss."""
-    key = (json.dumps(config.to_dict(), sort_keys=True), MACHINES[config.program].step)
+    key = (dumps(config.to_dict()), MACHINES[config.program].step)
     exp = _experiments.pop(key, None)
     if exp is None:
         exp = Experiment(config)

@@ -763,6 +763,44 @@ def test_edge_invariant_is_checked_by_every_entry_point(monkeypatch):
     assert confirm_violation(exp, [ordinary(1)] * 2) == (INVARIANT, "flagged")
 
 
+# -- verdicts -----------------------------------------------------------------
+
+
+def test_verdict_defaults_by_position_and_by_keyword():
+    labels = [ordinary(1)]
+    for v in (checker.Verdict("fail", "Agreement", "d", labels, {"states": 1}, 2),
+              checker.Verdict(result="fail", prop="Agreement", detail="d", trace_labels=labels,
+                              stats={"states": 1}, crashes=2)):
+        assert (v.result, v.prop, v.detail, v.trace_labels, v.stats, v.crashes) == (
+            "fail", "Agreement", "d", labels, {"states": 1}, 2)
+        assert not v.passed and v.exit_code == 2
+    v = checker.Verdict("pass")
+    assert (v.result, v.prop, v.detail, v.trace_labels, v.stats, v.crashes) == (
+        "pass", None, None, None, {}, None)
+    assert v.passed and v.exit_code == 0
+
+
+def test_verdicts_built_without_stats_do_not_share_a_dict():
+    a, b = checker.Verdict("pass"), checker.Verdict(result="pass")
+    a.stats["states"] = 1
+    assert b.stats == {}
+
+
+@pytest.mark.parametrize("verdict,text", [
+    (checker.Verdict("pass", stats={"states": 3}),
+     '{"result": "pass", "stats": {"states": 3}}'),
+    (checker.Verdict("fail", "Agreement", "returns disagree", [ordinary(1), crash(2)],
+                     {"states": 5}, crashes=1),
+     '{"result": "fail", "stats": {"states": 5}, "property": "Agreement", '
+     '"detail": "returns disagree", "crashes": 1, "trace": [{"kind": "ordinary", "pid": 1}, '
+     '{"kind": "crash", "pid": 2}]}'),
+    (checker.Verdict("depth-limit", detail="depth limit 4 reached", stats={"states": 2}),
+     '{"result": "depth-limit", "stats": {"states": 2}, "detail": "depth limit 4 reached"}'),
+])
+def test_verdict_json_keeps_its_keys_and_their_order(verdict, text):
+    assert json.dumps(verdict.to_json()) == text
+
+
 def test_depth_limit_is_exact():
     # cas-rc n=2 without crashes: every execution has exactly 4 steps
     assert explore(make_config(program="cas-rc", depth=4)).passed

@@ -1,8 +1,10 @@
 """Execution model: initial states, enabledness, crash semantics, hashing."""
 
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,9 +46,46 @@ def test_proposal_arity_checked():
 def test_to_dict_gives_the_fields_and_a_fresh_proposals_list():
     cfg = make_config(failure="simultaneous", budget=1)
     d = cfg.to_dict()
-    assert d == dataclasses.asdict(cfg)
+    expected = {
+        "program": "fig1", "n": 2, "proposals": [10, 20], "failure": "simultaneous",
+        "budget": 1, "f": None, "cons": "atomic", "choice": "p1", "scan_order": "asc",
+        "mode": "rerun-after-crash", "adversary": "exhaustive", "seed": 0,
+        "monitor": False, "depth": None, "hash_ignores_attempt": False,
+        "agreement_scope": "all-returns", "cap": None,
+    }
+    assert list(d.items()) == list(expected.items())
     d["proposals"].append(30)
     assert cfg.proposals == [10, 20]
+
+
+def test_configs_compare_field_by_field_and_are_unhashable():
+    cfg = make_config(failure="simultaneous", budget=1)
+    assert cfg == make_config(failure="simultaneous", budget=1)
+    assert not cfg != make_config(failure="simultaneous", budget=1)
+    for key, value in (("budget", 2), ("proposals", [20, 10]), ("seed", 1), ("cap", 5)):
+        other = make_config(**dict(cfg.to_dict(), **{key: value}))
+        assert cfg != other and not cfg == other
+    assert cfg != cfg.to_dict()
+    with pytest.raises(TypeError):
+        hash(cfg)
+
+
+def test_config_repr_names_every_field():
+    text = repr(make_config(program="fig2", f=1, cons="tas", cap=7))
+    assert text.startswith("ExperimentConfig(program='fig2', n=2, proposals=[10, 20], ")
+    for key in ("failure", "budget", "f", "cons", "choice", "scan_order", "mode", "adversary",
+                "seed", "monitor", "depth", "hash_ignores_attempt", "agreement_scope", "cap"):
+        assert " %s=" % key in text
+    assert text.endswith(", cap=7)")
+
+
+def test_a_missing_field_or_a_bad_value_is_a_config_error():
+    with pytest.raises(ConfigError, match="proposals"):
+        ExperimentConfig.from_dict({"program": "fig1", "n": 2})
+    with pytest.raises(ConfigError, match="budget"):
+        ExperimentConfig(program="fig1", n=2, proposals=[10, 20], budget=-1)
+    with pytest.raises(TypeError):
+        ExperimentConfig(program="fig1", n=2, proposals=[10, 20], budjet=1)
 
 
 def test_experiment_from_a_dict_validates_its_config_once(monkeypatch):
@@ -231,6 +270,40 @@ def test_digest_tells_equal_values_of_another_text_apart(monkeypatch, pair):
                 seen.add(post)
                 pairs.append((post, b.apply_step(sb, lab)[0]))
     assert clears and max(clears) == core._FRAGMENTS_MAX
+
+
+# Run in a fresh interpreter: imports every layer and explores a passing
+# config, then digests the initial state, and prints what was loaded.
+FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+from rclab import checker, cli, simulator, valency
+from rclab.config import ExperimentConfig
+from rclab.experiment import Experiment
+exp = Experiment(ExperimentConfig(program="fig1", n=2, proposals=[10, 20],
+                                  failure="simultaneous", budget=1))
+assert checker.explore(exp).passed
+added = sorted(set(sys.modules) - before)
+from rclab import core
+init = exp.initial_state()
+got = core.digest(init)
+loaded = "hashlib" in sys.modules
+import hashlib
+text = json.dumps(core.canonical(init), separators=(",", ":"))
+print(json.dumps({"added": added, "loaded": loaded,
+                  "equal": got == hashlib.sha256(text.encode()).hexdigest()}))
+"""
+
+
+def test_a_passing_search_imports_neither_hashlib_nor_dataclasses():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    out = json.loads(proc.stdout)
+    assert "rclab.cli" in out["added"]
+    assert {"hashlib", "_hashlib", "dataclasses", "inspect"}.isdisjoint(out["added"])
+    assert out["loaded"] and out["equal"]
 
 
 def test_memo_key_can_ignore_attempt():

@@ -71,3 +71,11 @@ def test_entry_reports_cpu_time_and_no_per_state_cost_below_a_mib(monkeypatch):
     assert result["cpu_s"] >= 0
     assert result["bytes_per_state"] is None
     assert "cpu_s" in ladder.MEDIAN_KEYS
+
+
+def test_cold_start_reports_times_and_peak_but_no_states():
+    ladder = load_ladder()
+    result = ladder.run_child("cold start",
+                              os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    assert sorted(result) == ["cpu_s", "peak_rss_mb", "wall_s"]
+    assert result["wall_s"] > 0 and result["cpu_s"] >= 0 and result["peak_rss_mb"] > 0

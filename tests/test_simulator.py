@@ -16,6 +16,7 @@ from rclab.core import (
     UninitializedRead,
     crash,
     digest,
+    json_encoder,
     ordinary,
 )
 from rclab.experiment import Experiment
@@ -344,6 +345,31 @@ def test_higher_pid_not_forced_while_lower_participates():
     # p2 armed a crash but p1 is the lowest participant, so nothing is forced
     labels = exp.enabled_steps(s)
     assert crash(2) not in labels and crash(1) not in labels
+
+
+# Records beyond the golden traces' text: non-ASCII and escaped strings,
+# floats, null and nested lists, keys out of order.
+ENCODER_RECORDS = [
+    {"config": {"program": "fig1", "n": 2, "proposals": ["na\u00efve \u2713", 'say "hi"\\'],
+                "f": None, "cap": None}, "final_hash": "ab" * 32},
+    {"step": 3, "pid": 1, "label": "ordinary", "op": "write D [0.5, -2.0]",
+     "resp": [[1, [2.5e-07, None, -0.0]], [], [[["\u00e9"]]]]},
+    {"z": 1e300, "a": [float("inf"), float("-inf")], "m": {"y": [None], "x": 1.0}},
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_trace_encoder_writes_what_json_dumps_writes(monkeypatch, c_encoder):
+    records = list(ENCODER_RECORDS)
+    for name in sorted(os.listdir(CASES_DIR)):
+        with open(os.path.join(CASES_DIR, name)) as fh:
+            records += [json.loads(line) for line in fh]
+    expected = [json.dumps(r, sort_keys=True) for r in records]
+    dumps = simulator.dumps
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        dumps = json_encoder(sort_keys=True)
+    assert [dumps(r) for r in records] == expected
 
 
 def test_golden_traces_regenerate_byte_for_byte(tmp_path):

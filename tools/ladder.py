@@ -10,11 +10,13 @@ criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
 and of fig2 n=2 f=3 `cons=tas` budget 3 (ROADMAP item 2's target), the
 trace path (seeded `random_run` -> `run` -> `dump_trace` -> `replay`
-round trips on fig2 n=3 f=1), and the tier-1 test suite.  For every run
-it records wall seconds, CPU seconds of the process, states/s, edges/s,
-peak RSS and bytes per state ((peak RSS - RSS before the run) / states,
-null when the run raised the peak by less than 1 MiB, a step too small to
-tell from allocator noise).  CPU seconds leave out the time the process
+round trips on fig2 n=3 f=1), the tier-1 test suite, and a cold start:
+the import of every rclab layer plus one `Experiment` of fig2 n=3 f=1,
+which reports only wall seconds, CPU seconds and peak RSS.  For every
+other run it records wall seconds, CPU seconds of the process, states/s,
+edges/s, peak RSS and bytes per state ((peak RSS - RSS before the run) /
+states, null when the run raised the peak by less than 1 MiB, a step too
+small to tell from allocator noise).  CPU seconds leave out the time the process
 waited for a core on a shared host, so a change in wall time that CPU
 time does not show is the host's, not the code's.  On the trace path,
 states are trace steps and edges are steps applied, three per trace
@@ -75,6 +77,7 @@ RUNS = {
     "valency: fig2 n=2 f=3 cons=tas budget 3": ("valency", _fig2(2, 3, 3, "tas")),
     "trace path: fig2 n=3 f=1": ("trace", _fig2(3, 1, 1)),
     "tier-1": ("pytest", None),
+    "cold start": ("cold start", _fig2(3, 1, 1)),
 }
 
 
@@ -137,10 +140,15 @@ def run_one(name, root):
     if what == "pytest":
         return _pytest(root)
     sys.path.insert(0, os.path.join(root, "src"))
+    cpu = time.process_time()
+    start = time.perf_counter()
     lib = SimpleNamespace(**{m: importlib.import_module("rclab." + m)
                              for m in ("checker", "config", "core", "experiment",
                                        "simulator", "valency")})
     exp = lib.experiment.Experiment(lib.config.ExperimentConfig.from_dict(dict(cfg)))
+    if what == "cold start":
+        return dict(wall_s=round(time.perf_counter() - start, 4),
+                    cpu_s=round(time.process_time() - cpu, 4), peak_rss_mb=round(maxrss_mb(), 1))
     before = maxrss_mb()
     cpu = time.process_time()
     start = time.perf_counter()
