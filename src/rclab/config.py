@@ -46,13 +46,12 @@ class ExperimentConfig:
     are unhashable, since their fields can be assigned."""
 
     def __init__(self, **fields):
-        for key, default in _FIELDS.items():
-            value = fields.pop(key, default)
-            if value is _REQUIRED:
-                raise TypeError("missing config field %r" % key)
-            setattr(self, key, value)
-        if fields:
-            raise TypeError("unknown config fields: %s" % ", ".join(sorted(map(str, fields))))
+        values = {**_DEFAULTS, **fields}
+        if values.keys() != _FIELDS.keys():
+            raise TypeError("; ".join(
+                ["missing config key %r" % key for key in _FIELDS if key not in values]
+                + ["unknown config key %r" % key for key in values if key not in _FIELDS]))
+        self.__dict__.update(values)
         self.validate()
 
     def __eq__(self, other):
@@ -149,9 +148,6 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(d) - set(_FIELDS)
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         try:
             return ExperimentConfig(**d)
         except TypeError as e:
@@ -160,7 +156,6 @@ class ExperimentConfig:
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(read_config_file(path))
-
 
 
 def read_config_file(path) -> dict:

@@ -80,8 +80,10 @@ def test_config_repr_names_every_field():
 
 
 def test_a_missing_field_or_a_bad_value_is_a_config_error():
-    with pytest.raises(ConfigError, match="proposals"):
+    with pytest.raises(ConfigError, match="missing config key 'proposals'"):
         ExperimentConfig.from_dict({"program": "fig1", "n": 2})
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        ExperimentConfig.from_dict({"program": "fig1", "n": 2, "proposals": [10, 20], "bogus": 1})
     with pytest.raises(ConfigError, match="budget"):
         ExperimentConfig(program="fig1", n=2, proposals=[10, 20], budget=-1)
     with pytest.raises(TypeError):

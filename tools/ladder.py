@@ -16,9 +16,9 @@ which reports only wall seconds, CPU seconds and peak RSS.  For every
 other run it records wall seconds, CPU seconds of the process, states/s,
 edges/s, peak RSS and bytes per state ((peak RSS - RSS before the run) /
 states, null when the run raised the peak by less than 1 MiB, a step too
-small to tell from allocator noise).  CPU seconds leave out the time the process
-waited for a core on a shared host, so a change in wall time that CPU
-time does not show is the host's, not the code's.  On the trace path,
+small to tell from allocator noise).  CPU seconds leave out the time the
+process waited for a core on a shared host, so a change in wall time
+that CPU time does not show is the host's, not the code's.  On the trace path,
 states are trace steps and edges are steps applied, three per trace
 step.  Times are raw seconds on the machine named in the output, not
 perfbench's reference seconds.
