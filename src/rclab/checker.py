@@ -15,11 +15,11 @@ return schedules, never states.  Every edge is one `Experiment.successor`
 call, the one step walk, followed by the checks in two parts:
 
 - The edge checks: the transition's own `TransitionError`s (genericity,
-  read-before-write), which `successor` raises, then `edge_rule` on an
-  edge that changed the objects id: crash isolation (a crash edge keeps
-  the objects id) and `machine.check_edge`.  `checked_edge` is the two
-  together; `explore` makes the same two calls itself, which saves a
-  Python call per edge.
+  read-before-write), which `successor` raises, then `edge_rule`,
+  `machine.check_edge`, on an edge that changed the objects id.  A crash
+  edge never does: `successor` resets frames and keeps the objects id.
+  `checked_edge` is the two together; `explore` makes the same two calls
+  itself, which saves a Python call per edge.
 - The state checks, `state_checks`: recoverable wait-freedom of the
   frames, agreement and validity of the returns, and the machine's state
   invariant.  They are facts about the post-state, so they run once per
@@ -101,9 +101,10 @@ EXIT_DEPTH = 3
 class Verdict:
     """A search's outcome.  `result` is "pass", "fail" or "depth-limit";
     a fail names the property `prop`, says how in `detail` and gives the
-    schedule `trace_labels` that reaches it.  `crashes` is set on a fail
-    of `explore`'s sweep: the fewest crashes any violation needs, kept out
-    of `stats`, which the pinned counts compare whole."""
+    schedule `trace_labels` that reaches it, for `explore` the shortest
+    (`shortest_failure`'s).  `crashes` is set on a fail of `explore`'s
+    sweep: the fewest crashes any violation needs, kept out of `stats`,
+    which the pinned counts compare whole."""
 
     __slots__ = ("result", "prop", "detail", "trace_labels", "stats", "crashes")
 
@@ -215,14 +216,11 @@ def checked_initial_state(exp: Experiment):
     return exp.intern(init)
 
 
-def edge_rule(exp: Experiment, label: StepLabel, pre_oid: int, oid: int):
-    """The edge rule for an edge by `label` that took the objects id
+def edge_rule(exp: Experiment, pre_oid: int, oid: int):
+    """The edge rule for an ordinary edge that took the objects id
     `pre_oid` to `oid`, applied only when the two differ: raises
-    `Violation` if the edge is a crash (crash isolation: shared objects
-    survive every crash untouched) or if `machine.check_edge`, whose
-    verdict is kept in `exp.edge_checks`, rejects it."""
-    if label.kind != ORDINARY:
-        raise Violation(INVARIANT, "crash step changed shared objects")
+    `Violation` if `machine.check_edge`, whose verdict is kept in
+    `exp.edge_checks`, rejects it."""
     err = exp.edge_checks[pre_oid, oid]
     if err:
         raise Violation(INVARIANT, err)
@@ -236,7 +234,7 @@ def checked_edge(exp: Experiment, state, label: StepLabel):
     post = exp.successor(state, label)
     n = exp.n
     if post[n] != state[n]:
-        edge_rule(exp, label, state[n], post[n])
+        edge_rule(exp, state[n], post[n])
     return post
 
 
@@ -251,7 +249,7 @@ def checked_step(exp: Experiment, state, label: StepLabel):
     return post
 
 
-def explore(x, memo=True, minimize=True) -> Verdict:
+def explore(x, memo=True) -> Verdict:
     """Search every enabled schedule for a violation; returns a `Verdict`.
 
     With `memo`, a sweep-line search (Christensen, Kristensen & Mailund,
@@ -282,12 +280,12 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     reaches the held rank.  An expanded state with j failures ranks below
     every state with j + 1, and a violating post-state, one step past a
     bound at most, can only tie, so `Verdict.crashes` is the fewest
-    crashes any violation needs.  The walk reports the first violation it
-    meets, without `crashes`.  With `minimize` the trace is
-    `shortest_failure`'s.  Without it, the walk's trace is its own path,
-    and the sweep's, which keeps no path, is `shortest_failure`'s shortest
-    path to the sweep's violating edge.  The verdict's property and detail
-    are its trace's.
+    crashes any violation needs.  The walk stops at the first violation it
+    meets, without `crashes`.  Either way the verdict's trace, property
+    and detail are `shortest_failure`'s, which keeps the counterexample
+    independent of the search.  It finds one: the violating edge leaves a
+    state that the search expanded, so one with a path shorter than the
+    depth limit.
     """
     exp = as_experiment(x)
     try:
@@ -295,7 +293,14 @@ def explore(x, memo=True, minimize=True) -> Verdict:
     except Violation as v:
         return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0),
                        0 if memo else None)
-    return (_sweep if memo else _walk)(exp, init, minimize)
+    result, stats, crashes = (_sweep if memo else _walk)(exp, init)
+    if result == "pass":
+        return Verdict(result, stats=stats)
+    stats["terminal_executions"] = 0
+    if result == "depth-limit":
+        return Verdict(result, detail="depth limit %d reached" % exp.depth_limit, stats=stats)
+    trace, prop, detail = shortest_failure(exp, init)
+    return Verdict(result, prop, detail, trace, stats, crashes)
 
 
 def rank(exp: Experiment, ids):
@@ -309,8 +314,9 @@ def rank(exp: Experiment, ids):
     return exp.others_by_id[ids[n + 1]][0] * (n * exp.bound + 1) + steps
 
 
-def _sweep(exp: Experiment, init, minimize) -> Verdict:
-    """`explore` with `memo`: the sweep over ranks."""
+def _sweep(exp: Experiment, init):
+    """`explore` with `memo`: the sweep over ranks.  Returns (result,
+    stats, crashes), `crashes` set on a fail."""
     keyed = exp.config.hash_ignores_attempt
     state_key, enabled_ids = exp.state_key, exp.enabled_ids
     frames, others = exp.frames_by_id, exp.others_by_id
@@ -323,8 +329,7 @@ def _sweep(exp: Experiment, init, minimize) -> Verdict:
     # longest path and its id state.  Flat lists, not a list per state, so
     # the cyclic collector tracks no object per state.
     layers = {rank(exp, init): ({state_key(init): 0}, [1, 0, init])}
-    # the violating edge held: (rank, crashes, pre-state, label, the
-    # pre-state's rank)
+    # the violation held: (rank, crashes)
     held = None
     while layers:
         r = min(layers)
@@ -341,8 +346,7 @@ def _sweep(exp: Experiment, init, minimize) -> Verdict:
                 executions += count
                 continue
             if depth >= depth_limit:
-                return Verdict("depth-limit", detail="depth limit %d reached" % depth_limit,
-                               stats=_explore_stats(states, edges, 0, max_steps))
+                return "depth-limit", _explore_stats(states, edges, executions, max_steps), None
             depth += 1
             for lab in labels:
                 edges += 1
@@ -350,7 +354,7 @@ def _sweep(exp: Experiment, init, minimize) -> Verdict:
                     post = successor(state, lab)
                     # `checked_edge`'s second step, here to save a call per edge
                     if post[n] != state[n]:
-                        edge_rule(exp, lab, state[n], post[n])
+                        edge_rule(exp, state[n], post[n])
                     post_key = state_key(post) if keyed else post
                     # an ordinary edge lands on r + 1, and a key has one rank
                     keys, into = up
@@ -381,8 +385,8 @@ def _sweep(exp: Experiment, init, minimize) -> Verdict:
                     # `successor` raises on ordinary edges alone
                     at = (rank(exp, post) if crashed else r + 1,
                           others[state[n + 1]][0] + crashed)
-                    if held is None or at < held[:2]:
-                        held = at + (state, lab, r)
+                    if held is None or at < held:
+                        held = at
                     if crashed:
                         continue
                     # every later edge lands on r + 1 or higher, with at least
@@ -400,30 +404,22 @@ def _sweep(exp: Experiment, init, minimize) -> Verdict:
             break
         if not up[0]:
             del layers[r + 1]
-    if held is None:
-        return Verdict("pass", stats=_explore_stats(states, edges, executions, max_steps))
-    _, crashes, pre, lab, pre_rank = held
-    # The path search checks every edge it takes, and finds a path: the
-    # sweep expanded `pre`, so its longest path, and its shortest, is
-    # shorter than the depth limit.
-    goal = None if minimize else (pre_rank, state_key(pre), lab)
-    trace, prop, detail = shortest_failure(exp, init, goal)
-    return Verdict("fail", prop, detail, trace, _explore_stats(states, edges, 0, max_steps),
-                   crashes)
+    stats = _explore_stats(states, edges, executions, max_steps)
+    return ("pass", stats, None) if held is None else ("fail", stats, held[1])
 
 
-def _walk(exp: Experiment, init, minimize) -> Verdict:
+def _walk(exp: Experiment, init):
     """`explore` without `memo`: the depth-first walk of the execution
-    tree."""
+    tree.  Returns (result, stats, None)."""
     frames = exp.frames_by_id
     successor, n = exp.successor, exp.n
     depth_limit = exp.depth_limit
     states, edges, executions, max_steps = 1, 0, 0, 0
-    result, prop, detail, trace = "pass", None, None, None
-    # The id state being expanded lives in locals: `state`, `todo` (an
-    # iterator over its enabled labels not yet taken) and `via` (the label
-    # that reached it).  Its ancestors wait on `stack` as tuples of the
-    # same three values, so the depth of `state` is len(stack).
+    result = "pass"
+    # The id state being expanded lives in locals: `state` and `todo` (an
+    # iterator over its enabled labels not yet taken).  Its ancestors wait
+    # on `stack` as pairs of the same two values, so the depth of `state`
+    # is len(stack).
     stack = []
     try:
         labels = exp.enabled_ids(init)
@@ -431,14 +427,14 @@ def _walk(exp: Experiment, init, minimize) -> Verdict:
             executions = 1
         elif depth_limit <= 0:
             raise _DepthLimit()
-        state, todo, via = init, iter(labels), None
+        state, todo = init, iter(labels)
         while True:
             for lab in todo:
                 edges += 1
                 # `checked_edge`'s two steps, here to save a call per edge
                 post = successor(state, lab)
                 if post[n] != state[n]:
-                    edge_rule(exp, lab, state[n], post[n])
+                    edge_rule(exp, state[n], post[n])
                 bad = state_checks(exp, state, lab, post)
                 if bad:
                     raise Violation(*bad)
@@ -454,28 +450,18 @@ def _walk(exp: Experiment, init, minimize) -> Verdict:
                     continue
                 if len(stack) + 1 >= depth_limit:
                     raise _DepthLimit()
-                stack.append((state, todo, via))
-                state, todo, via = post, iter(labels), lab
+                stack.append((state, todo))
+                state, todo = post, iter(labels)
                 break
             else:
                 if not stack:
                     break
-                state, todo, via = stack.pop()
+                state, todo = stack.pop()
     except _DepthLimit:
-        result, detail = "depth-limit", "depth limit %d reached" % depth_limit
-    except Violation as v:
-        result, prop, detail = "fail", v.prop, v.detail
-        # the label that reached each state on the path, but the initial
-        # state's, then the violating one
-        trace = ([f[2] for f in stack] + [via, lab])[1:]
-        if minimize:
-            found = shortest_failure(exp, init)
-            if found is not None:
-                trace, prop, detail = found
-    if result != "pass":
-        executions = 0
-    return Verdict(result, prop, detail, trace,
-                   _explore_stats(states, edges, executions, max_steps))
+        result = "depth-limit"
+    except Violation:
+        result = "fail"
+    return result, _explore_stats(states, edges, executions, max_steps), None
 
 
 def _explore_stats(states, edges, executions, max_steps):
@@ -483,16 +469,12 @@ def _explore_stats(states, edges, executions, max_steps):
             "max_attempt_steps": max_steps}
 
 
-def shortest_failure(exp: Experiment, init=None, goal=None):
+def shortest_failure(exp: Experiment, init=None):
     """BFS for a minimal-depth violating schedule: (labels, prop, detail),
     or None.  It starts from `init`, an id state that passed the state
-    checks, by default `checked_initial_state`'s.
-
-    With `goal`, (rank, key, label) of an edge that `explore`'s sweep found
-    violating, it seeks the shortest schedule that ends with that edge:
-    `label` from a state of that `state_key` and rank.  Then every other
-    violation is a dead end, and no state of a higher rank is expanded,
-    since no path to the goal passes one.
+    checks, by default `checked_initial_state`'s.  Of the violations at
+    that depth it reports the first in BFS order, labels taken in
+    `enabled_ids` order.
 
     Sound because every check evaluated per edge is a function of
     (pre-state, label, post-state) only, never of the path taken.  An
@@ -509,11 +491,7 @@ def shortest_failure(exp: Experiment, init=None, goal=None):
         state, path = queue.popleft()
         if len(path) >= exp.depth_limit:
             continue
-        labels = exp.enabled_ids(state)
-        report = goal is None
-        if not report and exp.state_key(state) == goal[1]:
-            labels, report = [goal[2]], True
-        for lab in labels:
+        for lab in exp.enabled_ids(state):
             try:
                 post = checked_edge(exp, state, lab)
                 key = exp.state_key(post)
@@ -523,12 +501,9 @@ def shortest_failure(exp: Experiment, init=None, goal=None):
                 if bad:
                     raise Violation(*bad)
             except Violation as v:
-                if report:
-                    return path + [lab], v.prop, v.detail
-                continue
+                return path + [lab], v.prop, v.detail
             seen.add(key)
-            if goal is None or rank(exp, post) <= goal[0]:
-                queue.append((post, path + [lab]))
+            queue.append((post, path + [lab]))
     return None
 
 

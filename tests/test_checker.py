@@ -436,7 +436,7 @@ def test_every_explored_edge_is_one_successor_call(kw, memo):
         return successor(ids, label)
 
     exp.successor = counted
-    verdict = explore(exp, memo=memo, minimize=False)
+    verdict = explore(exp, memo=memo)
     assert verdict.passed
     assert len(kinds) == verdict.stats["edges"]
     assert ORDINARY in kinds and set(kinds) != {ORDINARY}
@@ -468,8 +468,7 @@ def test_a_search_builds_no_state_but_the_initial_one(monkeypatch, kw):
 
     monkeypatch.setattr(exp.machine, "check_state", counted)
     monkeypatch.setattr(exp, "materialize", refused)
-    for search in (lambda e: explore(e, minimize=False), shortest_failure,
-                   lambda e: fuzz(e, episodes=50)):
+    for search in (explore, shortest_failure, lambda e: fuzz(e, episodes=50)):
         del calls[:]
         search(exp)
         assert calls == [exp.initial_state()]
@@ -506,22 +505,18 @@ def test_counterexample_confirms_independently():
     assert got is not None and got[0] == verdict.prop
 
 
-def test_unminimized_counterexample_confirms():
-    # the raw schedule is the DFS path to the first violating edge
-    for cfg in (make_config(program="tas-cons2", failure="independent", budget=1),
-                make_config(program="fig2", f=1, failure="independent", budget=2)):
-        verdict = explore(cfg, minimize=False)
-        assert verdict.result == "fail"
-        assert confirm_violation(cfg, verdict.trace_labels) == (verdict.prop, verdict.detail)
-
-
-def test_minimized_counterexample_is_shortest():
-    cfg = make_config(program="tas-cons2", failure="independent", budget=1)
-    minimized = explore(cfg, minimize=True).trace_labels
-    raw = explore(cfg, minimize=False).trace_labels
-    assert len(minimized) <= len(raw)
-    found = shortest_failure(checker.as_experiment(cfg))
-    assert found is not None and len(found[0]) == len(minimized)
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("kw", [dict(program="tas-cons2", failure="independent", budget=1),
+                                dict(program="fig2", f=1, failure="independent", budget=2)])
+def test_counterexample_is_the_shortest_and_confirms(kw, memo):
+    # either search reports `shortest_failure`'s schedule, which replays to
+    # the verdict's own violation
+    cfg = make_config(**kw)
+    verdict = explore(cfg, memo=memo)
+    assert verdict.result == "fail"
+    assert confirm_violation(cfg, verdict.trace_labels) == (verdict.prop, verdict.detail)
+    assert ((verdict.trace_labels, verdict.prop, verdict.detail)
+            == shortest_failure(checker.as_experiment(cfg)))
 
 
 def test_rwf_violation_on_overloaded_fig2():
@@ -565,31 +560,36 @@ def test_memoization_does_not_change_verdict(fig1_sim1):
 NOMEMO_EXECUTIONS = 50_000
 
 
+SMALL_DRAWS = dict(
+    program=st.sampled_from([dict(program="fig1"), dict(program="fig3"),
+                             dict(program="cas-rc"), dict(program="tas-cons2"),
+                             dict(program="fig2", f=0)]),
+    failure=st.sampled_from(["none", "independent", "simultaneous"]),
+    budget=st.integers(0, 1),
+    mode=st.sampled_from(["rerun-after-crash", "halt-after-return"]),
+    scope=st.sampled_from(["all-returns", "cross-process"]))
+
+
 @settings(deadline=None, max_examples=60)
-@given(program=st.sampled_from([dict(program="fig1"), dict(program="fig3"),
-                                dict(program="cas-rc"), dict(program="tas-cons2"),
-                                dict(program="fig2", f=0)]),
-       failure=st.sampled_from(["none", "independent", "simultaneous"]),
-       budget=st.integers(0, 1),
-       mode=st.sampled_from(["rerun-after-crash", "halt-after-return"]),
-       scope=st.sampled_from(["all-returns", "cross-process"]))
+@given(**SMALL_DRAWS)
 def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
     cfg = make_config(failure=failure, budget=budget, mode=mode, agreement_scope=scope,
                       **program)
-    memo = explore(cfg, memo=True, minimize=False)
+    memo = explore(cfg, memo=True)
     if memo.passed:
         # the memo holds one state per node of the reachable state graph
         assert len(build_graph(cfg).nodes) == memo.stats["states"]
     assume(memo.stats["terminal_executions"] <= NOMEMO_EXECUTIONS)
-    nomemo = explore(cfg, memo=False, minimize=False)
+    nomemo = explore(cfg, memo=False)
     if memo.result == "fail":
-        # the sweep reports the violation of fewest crashes, the walk the
-        # first on its path; each trace replays to its own violation
-        assert ((nomemo.result, nomemo.stats["terminal_executions"])
-                == (memo.result, memo.stats["terminal_executions"]))
-        for verdict in (memo, nomemo):
-            assert (confirm_violation(cfg, verdict.trace_labels)
-                    == (verdict.prop, verdict.detail))
+        # both report the shortest violating schedule, which replays to the
+        # verdicts' violation; only the sweep counts the fewest crashes
+        assert ((nomemo.result, nomemo.prop, nomemo.detail, nomemo.trace_labels,
+                 nomemo.stats["terminal_executions"])
+                == (memo.result, memo.prop, memo.detail, memo.trace_labels,
+                    memo.stats["terminal_executions"]))
+        assert (confirm_violation(cfg, memo.trace_labels)
+                == (memo.prop, memo.detail))
         assert memo.crashes <= sum(lab.kind != ORDINARY for lab in nomemo.trace_labels)
         return
     # a pass or a depth limit reports nothing that depends on the order
@@ -597,6 +597,21 @@ def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
              nomemo.stats["terminal_executions"])
             == (memo.result, memo.prop, memo.detail, memo.trace_labels,
                 memo.stats["terminal_executions"]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(**SMALL_DRAWS)
+def test_fuzz_failure_implies_exhaustive_failure(program, failure, budget, mode, scope):
+    # a random schedule may break another property than the shortest
+    # violation does: tas-cons2's shortest breaks Validity, a random one may
+    # break Agreement first.  Most draws pass, and a pass implies nothing.
+    cfg = make_config(failure=failure, budget=budget, mode=mode, agreement_scope=scope,
+                      **program)
+    fuzzed = fuzz(cfg, episodes=200)
+    if fuzzed.result != "fail":
+        return
+    assert explore(cfg).result == "fail"
+    assert confirm_violation(cfg, fuzzed.trace_labels) == (fuzzed.prop, fuzzed.detail)
 
 
 # (states, edges, terminal_executions, max_attempt_steps) of each config
@@ -650,33 +665,21 @@ def test_transition_errors_map_to_their_property(monkeypatch, mutate, prop):
 
 
 # Counterexamples pinned against changes to the search and its checks: the
-# depth-first walk's path to the first violation it meets.
-@pytest.mark.parametrize("mutate,trace,prop,detail", [
-    (reenter_after_crash,
-     [ordinary(1)] * 6 + [ordinary(2)] * 6 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
-     GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1"),
-    (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if"),
-])
-def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail):
-    monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
-    exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
-    verdict = explore(exp, memo=False, minimize=False)
-    assert (verdict.trace_labels, verdict.prop, verdict.detail) == (trace, prop, detail)
-
-
-# The sweep's shortest path to its violation of fewest crashes, and that count.
+# shortest violating schedule, whichever search found the violation, and
+# the sweep's count of the fewest crashes it needs.
+@pytest.mark.parametrize("memo", [True, False])
 @pytest.mark.parametrize("mutate,trace,prop,detail,crashes", [
     (reenter_after_crash, [ordinary(1)] * 4 + [CRASH_ALL_LABEL] + [ordinary(1)] * 4,
      GENERICITY, "p1 accessed C in attempt 2 after accessing it in attempt 1", 1),
     (read_before_write, [ordinary(1)], READ_BEFORE_WRITE, "p1 read uninitialized 'd' at x:if", 0),
 ])
-def test_seeded_bug_sweep_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail,
-                                                   crashes):
+def test_seeded_bug_counterexample_is_pinned(monkeypatch, mutate, trace, prop, detail, crashes,
+                                             memo):
     monkeypatch.setattr(Fig1Machine, "step", mutate(Fig1Machine.step))
     exp = make_experiment(failure="simultaneous", budget=1, monitor=True)
-    verdict = explore(exp, minimize=False)
+    verdict = explore(exp, memo=memo)
     assert ((verdict.trace_labels, verdict.prop, verdict.detail, verdict.crashes)
-            == (trace, prop, detail, crashes))
+            == (trace, prop, detail, crashes if memo else None))
 
 
 @pytest.mark.parametrize("kw,length", [
@@ -869,13 +872,13 @@ def test_fig2_passes_from_depth_27():
        scope=st.sampled_from(["all-returns", "cross-process"]))
 def test_sweep_reports_the_fewest_crashes(program, failure, budget, mode, scope):
     kw = dict(failure=failure, mode=mode, agreement_scope=scope, **program)
-    verdict = explore(make_config(budget=budget, **kw), minimize=False)
+    verdict = explore(make_config(budget=budget, **kw))
     assume(verdict.result == "fail")
     crashes = verdict.crashes
     assert sum(lab.kind != ORDINARY for lab in verdict.trace_labels) == crashes
     # the budget gates crashes alone: the violation is still reachable at
     # its own crash count, and no violation is at one fewer
-    at = explore(make_config(budget=crashes, **kw), minimize=False)
+    at = explore(make_config(budget=crashes, **kw))
     assert (at.result, at.crashes) == ("fail", crashes)
     if crashes:
         assert explore(make_config(budget=crashes - 1, **kw)).result != "fail"

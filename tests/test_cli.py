@@ -50,6 +50,49 @@ def test_check_fail_writes_replayable_counterexample(capsys, tmp_path,
     assert json.loads(out)["matches_header"] is True
 
 
+O1 = {"kind": "ordinary", "pid": 1}
+C1 = {"kind": "crash", "pid": 1}
+TAS_CONS2 = {"program": "tas-cons2", "n": 2, "proposals": [10, 20],
+             "failure": "independent", "budget": 1}
+FIG2_OVERLOAD = {"program": "fig2", "n": 2, "f": 1, "proposals": [10, 20],
+                 "failure": "independent", "budget": 2}
+TAS_CONS2_FAIL = {"result": "fail", "property": "Validity",
+                  "detail": "p1 (attempt 2) decided None, not a proposal",
+                  "trace": [O1, O1, C1, O1, O1, O1, O1]}
+FIG2_OVERLOAD_FAIL = {"result": "fail", "property": "RecoverableWaitFreedom",
+                      "detail": "p1 reached the end of the program without returning",
+                      "trace": [O1, O1, C1, O1, O1, O1, C1, O1, O1]}
+
+
+def _stats(states, edges, max_steps):
+    return {"states": states, "edges": edges, "terminal_executions": 0,
+            "max_attempt_steps": max_steps}
+
+
+# `rclab check`'s whole output on a failing config, and its counterexample
+# file: the trace is the shortest violating schedule with either search.
+@pytest.mark.parametrize("cfg,flags,want,final_hash,lines", [
+    (TAS_CONS2, [], dict(TAS_CONS2_FAIL, crashes=1, stats=_stats(134, 221, 4)),
+     "81a3d455296ee0efa64bd1047ceb4e75ef2f8fc48871108fc16b416e43c2dcd3", 8),
+    (TAS_CONS2, ["--no-memo"], dict(TAS_CONS2_FAIL, stats=_stats(12, 12, 4)),
+     "81a3d455296ee0efa64bd1047ceb4e75ef2f8fc48871108fc16b416e43c2dcd3", 8),
+    (FIG2_OVERLOAD, [], dict(FIG2_OVERLOAD_FAIL, crashes=2, stats=_stats(3245, 5797, 12)),
+     "89d322c0925f89c43f49b0ca76228df4a8ee2968654a64799901c65ef50e4a8a", 10),
+    (FIG2_OVERLOAD, ["--no-memo"], dict(FIG2_OVERLOAD_FAIL, stats=_stats(25, 25, 7)),
+     "89d322c0925f89c43f49b0ca76228df4a8ee2968654a64799901c65ef50e4a8a", 10),
+], ids=["tas-cons2", "tas-cons2-nomemo", "fig2-overload", "fig2-overload-nomemo"])
+def test_check_failure_output_is_pinned(capsys, tmp_path, cfg, flags, want, final_hash, lines):
+    path, trace = tmp_path / "cfg.json", tmp_path / "cx.jsonl"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "check", "--config", str(path), "--out", str(trace), *flags)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc.pop("trace_file") == str(trace)
+    assert doc == want
+    text = trace.read_text().splitlines()
+    assert (json.loads(text[0])["final_hash"], len(text)) == (final_hash, lines)
+
+
 def test_check_depth_limit_exit_code(capsys, fig1_config):
     code, out = run_cli(capsys, "check", "--config", fig1_config,
                         "--depth", "3")

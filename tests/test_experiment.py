@@ -277,7 +277,7 @@ def test_one_row_per_frame_and_objects_stepped_from_in_explore():
                           failure="independent", budget=1, monitor=True)
     pairs = set()
     exp.successor = recording(exp.successor, pairs)
-    assert explore(exp, minimize=False).passed
+    assert explore(exp).passed
     assert len(pairs) == 11970
     assert sum(map(len, exp.rows)) == len(pairs)
     assert row_keys(exp) == pairs

@@ -79,3 +79,24 @@ def test_cold_start_reports_times_and_peak_but_no_states():
                               os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
     assert sorted(result) == ["cpu_s", "peak_rss_mb", "wall_s"]
     assert result["wall_s"] > 0 and result["cpu_s"] >= 0 and result["peak_rss_mb"] > 0
+
+
+def test_trace_entry_counts_no_one_time_library_map_per_state():
+    # hashlib's library maps about 3.6 MB on the first digest; set-up takes
+    # it, so the trace path's 1000 round trips cost tens of bytes per step
+    ladder = load_ladder()
+    result = ladder.run_child("trace path: fig2 n=3 f=1",
+                              os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    assert result["failed"] == 0
+    assert result["bytes_per_state"] is None or result["bytes_per_state"] <= 100
+
+
+def test_child_peak_leaves_out_the_launching_process():
+    # Linux carries the launcher's peak RSS across exec into ru_maxrss;
+    # `held` keeps 64 MB of this process resident while the child runs
+    ladder = load_ladder()
+    held = bytearray(64 * 2**20)
+    held[::4096] = b"\1" * (len(held) // 4096)
+    result = ladder.run_child("cold start",
+                              os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    assert result["peak_rss_mb"] < 64
