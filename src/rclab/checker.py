@@ -24,24 +24,14 @@ call, the one step walk, followed by the checks in two parts:
   frames, agreement and validity of the returns, and the machine's state
   invariant.  They are facts about the post-state, so they run once per
   state, when the search first reaches it: `explore`'s sweep skips them
-  on an edge into a key its rank already holds, and `shortest_failure`
+  on an edge into a state its rank already holds, and `shortest_failure`
   on a state already in `seen`.
 
 A failed check raises `core.Violation(prop, detail)`, of which every
 `TransitionError` is a subclass, so each search catches one type.
 
 The skip is sound because a search never holds a state that failed a
-check, so every state it holds has passed every state check.  A state
-that only shares a memo key with it under `hash_ignores_attempt` differs
-from it in `attempt` fields alone, and no state check reads one to
-decide:
-
-- RWF: no frame has fallen off the end or taken more than `bound` steps
-  in its attempt.  It reads each frame's status and step count.
-- Agreement: the returns' pids (for the `cross-process` scope) and
-  values.  Their order is kept when the key zeroes their attempts.
-- Validity: the returns' values.
-- The machine's invariant: `Machine.check_state` reads no attempt.
+check, so every state it holds has passed every state check.
 
 Each state check is a pure function of one component of the post-state,
 so each is kept per id in an experiment's `core.Cache`: RWF per frame id
@@ -253,13 +243,13 @@ def explore(x, memo=True) -> Verdict:
     """Search every enabled schedule for a violation; returns a `Verdict`.
 
     With `memo`, a sweep-line search (Christensen, Kristensen & Mailund,
-    TACAS 2001) over state keys by `rank`: failures · W plus the frames'
-    steps, W = n · bound + 1, which `state_key` keeps.  Every edge raises
-    it: an ordinary step adds 1, and a crash adds W and resets at most
-    n · bound steps, as every state the sweep expands passed RWF.  So the
-    sweep expands the pending ranks in increasing order, each state after
-    all its predecessors, and drops each rank once expanded.  Each key
-    carries its number of paths from the initial state and its longest
+    TACAS 2001) over id states by `rank`: failures · W plus the frames'
+    steps, W = n · bound + 1, a function of the id state.  Every edge
+    raises it: an ordinary step adds 1, and a crash adds W and resets at
+    most n · bound steps, as every state the sweep expands passed RWF.  So
+    the sweep expands the pending ranks in increasing order, each state
+    after all its predecessors, and drops each rank once expanded.  Each
+    state carries its number of paths from the initial state and its longest
     path, a sum and a max over its incoming edges, whole by the time it is
     expanded.  Terminal executions, the distinct complete schedules, are
     the sum of the terminal states' paths.  Without `memo`, a depth-first
@@ -317,18 +307,17 @@ def rank(exp: Experiment, ids):
 def _sweep(exp: Experiment, init):
     """`explore` with `memo`: the sweep over ranks.  Returns (result,
     stats, crashes), `crashes` set on a fail."""
-    keyed = exp.config.hash_ignores_attempt
-    state_key, enabled_ids = exp.state_key, exp.enabled_ids
+    enabled_ids = exp.enabled_ids
     frames, others = exp.frames_by_id, exp.others_by_id
     successor, n = exp.successor, exp.n
     depth_limit = exp.depth_limit
     w = n * exp.bound + 1
     states, edges, executions, max_steps = 1, 0, 0, 0
-    # rank -> (keys, slots) of each pending rank: `keys` maps each state key
+    # rank -> (keys, slots) of each pending rank: `keys` maps each id state
     # of the rank to the index in `slots` of its three slots, its paths, its
     # longest path and its id state.  Flat lists, not a list per state, so
     # the cyclic collector tracks no object per state.
-    layers = {rank(exp, init): ({state_key(init): 0}, [1, 0, init])}
+    layers = {rank(exp, init): ({init: 0}, [1, 0, init])}
     # the violation held: (rank, crashes)
     held = None
     while layers:
@@ -355,10 +344,9 @@ def _sweep(exp: Experiment, init):
                     # `checked_edge`'s second step, here to save a call per edge
                     if post[n] != state[n]:
                         edge_rule(exp, state[n], post[n])
-                    post_key = state_key(post) if keyed else post
-                    # an ordinary edge lands on r + 1, and a key has one rank
+                    # an ordinary edge lands on r + 1, and a state has one rank
                     keys, into = up
-                    i = keys.get(post_key)
+                    i = keys.get(post)
                     if i is None and lab.kind != ORDINARY:
                         # a crash adds W and resets frames to no steps
                         pr = r + w
@@ -369,9 +357,9 @@ def _sweep(exp: Experiment, init):
                         if layer is None:
                             layer = layers[pr] = ({}, [])
                         keys, into = layer
-                        i = keys.get(post_key)
+                        i = keys.get(post)
                     if i is not None:
-                        # `post` passed the state checks when its key first
+                        # `post` passed the state checks when it first
                         # arrived
                         into[i] += count
                         if into[i + 1] < depth:
@@ -397,7 +385,7 @@ def _sweep(exp: Experiment, init):
                     if steps > max_steps:
                         max_steps = steps
                 states += 1
-                keys[post_key] = len(into)
+                keys[post] = len(into)
                 into += count, depth, post
             else:
                 continue
@@ -485,7 +473,7 @@ def shortest_failure(exp: Experiment, init=None):
             init = checked_initial_state(exp)
         except Violation as v:
             return [], v.prop, v.detail
-    seen = {exp.state_key(init)}
+    seen = {init}
     queue = deque([(init, [])])
     while queue:
         state, path = queue.popleft()
@@ -494,15 +482,14 @@ def shortest_failure(exp: Experiment, init=None):
         for lab in exp.enabled_ids(state):
             try:
                 post = checked_edge(exp, state, lab)
-                key = exp.state_key(post)
-                if key in seen:
+                if post in seen:
                     continue
                 bad = state_checks(exp, state, lab, post)
                 if bad:
                     raise Violation(*bad)
             except Violation as v:
                 return path + [lab], v.prop, v.detail
-            seen.add(key)
+            seen.add(post)
             queue.append((post, path + [lab]))
     return None
 

@@ -6,6 +6,8 @@ Verbs: check (exhaustive exploration), fuzz (randomized), valency
 
 Exit codes:
   0   pass
+  1   an internal library error that the verb maps to no other code, for
+      example a machine applying an operation to the wrong object type
   2   property violation; for replay, a trace that does not reproduce
       (a recorded step is not enabled, a record or the final hash differs),
       or one whose last step reproduces a genericity or read-before-write

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from .core import BOTTOM, ConfigError
 from .programs import MACHINES
@@ -30,7 +31,6 @@ _FIELDS = {
     "seed": 0,
     "monitor": False,  # genericity monitor armed
     "depth": None,
-    "hash_ignores_attempt": False,
     "agreement_scope": "all-returns",  # or "cross-process"
     "cap": None,  # node cap for graph building
 }
@@ -100,6 +100,8 @@ class ExperimentConfig:
         if not all(isinstance(p, (str, int, float)) and not isinstance(p, bool)
                    for p in self.proposals):
             raise ConfigError("every proposal must be a string or a number")
+        if any(isinstance(p, float) and not math.isfinite(p) for p in self.proposals):
+            raise ConfigError("every numeric proposal must be a finite number")
         if self.choice in ("min", "max") and len({isinstance(p, str) for p in self.proposals}) > 1:
             raise ConfigError("choice %s needs proposals that are all strings or all numbers"
                               % self.choice)
@@ -128,9 +130,8 @@ class ExperimentConfig:
                                   % (self.program, key, json.dumps(_DEFAULTS[key])))
         if self.agreement_scope not in ("all-returns", "cross-process"):
             raise ConfigError("agreement scope must be all-returns or cross-process")
-        for key in ("monitor", "hash_ignores_attempt"):
-            if not isinstance(getattr(self, key), bool):
-                raise ConfigError("%s must be true or false" % key)
+        if not isinstance(self.monitor, bool):
+            raise ConfigError("monitor must be true or false")
         for key, least in (("depth", 0), ("cap", 1)):
             value = getattr(self, key)
             if value is not None and (not _is_int(value) or value < least):

@@ -20,9 +20,7 @@ states they stand for are, so an id state is its own memo key, and it
 hashes as a handful of ints, not as nested tuples.  The searches in
 `checker`, the valency graph and the simulator step on id states and
 build a `SystemState` (`materialize`) only where a caller needs a whole
-one.  Under `hash_ignores_attempt`, `state_key` maps each
-frame id and the others id to an id of the same component with every
-attempt zeroed, which is `memo_key`'s partition on id states.
+one.
 
 `successor` is the one step walk, and it runs no check: the searches in
 `checker` step through it and then apply their edge checks, and the
@@ -74,8 +72,8 @@ Every fact derived from an id has one of two homes.  A list the hot path
 indexes by id (`rows`, the key parts of `enabled_ids`) is extended by the
 interner as it mints the id (`_Interner`'s `born`).  Any other fact is a
 `core.Cache` of a pure function, built in `__init__`: crash resets,
-armed frames, `state_key`'s ids, the machine's invariants, the checker's
-state checks and `digest_ids`' texts.  The function closes over
+armed frames, the machine's invariants, the checker's state checks and
+`digest_ids`' texts.  The function closes over
 interners, the machine (whose methods it looks up on each call, so a
 patch on the instance is seen) and config values, never over the
 experiment, so an experiment holds no reference cycle and is freed as
@@ -235,9 +233,6 @@ class Experiment:
         # `self`: that would make a reference cycle, which only the cyclic
         # collector frees.
         machine, bound = self.machine, self.bound
-        # interns the attempt-free frames and others tuples of `state_key`
-        # (never equal to each other)
-        attemptless = _Interner()
 
         def reset(fid):
             fr = frames_by_id[fid]
@@ -247,18 +242,11 @@ class Experiment:
             x = others_by_id[xid]
             return others.id((x[0] + 1,) + x[1:])
 
-        def key_others(xid):
-            x = others_by_id[xid]
-            return attemptless.id((x[0], _attemptless_returns(x[1])) + x[2:])
-
         # the frame a crash resets a frame to, the frame with its crash
         # armed, and the others after a crash
         self._resets = Cache(reset)
         self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
         self._crashed = Cache(crashed)
-        # the attempt-free ids of `state_key`
-        self._key_frames = Cache(lambda fid: attemptless.id(_attemptless(frames_by_id[fid])))
-        self._key_others = Cache(key_others)
         # the machine's invariants, keyed by (frame id, failures), (objects
         # id, failures) and (pre objects id, post objects id)
         self.frame_checks = Cache(lambda k: machine.check_frame(frames_by_id[k[0]], k[1]))
@@ -582,23 +570,10 @@ class Experiment:
     # -- hashing ------------------------------------------------------------
 
     def memo_key(self, state: SystemState):
-        """The memo key of a whole state: the state itself, or under
-        `hash_ignores_attempt` the state with the attempts of its frames
-        and returns zeroed."""
-        if not self.config.hash_ignores_attempt:
-            return state
-        return state._replace(frames=tuple([_attemptless(fr) for fr in state.frames]),
-                              returns=_attemptless_returns(state.returns))
-
-    def state_key(self, ids):
-        """`memo_key` on id states: under `hash_ignores_attempt`, `ids` with
-        each frame id and the others id mapped to the id of the same
-        component with its attempts zeroed; otherwise `ids` itself."""
-        if not self.config.hash_ignores_attempt:
-            return ids
-        n = self.n
-        key_frames = self._key_frames
-        return tuple([key_frames[f] for f in ids[:n]]) + (ids[n], self._key_others[ids[n + 1]])
+        """The memo key of a whole state: the state itself.  No search calls
+        it, as every search keys a state by its id state; it stays because
+        `perfbench/tracer.py` wraps it by name on every experiment."""
+        return state
 
 
 def as_experiment(x) -> Experiment:
@@ -614,14 +589,6 @@ def _entry_frame(machine, pid: int, proposal, attempt: int = 1) -> Frame:
     """The frame of `pid` at the top of `machine`'s program, in `attempt`."""
     locs = locals_tuple(machine.init_locals(pid, proposal))
     return Frame(pid, machine.entry, locs, proposal, attempt)
-
-
-def _attemptless(frame: Frame) -> Frame:
-    return frame._replace(attempt=0)
-
-
-def _attemptless_returns(returns):
-    return tuple([(p, 0, v) for p, _a, v in returns])
 
 
 def _swap(tup, i, value):

@@ -217,6 +217,16 @@ def trust_unset_decision(step):
     return mutant
 
 
+def fig3_never_yields(step):
+    """fig3 with a seeded bug: a process that finds the other's `P` set
+    still writes its own and races on `C`, where it should yield and
+    return the other's proposal."""
+    def mutant(self, frame, access):
+        out = step(self, frame, access)
+        return out._replace(pc="ex:wP") if frame.pc == "ex:if2" else out
+    return mutant
+
+
 def bound_off_by_one(bound):
     """fig2 with a seeded bug: the static bound on the steps of one attempt
     is one less than the longest attempt."""

@@ -614,25 +614,6 @@ def test_fuzz_failure_implies_exhaustive_failure(program, failure, budget, mode,
     assert confirm_violation(cfg, fuzzed.trace_labels) == (fuzzed.prop, fuzzed.detail)
 
 
-# (states, edges, terminal_executions, max_attempt_steps) of each config
-# explored with `hash_ignores_attempt`
-IGNORING_ATTEMPT_STATS = {
-    "cas-rc-b3": (692, 1250, 18080, 2),
-    "fig1-tas-b1": (1364, 2215, 729438, 8),
-    "fig2-2-1-atomic": (1427, 2517, 10303268, 12),
-    "fig2-2-1-tas": (2100, 3750, 527593228, 16),
-    "fig3-b1": (570, 994, 42954, 6),
-}
-
-
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
-def test_explore_ignoring_attempts_is_pinned(name):
-    verdict = explore(make_config(hash_ignores_attempt=True, **DIFFERENTIAL_CONFIGS[name]))
-    assert verdict.passed
-    assert tuple(verdict.stats[k] for k in ("states", "edges", "terminal_executions",
-                                            "max_attempt_steps")) == IGNORING_ATTEMPT_STATS[name]
-
-
 def test_explore_leaves_recursion_limit_unchanged():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, artifacts."""
 
 import json
+import os
 
 import pytest
 
@@ -10,7 +11,7 @@ from rclab.config import ExperimentConfig
 from rclab.core import digest
 from rclab.programs import Fig1Machine
 
-from conftest import read_before_write, reenter_after_crash
+from conftest import CASES_DIR, read_before_write, reenter_after_crash
 
 
 @pytest.fixture
@@ -175,7 +176,6 @@ def test_invalid_config_value_is_config_error(tmp_path):
 @pytest.mark.parametrize("override", [
     'monitor="no"',
     "monitor=1",
-    "hash_ignores_attempt=0",
     "depth=-1",
     "depth=2.5",
     "depth=true",
@@ -193,10 +193,29 @@ def test_invalid_config_value_is_config_error(tmp_path):
     "proposals=[true,1]",
     "proposals=[1,1.0]",
     "proposals=[0.0,-0.0]",
+    "proposals=[NaN,1]",
+    "proposals=[1,Infinity]",
+    "proposals=[1e400,1]",
 ])
 def test_mistyped_config_value_is_config_error(fig1_config, override):
     assert main(["check", "--config", fig1_config,
                  "--override", override]) == EXIT_CONFIG
+
+
+def test_removed_hash_ignores_attempt_key_is_config_error(capsys, tmp_path, fig1_config):
+    # a config or a trace header that names the removed key is rejected,
+    # not read as the default
+    assert main(["check", "--config", fig1_config,
+                 "--override", "hash_ignores_attempt=false"]) == EXIT_CONFIG
+    assert "unknown config key 'hash_ignores_attempt'" in capsys.readouterr().err
+    with open(os.path.join(CASES_DIR, "fig1_ret_recD.jsonl")) as fh:
+        header, *records = fh.read().splitlines()
+    doc = json.loads(header)
+    doc["config"]["hash_ignores_attempt"] = False
+    trace = tmp_path / "old.jsonl"
+    trace.write_text("\n".join([json.dumps(doc)] + records) + "\n")
+    assert main(["replay", "--trace", str(trace)]) == EXIT_CONFIG
+    assert "unknown config key 'hash_ignores_attempt'" in capsys.readouterr().err
 
 
 # the default of each key, as JSON

@@ -50,8 +50,7 @@ def test_to_dict_gives_the_fields_and_a_fresh_proposals_list():
         "program": "fig1", "n": 2, "proposals": [10, 20], "failure": "simultaneous",
         "budget": 1, "f": None, "cons": "atomic", "choice": "p1", "scan_order": "asc",
         "mode": "rerun-after-crash", "adversary": "exhaustive", "seed": 0,
-        "monitor": False, "depth": None, "hash_ignores_attempt": False,
-        "agreement_scope": "all-returns", "cap": None,
+        "monitor": False, "depth": None, "agreement_scope": "all-returns", "cap": None,
     }
     assert list(d.items()) == list(expected.items())
     d["proposals"].append(30)
@@ -74,7 +73,7 @@ def test_config_repr_names_every_field():
     text = repr(make_config(program="fig2", f=1, cons="tas", cap=7))
     assert text.startswith("ExperimentConfig(program='fig2', n=2, proposals=[10, 20], ")
     for key in ("failure", "budget", "f", "cons", "choice", "scan_order", "mode", "adversary",
-                "seed", "monitor", "depth", "hash_ignores_attempt", "agreement_scope", "cap"):
+                "seed", "monitor", "depth", "agreement_scope", "cap"):
         assert " %s=" % key in text
     assert text.endswith(", cap=7)")
 
@@ -306,17 +305,6 @@ def test_a_passing_search_imports_neither_hashlib_nor_dataclasses():
     assert "rclab.cli" in out["added"]
     assert {"hashlib", "_hashlib", "dataclasses", "inspect"}.isdisjoint(out["added"])
     assert out["loaded"] and out["equal"]
-
-
-def test_memo_key_can_ignore_attempt():
-    plain = make_experiment(failure="simultaneous", budget=1)
-    merged = make_experiment(failure="simultaneous", budget=1,
-                             hash_ignores_attempt=True)
-    s = plain.initial_state()
-    crashed, _ = plain.apply_step(s, CRASH_ALL_LABEL)
-    # frames differ only in attempt number and the failure counter
-    assert plain.memo_key(s) != plain.memo_key(crashed)
-    assert merged.memo_key(s).frames == merged.memo_key(crashed).frames
 
 
 def test_assumption1_requires_independent_failures():

@@ -2,13 +2,18 @@
 
 import gc
 import hashlib
+import itertools
+import os
 import re
 from collections import deque
 
 import pytest
 
 from rclab import valency
+from rclab.checker import explore
+from rclab.config import ExperimentConfig
 from rclab.core import ORDINARY, RcError, crash, ordinary
+from rclab.programs import Fig3Machine
 from rclab.valency import (
     ValencyLabel,
     build_graph,
@@ -19,7 +24,7 @@ from rclab.valency import (
     to_dot,
 )
 
-from conftest import DIFFERENTIAL_CONFIGS, make_config
+from conftest import DIFFERENTIAL_CONFIGS, fig3_never_yields, make_config
 
 # fig2 n=2 `cons=tas` with budget f = 1 is DIFFERENTIAL_CONFIGS' fig2-2-1-tas;
 # f = 2 is perfbench's `valency` workload
@@ -321,3 +326,19 @@ def test_fig3_valency_narrative_states():
     assert outcomes[crash(2)].potent == frozenset({10})
     assert outcomes[ordinary(2)].klass == "bivalent"
     assert outcomes[crash(1)].klass == "bivalent"
+
+
+def test_fig3_mutant_that_never_yields_is_caught_by_the_valency_pass_alone(monkeypatch):
+    # the mutant decides safely, so every safety search passes; but a
+    # crash no longer settles the race, which the valency summary shows
+    monkeypatch.setattr(Fig3Machine, "step", fig3_never_yields(Fig3Machine.step))
+    for failure, budget, mode in itertools.product(
+            ("independent", "simultaneous"), (1, 2), ("rerun-after-crash", "halt-after-return")):
+        assert explore(make_config(program="fig3", failure=failure, budget=budget,
+                                   mode=mode)).passed
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "fig3-valency.json")
+    g = build_graph(ExperimentConfig.from_file(path))
+    got = summary(g, classify(g))
+    # the correct fig3 has 648 nodes, 4 critical states and 2 crash-decision
+    # edges (PINNED_SUMMARIES["fig3-b1"])
+    assert (got["nodes"], got["critical_states"], got["crash_decision_edges"]) == (898, 10, 0)
