@@ -218,6 +218,25 @@ def test_removed_hash_ignores_attempt_key_is_config_error(capsys, tmp_path, fig1
     assert "unknown config key 'hash_ignores_attempt'" in capsys.readouterr().err
 
 
+def test_non_finite_proposal_in_a_config_file_or_trace_header_is_config_error(
+        capsys, tmp_path):
+    # Python's json reads NaN and Infinity; neither may reach a search or a
+    # counterexample header
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"program": "fig1", "n": 2, "proposals": [NaN, 1], '
+                   '"failure": "independent", "budget": 1}')
+    assert main(["check", "--config", str(bad)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    with open(os.path.join(CASES_DIR, "fig1_ret_recD.jsonl")) as fh:
+        header, *records = fh.read().splitlines()
+    doc = json.loads(header)
+    doc["config"]["proposals"] = [10, float("inf")]
+    trace = tmp_path / "inf.jsonl"
+    trace.write_text("\n".join([json.dumps(doc)] + records) + "\n")
+    assert main(["replay", "--trace", str(trace)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
 # the default of each key, as JSON
 _UNREAD = {"f": "null", "cons": '"atomic"', "choice": '"p1"', "scan_order": '"asc"'}
 

@@ -307,6 +307,22 @@ def test_a_passing_search_imports_neither_hashlib_nor_dataclasses():
     assert out["loaded"] and out["equal"]
 
 
+def test_memo_key_is_the_state_itself():
+    exp = make_experiment(failure="simultaneous", budget=1)
+    s = exp.initial_state()
+    crashed, _ = exp.apply_step(s, CRASH_ALL_LABEL)
+    assert exp.memo_key(s) is s
+    # frames that differ only in attempt number and the failure counter
+    # are different keys
+    assert exp.memo_key(s) != exp.memo_key(crashed)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_proposal_rejected(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        make_config(failure="simultaneous", budget=1, proposals=[bad, 1])
+
+
 def test_assumption1_requires_independent_failures():
     with pytest.raises(ConfigError):
         make_config(failure="simultaneous", budget=1, adversary="assumption1")
