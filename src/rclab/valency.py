@@ -13,14 +13,18 @@ initial state.  `g.nodes[i]` is node i's id state (see `experiment`) and
 build indexes lists and dicts by node id.  The `labels` they take are
 `classify`'s list for that same graph.
 
-An edge is one int, `child * len(g.steps) + i` for the step `g.steps[i]`,
-and `g.adj[nid]` the tuple of node nid's edges in `enabled_ids` order, so
-a graph of a million nodes holds no object the cyclic garbage collector
-walks per node or per edge (a tuple of ints is untracked at its first
-collection).  `g.edges(nid)` decodes them into (step, child) pairs."""
+An edge is one int, `child * len(g.steps) + i` for the step `g.steps[i]`.
+The edges of every node lie in one flat array, in node id order and each
+node's in `enabled_ids` order, and a second array holds where each node's
+run begins (compressed rows).  `g.adj` is a read-only mapping over the
+two, so `g.adj[nid]` is the array of node nid's edges.  A graph of a
+million nodes holds no Python object per edge, and none per node besides
+its id state, a tuple of ints that the cyclic garbage collector untracks.
+`g.edges(nid)` decodes them into (step, child) pairs."""
 
 from __future__ import annotations
 
+from itertools import pairwise, starmap
 from typing import Dict, List, NamedTuple, Tuple
 
 from .core import CRASH_ALL_LABEL, ORDINARY, Cache, RcError, StepLabel
@@ -30,17 +34,44 @@ from .experiment import Experiment, as_experiment
 IdState = Tuple[int, ...]
 
 
+class Adjacency:
+    """Node id -> the array of its edges, over two `array('q')`s: node
+    nid's edges are `codes[start[nid]:start[nid + 1]]`.  Iterating gives
+    the node ids in order, as iterating a dict of them would."""
+
+    __slots__ = ("start", "codes")
+
+    def __init__(self, start, codes):
+        self.start = start
+        self.codes = codes
+
+    def __getitem__(self, nid: int):
+        start = self.start
+        return self.codes[start[nid]:start[nid + 1]]
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def values(self):
+        """Every node's edges, by node id, sliced at C level."""
+        return map(self.codes.__getitem__, starmap(slice, pairwise(self.start)))
+
+
 class ExecGraph(NamedTuple):
     """The reachable graph of `exp`: `nodes` maps a node id to its id
     state, `adj` every node id to its edges, each the int
     `child * len(steps) + i` for the step `steps[i]` to the child node id
     `child`, and `terminals` a terminal's node id to the values decided
-    there.  `len(adj[nid])` is node nid's out-degree."""
+    there.  `len(adj[nid])` is node nid's out-degree; `adj.start` and
+    `adj.codes` are the two arrays behind `adj`."""
 
     exp: Experiment
     nodes: List[IdState]
     steps: Tuple[StepLabel, ...]
-    adj: Dict[int, Tuple[int, ...]]
+    adj: Adjacency
     terminals: Dict[int, frozenset]
     capped: bool
 
@@ -65,6 +96,8 @@ def build_graph(x) -> ExecGraph:
     """Breadth-first graph of every reachable state, holding at most the
     config's `cap` nodes when it sets one; an edge to a node not held is
     left out."""
+    from array import array  # deferred: most runs build no graph
+
     exp = as_experiment(x)
     cap = exp.config.cap
     steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
@@ -76,24 +109,20 @@ def build_graph(x) -> ExecGraph:
     decided = Cache(lambda oid: _decided(others_by_id[oid]))
     nodes = [exp.intern(exp.initial_state())]
     ids = {nodes[0]: 0}  # id state -> node id, only while building
-    # edges by node id, a dict only at the end: a full collection untracks
-    # a dict of untracked values, and its next insertion tracks it again as
-    # young, to be walked whole by the young collections that follow
-    adj = []
+    start = array("q", (0,))
+    codes = array("q")
+    push, close = codes.append, start.append
     terminals = {}
     capped = False
     # `nodes` grows while it is walked: it is the breadth-first queue
     enabled, successor = exp.enabled_ids, exp.successor
+    fresh = 1  # len(nodes), kept by hand: the loop reads it on every edge
     for nid, state in enumerate(nodes):
         labels = enabled(state)
         if not labels:
-            adj.append(())
             terminals[nid] = decided[state[others]]
-            continue
-        succ = []
         for lab in labels:
             post = successor(state, lab)
-            fresh = len(nodes)
             child = ids.setdefault(post, fresh)
             if child == fresh:
                 if cap is not None and fresh >= cap:
@@ -101,10 +130,10 @@ def build_graph(x) -> ExecGraph:
                     capped = True
                     continue
                 nodes.append(post)
-            succ.append(child * width + code[lab])
-        adj.append(tuple(succ))
-    del ids  # before the dict of edges takes its place in memory
-    return ExecGraph(exp, nodes, steps, dict(enumerate(adj)), terminals, capped)
+                fresh += 1
+            push(child * width + code[lab])
+        close(len(codes))
+    return ExecGraph(exp, nodes, steps, Adjacency(start, codes), terminals, capped)
 
 
 def _classify_set(potent: frozenset, config) -> str:
@@ -123,7 +152,7 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     sets share one `ValencyLabel`."""
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
-    adj = g.adj
+    start, codes = g.adj.start, g.adj.codes
     nodes = g.nodes
     exp = g.exp
     width = len(g.steps)
@@ -136,32 +165,34 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     joins = Cache(lambda pair: shared[pair[0].potent | pair[1].potent])
     done = [None] * len(nodes)
 
-    def fold(nid):
-        """Node nid's label, or None while one of its children has none."""
-        lab = by_others[nodes[nid][others]]
-        for e in adj[nid]:
-            kid = done[e // width]
-            if kid is not lab:
-                if kid is None:
-                    return None
-                lab = joins[lab, kid]
-        return lab
-
     # most edges lead to a higher node id, so a node met in descending id
-    # order mostly finds its children done; the rest go depth first.  Every
-    # step strictly increases progress, so the graph is a DAG.
-    for root in range(len(nodes) - 1, -1, -1):
+    # order mostly finds its children done and is folded at once; the rest
+    # go depth first on `todo`.  Every step strictly increases progress, so
+    # the graph is a DAG.
+    todo = []
+    # (start[root + 1], start[root]) for each root in descending order
+    bounds = pairwise(reversed(start))
+    for root, (hi, lo) in zip(range(len(nodes) - 1, -1, -1), bounds):
         if done[root] is not None:
             continue
-        stack = [root]
-        while stack:
-            nid = stack[-1]
-            lab = fold(nid)
-            if lab is None:
-                stack += [e // width for e in adj[nid] if done[e // width] is None]
+        nid = root
+        while True:
+            lab = by_others[nodes[nid][others]]
+            for e in codes[lo:hi]:
+                kid = done[e // width]
+                if kid is not lab:
+                    if kid is None:
+                        # fold the unlabelled children first, then nid again
+                        todo.append(nid)
+                        todo += [c // width for c in codes[lo:hi] if done[c // width] is None]
+                        break
+                    lab = joins[lab, kid]
             else:
                 done[nid] = lab
-                stack.pop()
+                if not todo:
+                    break
+            nid = todo.pop()
+            lo, hi = start[nid], start[nid + 1]
     return done
 
 

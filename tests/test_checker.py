@@ -720,6 +720,17 @@ def test_overload_shortest_failure_is_pinned():
         "p1 reached the end of the program without returning")
 
 
+def test_shortest_failure_stops_at_the_depth_limit():
+    # tas-cons2 at budget 1 fails Validity in 7 steps with 1 crash; one step
+    # fewer of depth leaves every state at depth 6 unexpanded
+    o1 = ordinary(1)
+    cfg = dict(program="tas-cons2", failure="independent", budget=1)
+    assert shortest_failure(make_experiment(depth=6, **cfg)) is None
+    assert shortest_failure(make_experiment(depth=7, **cfg)) == (
+        [o1, o1, crash(1), o1, o1, o1, o1], VALIDITY,
+        "p1 (attempt 2) decided None, not a proposal")
+
+
 def test_initial_state_invariant_is_checked_by_every_entry_point(monkeypatch):
     exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
     init = exp.initial_state()

@@ -304,6 +304,8 @@ def test_a_passing_search_imports_neither_hashlib_nor_dataclasses():
     out = json.loads(proc.stdout)
     assert "rclab.cli" in out["added"]
     assert {"hashlib", "_hashlib", "dataclasses", "inspect"}.isdisjoint(out["added"])
+    # nor `array`, which only `valency.build_graph` imports
+    assert "array" not in out["added"]
     assert out["loaded"] and out["equal"]
 
 

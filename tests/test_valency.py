@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import os
 import re
+from array import array
 from collections import deque
 
 import pytest
@@ -27,13 +28,16 @@ from rclab.valency import (
 from conftest import DIFFERENTIAL_CONFIGS, fig3_never_yields, make_config
 
 # fig2 n=2 `cons=tas` with budget f = 1 is DIFFERENTIAL_CONFIGS' fig2-2-1-tas;
-# f = 2 is perfbench's `valency` workload
+# f = 2 is perfbench's `valency` workload; fig2-3-0-atomic, with three
+# proposals, has multivalent nodes
 GRAPH_CONFIGS = dict(
     DIFFERENTIAL_CONFIGS,
     **{"fig2-2-%d-tas-monitor" % f: dict(program="fig2", f=f, cons="tas",
                                          failure="independent", budget=f, monitor=True)
        for f in (0, 2)},
-    **{"fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1")},
+    **{"fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1"),
+       "fig2-3-0-atomic": dict(program="fig2", n=3, f=0, proposals=[10, 20, 30],
+                               failure="independent", budget=0)},
 )
 
 # nodes, terminals, bivalent, critical, crash-decision edges
@@ -45,6 +49,7 @@ PINNED_SUMMARIES = {
     "fig2-2-1-atomic": (1487, 68, 109, 6, 12),
     "fig2-2-1-tas": (2218, 88, 236, 6, 16),
     "fig2-2-2-tas-monitor": (50050, 1424, 2588, 44, 220),
+    "fig2-3-0-atomic": (402, 18, 0, 1, 0),
     "fig3-b1": (648, 52, 48, 4, 2),
 }
 
@@ -59,6 +64,7 @@ PINNED_EDGE_COUNTS = {
     "fig2-2-1-atomic": 2620,
     "fig2-2-1-tas": 3952,
     "fig2-2-2-tas-monitor": 92500,
+    "fig2-3-0-atomic": 873,
     "fig3-b1": 1110,
 }
 
@@ -72,6 +78,7 @@ PINNED_DOT_SHA256 = {
     "fig2-2-1-atomic": "4524120b52a51c6f5e81b639a929052d3741ae2f73ec0730d61eb5b6023b3ac0",
     "fig2-2-1-tas": "5d4a78a8755e8276e7d9bc0520750db900d6db81092a9859f9da353dab47ced2",
     "fig2-2-2-tas-monitor": "57165a95e6552bfcc1481ed9310ce8acc3f662551122301879a705d9b2043950",
+    "fig2-3-0-atomic": "bc7ff1eb8ac7ce2d2431a8f10ba291bb27717f8d034dfc10e10eb1b6d30caee6",
     "fig3-b1": "31777236a54b0c8bef4d2a324db8a7f502a50807132a6e0fccdef60f171405d4",
 }
 
@@ -158,10 +165,26 @@ def test_edges_decode_to_the_enabled_steps(named_graph):
                                 for lab in exp.enabled_ids(state)]
 
 
-def test_collector_tracks_no_edge_tuple(named_graph):
+def test_edge_view_keeps_the_mapping_protocol(named_graph):
+    # what perfbench, tools/ladder.py, the CLI and the tests read of `adj`;
+    # test_edge_count_is_pinned sums the lengths of `values()`
+    _name, g = named_graph
+    assert list(g.adj) == list(range(len(g.nodes)))
+    assert len(g.adj) == len(g.nodes)
+    assert [tuple(e) for e in g.adj.values()] == [tuple(g.adj[i]) for i in g.adj]
+
+
+def test_collector_walks_no_object_per_node_or_edge(named_graph):
+    # the edges are two arrays of machine ints behind one view: whatever the
+    # graph, the view reaches its class and the two arrays, and an array
+    # reaches only its type
     _name, g = named_graph
     gc.collect()
-    assert not any(gc.is_tracked(edges) for edges in g.adj.values())
+    arrays = (g.adj.start, g.adj.codes)
+    assert sorted(map(id, gc.get_referents(g.adj))) == sorted(
+        map(id, (valency.Adjacency,) + arrays))
+    assert [gc.get_referents(a) for a in arrays] == [[array], [array]]
+    assert not any(gc.is_tracked(state) for state in g.nodes)
 
 
 def test_dot_bytes_are_pinned(named_graph):
@@ -228,6 +251,18 @@ def test_single_proposal_has_no_bivalent_states():
     g = build_graph(make_config(program="tas-cons2", proposals=[10, 10]))
     labels = classify(g)
     assert all(lab.klass != "bivalent" for lab in labels)
+
+
+def test_three_proposals_make_multivalent_nodes():
+    g = build_graph(make_config(**GRAPH_CONFIGS["fig2-3-0-atomic"]))
+    labels = classify(g)
+    assert [sum(lab.klass == k for lab in labels)
+            for k in ("univalent", "multivalent", "bivalent", "undecided")] == [375, 27, 0, 0]
+    assert labels[0] == ValencyLabel(frozenset({10, 20, 30}), "multivalent")
+    # one critical state, whose three ordinary successors decide one
+    # proposal each
+    assert find_critical(g, labels) == [
+        (68, [(ordinary(1), 10), (ordinary(2), 20), (ordinary(3), 30)])]
 
 
 def test_tas_cons2_critical_state_sits_on_the_tas_object():
