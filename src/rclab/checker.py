@@ -7,62 +7,56 @@ Failures come back as replayable counterexample schedules, minimized to
 the shallowest violating prefix.
 
 All four searches (`explore`, `shortest_failure`, `fuzz`,
-`confirm_violation`) step on id states (see `experiment`): tuples of
-interned frame, objects and other-field ids, which are their own memo
-keys.  A search builds one `SystemState`, the initial state, which
-`checked_initial_state` checks whole and then interns.  The searches
-return schedules, never states.  Every edge is one `Experiment.successor`
-call, the one step walk, followed by the checks in two parts:
+`confirm_violation`) step on id states (see `experiment`): one packed int
+per state, its own memo key.  A search builds one `SystemState`, the
+initial state, which `checked_initial_state` checks whole and then
+interns.  The searches return schedules, never states.
 
-- The edge checks: the transition's own `TransitionError`s (genericity,
-  read-before-write), which `successor` raises, then `edge_rule`,
-  `machine.check_edge`, on an edge that changed the objects id.  A crash
-  edge never does: `successor` resets frames and keeps the objects id.
-  `checked_edge` is the two together; `explore` makes the same two calls
-  itself, which saves a Python call per edge.
-- The state checks, `state_checks`: recoverable wait-freedom of the
-  frames, agreement and validity of the returns, and the machine's state
-  invariant.  They are facts about the post-state, so they run once per
-  state, when the search first reaches it: `explore`'s sweep skips them
-  on an edge into a state its rank already holds, and `shortest_failure`
-  on a state already in `seen`.
+Every ordinary edge is checked by its row: a step of process i from
+`s` is `s + d` for the row `d = store[s & mask]` of its move (see
+`Experiment.moves`), and a row holds the edge's verdict
+(`Experiment.verdict`), worked out once when the row is built: the
+transition's own `TransitionError`s (genericity, read-before-write), the
+edge rule `machine.check_edge` when the objects id changed, then the
+state checks of what the edge changed: recoverable wait-freedom of the
+moved frame, agreement and validity of the returns when they changed,
+and the machine's invariants of the moved frame and of changed objects.
+Each is a function of the fields the row is keyed by, and each is kept
+per id in an experiment's `core.Cache`.  The pre-state of every edge
+passed them, so an edge re-checks only the components it changed.  So
+an int row is a clean edge, and anything else goes to
+`Experiment.successor(s, label, True)`, which builds a missing row,
+raises the violation of a failing one, and steps a crash: a crash
+resets frames to a running entry with no steps and keeps the objects
+and the returns, but it changes `failures`, which every invariant
+reads, so it re-checks every frame's invariant and the objects'.
+
+An ordinary edge is checked this way also into a state the search
+already holds, where the checks find nothing; `explore`'s sweep checks a
+crash edge only into a state it does not hold yet.  Both are sound
+because a search never holds a state that failed a check, so every
+state it holds has passed every state check.
 
 A failed check raises `core.Violation(prop, detail)`, of which every
-`TransitionError` is a subclass, so each search catches one type.
+`TransitionError` is a subclass, so each search catches one type.  The
+rules live in `core`; this module re-exports them.  `inspect_edge` runs
+every check on whole states, its state part on every component of the
+post-state, and caches nothing; it is the reference the tests hold the
+rows to.
 
-The skip is sound because a search never holds a state that failed a
-check, so every state it holds has passed every state check.
-
-Each state check is a pure function of one component of the post-state,
-so each is kept per id in an experiment's `core.Cache`: RWF per frame id
-(`Experiment.rwf_checks`), agreement and validity per others id
-(`return_checks`), and the machine's invariants per frame id and
-failures (`frame_checks`) and objects id and failures (`objects_checks`).
-The rules live in `core`; this module re-exports them.  The pre-state
-of every edge passed them, so an edge re-checks only the components it
-changed.  An ordinary edge changes the moved frame, and perhaps the
-others id and the objects id: it checks RWF and the invariant of that
-frame, the returns when the others id changed, and the objects when the
-objects id changed (see `programs.Machine`).  A crash resets frames to a
-running entry with no steps and leaves the returns alone, but it changes
-`failures`, which every invariant reads: it re-checks every frame's
-invariant and the objects'.  The edge check is kept per pair of objects
-ids (`edge_checks`), and `edge_rule` looks it up only when the objects id
-changed: a write that leaves an equal objects tuple leaves its id, and by
-the `Machine` contract such an edge has nothing to check.
-`inspect_edge` runs both parts on whole states, its state part on every
-component of the post-state, and caches nothing; it is the reference the
-tests hold the id kernel to.
+A search holds id states in the experiment's layout.  A call to
+`successor` may widen it (see `experiment`), and the search then re-keys
+what it holds before it steps on.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import List, Optional
 
 from .core import (
     AGREEMENT,
+    CRASH_ALL_LABEL,
     INVARIANT,
     ORDINARY,
     RWF,
@@ -139,43 +133,12 @@ class _DepthLimit(Exception):
     pass
 
 
-def state_checks(exp: Experiment, pre, label, post):
-    """The state checks of the id state `post`, reached from the id state
-    `pre` by `label`; None if clean.  `pre` must have passed them: only
-    the components the edge changed are checked (see the module
-    docstring)."""
-    n = exp.n
-    if label.kind != ORDINARY:
-        # a crash changes `failures`: every frame, then the objects
-        failures = exp.others_by_id[post[n + 1]][0]
-        for fid in post[:n]:
-            err = exp.frame_checks[fid, failures]
-            if err:
-                return (INVARIANT, err)
-        err = exp.objects_checks[post[n], failures]
-        return (INVARIANT, err) if err else None
-    fid = post[label.pid - 1]
-    bad = exp.rwf_checks[fid]
-    if bad:
-        return bad
-    xid = post[n + 1]
-    if xid != pre[n + 1]:
-        bad = exp.return_checks[xid]
-        if bad:
-            return bad
-    failures = exp.others_by_id[xid][0]
-    err = exp.frame_checks[fid, failures]
-    if not err and post[n] != pre[n]:
-        err = exp.objects_checks[post[n], failures]
-    return (INVARIANT, err) if err else None
-
-
 def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
-    """Both check parts for one edge between whole states; None if clean.
-    `checked_edge` and `state_checks` run the same checks on id states;
-    this is their reference, which caches nothing.  Its state part checks
-    every state property of `post` in full, so for a `pre` that passed the
-    state checks it finds what `state_checks` finds."""
+    """Every check of one edge between whole states; None if clean.
+    `Experiment.verdict` runs the same checks on id states, and a row
+    holds its outcome; this is their reference, which caches nothing.  Its
+    state part checks every state property of `post` in full, so for a
+    `pre` that passed the checks it finds what `verdict` finds."""
     machine = exp.machine
     if post.objects is not pre.objects:
         if label.kind != ORDINARY and post.objects != pre.objects:
@@ -198,45 +161,14 @@ def inspect_edge(exp: Experiment, pre: SystemState, label, post: SystemState):
 def checked_initial_state(exp: Experiment):
     """The id state of the initial state, after `check_state`; raises
     `Violation` if it fails.  `explore`, `shortest_failure`, `fuzz` and
-    `confirm_violation` start here."""
+    `confirm_violation` start here, and so every row holds its checks
+    (`Experiment.check_rows`) before they step."""
     init = exp.initial_state()
     err = exp.machine.check_state(init)
     if err:
         raise Violation(INVARIANT, err)
+    exp.check_rows()
     return exp.intern(init)
-
-
-def edge_rule(exp: Experiment, pre_oid: int, oid: int):
-    """The edge rule for an ordinary edge that took the objects id
-    `pre_oid` to `oid`, applied only when the two differ: raises
-    `Violation` if `machine.check_edge`, whose verdict is kept in
-    `exp.edge_checks`, rejects it."""
-    err = exp.edge_checks[pre_oid, oid]
-    if err:
-        raise Violation(INVARIANT, err)
-
-
-def checked_edge(exp: Experiment, state, label: StepLabel):
-    """The successor of the id state `state` under `label`, after the edge
-    checks: `exp.successor`, which raises the transition's own
-    `TransitionError`s, then `edge_rule`.  Raises `Violation` on the first
-    failed check."""
-    post = exp.successor(state, label)
-    n = exp.n
-    if post[n] != state[n]:
-        edge_rule(exp, state[n], post[n])
-    return post
-
-
-def checked_step(exp: Experiment, state, label: StepLabel):
-    """`checked_edge`, then `state_checks`; raises `Violation` on the first
-    failed check.  For a search that keeps no record of the states it
-    reached."""
-    post = checked_edge(exp, state, label)
-    bad = state_checks(exp, state, label, post)
-    if bad:
-        raise Violation(*bad)
-    return post
 
 
 def explore(x, memo=True) -> Verdict:
@@ -254,9 +186,8 @@ def explore(x, memo=True) -> Verdict:
     expanded.  Terminal executions, the distinct complete schedules, are
     the sum of the terminal states' paths.  Without `memo`, a depth-first
     walk of the execution tree with an explicit stack (no recursion
-    limit), counting its leaves.  Both run the edge checks on every edge
-    and the state checks once per state they hold (see the module
-    docstring), taking labels in `enabled_ids` order.
+    limit), counting its leaves.  Both check every edge by its row (see
+    the module docstring), taking labels in `enabled_ids` order.
 
     Depth limit: a search that meets no violation returns "depth-limit"
     exactly when some path reaches a non-terminal state at depth
@@ -283,19 +214,31 @@ def explore(x, memo=True) -> Verdict:
     except Violation as v:
         return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0),
                        0 if memo else None)
+    lay = exp.layout
     result, stats, crashes = (_sweep if memo else _walk)(exp, init)
     if result == "pass":
         return Verdict(result, stats=stats)
     stats["terminal_executions"] = 0
     if result == "depth-limit":
         return Verdict(result, detail="depth limit %d reached" % exp.depth_limit, stats=stats)
+    if exp.layout is not lay:
+        init = exp.repacker(lay)(init)
     trace, prop, detail = shortest_failure(exp, init)
     return Verdict(result, prop, detail, trace, stats, crashes)
 
 
-def rank(exp: Experiment, ids):
-    """The rank of the id state `ids`: its failures times n · bound + 1,
+def _kernel(exp: Experiment):
+    """What a search's loop reads of the current layout: (layout, moves by
+    status key, the status key's mask, the frame fields' shifts, a frame
+    field's mask)."""
+    lay = exp.layout
+    return lay, exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
+
+
+def rank(exp: Experiment, s):
+    """The rank of the id state `s`: its failures times n · bound + 1,
     plus the steps its frames took in their attempts (see `explore`)."""
+    ids = exp.unpack(s)
     n = exp.n
     frames = exp.frames_by_id
     steps = 0
@@ -307,11 +250,11 @@ def rank(exp: Experiment, ids):
 def _sweep(exp: Experiment, init):
     """`explore` with `memo`: the sweep over ranks.  Returns (result,
     stats, crashes), `crashes` set on a fail."""
-    enabled_ids = exp.enabled_ids
-    frames, others = exp.frames_by_id, exp.others_by_id
-    successor, n = exp.successor, exp.n
+    successor, moves_of = exp.successor, exp.moves
+    frames = exp.frames_by_id
     depth_limit = exp.depth_limit
-    w = n * exp.bound + 1
+    w = exp.n * exp.bound + 1
+    lay, by_key, kmask, shifts, fmask = _kernel(exp)
     states, edges, executions, max_steps = 1, 0, 0, 0
     # rank -> (keys, slots) of each pending rank: `keys` maps each id state
     # of the rank to the index in `slots` of its three slots, its paths, its
@@ -324,122 +267,163 @@ def _sweep(exp: Experiment, init):
         r = min(layers)
         if held is not None and held[0] <= r:
             break
-        slots = iter(layers.pop(r)[1])
+        slots = layers.pop(r)[1]
+        # an ordinary edge lands on r + 1, and a state has one rank
         up = layers.get(r + 1)
         if up is None:
             up = layers[r + 1] = ({}, [])
-        for count, depth, state in zip(slots, slots, slots):
-            labels = enabled_ids(state)
-            if not labels:
+        keys, into = up
+        it = iter(slots)
+        for count, depth, state in zip(it, it, it):
+            moves = by_key.get(state & kmask)
+            if moves is None:
+                moves = moves_of(state)
+            if not moves:
                 # a terminal state ends `count` complete executions
                 executions += count
                 continue
             if depth >= depth_limit:
                 return "depth-limit", _explore_stats(states, edges, executions, max_steps), None
             depth += 1
-            for lab in labels:
+            for lab, store, mask, deep, marks in moves:
                 edges += 1
-                try:
-                    post = successor(state, lab)
-                    # `checked_edge`'s second step, here to save a call per edge
-                    if post[n] != state[n]:
-                        edge_rule(exp, state[n], post[n])
-                    # an ordinary edge lands on r + 1, and a state has one rank
-                    keys, into = up
-                    i = keys.get(post)
-                    if i is None and lab.kind != ORDINARY:
-                        # a crash adds W and resets frames to no steps
+                d = store.get(state & mask)
+                if d.__class__ is not int:
+                    if lab.kind != ORDINARY:
+                        post = successor(state, lab)
+                        if exp.layout is not lay:
+                            state = _rekey_layers(exp, lay, layers, slots)(state)
+                            lay, by_key, kmask, shifts, fmask = _kernel(exp)
+                        # a crash adds W and takes back the steps of the
+                        # frames it resets, which start their attempt anew
                         pr = r + w
-                        for j in range(n):
-                            if post[j] != state[j]:
-                                pr -= frames[state[j]].steps
+                        for sh in shifts:
+                            if (post ^ state) >> sh & fmask:
+                                pr -= frames[state >> sh & fmask].steps
                         layer = layers.get(pr)
                         if layer is None:
                             layer = layers[pr] = ({}, [])
-                        keys, into = layer
-                        i = keys.get(post)
-                    if i is not None:
-                        # `post` passed the state checks when it first
-                        # arrived
-                        into[i] += count
-                        if into[i + 1] < depth:
-                            into[i + 1] = depth
+                        ckeys, cinto = layer
+                        i = ckeys.get(post)
+                        if i is not None:
+                            cinto[i] += count
+                            if cinto[i + 1] < depth:
+                                cinto[i + 1] = depth
+                        elif exp.verdict(state, lab, post):
+                            at = (pr, (state & lay.fail_mask) + 1)
+                            if held is None or at < held:
+                                held = at
+                        else:
+                            states += 1
+                            ckeys[post] = len(cinto)
+                            cinto += count, depth, post
                         continue
-                    bad = state_checks(exp, state, lab, post)
-                    if bad:
-                        raise Violation(*bad)
-                except Violation:
-                    crashed = lab.kind != ORDINARY
-                    # `successor` raises on ordinary edges alone
-                    at = (rank(exp, post) if crashed else r + 1,
-                          others[state[n + 1]][0] + crashed)
-                    if held is None or at < held:
-                        held = at
-                    if crashed:
-                        continue
-                    # every later edge lands on r + 1 or higher, with at least
-                    # as many crashes
-                    break
-                if lab.kind == ORDINARY:
-                    steps = frames[post[lab.pid - 1]].steps
-                    if steps > max_steps:
-                        max_steps = steps
+                    if d.__class__ is bool:
+                        d = deep.get(state ^ state & marks[d])
+                    if d.__class__ is not int:
+                        try:
+                            post = successor(state, lab, True)
+                        except Violation:
+                            post = None
+                        if exp.layout is not lay:
+                            state = _rekey_layers(exp, lay, layers, slots)(state)
+                            lay, by_key, kmask, shifts, fmask = _kernel(exp)
+                        if post is None:
+                            at = (r + 1, state & lay.fail_mask)
+                            if held is None or at < held:
+                                held = at
+                            # every later edge lands on r + 1 or higher, with
+                            # at least as many crashes
+                            break
+                        d = post - state
+                post = state + d
+                i = keys.get(post)
+                if i is not None:
+                    into[i] += count
+                    if into[i + 1] < depth:
+                        into[i + 1] = depth
+                    continue
+                steps = frames[(post >> shifts[lab.pid - 1]) & fmask].steps
+                if steps > max_steps:
+                    max_steps = steps
                 states += 1
                 keys[post] = len(into)
                 into += count, depth, post
             else:
                 continue
             break
-        if not up[0]:
+        if not keys:
             del layers[r + 1]
     stats = _explore_stats(states, edges, executions, max_steps)
     return ("pass", stats, None) if held is None else ("fail", stats, held[1])
 
 
+def _rekey_layers(exp: Experiment, old, layers, slots):
+    """Re-key the sweep's pending ranks and the rank `slots` it is
+    expanding from the layout `old` to the current one, in place; returns
+    the re-keying function."""
+    repack = exp.repacker(old)
+    for keys, into in layers.values():
+        rekeyed = {repack(s): i for s, i in keys.items()}
+        keys.clear()
+        keys.update(rekeyed)
+        into[2::3] = map(repack, into[2::3])
+    slots[2::3] = map(repack, slots[2::3])
+    return repack
+
+
 def _walk(exp: Experiment, init):
     """`explore` without `memo`: the depth-first walk of the execution
     tree.  Returns (result, stats, None)."""
+    successor, moves_of = exp.successor, exp.moves
     frames = exp.frames_by_id
-    successor, n = exp.successor, exp.n
     depth_limit = exp.depth_limit
+    lay, by_key, kmask, shifts, fmask = _kernel(exp)
     states, edges, executions, max_steps = 1, 0, 0, 0
     result = "pass"
     # The id state being expanded lives in locals: `state` and `todo` (an
-    # iterator over its enabled labels not yet taken).  Its ancestors wait
-    # on `stack` as pairs of the same two values, so the depth of `state`
-    # is len(stack).
+    # iterator over its moves not yet taken).  Its ancestors wait on `stack`
+    # as pairs of the same two values, so the depth of `state` is
+    # len(stack).
     stack = []
     try:
-        labels = exp.enabled_ids(init)
-        if not labels:
+        moves = moves_of(init)
+        if not moves:
             executions = 1
         elif depth_limit <= 0:
             raise _DepthLimit()
-        state, todo = init, iter(labels)
+        state, todo = init, iter(moves)
         while True:
-            for lab in todo:
+            for lab, store, mask, deep, marks in todo:
                 edges += 1
-                # `checked_edge`'s two steps, here to save a call per edge
-                post = successor(state, lab)
-                if post[n] != state[n]:
-                    edge_rule(exp, state[n], post[n])
-                bad = state_checks(exp, state, lab, post)
-                if bad:
-                    raise Violation(*bad)
+                d = store.get(state & mask)
+                if d.__class__ is bool:
+                    d = deep.get(state ^ state & marks[d])
+                if d.__class__ is int:
+                    post = state + d
+                else:
+                    post = successor(state, lab, True)
+                    if exp.layout is not lay:
+                        repack = exp.repacker(lay)
+                        state = repack(state)
+                        stack = [(repack(s), t) for s, t in stack]
+                        lay, by_key, kmask, shifts, fmask = _kernel(exp)
                 if lab.kind == ORDINARY:
-                    steps = frames[post[lab.pid - 1]].steps
+                    steps = frames[(post >> shifts[lab.pid - 1]) & fmask].steps
                     if steps > max_steps:
                         max_steps = steps
                 states += 1
-                labels = exp.enabled_ids(post)
-                if not labels:
+                moves = by_key.get(post & kmask)
+                if moves is None:
+                    moves = moves_of(post)
+                if not moves:
                     # a terminal state is one complete execution
                     executions += 1
                     continue
                 if len(stack) + 1 >= depth_limit:
                     raise _DepthLimit()
                 stack.append((state, todo))
-                state, todo = post, iter(labels)
+                state, todo = post, iter(moves)
                 break
             else:
                 if not stack:
@@ -465,33 +449,68 @@ def shortest_failure(exp: Experiment, init=None):
     `enabled_ids` order.
 
     Sound because every check evaluated per edge is a function of
-    (pre-state, label, post-state) only, never of the path taken.  An
-    edge into a state already in `seen` gets only the edge checks.
+    (pre-state, label, post-state) only, never of the path taken.  The
+    search keeps each state's parent and label, not its path, and builds
+    the schedule of the violating edge's pre-state once.
     """
     if init is None:
         try:
             init = checked_initial_state(exp)
         except Violation as v:
             return [], v.prop, v.detail
-    seen = {init}
-    queue = deque([(init, [])])
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= exp.depth_limit:
-            continue
-        for lab in exp.enabled_ids(state):
-            try:
-                post = checked_edge(exp, state, lab)
-                if post in seen:
+    successor, moves_of = exp.successor, exp.moves
+    steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
+    width = len(steps)
+    code = {lab: i for i, lab in enumerate(steps)}
+    lay = exp.layout
+    # id state -> its parent's id state * width + its label's code, -1 for
+    # `init`: ints, which the cyclic collector does not track
+    parents = {init: -1}
+    level = [init]
+    for _depth in range(exp.depth_limit):
+        deeper = []
+        for state in level:
+            for lab, store, mask, deep, marks in moves_of(state):
+                d = store.get(state & mask)
+                if d.__class__ is bool:
+                    d = deep.get(state ^ state & marks[d])
+                if d.__class__ is int:
+                    post = state + d
+                else:
+                    try:
+                        post = successor(state, lab, True)
+                    except Violation as v:
+                        return _schedule(parents, steps, state) + [lab], v.prop, v.detail
+                    if exp.layout is not lay:
+                        repack = exp.repacker(lay)
+                        parents = {repack(s): p if p < 0
+                                   else repack(p // width) * width + p % width
+                                   for s, p in parents.items()}
+                        level[:] = map(repack, level)
+                        deeper = [repack(s) for s in deeper]
+                        state = repack(state)
+                        lay = exp.layout
+                if post in parents:
                     continue
-                bad = state_checks(exp, state, lab, post)
-                if bad:
-                    raise Violation(*bad)
-            except Violation as v:
-                return path + [lab], v.prop, v.detail
-            seen.add(post)
-            queue.append((post, path + [lab]))
+                parents[post] = state * width + code[lab]
+                deeper.append(post)
+        if not deeper:
+            break
+        level = deeper
     return None
+
+
+def _schedule(parents, steps, state):
+    """The labels of the path to `state` in the parent map of
+    `shortest_failure`."""
+    width = len(steps)
+    out = []
+    p = parents[state]
+    while p >= 0:
+        out.append(steps[p % width])
+        p = parents[p // width]
+    out.reverse()
+    return out
 
 
 def fuzz(x, episodes=1000) -> Verdict:
@@ -506,9 +525,9 @@ def fuzz(x, episodes=1000) -> Verdict:
     rng = random.Random(seed)
     max_steps, ep = 0, 0
     path: List[StepLabel] = []
-    frames = exp.frames_by_id
     try:
         init = checked_initial_state(exp)
+        lay = exp.layout
         for ep in range(episodes):
             state, path = init, []
             while True:
@@ -521,9 +540,12 @@ def fuzz(x, episodes=1000) -> Verdict:
                     return Verdict("depth-limit", detail=detail, stats=stats)
                 lab = rng.choice(labels)
                 path.append(lab)
-                state = checked_step(exp, state, lab)
+                state = exp.successor(state, lab, True)
+                if exp.layout is not lay:
+                    init = exp.repacker(lay)(init)
+                    lay = exp.layout
                 if lab.kind == ORDINARY:
-                    max_steps = max(max_steps, frames[state[lab.pid - 1]].steps)
+                    max_steps = max(max_steps, exp.frame(state, lab.pid).steps)
     except Violation as v:
         return Verdict("fail", v.prop, v.detail, path, {"episodes": ep + 1, "seed": seed})
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,
@@ -539,7 +561,7 @@ def confirm_violation(x, labels):
         state = checked_initial_state(exp)
         for i, lab in enumerate(labels):
             require_enabled(exp, state, lab, i)
-            state = checked_step(exp, state, lab)
+            state = exp.successor(state, lab, True)
     except Violation as v:
         return v.prop, v.detail
     return None

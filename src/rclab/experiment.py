@@ -1,12 +1,12 @@
 """Binds a configuration to a machine and implements the step semantics:
 initial state construction, step enabledness (including the assumption-1
-crash filter), and the pure state transition on interned id states.
+crash filter), and the state transition on packed id states.
 
 Enabledness is decided only by `_enabled`, through `enabled_steps(state)`
-or `enabled_ids(ids)`.  `enabled_ids` caches its result per status key:
-each frame's status and whether `failures < budget`, all that `_enabled`
-reads outside assumption 1 (which also reads `participants`, attempts and
-armed crashes, and so is never cached).  The transition trusts its label,
+or `enabled_ids(s)`.  `enabled_ids` caches its result per status key:
+each frame's status and `failures`, all that `_enabled` reads outside
+assumption 1 (which also reads `participants`, attempts and armed
+crashes, and so is never cached).  The transition trusts its label,
 which must come from there: the search draws its labels from it, and a
 schedule from outside the search passes each label through
 `simulator.require_enabled` first.
@@ -14,17 +14,67 @@ schedule from outside the search passes each label through
 Id states.  Each experiment interns the components of the states it meets
 to dense integer ids: frames, objects tuples, and the tuple of the other
 fields (`failures, returns, participants, tas_seen, cons_access`).  An id
-state is the tuple `(frame id, ..., frame id, objects id, others id)`,
-one frame id per process.  Two id states are equal exactly when the
-states they stand for are, so an id state is its own memo key, and it
-hashes as a handful of ints, not as nested tuples.  The searches in
-`checker`, the valency graph and the simulator step on id states and
-build a `SystemState` (`materialize`) only where a caller needs a whole
-one.
+state is one int.  Its fields, from the low bits up, are `failures`, each
+frame's 2-bit status code, each process's frame id, the objects id and,
+at the top, the others id; `failures` and the status codes are derived
+from the others id and the frame ids (see `Layout`).  `s &
+layout.kmask` is the status key.  Two id states are equal exactly when
+the states they stand for are, so an id state is its own memo key.  The
+searches in `checker`, the valency graph and the simulator step on id
+states and build a `SystemState` (`materialize`) only where a caller
+needs a whole one.
 
-`successor` is the one step walk, and it runs no check: the searches in
-`checker` step through it and then apply their edge checks, and the
-valency graph, the simulator and `apply_step` step through it alone.
+Widths.  The frame ids start in fields `_MIN_WIDTH` bits wide, the
+objects id in one two bits wider, and `failures` in one as wide as its
+bound needs; the others id, at the top, needs no width.
+Packing an id state whose ids no longer fit (`_fit`) widens every full
+field to one bit more than its largest id needs: the experiment takes a
+new `layout`, re-keys its rows, and re-keys the state `apply_step`
+keeps.  Ids never wrap.  A caller that holds id states compares
+`exp.layout` with the layout it packed them in after each call that may
+pack (`intern`, `successor`) and re-keys them (`repacker`) when it
+changed; an id state stays valid until then.  Only a component never
+interned before can widen a field.
+
+Rows.  An ordinary step of process i from `s` is `s + d`, where the row
+`d = rows[i][s & layout.masks[i]]` is keyed by the fields the step reads
+and the checks depend on: frame i, the objects id and `failures`.  `d`
+is the difference of the two id states, status code included.  A row is
+built by `_build`, from the transition table's entry (see below), on
+the first step from its key, together with its checks (`verdict`): the
+transition's own `TransitionError`s raise and leave no row, so they
+raise again on every visit; any other failed check makes the row `(d,
+(property, detail))`, so `d.__class__ is not int` sends an edge that
+fails a check to `successor`, which raises the violation when `checked`
+and else steps.  A step that runs no check (the valency graph, the
+simulator) builds its row without them, and `check_rows` works them out
+before the next checked search steps.  A step that reads the other
+fields has the row True (a return) or False, and its second-level row
+is in `others_rows[i]`, keyed by `s ^ s & layout.marks[i][d]`, which
+keeps the others id.  A crash has no row: `successor` reads the frame
+ids, resets frames and packs the result (`_crash`).  Rows are ints and
+bools, which the cyclic collector does not track, and a failing row's
+tuple of an int and strings, which it untracks when it first meets it.
+`moves(s)` gives, per label of `enabled_ids(s)`, the row store and mask
+a search looks the step up with.
+
+The transition table.  A machine's `step(frame, access)` names at most
+one shared-object access, which the table performs (`objects.apply`)
+and answers, and is a pure function of the frame and of that response.
+So `_entry` runs it once per (frame id, value of the object
+accessed) and keeps an `Entry`: the access, the successor frame, and
+the step's `StepRecord`.  A later step from an equal frame on an equal
+value takes the entry from the table.  A step that raises is never
+recorded, so it raises again on every visit.  Equal values must
+therefore be interchangeable, which is why `ExperimentConfig.validate`
+rejects two proposals that compare equal but are not the same value.
+The genericity monitor on a consensus instance held in a `Cons` object
+reads that object's accessors, which are the value the step accessed,
+so the table decides it as it runs the step.  What else depends on the
+rest of the state (returns, the monitor on an instance built from other
+objects, `participants`, assumption 1's `tas_seen` and `armed_crash`)
+is worked out by `step_others`.
+
 `apply_step(state, label)` is a view of `successor` on whole states: it
 interns `state`, steps, and materializes the result, returning it with
 the `StepRecord` a trace stores (op text with the JSON-encoded access
@@ -36,53 +86,21 @@ tuple of a pre-state that `apply_step` or `materialize` made.
 `apply_step` keeps the id state of the state it last returned, so a
 caller stepping along one path interns nothing.
 
-The transition goes through the experiment's transition table.  A
-machine's `step(frame, access)` names at most one shared-object access,
-which the experiment performs (`objects.apply`) and answers, and is a
-pure function of the frame and of that response.  So `_fill` runs it
-once per (frame id, value of the object accessed) and keeps an `_Entry`:
-the access, the successor frame, and the step's `StepRecord`.  A later
-step from an equal frame on an equal value takes the entry from the
-table.  A step that raises is never recorded, so it raises again on
-every visit.  Equal values must therefore be interchangeable, which is
-why `ExperimentConfig.validate` rejects two proposals that compare equal
-but are not the same value.
-
-The genericity monitor on a consensus instance held in a `Cons` object
-reads that object's accessors, which are the value the step accessed, so
-`_fill` decides it.  What else depends on the rest of the state (returns,
-the monitor on an instance built from other objects, `participants`,
-assumption 1's `tas_seen` and `armed_crash`) is worked out in
-`step_others` and kept in the entry's others map, keyed by others id.
-
-Rows.  `successor` steps through `rows`, not the table: one row per (frame
-id, objects id) that an ordinary step has been taken from, in a list
-with a dict for each frame id, keyed by objects id, so an ordinary step
-takes one list index and one dict lookup on an int.  A row is the
-transition alone, built by `make_row` from the table entry: (successor
-frame id, objects id after the step or None when the step keeps it, the
-entry's others map or None); a step that keeps the objects id has one
-row tuple for all of them.  A row holds no verdict: the searches look
-the edge check up in `edge_checks` when the objects id changed
-(`checker.edge_rule`), and the valency graph runs none.  A row and an
-others-map entry are made only for a step that did not raise, so a step
-that raises raises again on every visit.
-
 Every fact derived from an id has one of two homes.  A list the hot path
-indexes by id (`rows`, the key parts of `enabled_ids`) is extended by the
-interner as it mints the id (`_Interner`'s `born`).  Any other fact is a
-`core.Cache` of a pure function, built in `__init__`: crash resets,
-armed frames, the machine's invariants, the checker's state checks and
-`digest_ids`' texts.  The function closes over
-interners, the machine (whose methods it looks up on each call, so a
-patch on the instance is seen) and config values, never over the
-experiment, so an experiment holds no reference cycle and is freed as
-soon as its last reference goes.
+indexes by id (the status codes) is extended by the interner as it mints
+the id (`Interner`'s `born`).  Any other fact is a `core.Cache` of a
+pure function, built in `__init__`: crash resets, armed frames, the
+machine's invariants, the checks `verdict` folds and `digest_ids`'
+texts.  The function closes over interners, the machine (whose methods it
+looks up on each call, so a patch on the instance is seen) and config
+values, never over the experiment, so an experiment holds no reference
+cycle and is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Any, NamedTuple, Optional
 
 from . import objects
@@ -92,6 +110,7 @@ from .core import (
     CRASH_ALL_LABEL,
     FELL_OFF,
     HALTED,
+    INVARIANT,
     ORDINARY,
     RETURNED,
     RUNNING,
@@ -101,6 +120,7 @@ from .core import (
     StepLabel,
     StepRecord,
     SystemState,
+    Violation,
     check_returns,
     check_rwf,
     crash,
@@ -111,8 +131,16 @@ from .core import (
 )
 from .programs import END, Ret, build_machine
 
-# a frame's status as two bits of the enabledness key (see `enabled_ids`)
+# a frame's status as two bits of the status key (see `enabled_ids`)
 _STATUS_CODES = {RUNNING: 0, FELL_OFF: 1, RETURNED: 2, HALTED: 3}
+
+# the width in bits a frame id field starts at, and the objects id field
+# two bits more: every built-in machine meets several times more objects
+# tuples than frames (see "Widths")
+_MIN_WIDTH = 10
+
+# the row store of a crash's label in `moves`: a crash has no row
+_NO_ROWS = MappingProxyType({})
 
 
 class Access(NamedTuple):
@@ -126,31 +154,29 @@ class Access(NamedTuple):
     instance: Optional[str]
 
 
-class _Entry:
+class Entry:
     """One transition-table entry: a step from one frame on one value of the
     object it accessed.
 
     `outcome` is the `Ret` or the step's `Access`; `frame` is the successor
     frame, and `fid` its id.  `slot` is the slot the step wrote, or None
-    when it changed no object.  `others_after` is None when the step leaves
-    the other fields alone, and otherwise the others map of the step's
-    rows: it maps an others id to (successor frame id, others id after the
-    step).  `row` is the step's row from every objects id it keeps, and
-    `record` its `StepRecord`."""
+    when it changed no object.  `reads` is None when the step leaves the
+    other fields alone, True for a return and False for another step
+    that reads or changes them (see `Experiment.step_others`), and
+    `record` is its `StepRecord`."""
 
-    __slots__ = ("outcome", "frame", "fid", "slot", "others_after", "row", "record")
+    __slots__ = ("outcome", "frame", "fid", "slot", "reads", "record")
 
-    def __init__(self, outcome, frame, fid, slot, touches_others, record):
+    def __init__(self, outcome, frame, fid, slot, reads, record):
         self.outcome = outcome
         self.frame = frame
         self.fid = fid
         self.slot = slot
-        self.others_after = {} if touches_others else None
-        self.row = (fid, None, self.others_after)
+        self.reads = reads
         self.record = record
 
 
-class _Interner:
+class Interner:
     """Dense integer ids for components: equal components share the id of
     the first one met, which is its index in `values`.  `born`, if given,
     is called with each new component as its id is minted."""
@@ -174,6 +200,87 @@ class _Interner:
         return i
 
 
+class Layout:
+    """Where the fields of an id state of `n` processes lie, from the low
+    bits up: `failures` (`cw` bits), each process's 2-bit status code
+    (process i's at `cw + 2 * i`), each process's frame id (`fw` bits,
+    process i's at `shifts[i]`), the objects id (`ow` bits, at `osh`), and
+    at the top the others id (at `xsh`), which no field lies above, so it
+    needs no width.  `s & kmask` is the status key: failures and status
+    codes.
+
+    `masks[i]` selects what an ordinary step of process i reads: frame i,
+    the objects id and failures.  A key that holds the others id is `s ^ s
+    & m`, `s` with the fields of `m` cleared: `marks[i][False]` clears the
+    status codes and the other frames, `marks[i][True]` the objects id
+    too, for a return, which reads no object."""
+
+    __slots__ = ("widths", "caps", "fail_mask", "kmask", "fmask", "omask", "shifts", "osh",
+                 "xsh", "masks", "marks")
+
+    def __init__(self, n, fw, ow, cw):
+        self.widths = (fw, ow, cw)
+        # how many ids, and failures values, the fields hold
+        self.caps = tuple(1 << w for w in self.widths)
+        self.fail_mask = (1 << cw) - 1
+        self.kmask = (1 << cw + 2 * n) - 1
+        self.fmask, self.omask = (1 << fw) - 1, (1 << ow) - 1
+        base = cw + 2 * n
+        self.shifts = [base + i * fw for i in range(n)]
+        self.osh = base + n * fw
+        self.xsh = self.osh + ow
+        objs = self.omask << self.osh
+        self.masks = [self.fail_mask | self.fmask << sh | objs for sh in self.shifts]
+        frames = ((1 << n * fw) - 1) << base
+        codes = self.kmask ^ self.fail_mask
+        xmarks = [codes | frames ^ self.fmask << sh for sh in self.shifts]
+        self.marks = [(m, m | objs) for m in xmarks]
+
+
+def repacker(old: Layout, new: Layout):
+    """The function from an id state in the layout `old` to the same id
+    state in the layout `new`."""
+    fields = [(0, old.fail_mask, 0), (old.widths[2], old.kmask >> old.widths[2], new.widths[2])]
+    fields += [(sh, old.fmask, new_sh) for sh, new_sh in zip(old.shifts, new.shifts)]
+    fields.append((old.osh, old.omask, new.osh))
+    # the fields that stay in place are kept by one mask
+    keep = 0
+    for sh, mask, new_sh in fields:
+        if sh == new_sh:
+            keep |= mask << sh
+    moved = [field for field in fields if field[0] != field[2]]
+    xsh, new_xsh = old.xsh, new.xsh
+
+    def repack(s):
+        out = s & keep | s >> xsh << new_xsh
+        for sh, mask, new_sh in moved:
+            out |= (s >> sh & mask) << new_sh
+        return out
+
+    return repack
+
+
+def rekeyed(store, repack, deltas):
+    """The row store `store` re-keyed by `repack`, which it leaves empty.  A
+    row is the difference of two id states, so it is re-keyed as that of
+    its key and its key plus itself.  Each difference is shared through
+    `deltas`."""
+    out = {}
+    for key, d in store.items():
+        new_key = repack(key)
+        if d.__class__ is int:
+            d = repack(key + d) - new_key
+            out[new_key] = deltas.setdefault(d, d)
+        elif d.__class__ is bool:
+            out[new_key] = d
+        else:
+            out[new_key] = (repack(key + d[0]) - new_key, d[1])
+    # a search may still hold the old store in its moves: emptied, it
+    # sends the search to `Experiment.successor`, which reads the new one
+    store.clear()
+    return out
+
+
 class Experiment:
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -182,9 +289,6 @@ class Experiment:
         self.n = config.n
         self.names = [name for name, _ in layout]
         self.idx = {name: i for i, name in enumerate(self.names)}
-        # consensus instances held in one `Cons` object each, by name
-        self._cons_slots = {name: i for i, (name, v) in enumerate(layout)
-                            if isinstance(v, objects.Cons)}
         self.initial_objects = tuple(v for _, v in layout)
         self.bound = self.machine.bound()
         self.tas_names = frozenset(name for name, v in layout if isinstance(v, objects.Tas))
@@ -198,37 +302,44 @@ class Experiment:
         self.crash_labels = tuple(crash(pid) for pid in pids)
         self._crash_records = {lab: StepRecord(lab, "crash", None)
                                for lab in self.crash_labels + (CRASH_ALL_LABEL,)}
+        # Assumption 1 bounds failures by the TAS object count instead of
+        # the configured budget.
+        fb = len(self.tas_names) if self.a1 else config.budget
         if config.depth is not None:
             self.depth_limit = config.depth
         else:
-            # Assumption 1 bounds failures by the TAS object count instead
-            # of the configured budget.
-            fb = len(self.tas_names) if self.a1 else config.budget
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
-        # Lists born with each id: `rows[fid][oid]` is the row of frame id
-        # fid on objects id oid, and the key parts of `enabled_ids` are each
-        # frame id's status code and each others id's budget bit.
-        self.rows, self._status_codes, self._budget_bits = rows, codes, bits = [], [], []
-        budget = config.budget
+        # the failures field starts as wide as that bound needs: the low
+        # bits are taken by every id state
+        self.layout = Layout(self.n, _MIN_WIDTH, _MIN_WIDTH + 2,
+                             min(_MIN_WIDTH, max(1, fb.bit_length())))
+        # the rows and second-level rows of each process, process i's at i
+        # (see "Rows")
+        self.rows = [{} for _ in pids]
+        self.others_rows = [{} for _ in pids]
+        # one int object per distinct row: most rows repeat another's
+        # difference
+        self._deltas = {}
+        # whether a row holds no verdict yet (see `check_rows`)
+        self._unchecked = False
+        # each frame id's status code, shifted to its process's two bits
+        self._status_codes = codes = []
 
         def frame_born(fr):
-            rows.append({})
-            codes.append(_STATUS_CODES[fr.status] << 2 * fr.pid - 1)
+            codes.append(_STATUS_CODES[fr.status] << 2 * (fr.pid - 1))
 
         # Interned components; `frames_by_id[fid]` is the frame of id fid,
         # and so on.
-        self._frames = frames = _Interner(born=frame_born)
-        self._objects = _Interner()
-        self._others = others = _Interner(born=lambda x: bits.append(int(x[0] < budget)))
+        self._frames = frames = Interner(born=frame_born)
+        self._objects = Interner()
+        self._others = others = Interner()
         self.frames_by_id = frames_by_id = frames.values
         self.objects_by_id = objects_by_id = self._objects.values
         self.others_by_id = others_by_id = others.values
-        # The transition table (see the module docstring), filled as steps
-        # are taken: a frame id maps to (slot accessed, {its value: _Entry}),
-        # or for a return to (None, _Entry).
-        self._table = {}
-        # the labels of each enabledness key (see `enabled_ids`)
+        # the labels of each status key (see `enabled_ids`), and the moves
+        # of each in the current layout (see `moves`)
         self._enabled_by_key = {}
+        self.moves_by_key = {}
         # Caches of pure functions of ids.  No cache function closes over
         # `self`: that would make a reference cycle, which only the cyclic
         # collector frees.
@@ -242,19 +353,25 @@ class Experiment:
             x = others_by_id[xid]
             return others.id((x[0] + 1,) + x[1:])
 
-        # the frame a crash resets a frame to, the frame with its crash
-        # armed, and the others after a crash
+        # the frame a crash resets a frame to, the others after a crash, and
+        # the frame with its crash armed
         self._resets = Cache(reset)
         self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
         self._crashed = Cache(crashed)
+        # the transition table: a frame id maps to (slot accessed, {its
+        # value: Entry}), or for a return to (None, Entry)
+        self._entries = {}
+        # consensus instances held in one `Cons` object each, by name
+        self._cons_slots = {name: i for i, (name, v) in enumerate(layout)
+                            if isinstance(v, objects.Cons)}
         # the machine's invariants, keyed by (frame id, failures), (objects
         # id, failures) and (pre objects id, post objects id)
         self.frame_checks = Cache(lambda k: machine.check_frame(frames_by_id[k[0]], k[1]))
         self.objects_checks = Cache(lambda k: machine.check_objects(objects_by_id[k[0]], k[1]))
         self.edge_checks = Cache(
             lambda k: machine.check_edge(objects_by_id[k[0]], objects_by_id[k[1]]))
-        # the checker's state checks (see `checker.state_checks`): RWF of
-        # each frame id, agreement and validity of each others id's returns
+        # the property checks `verdict` folds: RWF of each frame id,
+        # agreement and validity of each others id's returns
         self.rwf_checks = Cache(lambda fid: check_rwf(frames_by_id[fid], bound))
         self.return_checks = Cache(lambda xid: check_returns(others_by_id[xid][1], config))
         # the JSON text of each frame id, objects id and others id (see
@@ -273,68 +390,141 @@ class Experiment:
                        for pid, prop in enumerate(self.config.proposals, start=1))
         return SystemState(frames=frames, objects=self.initial_objects)
 
-    # -- interning ----------------------------------------------------------
+    # -- packed id states ---------------------------------------------------
 
-    def intern(self, state: SystemState):
-        """The id state of `state`."""
-        return tuple([self._frames.id(fr) for fr in state.frames]) + (
-            self._objects.id(state.objects), self._others.id(state[2:]))
+    def intern(self, state: SystemState) -> int:
+        """The id state of `state`; may widen the layout."""
+        return self._pack([self._frames.id(fr) for fr in state.frames],
+                          self._objects.id(state.objects), self._others.id(state[2:]))
 
-    def materialize(self, ids) -> SystemState:
-        """The `SystemState` the id state `ids` stands for."""
-        n = self.n
-        frames = self.frames_by_id
+    def unpack(self, s: int):
+        """The component ids of the id state `s`: the tuple (frame id, ...,
+        frame id, objects id, others id), one frame id per process."""
+        lay = self.layout
+        fmask = lay.fmask
+        ids = [(s >> sh) & fmask for sh in lay.shifts]
+        ids.append((s >> lay.osh) & lay.omask)
+        ids.append(s >> lay.xsh)
+        return tuple(ids)
+
+    def frame(self, s: int, pid: int) -> Frame:
+        """The frame of process `pid` in the id state `s`."""
+        lay = self.layout
+        return self.frames_by_id[(s >> lay.shifts[pid - 1]) & lay.fmask]
+
+    def _pack(self, fids, oid: int, xid: int) -> int:
+        """The id state of these component ids, in a layout they fit."""
+        failures = self.others_by_id[xid][0]
+        lay = self._fit(failures)
+        codes = self._status_codes
+        s, status = failures | oid << lay.osh | xid << lay.xsh, 0
+        for f, sh in zip(fids, lay.shifts):
+            s |= f << sh
+            status += codes[f]
+        return s | status << lay.widths[2]
+
+    def _fit(self, failures: int = 0) -> Layout:
+        """The layout, widened first if an id minted so far or `failures`
+        does not fit it; the others id, at the top, always fits."""
+        fcap, ocap, ccap = self.layout.caps
+        if len(self.frames_by_id) > fcap or len(self.objects_by_id) > ocap or failures >= ccap:
+            self._widen(failures)
+        return self.layout
+
+    def _widen(self, failures: int):
+        """Widen every field whose ids, or `failures`, outgrew it to one bit
+        more than they need, re-key the rows, and re-key the state
+        `apply_step` keeps."""
+        old = self.layout
+        counts = (len(self.frames_by_id), len(self.objects_by_id), failures + 1)
+        self.layout = new = Layout(self.n, *[
+            w if count <= 1 << w else (count - 1).bit_length() + 1
+            for w, count in zip(old.widths, counts)])
+        repack = repacker(old, new)
+        deltas = self._deltas = {}
+        self.rows = [rekeyed(store, repack, deltas) for store in self.rows]
+        self.others_rows = [rekeyed(store, repack, deltas) for store in self.others_rows]
+        self._enabled_by_key.clear()
+        self.moves_by_key.clear()
+        self.moves_by_key = {}
+        last, s = self._last
+        if last is not None:
+            self._last = (last, repack(s))
+
+    def repacker(self, old: Layout):
+        """The function from an id state in the layout `old` to the same id
+        state in the current layout."""
+        return repacker(old, self.layout)
+
+    def materialize(self, s: int) -> SystemState:
+        """The `SystemState` the id state `s` stands for."""
+        lay = self.layout
+        frames, fmask = self.frames_by_id, lay.fmask
         # a loop, not a comprehension, and `tuple.__new__` (what `_make`
         # calls), not the constructor: each saves a Python call, and
         # `apply_step` materializes every state it returns
         fs = []
-        for f in ids[:n]:
-            fs.append(frames[f])
-        return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[ids[n]])
-                             + self.others_by_id[ids[n + 1]])
+        for sh in lay.shifts:
+            fs.append(frames[s >> sh & fmask])
+        return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[s >> lay.osh & lay.omask])
+                             + self.others_by_id[s >> lay.xsh])
 
-    def digest_ids(self, ids) -> str:
-        """`core.digest` of the state the id state `ids` stands for, joined
+    def digest_ids(self, s: int) -> str:
+        """`core.digest` of the state the id state `s` stands for, joined
         from JSON text cached per frame id, objects id and others id.  Each
         text is encoded from the interned component, so the digest is that
-        of `materialize(ids)` bit for bit, and no `SystemState` is built."""
-        n = self.n
-        texts = self._frame_texts
-        return digest_texts(",".join([texts[f] for f in ids[:n]]),
-                            self._objects_texts[ids[n]], self._others_texts[ids[n + 1]])
+        of `materialize(s)` bit for bit, and no `SystemState` is built."""
+        lay = self.layout
+        texts, fmask = self._frame_texts, lay.fmask
+        return digest_texts(",".join([texts[s >> sh & fmask] for sh in lay.shifts]),
+                            self._objects_texts[s >> lay.osh & lay.omask],
+                            self._others_texts[s >> lay.xsh])
 
     # -- enabledness --------------------------------------------------------
 
     def enabled_steps(self, state: SystemState):
         return self._enabled(state.frames, state.failures, state.participants)
 
-    def enabled_ids(self, ids):
-        """`enabled_steps` of the state the id state `ids` stands for, cached
-        per status key outside assumption 1.  The list is shared by every
-        state of its key: callers must not mutate it."""
+    def enabled_ids(self, s: int):
+        """`enabled_steps` of the state the id state `s` stands for, cached
+        per status key `s & layout.kmask` outside assumption 1.  The list is
+        shared by every state of its key: callers must not mutate it."""
         if self.a1:
-            return self._enabled_ids(ids)
-        n = self.n
-        codes = self._status_codes
-        # the key: each frame's status code, shifted to its pid's position,
-        # plus the failures bit
-        key = self._budget_bits[ids[n + 1]]
-        for f in ids[:n]:
-            key += codes[f]
+            return self._enabled_ids(s)
+        key = s & self.layout.kmask
         labels = self._enabled_by_key.get(key)
         if labels is None:
-            labels = self._enabled_by_key[key] = self._enabled_ids(ids)
+            labels = self._enabled_by_key[key] = self._enabled_ids(s)
         return labels
 
-    def _enabled_ids(self, ids):
-        """`_enabled` of the state the id state `ids` stands for."""
-        n = self.n
-        frames = self.frames_by_id
-        others = self.others_by_id[ids[n + 1]]
-        fs = []  # a loop, as in `materialize`
-        for f in ids[:n]:
-            fs.append(frames[f])
-        return self._enabled(fs, others[0], others[2])
+    def _enabled_ids(self, s: int):
+        """`_enabled` of the state the id state `s` stands for, which it
+        does not build."""
+        ids = self.unpack(s)
+        others = self.others_by_id[ids[-1]]
+        return self._enabled([self.frames_by_id[f] for f in ids[:self.n]], others[0], others[2])
+
+    def moves(self, s: int):
+        """(label, row store, mask, second-level store, marks) for each label
+        of `enabled_ids(s)`, in its order: the step is `s + d` for the row
+        `d = store.get(s & mask)`, or for `d` a bool the second-level row
+        `deep.get(s ^ s & marks[d])`, when that is an int, and else
+        `successor`'s (see "Rows").  A crash's store is empty: a crash steps
+        through `successor`.  Kept per status key
+        in `moves_by_key` outside assumption 1, until the layout widens;
+        the list is shared, as `enabled_ids`' is."""
+        lay = self.layout
+        rows, deep, masks, marks = self.rows, self.others_rows, lay.masks, lay.marks
+        out = []
+        for lab in self.enabled_ids(s):
+            if lab.kind == ORDINARY:
+                i = lab.pid - 1
+                out.append((lab, rows[i], masks[i], deep[i], marks[i]))
+            else:
+                out.append((lab, _NO_ROWS, 0, None, None))
+        if not self.a1:
+            self.moves_by_key[s & lay.kmask] = out
+        return out
 
     def _enabled(self, frames, failures, participants):
         ordinary = self.ordinary_labels
@@ -388,58 +578,189 @@ class Experiment:
         """The transition on whole states, a view of `successor`: (new
         state, the step's record).  `label` must be one of
         `enabled_steps(state)`."""
-        last, ids = self._last
+        last, s = self._last
         if state is not last:
-            ids = self.intern(state)
-        post = self.successor(ids, label)
+            s = self.intern(state)
+        rec = self.record(s, label)
+        post = self.successor(s, label)
         new_state = self.materialize(post)
         self._last = (new_state, post)
-        return new_state, self.record(ids, label)
+        return new_state, rec
 
-    def record(self, ids, label: StepLabel) -> StepRecord:
-        """The `StepRecord` of the step `label` from the id state `ids`,
-        which `successor` has taken: it reads the table entry that step
-        used."""
+    def record(self, s: int, label: StepLabel) -> StepRecord:
+        """The `StepRecord` of the step `label` from the id state `s`: it
+        reads the table entry that step uses, and raises what the step
+        raises in the table (see the module docstring)."""
         if label.kind != ORDINARY:
             return self._crash_records[label]
-        return self._entry(ids[label.pid - 1], self.objects_by_id[ids[self.n]]).record
+        lay = self.layout
+        return self._entry(s >> lay.shifts[label.pid - 1] & lay.fmask,
+                                 self.objects_by_id[s >> lay.osh & lay.omask]).record
 
-    def successor(self, ids, label: StepLabel):
-        """The id state after `label` from the id state `ids`; `label` must
-        be one of `enabled_ids(ids)`.  Builds no `SystemState` and no
-        record, and runs no check."""
-        n = self.n
+    def successor(self, s: int, label: StepLabel, checked: bool = False) -> int:
+        """The id state after `label` from the id state `s`, in the current
+        layout; `label` must be one of `enabled_ids(s)`.  Raises the
+        transition's own `TransitionError`s, and with `checked` a
+        `Violation` for the first check of `verdict` the edge fails.
+        Builds no `SystemState` and no record."""
+        if checked and self._unchecked:
+            self.check_rows()
         if label.kind != ORDINARY:
-            return self._crash_ids(ids, label)
+            post = self._crash(s, label)
+            if checked:
+                bad = self.verdict(s, label, post)
+                if bad:
+                    raise Violation(*bad)
+            return post
+        lay = self.layout
         i = label.pid - 1
-        pre_fid, pre_oid, xid = ids[i], ids[n], ids[n + 1]
-        fid, oid, others = self.rows[pre_fid].get(pre_oid) or self.make_row(pre_fid, pre_oid)
-        if others is not None:
-            fid, xid = others.get(xid) or self.step_others(pre_fid, pre_oid, xid)
-        post = list(ids)
-        post[i] = fid
-        if oid is not None:
-            post[n] = oid
-        post[n + 1] = xid
-        return tuple(post)
+        d = self.rows[i].get(s & lay.masks[i])
+        if d.__class__ is bool:
+            d = self.others_rows[i].get(s ^ s & lay.marks[i][d])
+        if d is None:
+            return self._build(s, i, checked)
+        return _through(s, d, checked)
 
-    def make_row(self, fid: int, oid: int):
-        """Build and keep the row of the step of frame `fid` on the objects
-        `oid`, from the table entry, and return it."""
+    def check_rows(self):
+        """Work out the checks of every row, once a step that runs no check
+        has built one: `_build` leaves them out for such a step, so that
+        the valency graph and the simulator run no check.  Every checked
+        search starts here (`checker.checked_initial_state`)."""
+        if not self._unchecked:
+            return
+        for i, label in enumerate(self.ordinary_labels):
+            for store in (self.rows[i], self.others_rows[i]):
+                for key, d in store.items():
+                    # the key and the key plus its row hold every field
+                    # `verdict` reads
+                    if d.__class__ is int:
+                        bad = self.verdict(key, label, key + d)
+                        if bad:
+                            store[key] = (d, bad)
+        self._unchecked = False
+
+    def _build(self, s: int, i: int, checked: bool) -> int:
+        """Build and keep the row of process `i`'s step from the id state
+        `s` and step by it (`_through`): the second-level row when the step
+        reads the other fields.  The id state is in the layout after the
+        ids the build mints."""
+        lay = self.layout
+        fid = (s >> lay.shifts[i]) & lay.fmask
+        oid = (s >> lay.osh) & lay.omask
+        xid = s >> lay.xsh
+        failures = s & lay.fail_mask
         objs = self.objects_by_id[oid]
         entry = self._entry(fid, objs)
-        row = entry.row
+        key = failures | fid << lay.shifts[i] | oid << lay.osh
+        store = self.rows[i]
+        post_fid, post_xid = entry.fid, xid
+        returns = entry.reads
+        if returns is not None:
+            # a return reads no object: its second-level rows leave out the
+            # objects id, so the row may be there already
+            store[key] = returns
+            key |= xid << lay.xsh
+            key ^= key & lay.marks[i][returns]
+            store = self.others_rows[i]
+            row = store.get(key)
+            if row is not None:
+                return _through(s, row, checked)
+            post_fid, post_xid = self.step_others(entry, xid)
+        post_oid = oid
         if entry.slot is not None:
-            new_oid = self._objects.id(_swap(objs, entry.slot, entry.outcome.new_value))
-            if new_oid != oid:
-                row = (entry.fid, new_oid, entry.others_after)
-        self.rows[fid][oid] = row
-        return row
+            post_oid = self._objects.id(_swap(objs, entry.slot, entry.outcome.new_value))
+        if self._fit() is not lay:
+            # every id is minted now, so the build in the wider layout
+            # mints none
+            return self._build(self.repacker(lay)(s), i, checked)
+        codes = self._status_codes
+        d = (((post_fid - fid) << lay.shifts[i]) + ((post_oid - oid) << lay.osh)
+             + ((post_xid - xid) << lay.xsh) + ((codes[post_fid] - codes[fid]) << lay.widths[2]))
+        d = row = self._deltas.setdefault(d, d)
+        if checked:
+            bad = self.verdict(s, self.ordinary_labels[i], s + d)
+            if bad:
+                row = (d, bad)
+        else:
+            self._unchecked = True
+        store[key] = row
+        return _through(s, row, checked)
 
-    def _entry(self, fid: int, objs) -> _Entry:
-        """The table entry of the step of frame `fid` on the objects `objs`,
-        made by `_fill` if there is none."""
-        got = self._table.get(fid)
+    def _crash(self, s: int, label: StepLabel) -> int:
+        """The id state after the crash `label` from the id state `s`, in the
+        layout after the ids it mints.  A crash of process i resets frame
+        i, and a simultaneous crash every frame that has not halted, to a
+        new attempt, and counts one failure."""
+        lay = self.layout
+        frames, resets, codes = self.frames_by_id, self._resets, self._status_codes
+        shifts, fmask, cw = lay.shifts, lay.fmask, lay.widths[2]
+        if label.kind == CRASH:
+            hit = [shifts[label.pid - 1]]
+        else:
+            hit = [sh for sh in shifts if frames[s >> sh & fmask].status != HALTED]
+        xid = s >> lay.xsh
+        d = 1 + (self._crashed[xid] - xid << lay.xsh)
+        for sh in hit:
+            f = s >> sh & fmask
+            g = resets[f]
+            d += (g - f << sh) + (codes[g] - codes[f] << cw)
+        if self._fit((s & lay.fail_mask) + 1) is not lay:
+            # every id is minted now, so the crash in the wider layout
+            # mints none
+            return self._crash(self.repacker(lay)(s), label)
+        return s + d
+
+    def verdict(self, pre: int, label: StepLabel, post: int):
+        """The checks of the edge `label` from the id state `pre` to `post`:
+        (property, detail) of the first that fails, or None.  `pre` must
+        have passed them, so only what the edge changed is checked, and
+        only the fields it reads are read: of an ordinary edge, the
+        objects, frame i, others and failures fields.
+
+        An ordinary edge: the edge rule, `machine.check_edge`, when the
+        objects id changed (a write that leaves an equal objects tuple
+        leaves its id, and by the `Machine` contract such an edge has
+        nothing to check); RWF of the moved frame; agreement and validity
+        of the returns when the others id changed; the machine's invariant
+        of the moved frame, then of the objects when their id changed.  A
+        crash resets frames and keeps the objects id and the returns, but
+        it changes `failures`, which every invariant reads: every frame's
+        invariant, then the objects'.  Each check is kept per id in its
+        `Cache`."""
+        lay = self.layout
+        failures = post & lay.fail_mask
+        oid = (post >> lay.osh) & lay.omask
+        if label.kind != ORDINARY:
+            frame_checks, fmask = self.frame_checks, lay.fmask
+            for sh in lay.shifts:
+                err = frame_checks[(post >> sh) & fmask, failures]
+                if err:
+                    return (INVARIANT, err)
+            err = self.objects_checks[oid, failures]
+            return (INVARIANT, err) if err else None
+        pre_oid = (pre >> lay.osh) & lay.omask
+        fid = (post >> lay.shifts[label.pid - 1]) & lay.fmask
+        xid = post >> lay.xsh
+        if oid != pre_oid:
+            err = self.edge_checks[pre_oid, oid]
+            if err:
+                return (INVARIANT, err)
+        bad = self.rwf_checks[fid]
+        if bad:
+            return bad
+        if xid != pre >> lay.xsh:
+            bad = self.return_checks[xid]
+            if bad:
+                return bad
+        err = self.frame_checks[fid, failures]
+        if not err and oid != pre_oid:
+            err = self.objects_checks[oid, failures]
+        return (INVARIANT, err) if err else None
+
+    def _entry(self, fid: int, objs) -> Entry:
+        """The transition-table entry of the step of frame `fid` on the
+        objects `objs`, made by `_fill` if there is none."""
+        got = self._entries.get(fid)
         if got is not None:
             slot, entry = got
             if slot is not None:
@@ -448,15 +769,15 @@ class Experiment:
                 return entry
         return self._fill(fid, objs)
 
-    def _fill(self, fid: int, objs) -> _Entry:
+    def _fill(self, fid: int, objs) -> Entry:
         """Run the machine's step for frame `fid` on the objects `objs`,
-        intern the successor frame, enter the step in the transition table,
-        and return the entry.
+        intern the successor frame, enter the step in the table, and
+        return the entry.
         A `Ret` accesses no object and is entered under the frame id alone;
         a `Next` is entered under the frame id and the value of the one
         object it accessed."""
         frame = self.frames_by_id[fid]
-        label = self.ordinary_labels[frame.pid - 1]
+        label = ordinary(frame.pid)
         calls = []
         idx = self.idx
 
@@ -475,9 +796,9 @@ class Experiment:
                 frame.pid, "done", frame.locals, frame.proposal, frame.attempt,
                 RETURNED if self.rerun else HALTED, outcome.value, frame.steps + 1, False,
             )
-            entry = _Entry(outcome, new_frame, self._frames.id(new_frame), None, True,
-                           StepRecord(label, "%s return" % frame.pc, outcome.value))
-            self._table[fid] = (None, entry)
+            entry = Entry(outcome, new_frame, self._frames.id(new_frame), None, True,
+                          StepRecord(label, "%s return" % frame.pc, outcome.value))
+            self._entries[fid] = (None, entry)
             return entry
         if len(calls) != 1:
             raise AssertionError("%s at %s made %d accesses; a step makes exactly one"
@@ -511,24 +832,23 @@ class Experiment:
         )
         # reads, rtas and a failed cas return the object value itself; the
         # state then keeps its objects id without a lookup
-        entry = _Entry(Access(name, op, new, instance), new_frame, self._frames.id(new_frame),
-                       None if new is value else slot, watched or self.a1,
-                       StepRecord(label, text, resp))
-        got = self._table.get(fid)
+        entry = Entry(Access(name, op, new, instance), new_frame, self._frames.id(new_frame),
+                      None if new is value else slot, False if watched or self.a1 else None,
+                      StepRecord(label, text, resp))
+        got = self._entries.get(fid)
         if got is None:
-            got = self._table[fid] = (slot, {})
+            got = self._entries[fid] = (slot, {})
         elif got[0] != slot:
             raise AssertionError("%s at %s accessed slot %s, earlier slot %s"
                                  % (self.machine.program_id, frame.pc, slot, got[0]))
         got[1][value] = entry
         return entry
 
-    def step_others(self, fid: int, oid: int, xid: int):
-        """(successor frame id, others id after the step) of the step of frame
-        `fid` on the objects `oid` from the others `xid`, entered in the
-        entry's others map.  Raises `GenericityViolation` when the step
-        begins an instance its process accessed in an earlier attempt."""
-        entry = self._entry(fid, self.objects_by_id[oid])
+    def step_others(self, entry: Entry, xid: int):
+        """(successor frame id, others id after the step) of the step of the
+        entry `entry` from the others `xid`.  Raises `GenericityViolation`
+        when the step begins an instance its process accessed in an
+        earlier attempt."""
         failures, returns, participants, tas_seen, cons_access = self.others_by_id[xid]
         pid = entry.frame.pid
         attempt = entry.frame.attempt
@@ -549,23 +869,8 @@ class Experiment:
             if self.a1 and outcome.op in ("tas", "rtas"):
                 armed = (pid, outcome.obj) not in tas_seen
                 tas_seen = tas_seen | {(pid, outcome.obj)}
-        got = entry.others_after[xid] = (
-            self._armed[entry.fid] if armed else entry.fid,
-            self._others.id((failures, returns, participants, tas_seen, cons_access)))
-        return got
-
-    def _crash_ids(self, ids, label: StepLabel):
-        """Reset the crashed frame, or for a simultaneous crash every frame
-        that has not halted, and count one failure."""
-        n = self.n
-        resets = self._resets
-        if label.kind == CRASH:
-            i = label.pid - 1
-            fids = ids[:i] + (resets[ids[i]],) + ids[i + 1:n]
-        else:
-            frames = self.frames_by_id
-            fids = tuple([f if frames[f].status == HALTED else resets[f] for f in ids[:n]])
-        return fids + (ids[n], self._crashed[ids[n + 1]])
+        return (self._armed[entry.fid] if armed else entry.fid,
+                self._others.id((failures, returns, participants, tas_seen, cons_access)))
 
     # -- hashing ------------------------------------------------------------
 
@@ -589,6 +894,16 @@ def _entry_frame(machine, pid: int, proposal, attempt: int = 1) -> Frame:
     """The frame of `pid` at the top of `machine`'s program, in `attempt`."""
     locs = locals_tuple(machine.init_locals(pid, proposal))
     return Frame(pid, machine.entry, locs, proposal, attempt)
+
+
+def _through(s: int, row, checked: bool) -> int:
+    """The id state after the step by `row` from `s`; with `checked`, the
+    violation a failing row holds is raised."""
+    if row.__class__ is not int:
+        if checked:
+            raise Violation(*row[1])
+        row = row[0]
+    return s + row
 
 
 def _swap(tup, i, value):

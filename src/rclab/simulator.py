@@ -6,9 +6,11 @@ genericity or read-before-write violation) has no post-state and is
 recorded as step/label/pid/error/detail.
 
 Every execution here steps on id states (see `experiment`) with
-`enabled_ids` and `successor`; a `SystemState` is built only for what is
-returned: `run`'s, `random_run`'s and `replay`'s last state.  `replay`
-digests each state from its ids (`Experiment.digest_ids`).
+`enabled_ids` and `successor`, unchecked; a `SystemState` is built only
+for what is returned: `run`'s, `random_run`'s and `replay`'s last state.
+`replay` digests each state from its ids (`Experiment.digest_ids`).  Each
+holds one id state at a time, which `successor` returns in the current
+layout, so none re-keys.
 
 `replay` re-executes on an experiment it keeps from earlier calls, so a
 trace of a config already replayed steps through a warm transition
@@ -86,12 +88,11 @@ def _steps(exp: Experiment, ids, labels):
                                 % (i - 1, failed.error))
         require_enabled(exp, ids, lab, i)
         try:
-            post = exp.successor(ids, lab)
+            # the record first: `successor` may re-key `ids`
+            rec = exp.record(ids, lab)
+            ids = exp.successor(ids, lab)
         except TransitionError as e:
             rec = failed = StepRecord(lab, None, None, e.prop, str(e))
-        else:
-            rec = exp.record(ids, lab)
-            ids = post
         yield ids, rec
 
 
@@ -234,7 +235,6 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
       ("crash_all",)          one simultaneous crash
     """
     ids = exp.intern(exp.initial_state())
-    frames = exp.frames_by_id
     labels: List[StepLabel] = []
 
     def take(lab):
@@ -248,15 +248,15 @@ def run_plan(exp: Experiment, plan) -> List[StepLabel]:
         if kind == "until_pc":
             _, pid, pc = item
             guard = 0
-            while frames[ids[pid - 1]].pc != pc:
-                if frames[ids[pid - 1]].status != RUNNING or guard > exp.depth_limit:
+            while exp.frame(ids, pid).pc != pc:
+                if exp.frame(ids, pid).status != RUNNING or guard > exp.depth_limit:
                     raise RcError("plan: p%d never reached %s" % (pid, pc))
                 take(ordinary(pid))
                 guard += 1
         elif kind == "until_done":
             _, pid = item
             guard = 0
-            while frames[ids[pid - 1]].status == RUNNING:
+            while exp.frame(ids, pid).status == RUNNING:
                 if guard > exp.depth_limit:
                     raise RcError("plan: p%d never finished" % pid)
                 take(ordinary(pid))

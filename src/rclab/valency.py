@@ -8,10 +8,15 @@ two proposals a state with both values still reachable is bivalent, and
 a bivalent state all of whose successors are univalent is critical.
 
 The graph's nodes are dense ints in breadth-first order, node 0 the
-initial state.  `g.nodes[i]` is node i's id state (see `experiment`) and
-`g.exp.materialize` the `SystemState` it stands for; every pass after the
-build indexes lists and dicts by node id.  The `labels` they take are
-`classify`'s list for that same graph.
+initial state.  `g.nodes[i]` is node i's id state, one packed int (see
+`experiment`) in `g.layout`, the layout the build ended in, and
+`g.exp.materialize` the `SystemState` it stands for while the
+experiment's layout is that one; `g.id_states()` gives the nodes in the
+current layout, which a later search on the experiment may have widened.
+Every pass after the build indexes lists and dicts by node id.  The
+`labels` they take are `classify`'s list for that same graph.  The build
+steps by the experiment's rows, unchecked: an edge whose row holds a
+failed check still leads to its post-state.
 
 An edge is one int, `child * len(g.steps) + i` for the step `g.steps[i]`.
 The edges of every node lie in one flat array, in node id order and each
@@ -19,7 +24,7 @@ node's in `enabled_ids` order, and a second array holds where each node's
 run begins (compressed rows).  `g.adj` is a read-only mapping over the
 two, so `g.adj[nid]` is the array of node nid's edges.  A graph of a
 million nodes holds no Python object per edge, and none per node besides
-its id state, a tuple of ints that the cyclic garbage collector untracks.
+its id state, an int, which the cyclic garbage collector does not track.
 `g.edges(nid)` decodes them into (step, child) pairs."""
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from itertools import pairwise, starmap
 from typing import Dict, List, NamedTuple, Tuple
 
 from .core import CRASH_ALL_LABEL, ORDINARY, Cache, RcError, StepLabel
-from .experiment import Experiment, as_experiment
+from .experiment import Experiment, Layout, as_experiment
 
 
-IdState = Tuple[int, ...]
+IdState = int
 
 
 class Adjacency:
@@ -66,7 +71,8 @@ class ExecGraph(NamedTuple):
     `child * len(steps) + i` for the step `steps[i]` to the child node id
     `child`, and `terminals` a terminal's node id to the values decided
     there.  `len(adj[nid])` is node nid's out-degree; `adj.start` and
-    `adj.codes` are the two arrays behind `adj`."""
+    `adj.codes` are the two arrays behind `adj`.  `nodes` are in the
+    layout `layout` (see the module docstring)."""
 
     exp: Experiment
     nodes: List[IdState]
@@ -74,6 +80,13 @@ class ExecGraph(NamedTuple):
     adj: Adjacency
     terminals: Dict[int, frozenset]
     capped: bool
+    layout: Layout
+
+    def id_states(self) -> List[IdState]:
+        """`nodes` in the experiment's current layout."""
+        if self.exp.layout is self.layout:
+            return self.nodes
+        return list(map(self.exp.repacker(self.layout), self.nodes))
 
     def edges(self, nid: int) -> List[Tuple[StepLabel, int]]:
         """Node nid's edges as (step, child node id) pairs."""
@@ -103,7 +116,6 @@ def build_graph(x) -> ExecGraph:
     steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
     width = len(steps)
     code = {lab: i for i, lab in enumerate(steps)}
-    others = exp.n + 1
     # an others id -> its `_decided` set, shared by its terminals
     others_by_id = exp.others_by_id
     decided = Cache(lambda oid: _decided(others_by_id[oid]))
@@ -114,15 +126,37 @@ def build_graph(x) -> ExecGraph:
     push, close = codes.append, start.append
     terminals = {}
     capped = False
+    successor, moves_of = exp.successor, exp.moves
+    lay = exp.layout
+    by_key, kmask = exp.moves_by_key, lay.kmask
     # `nodes` grows while it is walked: it is the breadth-first queue
-    enabled, successor = exp.enabled_ids, exp.successor
     fresh = 1  # len(nodes), kept by hand: the loop reads it on every edge
     for nid, state in enumerate(nodes):
-        labels = enabled(state)
-        if not labels:
-            terminals[nid] = decided[state[others]]
-        for lab in labels:
-            post = successor(state, lab)
+        moves = by_key.get(state & kmask)
+        if moves is None:
+            moves = moves_of(state)
+        if not moves:
+            # the others id is the top field
+            terminals[nid] = decided[state >> lay.xsh]
+        for lab, store, mask, deep, marks in moves:
+            d = store.get(state & mask)
+            if d.__class__ is bool:
+                d = deep.get(state ^ state & marks[d])
+            if d.__class__ is int:
+                post = state + d
+            else:
+                post = successor(state, lab)
+                if exp.layout is not lay:
+                    # in place, and the dict emptied before it is refilled,
+                    # so that no second copy of either is ever held
+                    repack = exp.repacker(lay)
+                    for j, s in enumerate(nodes):
+                        nodes[j] = repack(s)
+                    ids.clear()
+                    ids.update(zip(nodes, range(fresh)))
+                    state = repack(state)
+                    lay = exp.layout
+                    by_key, kmask = exp.moves_by_key, lay.kmask
             child = ids.setdefault(post, fresh)
             if child == fresh:
                 if cap is not None and fresh >= cap:
@@ -133,7 +167,7 @@ def build_graph(x) -> ExecGraph:
                 fresh += 1
             push(child * width + code[lab])
         close(len(codes))
-    return ExecGraph(exp, nodes, steps, Adjacency(start, codes), terminals, capped)
+    return ExecGraph(exp, nodes, steps, Adjacency(start, codes), terminals, capped, lay)
 
 
 def _classify_set(potent: frozenset, config) -> str:
@@ -153,10 +187,10 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
     start, codes = g.adj.start, g.adj.codes
-    nodes = g.nodes
+    nodes = g.id_states()
     exp = g.exp
     width = len(g.steps)
-    others = exp.n + 1
+    xsh = exp.layout.xsh  # the others id is the top field
     config, others_by_id = exp.config, exp.others_by_id
     # a potent set -> its label; an others id -> the label of the values
     # decided there; a pair of labels -> the label of their union
@@ -177,7 +211,7 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
             continue
         nid = root
         while True:
-            lab = by_others[nodes[nid][others]]
+            lab = by_others[nodes[nid] >> xsh]
             for e in codes[lo:hi]:
                 kid = done[e // width]
                 if kid is not lab:
@@ -235,9 +269,8 @@ def summary(g: ExecGraph, labels: List[ValencyLabel]) -> dict:
 
 
 def _node_desc(exp: Experiment, state: IdState) -> str:
-    frames = exp.frames_by_id
     return " / ".join("p%d@%s#%d" % (fr.pid, fr.pc, fr.attempt)
-                      for fr in (frames[f] for f in state[:exp.n]))
+                      for fr in exp.materialize(state).frames)
 
 
 def to_dot(g: ExecGraph, labels: List[ValencyLabel]) -> str:
@@ -256,7 +289,7 @@ def dot_lines(g: ExecGraph, labels: List[ValencyLabel]):
     yield "digraph executions {\n"
     yield "  rankdir=TB;\n"
     yield "  node [style=filled];\n"
-    for nid, state in enumerate(g.nodes):
+    for nid, state in enumerate(g.id_states()):
         lab = labels[nid]
         text = _node_desc(g.exp, state)
         if lab.klass == "univalent":

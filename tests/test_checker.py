@@ -23,7 +23,6 @@ from rclab.checker import (
     fuzz,
     inspect_edge,
     shortest_failure,
-    state_checks,
 )
 from rclab.core import (
     CRASH_ALL_LABEL,
@@ -156,8 +155,9 @@ def test_forged_register_decrease_is_reported():
                         + init.objects[slot + 1:])
     assert inspect_edge(exp, pre, ordinary(1), init) == (INVARIANT, "R[2] decreased")
     # the id kernel's check, cached per (pre, post) pair of objects ids
-    oids = [exp.intern(init._replace(objects=init.objects[:slot] + (Register(r),)
-                                     + init.objects[slot + 1:]))[exp.n] for r in range(3)]
+    oids = [exp.unpack(exp.intern(init._replace(objects=init.objects[:slot] + (Register(r),)
+                                                + init.objects[slot + 1:])))[exp.n]
+            for r in range(3)]
     assert exp.edge_checks[oids[2], oids[1]] == "R[2] decreased"
     assert exp.edge_checks[oids[0], oids[1]] is None
 
@@ -238,7 +238,7 @@ def test_incremental_state_checks_equal_full_checks(name):
     outcomes = set()
     for state, lab, post in reachable_edges(exp):
         if full_state_properties(exp, state) is None:
-            got = state_checks(exp, exp.intern(state), lab, exp.intern(post))
+            got = exp.verdict(exp.intern(state), lab, exp.intern(post))
             assert got == reference_state_checks(exp, lab, post), (state, lab)
             outcomes.add(got and got[0])
     if name not in DIFFERENTIAL_CONFIGS:
@@ -264,13 +264,13 @@ ID_CONFIGS = dict(INCREMENTAL_CONFIGS, **{
 
 
 def kernel_outcome(exp, pre, label):
-    """(post id state, the id kernel's check outcome) of one edge from the id
-    state `pre`; the post id state is None when the edge check failed."""
+    """(post id state, the check outcome its row folds) of one edge from the
+    id state `pre`, stepped by `successor` with its checks; the post id
+    state is None when a check failed."""
     try:
-        post = checker.checked_edge(exp, pre, label)
+        return exp.successor(pre, label, True), None
     except Violation as v:
         return None, (v.prop, v.detail)
-    return post, state_checks(exp, pre, label, post)
 
 
 @pytest.mark.parametrize("name", sorted(ID_CONFIGS))
@@ -301,8 +301,8 @@ def test_forged_step_into_an_early_iteration_is_reported():
     post = init._replace(frames=(moved,) + init.frames[1:])
     # the same frame after one failure is clean: the check is per failures
     pre, after = init._replace(failures=1), post._replace(failures=1)
-    assert state_checks(exp, exp.intern(pre), ordinary(1), exp.intern(after)) is None
-    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
+    assert exp.verdict(exp.intern(pre), ordinary(1), exp.intern(after)) is None
+    assert exp.verdict(exp.intern(init), ordinary(1), exp.intern(post)) == (
         INVARIANT, "p1 is in iteration 1 with only 0 failures so far")
 
 
@@ -313,8 +313,8 @@ def test_forged_register_write_past_the_failures_is_reported():
                          + init.objects[slot + 1:])
     # the same objects after one failure are clean: the check is per failures
     pre, after = init._replace(failures=1), post._replace(failures=1)
-    assert state_checks(exp, exp.intern(pre), ordinary(1), exp.intern(after)) is None
-    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
+    assert exp.verdict(exp.intern(pre), ordinary(1), exp.intern(after)) is None
+    assert exp.verdict(exp.intern(init), ordinary(1), exp.intern(post)) == (
         INVARIANT, "R[2]=2 with only 0 failures so far")
 
 
@@ -333,7 +333,7 @@ def test_forged_return_is_checked_for_agreement(scope, prior, new, detail):
     init = exp.initial_state()
     pre = init._replace(returns=tuple(prior))
     post = pre._replace(returns=pre.returns + (new,))
-    got = state_checks(exp, exp.intern(pre), ordinary(new[0]), exp.intern(post))
+    got = exp.verdict(exp.intern(pre), ordinary(new[0]), exp.intern(post))
     assert got == (detail and (AGREEMENT, detail))
     if detail:
         assert detail == check_agreement(post.returns, scope)
@@ -342,7 +342,7 @@ def test_forged_return_is_checked_for_agreement(scope, prior, new, detail):
 def test_forged_invalid_decision_is_reported():
     exp, init = fig2_forge()
     post = init._replace(returns=((1, 1, 99),))
-    assert state_checks(exp, exp.intern(init), ordinary(1), exp.intern(post)) == (
+    assert exp.verdict(exp.intern(init), ordinary(1), exp.intern(post)) == (
         VALIDITY, "p1 (attempt 1) decided 99, not a proposal")
 
 
@@ -396,8 +396,8 @@ def test_warm_check_caches_give_the_cold_outcomes(scope):
     props = set()
     for (pre, lab, post), (pre_ids, _, post_ids) in zip(edges, ids):
         cold = make_experiment(**kw)
-        want = state_checks(cold, cold.intern(pre), lab, cold.intern(post))
-        assert state_checks(exp, pre_ids, lab, post_ids) == want, (pre, lab, post)
+        want = cold.verdict(cold.intern(pre), lab, cold.intern(post))
+        assert exp.verdict(pre_ids, lab, post_ids) == want, (pre, lab, post)
         props.add(want and want[0])
     assert props == {None, RWF, INVARIANT, VALIDITY, AGREEMENT}
     # no violation cached for a forged edge leaks into a clean one
@@ -408,34 +408,53 @@ def test_warm_check_caches_give_the_cold_outcomes(scope):
 # cas-rc's execution tree is small enough for a quick test.
 @pytest.mark.parametrize("name,memo", [(name, True) for name in sorted(DIFFERENTIAL_CONFIGS)]
                          + [("cas-rc-b3", False)])
-def test_state_checks_run_once_per_new_state(monkeypatch, name, memo):
-    calls = []
+def test_checks_run_once_per_row_and_per_crash_into_a_new_state(monkeypatch, name, memo):
+    # an ordinary edge's checks run once per row, when it is built; a
+    # crash's on each crash into a state the search does not hold yet
+    exp = make_experiment(**DIFFERENTIAL_CONFIGS[name])
+    folds, crashes = [], []
+    check = exp.verdict
 
-    def counted(exp, pre, label, post):
-        calls.append(1)
-        return state_checks(exp, pre, label, post)
+    def counted(pre, label, post):
+        (folds if label.kind == ORDINARY else crashes).append(post)
+        return check(pre, label, post)
 
-    monkeypatch.setattr(checker, "state_checks", counted)
-    verdict = explore(make_config(**DIFFERENTIAL_CONFIGS[name]), memo=memo)
+    monkeypatch.setattr(exp, "verdict", counted)
+    verdict = explore(exp, memo=memo)
     assert verdict.passed
-    assert len(calls) == verdict.stats["states"] - 1
+    rows = [d for store in exp.rows + exp.others_rows for d in store.values()
+            if d.__class__ is not bool]
+    assert len(folds) == len(rows)
+    assert crashes and len(crashes) <= verdict.stats["states"] - 1
+    if memo:
+        assert len(set(crashes)) == len(crashes)
+
+
+class MissingEveryKey(dict):
+    """A moves cache that never hits, so a search draws every expanded
+    state's moves from `Experiment.moves`."""
+
+    def get(self, key, default=None):
+        return default
 
 
 # Without the memo, fig2's execution tree is too large for a quick test.
 @pytest.mark.parametrize("kw,memo", [
     (dict(program="fig2", f=1, failure="independent", budget=1, monitor=True), True),
     (DIFFERENTIAL_CONFIGS["cas-rc-b3"], False)])
-def test_every_explored_edge_is_one_successor_call(kw, memo):
-    # `successor` is the one step walk: ordinary and crash edges alike
+def test_every_move_of_an_expanded_state_is_one_explored_edge(kw, memo):
+    # ordinary and crash edges alike: one row lookup per move
     exp = make_experiment(**kw)
     kinds = []
-    successor = exp.successor
+    moves = exp.moves
 
-    def counted(ids, label):
-        kinds.append(label.kind)
-        return successor(ids, label)
+    def counted(s):
+        out = moves(s)
+        kinds.extend(move[0].kind for move in out)
+        return out
 
-    exp.successor = counted
+    exp.moves = counted
+    exp.moves_by_key = MissingEveryKey()
     verdict = explore(exp, memo=memo)
     assert verdict.passed
     assert len(kinds) == verdict.stats["edges"]
@@ -597,6 +616,24 @@ def test_memo_and_nomemo_agree(program, failure, budget, mode, scope):
              nomemo.stats["terminal_executions"])
             == (memo.result, memo.prop, memo.detail, memo.trace_labels,
                 memo.stats["terminal_executions"]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(**SMALL_DRAWS)
+def test_packed_id_states_step_and_check_as_whole_states(program, failure, budget, mode, scope):
+    # every reachable edge, from its whole pre-state: the id state round
+    # trips, its status key gives `enabled_steps`' labels, the step by the
+    # rows is `reference_step`'s, and the verdict a row folds is
+    # `inspect_edge`'s
+    exp = make_experiment(failure=failure, budget=budget, mode=mode, agreement_scope=scope,
+                          **program)
+    for state, lab, post in reachable_edges(exp):
+        s = exp.intern(state)
+        assert exp.materialize(s) == state
+        assert exp.enabled_ids(s) == exp.enabled_steps(state)
+        assert exp.materialize(exp.successor(s, lab)) == post
+        if full_state_properties(exp, state) is None:
+            assert kernel_outcome(exp, s, lab)[1] == inspect_edge(exp, state, lab, post)
 
 
 @settings(deadline=None, max_examples=60)

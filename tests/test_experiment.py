@@ -7,7 +7,8 @@ import weakref
 
 import pytest
 
-from rclab.checker import GENERICITY, explore
+from rclab import experiment
+from rclab.checker import GENERICITY, explore, shortest_failure
 from rclab.core import (
     BOTTOM,
     CRASH_ALL_LABEL,
@@ -23,8 +24,8 @@ from rclab.core import (
     ordinary,
 )
 from rclab.programs import END, Fig1Machine, Next, Ret
-from rclab.simulator import random_run
-from rclab.valency import build_graph, classify
+from rclab.simulator import dump_trace, random_run, replay, run
+from rclab.valency import build_graph, classify, summary
 
 from conftest import (
     DIFFERENTIAL_CONFIGS,
@@ -34,12 +35,16 @@ from conftest import (
     read_before_write,
     reachable_edges,
     reenter_after_crash,
+    reference_step,
 )
 
 TABLE_CONFIGS = dict(
     DIFFERENTIAL_CONFIGS,
     **{
         "fig1-tas-a1": dict(cons="tas", failure="independent", adversary="assumption1"),
+        # fails Agreement: rows the unchecked graph built are checked when
+        # the search first steps through them
+        "fig1-ind-b1": dict(failure="independent", budget=1),
         "fig2-2-2-tas-b2": dict(program="fig2", f=2, cons="tas", failure="independent",
                                 budget=2),
     },
@@ -245,42 +250,170 @@ def test_digest_ids_is_the_digest_of_the_materialized_state(name, props):
 
 
 def row_keys(exp):
-    return {(fid, oid) for fid, rows in enumerate(exp.rows) for oid in rows}
+    """(process index, frame id, objects id, failures) of every row key."""
+    lay = exp.layout
+    return {(i, (key >> lay.shifts[i]) & lay.fmask, (key >> lay.osh) & lay.omask,
+             key & lay.fail_mask) for i, rows in enumerate(exp.rows) for key in rows}
 
 
-def recording(step, pairs):
-    """`step`, whose last two arguments are an id state and a label, adding
-    to `pairs` the (frame id, objects id) of each ordinary step it takes."""
-    def wrapper(*args):
-        ids, lab = args[-2:]
-        if lab.kind == ORDINARY:
-            pairs.add((ids[lab.pid - 1], ids[-2]))
-        return step(*args)
-    return wrapper
+def second_level_keys(exp):
+    """(process index, frame id, objects id, others id) of every
+    second-level row key; a return's leaves out the objects id, which
+    reads as 0."""
+    lay = exp.layout
+    return {(i, (key >> lay.shifts[i]) & lay.fmask, (key >> lay.osh) & lay.omask,
+             key >> lay.xsh) for i, rows in enumerate(exp.others_rows) for key in rows}
 
 
-# perfbench's `valency` and `explore-memo` configs: a row more than the
-# pairs stepped from would be a row keyed more finely than its step
-def test_one_row_per_frame_and_objects_stepped_from_in_the_graph():
+def stepped_from(exp, states):
+    """(process index, frame id, objects id, failures) of every ordinary
+    step `enabled_ids` offers from the id states `states`, and (process
+    index, frame id, objects id, others id) of those that read the other
+    fields, with objects id 0 for a return, which reads no object."""
+    lay = exp.layout
+    out, deeper = set(), set()
+    for s in states:
+        ids = exp.unpack(s)
+        failures = exp.others_by_id[ids[-1]][0]
+        for lab in exp.enabled_ids(s):
+            if lab.kind == ORDINARY:
+                i = lab.pid - 1
+                out.add((i, ids[i], ids[-2], failures))
+                row = exp.rows[i][s & lay.masks[i]]
+                if row.__class__ is bool:
+                    deeper.add((i, ids[i], 0 if row else ids[-2], ids[-1]))
+    return out, deeper
+
+
+# perfbench's `valency` and `explore-memo` configs: a row more than the keys
+# stepped from would be a row keyed more finely than its step
+def test_one_row_per_frame_objects_and_failures_stepped_from_in_the_graph():
     exp = make_experiment(program="fig2", f=2, cons="tas", failure="independent", budget=2,
                           monitor=True)
-    pairs = set()
-    exp.successor = recording(exp.successor, pairs)
-    build_graph(exp)
-    assert len(pairs) == 14668
-    assert sum(map(len, exp.rows)) == len(pairs)
-    assert row_keys(exp) == pairs
+    keys, deeper = stepped_from(exp, build_graph(exp).nodes)
+    assert (len(keys), len(deeper)) == (16100, 6996)
+    assert sum(map(len, exp.rows)) == len(keys)
+    assert row_keys(exp) == keys
+    assert sum(map(len, exp.others_rows)) == len(deeper)
+    assert second_level_keys(exp) == deeper
 
 
-def test_one_row_per_frame_and_objects_stepped_from_in_explore():
-    exp = make_experiment(program="fig2", n=3, f=1, proposals=[10, 20, 30],
-                          failure="independent", budget=1, monitor=True)
-    pairs = set()
-    exp.successor = recording(exp.successor, pairs)
+def test_one_row_per_frame_objects_and_failures_stepped_from_in_explore():
+    kw = dict(program="fig2", n=3, f=1, proposals=[10, 20, 30], failure="independent",
+              budget=1, monitor=True)
+    exp = make_experiment(**kw)
     assert explore(exp).passed
-    assert len(pairs) == 11970
-    assert sum(map(len, exp.rows)) == len(pairs)
-    assert row_keys(exp) == pairs
+    # the sweep expands exactly the graph's nodes
+    g = build_graph(make_experiment(**kw))
+    keys, deeper = stepped_from(exp, [exp.intern(g.exp.materialize(s)) for s in g.nodes])
+    assert (len(keys), len(deeper)) == (12372, 666)
+    assert sum(map(len, exp.rows)) == len(keys)
+    assert row_keys(exp) == keys
+    assert sum(map(len, exp.others_rows)) == len(deeper)
+    assert second_level_keys(exp) == deeper
+
+
+# Searches on configs that pass, fail and stop at the depth limit, with
+# independent and simultaneous crashes and under assumption 1, each with
+# what it returns that must not depend on the layout.
+WIDTH_RUNS = {
+    "sweep": (dict(program="fig2", f=1, cons="tas", failure="independent", budget=2,
+                   monitor=True), lambda exp: explore(exp).to_json()),
+    "sweep-fails": (dict(failure="independent", budget=2), lambda exp: explore(exp).to_json()),
+    "sweep-depth": (dict(failure="simultaneous", budget=2, depth=12),
+                    lambda exp: explore(exp).to_json()),
+    "walk": (dict(program="cas-rc", failure="independent", budget=3),
+             lambda exp: explore(exp, memo=False).to_json()),
+    "walk-fails": (dict(program="tas-cons2", failure="independent", budget=1),
+                   lambda exp: explore(exp, memo=False).to_json()),
+    "shortest_failure": (dict(program="fig2", f=1, failure="independent", budget=2),
+                         lambda exp: shortest_failure(exp)),
+    "a1": (dict(cons="tas", failure="independent", adversary="assumption1"),
+           lambda exp: explore(exp).to_json()),
+    "graph": (dict(program="fig2", f=1, cons="tas", failure="simultaneous", budget=2),
+              lambda exp: graph_outputs(build_graph(exp))),
+    "replay": (dict(failure="simultaneous", budget=2), lambda exp: replayed(exp)),
+}
+
+
+def graph_outputs(g):
+    """What a valency graph shows: its summary, its nodes' digests and its
+    edges."""
+    return (summary(g, classify(g)), [g.exp.digest_ids(s) for s in g.nodes], list(g.adj.codes),
+            g.terminals)
+
+
+def replayed(exp):
+    """The digests of seeded random runs' traces, replayed."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(20):
+        labels, final = random_run(exp, rng)
+        trace, last = run(exp, labels)
+        assert last == final
+        out.append(replay(dump_trace(trace, final_hash=digest(final))).digests)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_RUNS))
+def test_a_tiny_field_width_widens_and_changes_no_output(monkeypatch, name):
+    kw, run_it = WIDTH_RUNS[name]
+    want = run_it(make_experiment(**kw))
+    widened = []
+    widen = experiment.Experiment._widen
+    monkeypatch.setattr(experiment, "_MIN_WIDTH", 1)
+    monkeypatch.setattr(experiment.Experiment, "_widen",
+                        lambda self, failures: widened.append(failures) or widen(self, failures))
+    exp = make_experiment(**kw)
+    assert exp.layout.widths == (1, 3, 1)
+    # one step first: the id state `apply_step` keeps is re-keyed with the
+    # rest, so the step after the run starts from it
+    first = exp.apply_step(exp.initial_state(), exp.enabled_steps(exp.initial_state())[0])[0]
+    assert run_it(exp) == want
+    assert widened
+    lab = exp.enabled_steps(first)[0]
+    assert exp.apply_step(first, lab) == make_experiment(**kw).apply_step(first, lab)
+
+
+def test_a_crash_after_a_frame_overran_its_bound_steps_as_on_whole_states(monkeypatch):
+    # at bound 1 every attempt overruns its bound, which a search reports
+    # at once; the simulator and the valency graph step on unchecked, and a
+    # crash that resets a frame of many steps must land on the model's state
+    monkeypatch.setattr(Fig1Machine, "bound", lambda self: 1)
+    exp = make_experiment(program="fig1", failure="independent", budget=2)
+    rng = random.Random(1)
+    overran = 0
+    for _ in range(100):
+        whole = exp.initial_state()
+        s = exp.intern(whole)
+        while exp.enabled_ids(s):
+            lab = rng.choice(exp.enabled_ids(s))
+            if lab.kind != ORDINARY:
+                overran += max(fr.steps for fr in whole.frames) > 2 * exp.bound
+            whole = reference_step(exp, whole, lab)
+            s = exp.successor(s, lab)
+            assert exp.materialize(s) == whole
+            assert exp.intern(whole) == s
+    assert overran
+    g = build_graph(exp)
+    states = [exp.materialize(s) for s in g.id_states()]
+    assert len(set(states)) == len(states)
+    assert [exp.intern(state) for state in states] == g.id_states()
+
+
+# perfbench's `explore-memo` and `valency` configs, which pass
+@pytest.mark.parametrize("kw", [
+    dict(program="fig2", n=3, f=1, proposals=[10, 20, 30], failure="independent", budget=1,
+         monitor=True),
+    dict(program="fig2", f=2, cons="tas", failure="independent", budget=2, monitor=True)])
+def test_the_collector_tracks_no_row(kw):
+    exp = make_experiment(**kw)
+    assert explore(exp).passed
+    g = build_graph(exp)
+    stores = exp.rows + exp.others_rows
+    assert any(stores) and not any(map(gc.is_tracked, stores))
+    assert not any(gc.is_tracked(d) for store in stores for d in store.values())
+    assert not any(map(gc.is_tracked, g.nodes))
 
 
 # Each run leaves the experiment's caches filled; explore on fig1 under one

@@ -321,6 +321,20 @@ def test_summary_and_dot_output():
     assert len(edge_lines) == sum(len(s) for s in g.adj.values())
 
 
+def test_a_graph_is_read_in_its_own_layout_after_the_experiment_widens():
+    g = build_graph(make_config(program="fig3", failure="independent", budget=1))
+    exp = g.exp
+    labels = classify(g)
+    dot = to_dot(g, labels)
+    states = [exp.materialize(s) for s in g.nodes]
+    # a failures count the field has no room for widens every field above it
+    exp.intern(exp.initial_state()._replace(failures=1 << 12))
+    assert exp.layout is not g.layout
+    assert classify(g) == labels
+    assert to_dot(g, labels) == dot
+    assert [exp.materialize(s) for s in g.id_states()] == states
+
+
 def test_dot_labels_escape_quotes_and_backslashes():
     proposals = ['say "hi"', "a\\b"]
     g = build_graph(make_config(program="fig3", failure="independent", budget=1,

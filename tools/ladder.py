@@ -104,8 +104,12 @@ def _explore(lib, exp, memo=True):
 
 def _shortest_failure(lib, exp):
     """BFS to the shallowest violation; states are the states it expanded
-    and edges the edges it stepped: the calls of `enabled_ids` and of
-    `successor`, counted around the instance."""
+    and edges the edges it stepped: the calls of `moves`, which the BFS
+    makes once per state it expands, and the moves they gave that the BFS
+    took, counted around the instance.  An edge is a row lookup, not a
+    call, so it is counted as the BFS draws its move.  A checkout whose
+    experiment has no `moves` steps each edge by a call of `successor`,
+    and is counted by its calls of `enabled_ids` and `successor`."""
     counts = [0, 0]
 
     def counted(fn, i):
@@ -114,8 +118,19 @@ def _shortest_failure(lib, exp):
             return fn(*args)
         return wrapper
 
-    exp.enabled_ids = counted(exp.enabled_ids, 0)
-    exp.successor = counted(exp.successor, 1)
+    def drawn(moves):
+        def wrapper(s):
+            counts[0] += 1
+            for move in moves(s):
+                counts[1] += 1
+                yield move
+        return wrapper
+
+    if hasattr(exp, "moves"):
+        exp.moves = drawn(exp.moves)
+    else:
+        exp.enabled_ids = counted(exp.enabled_ids, 0)
+        exp.successor = counted(exp.successor, 1)
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
