@@ -43,10 +43,6 @@ rules live in `core`; this module re-exports them.  `inspect_edge` runs
 every check on whole states, its state part on every component of the
 post-state, and caches nothing; it is the reference the tests hold the
 rows to.
-
-A search holds id states in the experiment's layout.  A call to
-`successor` may widen it (see `experiment`), and the search then re-keys
-what it holds before it steps on.
 """
 
 from __future__ import annotations
@@ -214,25 +210,14 @@ def explore(x, memo=True) -> Verdict:
     except Violation as v:
         return Verdict("fail", v.prop, v.detail, [], _explore_stats(1, 0, 0, 0),
                        0 if memo else None)
-    lay = exp.layout
     result, stats, crashes = (_sweep if memo else _walk)(exp, init)
     if result == "pass":
         return Verdict(result, stats=stats)
     stats["terminal_executions"] = 0
     if result == "depth-limit":
         return Verdict(result, detail="depth limit %d reached" % exp.depth_limit, stats=stats)
-    if exp.layout is not lay:
-        init = exp.repacker(lay)(init)
     trace, prop, detail = shortest_failure(exp, init)
     return Verdict(result, prop, detail, trace, stats, crashes)
-
-
-def _kernel(exp: Experiment):
-    """What a search's loop reads of the current layout: (layout, moves by
-    status key, the status key's mask, the frame fields' shifts, a frame
-    field's mask)."""
-    lay = exp.layout
-    return lay, exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
 
 
 def rank(exp: Experiment, s):
@@ -254,7 +239,8 @@ def _sweep(exp: Experiment, init):
     frames = exp.frames_by_id
     depth_limit = exp.depth_limit
     w = exp.n * exp.bound + 1
-    lay, by_key, kmask, shifts, fmask = _kernel(exp)
+    lay = exp.layout
+    by_key, kmask, shifts, fmask = exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
     states, edges, executions, max_steps = 1, 0, 0, 0
     # rank -> (keys, slots) of each pending rank: `keys` maps each id state
     # of the rank to the index in `slots` of its three slots, its paths, its
@@ -291,9 +277,6 @@ def _sweep(exp: Experiment, init):
                 if d.__class__ is not int:
                     if lab.kind != ORDINARY:
                         post = successor(state, lab)
-                        if exp.layout is not lay:
-                            state = _rekey_layers(exp, lay, layers, slots)(state)
-                            lay, by_key, kmask, shifts, fmask = _kernel(exp)
                         # a crash adds W and takes back the steps of the
                         # frames it resets, which start their attempt anew
                         pr = r + w
@@ -324,11 +307,6 @@ def _sweep(exp: Experiment, init):
                         try:
                             post = successor(state, lab, True)
                         except Violation:
-                            post = None
-                        if exp.layout is not lay:
-                            state = _rekey_layers(exp, lay, layers, slots)(state)
-                            lay, by_key, kmask, shifts, fmask = _kernel(exp)
-                        if post is None:
                             at = (r + 1, state & lay.fail_mask)
                             if held is None or at < held:
                                 held = at
@@ -358,27 +336,14 @@ def _sweep(exp: Experiment, init):
     return ("pass", stats, None) if held is None else ("fail", stats, held[1])
 
 
-def _rekey_layers(exp: Experiment, old, layers, slots):
-    """Re-key the sweep's pending ranks and the rank `slots` it is
-    expanding from the layout `old` to the current one, in place; returns
-    the re-keying function."""
-    repack = exp.repacker(old)
-    for keys, into in layers.values():
-        rekeyed = {repack(s): i for s, i in keys.items()}
-        keys.clear()
-        keys.update(rekeyed)
-        into[2::3] = map(repack, into[2::3])
-    slots[2::3] = map(repack, slots[2::3])
-    return repack
-
-
 def _walk(exp: Experiment, init):
     """`explore` without `memo`: the depth-first walk of the execution
     tree.  Returns (result, stats, None)."""
     successor, moves_of = exp.successor, exp.moves
     frames = exp.frames_by_id
     depth_limit = exp.depth_limit
-    lay, by_key, kmask, shifts, fmask = _kernel(exp)
+    lay = exp.layout
+    by_key, kmask, shifts, fmask = exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
     states, edges, executions, max_steps = 1, 0, 0, 0
     result = "pass"
     # The id state being expanded lives in locals: `state` and `todo` (an
@@ -403,11 +368,6 @@ def _walk(exp: Experiment, init):
                     post = state + d
                 else:
                     post = successor(state, lab, True)
-                    if exp.layout is not lay:
-                        repack = exp.repacker(lay)
-                        state = repack(state)
-                        stack = [(repack(s), t) for s, t in stack]
-                        lay, by_key, kmask, shifts, fmask = _kernel(exp)
                 if lab.kind == ORDINARY:
                     steps = frames[(post >> shifts[lab.pid - 1]) & fmask].steps
                     if steps > max_steps:
@@ -462,7 +422,6 @@ def shortest_failure(exp: Experiment, init=None):
     steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
     width = len(steps)
     code = {lab: i for i, lab in enumerate(steps)}
-    lay = exp.layout
     # id state -> its parent's id state * width + its label's code, -1 for
     # `init`: ints, which the cyclic collector does not track
     parents = {init: -1}
@@ -481,15 +440,6 @@ def shortest_failure(exp: Experiment, init=None):
                         post = successor(state, lab, True)
                     except Violation as v:
                         return _schedule(parents, steps, state) + [lab], v.prop, v.detail
-                    if exp.layout is not lay:
-                        repack = exp.repacker(lay)
-                        parents = {repack(s): p if p < 0
-                                   else repack(p // width) * width + p % width
-                                   for s, p in parents.items()}
-                        level[:] = map(repack, level)
-                        deeper = [repack(s) for s in deeper]
-                        state = repack(state)
-                        lay = exp.layout
                 if post in parents:
                     continue
                 parents[post] = state * width + code[lab]
@@ -515,11 +465,14 @@ def _schedule(parents, steps, state):
 
 def fuzz(x, episodes=1000) -> Verdict:
     """Randomized exploration: `episodes` uniformly scheduled executions,
-    drawn from the config's `seed`.
+    drawn from the config's `seed`; `episodes` must be at least 1, as a
+    run of none would pass having checked nothing.
 
     Like `explore`, an execution takes at most `depth_limit` steps.  The
     first one still running at that depth ends the run with the verdict
     `depth-limit`, because fuzzing can then no longer tell a pass."""
+    if episodes < 1:
+        raise ValueError("episodes must be at least 1, got %r" % (episodes,))
     exp = as_experiment(x)
     seed = exp.config.seed
     rng = random.Random(seed)
@@ -527,7 +480,6 @@ def fuzz(x, episodes=1000) -> Verdict:
     path: List[StepLabel] = []
     try:
         init = checked_initial_state(exp)
-        lay = exp.layout
         for ep in range(episodes):
             state, path = init, []
             while True:
@@ -541,9 +493,6 @@ def fuzz(x, episodes=1000) -> Verdict:
                 lab = rng.choice(labels)
                 path.append(lab)
                 state = exp.successor(state, lab, True)
-                if exp.layout is not lay:
-                    init = exp.repacker(lay)(init)
-                    lay = exp.layout
                 if lab.kind == ORDINARY:
                     max_steps = max(max_steps, exp.frame(state, lab.pid).steps)
     except Violation as v:

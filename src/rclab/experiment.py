@@ -24,17 +24,20 @@ searches in `checker`, the valency graph and the simulator step on id
 states and build a `SystemState` (`materialize`) only where a caller
 needs a whole one.
 
-Widths.  The frame ids start in fields `_MIN_WIDTH` bits wide, the
-objects id in one two bits wider, and `failures` in one as wide as its
-bound needs; the others id, at the top, needs no width.
-Packing an id state whose ids no longer fit (`_fit`) widens every full
-field to one bit more than its largest id needs: the experiment takes a
-new `layout`, re-keys its rows, and re-keys the state `apply_step`
-keeps.  Ids never wrap.  A caller that holds id states compares
-`exp.layout` with the layout it packed them in after each call that may
-pack (`intern`, `successor`) and re-keys them (`repacker`) when it
-changed; an id state stays valid until then.  Only a component never
-interned before can widen a field.
+Widths.  An experiment's `layout` is fixed when it is built: each frame
+id gets `FRAME_BITS` bits, the objects id `OBJECTS_BITS`, and `failures`
+as many as the experiment's failure bound needs; the others id, at the
+top, needs no width.  So an id state, once packed, stays valid for the
+experiment's life, and no holder of id states ever re-keys them.  An id
+that would not fit is never minted: the frame and objects interners'
+`born` callbacks raise `RcError` naming the field, before the id is
+kept, so an id state never holds a field that spilled into its
+neighbour.  `_pack` raises when `failures` does not fit its field, which
+only a state from outside the search can do: a crash is enabled only
+below the failure bound (the configured budget), and under assumption 1
+every crash is the one process that crashes first taking its armed
+crash, armed by its first access to a TAS object, so there are at most
+as many crashes as TAS objects, the bound assumption 1 takes.
 
 Rows.  An ordinary step of process i from `s` is `s + d`, where the row
 `d = rows[i][s & layout.masks[i]]` is keyed by the fields the step reads
@@ -117,6 +120,7 @@ from .core import (
     Cache,
     Frame,
     GenericityViolation,
+    RcError,
     StepLabel,
     StepRecord,
     SystemState,
@@ -134,10 +138,11 @@ from .programs import END, Ret, build_machine
 # a frame's status as two bits of the status key (see `enabled_ids`)
 _STATUS_CODES = {RUNNING: 0, FELL_OFF: 1, RETURNED: 2, HALTED: 3}
 
-# the width in bits a frame id field starts at, and the objects id field
-# two bits more: every built-in machine meets several times more objects
-# tuples than frames (see "Widths")
-_MIN_WIDTH = 10
+# the widths in bits of a frame id's field and of the objects id's (see
+# "Widths"), with room to spare: fig2 n=2 f=4 `cons=tas` budget 4, 12.9 M
+# states, mints 4,990 frame ids and 112,528 objects ids
+FRAME_BITS = 16
+OBJECTS_BITS = 24
 
 # the row store of a crash's label in `moves`: a crash has no row
 _NO_ROWS = MappingProxyType({})
@@ -179,7 +184,8 @@ class Entry:
 class Interner:
     """Dense integer ids for components: equal components share the id of
     the first one met, which is its index in `values`.  `born`, if given,
-    is called with each new component as its id is minted."""
+    is called with each new component before its id is kept, so an id it
+    refuses by raising is never minted."""
 
     __slots__ = ("ids", "values", "born")
 
@@ -189,14 +195,12 @@ class Interner:
         self.born = born
 
     def id(self, x) -> int:
-        # one hash: `setdefault` returns the next free id exactly when `x`
-        # is new
-        values = self.values
-        i = self.ids.setdefault(x, len(values))
-        if i == len(values):
-            values.append(x)
+        i = self.ids.get(x)
+        if i is None:
             if self.born is not None:
                 self.born(x)
+            i = self.ids[x] = len(self.values)
+            self.values.append(x)
         return i
 
 
@@ -215,13 +219,11 @@ class Layout:
     status codes and the other frames, `marks[i][True]` the objects id
     too, for a return, which reads no object."""
 
-    __slots__ = ("widths", "caps", "fail_mask", "kmask", "fmask", "omask", "shifts", "osh",
-                 "xsh", "masks", "marks")
+    __slots__ = ("widths", "fail_mask", "kmask", "fmask", "omask", "shifts", "osh", "xsh",
+                 "masks", "marks")
 
     def __init__(self, n, fw, ow, cw):
         self.widths = (fw, ow, cw)
-        # how many ids, and failures values, the fields hold
-        self.caps = tuple(1 << w for w in self.widths)
         self.fail_mask = (1 << cw) - 1
         self.kmask = (1 << cw + 2 * n) - 1
         self.fmask, self.omask = (1 << fw) - 1, (1 << ow) - 1
@@ -235,50 +237,6 @@ class Layout:
         codes = self.kmask ^ self.fail_mask
         xmarks = [codes | frames ^ self.fmask << sh for sh in self.shifts]
         self.marks = [(m, m | objs) for m in xmarks]
-
-
-def repacker(old: Layout, new: Layout):
-    """The function from an id state in the layout `old` to the same id
-    state in the layout `new`."""
-    fields = [(0, old.fail_mask, 0), (old.widths[2], old.kmask >> old.widths[2], new.widths[2])]
-    fields += [(sh, old.fmask, new_sh) for sh, new_sh in zip(old.shifts, new.shifts)]
-    fields.append((old.osh, old.omask, new.osh))
-    # the fields that stay in place are kept by one mask
-    keep = 0
-    for sh, mask, new_sh in fields:
-        if sh == new_sh:
-            keep |= mask << sh
-    moved = [field for field in fields if field[0] != field[2]]
-    xsh, new_xsh = old.xsh, new.xsh
-
-    def repack(s):
-        out = s & keep | s >> xsh << new_xsh
-        for sh, mask, new_sh in moved:
-            out |= (s >> sh & mask) << new_sh
-        return out
-
-    return repack
-
-
-def rekeyed(store, repack, deltas):
-    """The row store `store` re-keyed by `repack`, which it leaves empty.  A
-    row is the difference of two id states, so it is re-keyed as that of
-    its key and its key plus itself.  Each difference is shared through
-    `deltas`."""
-    out = {}
-    for key, d in store.items():
-        new_key = repack(key)
-        if d.__class__ is int:
-            d = repack(key + d) - new_key
-            out[new_key] = deltas.setdefault(d, d)
-        elif d.__class__ is bool:
-            out[new_key] = d
-        else:
-            out[new_key] = (repack(key + d[0]) - new_key, d[1])
-    # a search may still hold the old store in its moves: emptied, it
-    # sends the search to `Experiment.successor`, which reads the new one
-    store.clear()
-    return out
 
 
 class Experiment:
@@ -309,10 +267,8 @@ class Experiment:
             self.depth_limit = config.depth
         else:
             self.depth_limit = (fb + 1) * config.n * self.bound + fb
-        # the failures field starts as wide as that bound needs: the low
-        # bits are taken by every id state
-        self.layout = Layout(self.n, _MIN_WIDTH, _MIN_WIDTH + 2,
-                             min(_MIN_WIDTH, max(1, fb.bit_length())))
+        # the one layout of every id state (see "Widths")
+        self.layout = Layout(self.n, FRAME_BITS, OBJECTS_BITS, max(1, fb.bit_length()))
         # the rows and second-level rows of each process, process i's at i
         # (see "Rows")
         self.rows = [{} for _ in pids]
@@ -326,18 +282,22 @@ class Experiment:
         self._status_codes = codes = []
 
         def frame_born(fr):
+            _check_room(len(codes), FRAME_BITS, "frame")
             codes.append(_STATUS_CODES[fr.status] << 2 * (fr.pid - 1))
+
+        def objects_born(_objs):
+            _check_room(len(objects_by_id), OBJECTS_BITS, "objects")
 
         # Interned components; `frames_by_id[fid]` is the frame of id fid,
         # and so on.
         self._frames = frames = Interner(born=frame_born)
-        self._objects = Interner()
+        self._objects = Interner(born=objects_born)
         self._others = others = Interner()
         self.frames_by_id = frames_by_id = frames.values
         self.objects_by_id = objects_by_id = self._objects.values
         self.others_by_id = others_by_id = others.values
         # the labels of each status key (see `enabled_ids`), and the moves
-        # of each in the current layout (see `moves`)
+        # of each (see `moves`)
         self._enabled_by_key = {}
         self.moves_by_key = {}
         # Caches of pure functions of ids.  No cache function closes over
@@ -393,7 +353,8 @@ class Experiment:
     # -- packed id states ---------------------------------------------------
 
     def intern(self, state: SystemState) -> int:
-        """The id state of `state`; may widen the layout."""
+        """The id state of `state`; raises `RcError` when one of its ids or
+        its `failures` does not fit the layout (see "Widths")."""
         return self._pack([self._frames.id(fr) for fr in state.frames],
                           self._objects.id(state.objects), self._others.id(state[2:]))
 
@@ -413,48 +374,18 @@ class Experiment:
         return self.frames_by_id[(s >> lay.shifts[pid - 1]) & lay.fmask]
 
     def _pack(self, fids, oid: int, xid: int) -> int:
-        """The id state of these component ids, in a layout they fit."""
+        """The id state of these component ids."""
         failures = self.others_by_id[xid][0]
-        lay = self._fit(failures)
+        lay = self.layout
+        if failures > lay.fail_mask:
+            raise RcError("failures %d does not fit the %d-bit failures field"
+                          % (failures, lay.widths[2]))
         codes = self._status_codes
         s, status = failures | oid << lay.osh | xid << lay.xsh, 0
         for f, sh in zip(fids, lay.shifts):
             s |= f << sh
             status += codes[f]
         return s | status << lay.widths[2]
-
-    def _fit(self, failures: int = 0) -> Layout:
-        """The layout, widened first if an id minted so far or `failures`
-        does not fit it; the others id, at the top, always fits."""
-        fcap, ocap, ccap = self.layout.caps
-        if len(self.frames_by_id) > fcap or len(self.objects_by_id) > ocap or failures >= ccap:
-            self._widen(failures)
-        return self.layout
-
-    def _widen(self, failures: int):
-        """Widen every field whose ids, or `failures`, outgrew it to one bit
-        more than they need, re-key the rows, and re-key the state
-        `apply_step` keeps."""
-        old = self.layout
-        counts = (len(self.frames_by_id), len(self.objects_by_id), failures + 1)
-        self.layout = new = Layout(self.n, *[
-            w if count <= 1 << w else (count - 1).bit_length() + 1
-            for w, count in zip(old.widths, counts)])
-        repack = repacker(old, new)
-        deltas = self._deltas = {}
-        self.rows = [rekeyed(store, repack, deltas) for store in self.rows]
-        self.others_rows = [rekeyed(store, repack, deltas) for store in self.others_rows]
-        self._enabled_by_key.clear()
-        self.moves_by_key.clear()
-        self.moves_by_key = {}
-        last, s = self._last
-        if last is not None:
-            self._last = (last, repack(s))
-
-    def repacker(self, old: Layout):
-        """The function from an id state in the layout `old` to the same id
-        state in the current layout."""
-        return repacker(old, self.layout)
 
     def materialize(self, s: int) -> SystemState:
         """The `SystemState` the id state `s` stands for."""
@@ -510,9 +441,8 @@ class Experiment:
         `d = store.get(s & mask)`, or for `d` a bool the second-level row
         `deep.get(s ^ s & marks[d])`, when that is an int, and else
         `successor`'s (see "Rows").  A crash's store is empty: a crash steps
-        through `successor`.  Kept per status key
-        in `moves_by_key` outside assumption 1, until the layout widens;
-        the list is shared, as `enabled_ids`' is."""
+        through `successor`.  Kept per status key in `moves_by_key` outside
+        assumption 1; the list is shared, as `enabled_ids`' is."""
         lay = self.layout
         rows, deep, masks, marks = self.rows, self.others_rows, lay.masks, lay.marks
         out = []
@@ -598,11 +528,11 @@ class Experiment:
                                  self.objects_by_id[s >> lay.osh & lay.omask]).record
 
     def successor(self, s: int, label: StepLabel, checked: bool = False) -> int:
-        """The id state after `label` from the id state `s`, in the current
-        layout; `label` must be one of `enabled_ids(s)`.  Raises the
-        transition's own `TransitionError`s, and with `checked` a
-        `Violation` for the first check of `verdict` the edge fails.
-        Builds no `SystemState` and no record."""
+        """The id state after `label` from the id state `s`; `label` must be
+        one of `enabled_ids(s)`.  Raises the transition's own
+        `TransitionError`s, and with `checked` a `Violation` for the first
+        check of `verdict` the edge fails.  Builds no `SystemState` and no
+        record."""
         if checked and self._unchecked:
             self.check_rows()
         if label.kind != ORDINARY:
@@ -642,8 +572,7 @@ class Experiment:
     def _build(self, s: int, i: int, checked: bool) -> int:
         """Build and keep the row of process `i`'s step from the id state
         `s` and step by it (`_through`): the second-level row when the step
-        reads the other fields.  The id state is in the layout after the
-        ids the build mints."""
+        reads the other fields."""
         lay = self.layout
         fid = (s >> lay.shifts[i]) & lay.fmask
         oid = (s >> lay.osh) & lay.omask
@@ -669,10 +598,6 @@ class Experiment:
         post_oid = oid
         if entry.slot is not None:
             post_oid = self._objects.id(_swap(objs, entry.slot, entry.outcome.new_value))
-        if self._fit() is not lay:
-            # every id is minted now, so the build in the wider layout
-            # mints none
-            return self._build(self.repacker(lay)(s), i, checked)
         codes = self._status_codes
         d = (((post_fid - fid) << lay.shifts[i]) + ((post_oid - oid) << lay.osh)
              + ((post_xid - xid) << lay.xsh) + ((codes[post_fid] - codes[fid]) << lay.widths[2]))
@@ -687,10 +612,10 @@ class Experiment:
         return _through(s, row, checked)
 
     def _crash(self, s: int, label: StepLabel) -> int:
-        """The id state after the crash `label` from the id state `s`, in the
-        layout after the ids it mints.  A crash of process i resets frame
-        i, and a simultaneous crash every frame that has not halted, to a
-        new attempt, and counts one failure."""
+        """The id state after the crash `label` from the id state `s`.  A
+        crash of process i resets frame i, and a simultaneous crash every
+        frame that has not halted, to a new attempt, and counts one
+        failure, which fits its field (see "Widths")."""
         lay = self.layout
         frames, resets, codes = self.frames_by_id, self._resets, self._status_codes
         shifts, fmask, cw = lay.shifts, lay.fmask, lay.widths[2]
@@ -704,10 +629,6 @@ class Experiment:
             f = s >> sh & fmask
             g = resets[f]
             d += (g - f << sh) + (codes[g] - codes[f] << cw)
-        if self._fit((s & lay.fail_mask) + 1) is not lay:
-            # every id is minted now, so the crash in the wider layout
-            # mints none
-            return self._crash(self.repacker(lay)(s), label)
         return s + d
 
     def verdict(self, pre: int, label: StepLabel, post: int):
@@ -904,6 +825,13 @@ def _through(s: int, row, checked: bool) -> int:
             raise Violation(*row[1])
         row = row[0]
     return s + row
+
+
+def _check_room(count: int, bits: int, field: str) -> None:
+    """Raise `RcError` unless the id `count` fits a field of `bits` bits."""
+    if count >> bits:
+        raise RcError("the %s id field is full: %d bits hold %d %s ids, and this config "
+                      "needs more" % (field, bits, 1 << bits, field))
 
 
 def _swap(tup, i, value):

@@ -8,9 +8,7 @@ recorded as step/label/pid/error/detail.
 Every execution here steps on id states (see `experiment`) with
 `enabled_ids` and `successor`, unchecked; a `SystemState` is built only
 for what is returned: `run`'s, `random_run`'s and `replay`'s last state.
-`replay` digests each state from its ids (`Experiment.digest_ids`).  Each
-holds one id state at a time, which `successor` returns in the current
-layout, so none re-keys.
+`replay` digests each state from its ids (`Experiment.digest_ids`).
 
 `replay` re-executes on an experiment it keeps from earlier calls, so a
 trace of a config already replayed steps through a warm transition
@@ -88,7 +86,6 @@ def _steps(exp: Experiment, ids, labels):
                                 % (i - 1, failed.error))
         require_enabled(exp, ids, lab, i)
         try:
-            # the record first: `successor` may re-key `ids`
             rec = exp.record(ids, lab)
             ids = exp.successor(ids, lab)
         except TransitionError as e:

@@ -9,14 +9,12 @@ a bivalent state all of whose successors are univalent is critical.
 
 The graph's nodes are dense ints in breadth-first order, node 0 the
 initial state.  `g.nodes[i]` is node i's id state, one packed int (see
-`experiment`) in `g.layout`, the layout the build ended in, and
-`g.exp.materialize` the `SystemState` it stands for while the
-experiment's layout is that one; `g.id_states()` gives the nodes in the
-current layout, which a later search on the experiment may have widened.
-Every pass after the build indexes lists and dicts by node id.  The
-`labels` they take are `classify`'s list for that same graph.  The build
-steps by the experiment's rows, unchecked: an edge whose row holds a
-failed check still leads to its post-state.
+`experiment`), and `g.exp.materialize` the `SystemState` it stands for;
+the experiment's layout never changes, so a later search on it leaves
+the graph readable.  Every pass after the build indexes lists and dicts
+by node id.  The `labels` they take are `classify`'s list for that same
+graph.  The build steps by the experiment's rows, unchecked: an edge
+whose row holds a failed check still leads to its post-state.
 
 An edge is one int, `child * len(g.steps) + i` for the step `g.steps[i]`.
 The edges of every node lie in one flat array, in node id order and each
@@ -33,7 +31,7 @@ from itertools import pairwise, starmap
 from typing import Dict, List, NamedTuple, Tuple
 
 from .core import CRASH_ALL_LABEL, ORDINARY, Cache, RcError, StepLabel
-from .experiment import Experiment, Layout, as_experiment
+from .experiment import Experiment, as_experiment
 
 
 IdState = int
@@ -71,8 +69,7 @@ class ExecGraph(NamedTuple):
     `child * len(steps) + i` for the step `steps[i]` to the child node id
     `child`, and `terminals` a terminal's node id to the values decided
     there.  `len(adj[nid])` is node nid's out-degree; `adj.start` and
-    `adj.codes` are the two arrays behind `adj`.  `nodes` are in the
-    layout `layout` (see the module docstring)."""
+    `adj.codes` are the two arrays behind `adj`."""
 
     exp: Experiment
     nodes: List[IdState]
@@ -80,13 +77,6 @@ class ExecGraph(NamedTuple):
     adj: Adjacency
     terminals: Dict[int, frozenset]
     capped: bool
-    layout: Layout
-
-    def id_states(self) -> List[IdState]:
-        """`nodes` in the experiment's current layout."""
-        if self.exp.layout is self.layout:
-            return self.nodes
-        return list(map(self.exp.repacker(self.layout), self.nodes))
 
     def edges(self, nid: int) -> List[Tuple[StepLabel, int]]:
         """Node nid's edges as (step, child node id) pairs."""
@@ -127,8 +117,7 @@ def build_graph(x) -> ExecGraph:
     terminals = {}
     capped = False
     successor, moves_of = exp.successor, exp.moves
-    lay = exp.layout
-    by_key, kmask = exp.moves_by_key, lay.kmask
+    by_key, kmask, xsh = exp.moves_by_key, exp.layout.kmask, exp.layout.xsh
     # `nodes` grows while it is walked: it is the breadth-first queue
     fresh = 1  # len(nodes), kept by hand: the loop reads it on every edge
     for nid, state in enumerate(nodes):
@@ -137,7 +126,7 @@ def build_graph(x) -> ExecGraph:
             moves = moves_of(state)
         if not moves:
             # the others id is the top field
-            terminals[nid] = decided[state >> lay.xsh]
+            terminals[nid] = decided[state >> xsh]
         for lab, store, mask, deep, marks in moves:
             d = store.get(state & mask)
             if d.__class__ is bool:
@@ -146,17 +135,6 @@ def build_graph(x) -> ExecGraph:
                 post = state + d
             else:
                 post = successor(state, lab)
-                if exp.layout is not lay:
-                    # in place, and the dict emptied before it is refilled,
-                    # so that no second copy of either is ever held
-                    repack = exp.repacker(lay)
-                    for j, s in enumerate(nodes):
-                        nodes[j] = repack(s)
-                    ids.clear()
-                    ids.update(zip(nodes, range(fresh)))
-                    state = repack(state)
-                    lay = exp.layout
-                    by_key, kmask = exp.moves_by_key, lay.kmask
             child = ids.setdefault(post, fresh)
             if child == fresh:
                 if cap is not None and fresh >= cap:
@@ -167,7 +145,7 @@ def build_graph(x) -> ExecGraph:
                 fresh += 1
             push(child * width + code[lab])
         close(len(codes))
-    return ExecGraph(exp, nodes, steps, Adjacency(start, codes), terminals, capped, lay)
+    return ExecGraph(exp, nodes, steps, Adjacency(start, codes), terminals, capped)
 
 
 def _classify_set(potent: frozenset, config) -> str:
@@ -187,7 +165,7 @@ def classify(g: ExecGraph) -> List[ValencyLabel]:
     if g.capped:
         raise RcError("graph was truncated by the node cap; refusing to classify")
     start, codes = g.adj.start, g.adj.codes
-    nodes = g.id_states()
+    nodes = g.nodes
     exp = g.exp
     width = len(g.steps)
     xsh = exp.layout.xsh  # the others id is the top field
@@ -289,7 +267,7 @@ def dot_lines(g: ExecGraph, labels: List[ValencyLabel]):
     yield "digraph executions {\n"
     yield "  rankdir=TB;\n"
     yield "  node [style=filled];\n"
-    for nid, state in enumerate(g.id_states()):
+    for nid, state in enumerate(g.nodes):
         lab = labels[nid]
         text = _node_desc(g.exp, state)
         if lab.klass == "univalent":

@@ -227,6 +227,33 @@ def fig3_never_yields(step):
     return mutant
 
 
+def frame_breaks_after_a_crash(check_frame):
+    """A seeded invariant a crash can break, through `check_frame`: once a
+    crash has happened no frame may hold a step.  A simultaneous crash
+    resets every frame that has not halted, so under halt-after-return it
+    breaks the invariant exactly when some frame has halted, and any
+    ordinary step after a crash breaks it too."""
+    def mutant(self, frame, failures):
+        if failures >= 1 and frame.steps >= 1:
+            return "p%d holds %d steps after %d failures" % (frame.pid, frame.steps, failures)
+        return check_frame(self, frame, failures)
+    return mutant
+
+
+def objects_break_after_a_crash(check_objects):
+    """fig2 with a seeded invariant a crash can break, through
+    `check_objects`: once a crash has happened no `R[i]` may be 1.  A crash
+    of the process that set its `R[i]` to 1 keeps the objects and counts a
+    failure, so the crash edge is the first to break it."""
+    def mutant(self, objs, failures):
+        if failures >= 1:
+            for i, slot in self._r_slots:
+                if objs[slot].value == 1:
+                    return "R[%d]=1 after %d failures" % (i, failures)
+        return check_objects(self, objs, failures)
+    return mutant
+
+
 def bound_off_by_one(bound):
     """fig2 with a seeded bug: the static bound on the steps of one attempt
     is one less than the longest attempt."""

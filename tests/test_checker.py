@@ -43,9 +43,11 @@ from conftest import (
     DIFFERENTIAL_CONFIGS,
     SEEDED_SCHEDULES,
     bound_off_by_one,
+    frame_breaks_after_a_crash,
     keep_raced_decision,
     make_config,
     make_experiment,
+    objects_break_after_a_crash,
     read_before_write,
     reachable_edges,
     reenter_after_crash,
@@ -741,6 +743,52 @@ def test_mutant_is_caught_with_a_replayable_counterexample(monkeypatch, machine,
     assert simulator.replay(simulator.dump_trace(trace, final_hash=digest(final))).matches_header
 
 
+# Seeded invariants a crash edge breaks: the sweep holds a crash edge's
+# violation until it reaches its rank.  fig1's is first broken by a
+# simultaneous crash after a process halted (rank W + its steps), then by
+# the first step after a crash from the initial state (rank W + 1), which
+# the sweep meets later and which replaces the one it held.  fig2's is
+# broken at rank W by a crash of a process that has set its `R[i]`.
+@pytest.mark.parametrize("machine,attr,mutate,kw,trace,detail", [
+    (Fig1Machine, "check_frame", frame_breaks_after_a_crash,
+     dict(failure="simultaneous", budget=1, mode="halt-after-return"),
+     [CRASH_ALL_LABEL, ordinary(1)], "p1 holds 1 steps after 1 failures"),
+    (Fig2Machine, "check_objects", objects_break_after_a_crash,
+     dict(program="fig2", f=1, failure="independent", budget=1),
+     [ordinary(1), ordinary(1), crash(1)], "R[1]=1 after 1 failures"),
+])
+def test_a_crash_edge_violation_is_held_until_its_rank(monkeypatch, machine, attr, mutate, kw,
+                                                        trace, detail):
+    monkeypatch.setattr(machine, attr, mutate(getattr(machine, attr)))
+    exp = make_experiment(**kw)
+    # the rank of each failing crash edge's post-state, in the order met
+    held = []
+    check = exp.verdict
+
+    def verdict(pre, label, post):
+        bad = check(pre, label, post)
+        if bad and label.kind != ORDINARY:
+            held.append(checker.rank(exp, post))
+        return bad
+
+    monkeypatch.setattr(exp, "verdict", verdict)
+    sweep = explore(exp)
+    walk = explore(make_experiment(**kw), memo=False)
+    assert held
+    assert (sweep.result, sweep.prop, sweep.detail, sweep.crashes) == ("fail", INVARIANT,
+                                                                       detail, 1)
+    assert (walk.result, walk.prop, walk.detail, walk.crashes) == ("fail", INVARIANT, detail,
+                                                                   None)
+    assert sweep.trace_labels == walk.trace_labels == trace
+    assert confirm_violation(make_experiment(**kw), trace) == (INVARIANT, detail)
+    w = exp.n * exp.bound + 1
+    if trace[-1].kind == ORDINARY:
+        # every crash edge's violation the sweep met ranks above W + 1
+        assert min(held) > w + 1
+    else:
+        assert held[0] == w
+
+
 def test_descending_scan_passes_with_one_decision_register(monkeypatch):
     # with f=1 a process scans only D[0], so the order cannot matter
     monkeypatch.setattr(Fig2Machine, "step", scan_decisions_descending(Fig2Machine.step))
@@ -958,6 +1006,15 @@ def test_fuzz_finds_tas_cons2_violation():
     assert verdict.result == "fail"
     assert verdict.prop in (AGREEMENT, VALIDITY)
     assert confirm_violation(cfg, verdict.trace_labels) is not None
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_fuzz_of_no_episodes_is_an_error(episodes):
+    # fuzz of no episodes would pass having run nothing
+    cfg = make_config(program="tas-cons2", failure="independent", budget=1)
+    assert fuzz(cfg, episodes=200).result == "fail"
+    with pytest.raises(ValueError, match="episodes must be at least 1"):
+        fuzz(cfg, episodes=episodes)
 
 
 def test_fuzz_fig2_larger_instance():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rclab import valency
+from rclab import experiment, valency
 from rclab.cli import EXIT_CONFIG, EXIT_USAGE, main
 from rclab.config import ExperimentConfig
 from rclab.core import digest
@@ -99,6 +99,15 @@ def test_check_depth_limit_exit_code(capsys, fig1_config):
                         "--depth", "3")
     assert code == 3
     assert json.loads(out)["result"] == "depth-limit"
+
+
+def test_check_past_an_id_field_exits_1(capsys, monkeypatch, fig1_config):
+    monkeypatch.setattr(experiment, "FRAME_BITS", 3)
+    code = main(["check", "--config", fig1_config])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the frame id field is full: 3 bits hold 8 frame ids, "
+                            "and this config needs more\n")
 
 
 def test_bound_verb(capsys, fig1_config):

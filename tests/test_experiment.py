@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from rclab import experiment
+from rclab import experiment, simulator
 from rclab.checker import GENERICITY, explore, shortest_failure
 from rclab.core import (
     BOTTOM,
@@ -19,6 +19,7 @@ from rclab.core import (
     RUNNING,
     Frame,
     ObjectTypeError,
+    RcError,
     UninitializedRead,
     digest,
     ordinary,
@@ -315,7 +316,7 @@ def test_one_row_per_frame_objects_and_failures_stepped_from_in_explore():
 
 # Searches on configs that pass, fail and stop at the depth limit, with
 # independent and simultaneous crashes and under assumption 1, each with
-# what it returns that must not depend on the layout.
+# what it returns that must not depend on the field widths.
 WIDTH_RUNS = {
     "sweep": (dict(program="fig2", f=1, cons="tas", failure="independent", budget=2,
                    monitor=True), lambda exp: explore(exp).to_json()),
@@ -356,23 +357,42 @@ def replayed(exp):
 
 
 @pytest.mark.parametrize("name", sorted(WIDTH_RUNS))
-def test_a_tiny_field_width_widens_and_changes_no_output(monkeypatch, name):
+def test_outputs_do_not_depend_on_the_field_widths(monkeypatch, name):
     kw, run_it = WIDTH_RUNS[name]
-    want = run_it(make_experiment(**kw))
-    widened = []
-    widen = experiment.Experiment._widen
-    monkeypatch.setattr(experiment, "_MIN_WIDTH", 1)
-    monkeypatch.setattr(experiment.Experiment, "_widen",
-                        lambda self, failures: widened.append(failures) or widen(self, failures))
     exp = make_experiment(**kw)
-    assert exp.layout.widths == (1, 3, 1)
-    # one step first: the id state `apply_step` keeps is re-keyed with the
-    # rest, so the step after the run starts from it
-    first = exp.apply_step(exp.initial_state(), exp.enabled_steps(exp.initial_state())[0])[0]
+    want = run_it(exp)
+    # the narrowest fields that hold every id the run minted; replay takes
+    # an experiment of its own, built at those widths
+    narrow = [max(1, (len(ids) - 1).bit_length()) for ids in (exp.frames_by_id, exp.objects_by_id)]
+    monkeypatch.setattr(experiment, "FRAME_BITS", narrow[0])
+    monkeypatch.setattr(experiment, "OBJECTS_BITS", narrow[1])
+    monkeypatch.setattr(simulator, "_experiments", {})
+    exp = make_experiment(**kw)
+    assert exp.layout.widths[:2] == tuple(narrow) < (16, 24)
     assert run_it(exp) == want
-    assert widened
-    lab = exp.enabled_steps(first)[0]
-    assert exp.apply_step(first, lab) == make_experiment(**kw).apply_step(first, lab)
+
+
+@pytest.mark.parametrize("constant,field", [("FRAME_BITS", "frame"), ("OBJECTS_BITS", "objects")])
+def test_an_id_past_its_field_raises_naming_the_field(monkeypatch, constant, field):
+    monkeypatch.setattr(experiment, constant, 3)
+    exp = make_experiment(program="fig2", f=1, failure="independent", budget=1)
+    with pytest.raises(RcError, match="the %s id field is full: 3 bits hold 8 %s ids"
+                       % (field, field)):
+        explore(exp)
+    # the id that did not fit was not minted
+    interner = exp._frames if field == "frame" else exp._objects
+    assert len(interner.values) == len(interner.ids) == 8
+    assert len(exp._status_codes) == len(exp.frames_by_id)
+
+
+def test_intern_of_a_state_past_the_failures_field_raises():
+    exp = make_experiment(failure="independent", budget=2)
+    assert exp.layout.widths[2] == 2
+    init = exp.initial_state()
+    s = exp.intern(init._replace(failures=3))
+    assert exp.materialize(s).failures == 3
+    with pytest.raises(RcError, match="failures 4 does not fit the 2-bit failures field"):
+        exp.intern(init._replace(failures=4))
 
 
 def test_a_crash_after_a_frame_overran_its_bound_steps_as_on_whole_states(monkeypatch):
@@ -396,9 +416,9 @@ def test_a_crash_after_a_frame_overran_its_bound_steps_as_on_whole_states(monkey
             assert exp.intern(whole) == s
     assert overran
     g = build_graph(exp)
-    states = [exp.materialize(s) for s in g.id_states()]
+    states = [exp.materialize(s) for s in g.nodes]
     assert len(set(states)) == len(states)
-    assert [exp.intern(state) for state in states] == g.id_states()
+    assert [exp.intern(state) for state in states] == g.nodes
 
 
 # perfbench's `explore-memo` and `valency` configs, which pass

@@ -9,9 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from rclab import checker
+from rclab import checker, valency
 from rclab.config import ExperimentConfig
 from rclab.experiment import Experiment
+from rclab.valency import build_graph
 
 LADDER = os.path.join(os.path.dirname(__file__), "..", "tools", "ladder.py")
 
@@ -71,6 +72,27 @@ def test_entry_reports_cpu_time_and_no_per_state_cost_below_a_mib(monkeypatch):
     assert result["cpu_s"] >= 0
     assert result["bytes_per_state"] is None
     assert "cpu_s" in ladder.MEDIAN_KEYS
+
+
+def test_entry_reports_the_ids_its_experiment_minted(monkeypatch):
+    ladder = load_ladder()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    name = "criterion 4: fig2 n=2 f=1 budget 2"
+    result = ladder.run_one(name, os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    exp = Experiment(ExperimentConfig.from_dict(dict(ladder.RUNS[name][1])))
+    checker.shortest_failure(exp)
+    assert ((result["frame_ids"], result["objects_ids"], result["others_ids"])
+            == (len(exp.frames_by_id), len(exp.objects_by_id), len(exp.others_by_id)))
+
+
+def test_valency_entry_counts_every_edge_of_the_graph():
+    ladder = load_ladder()
+    cfg = dict(program="tas-cons2", n=2, proposals=[10, 20], failure="independent", budget=1)
+    nodes, edges, _ = ladder._valency(SimpleNamespace(valency=valency),
+                                      Experiment(ExperimentConfig.from_dict(cfg)))
+    g = build_graph(cfg)
+    assert (nodes, edges) == (len(g.nodes), sum(len(e) for e in g.adj.values()))
+    assert edges > nodes
 
 
 def test_cold_start_reports_times_and_peak_but_no_states():

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from rclab import valency
+from rclab import experiment, valency
 from rclab.checker import explore
 from rclab.config import ExperimentConfig
 from rclab.core import ORDINARY, RcError, crash, ordinary
@@ -321,18 +321,23 @@ def test_summary_and_dot_output():
     assert len(edge_lines) == sum(len(s) for s in g.adj.values())
 
 
-def test_a_graph_is_read_in_its_own_layout_after_the_experiment_widens():
+def test_a_graph_reads_the_same_after_a_later_search_on_its_experiment():
     g = build_graph(make_config(program="fig3", failure="independent", budget=1))
     exp = g.exp
     labels = classify(g)
     dot = to_dot(g, labels)
     states = [exp.materialize(s) for s in g.nodes]
-    # a failures count the field has no room for widens every field above it
-    exp.intern(exp.initial_state()._replace(failures=1 << 12))
-    assert exp.layout is not g.layout
+    assert explore(exp).passed
     assert classify(g) == labels
     assert to_dot(g, labels) == dot
-    assert [exp.materialize(s) for s in g.id_states()] == states
+    assert [exp.materialize(s) for s in g.nodes] == states
+
+
+def test_build_graph_past_the_objects_field_raises(monkeypatch):
+    # the unchecked build mints ids as the searches do
+    monkeypatch.setattr(experiment, "OBJECTS_BITS", 2)
+    with pytest.raises(RcError, match="the objects id field is full: 2 bits hold 4"):
+        build_graph(make_config(program="fig3", failure="independent", budget=1))
 
 
 def test_dot_labels_escape_quotes_and_backslashes():

@@ -14,11 +14,14 @@ round trips on fig2 n=3 f=1), the tier-1 test suite, and a cold start:
 the import of every rclab layer plus one `Experiment` of fig2 n=3 f=1,
 which reports only wall seconds, CPU seconds and peak RSS.  For every
 other run it records wall seconds, CPU seconds of the process, states/s,
-edges/s, peak RSS and bytes per state ((peak RSS - RSS before the run) /
+edges/s, peak RSS, bytes per state ((peak RSS - RSS before the run) /
 states, null when the run raised the peak by less than 1 MiB, a step too
-small to tell from allocator noise).  CPU seconds leave out the time the
-process waited for a core on a shared host, so a change in wall time
-that CPU time does not show is the host's, not the code's.  On the trace path,
+small to tell from allocator noise), and how many frame, objects and
+others ids the run's experiment minted (`frame_ids`, `objects_ids`,
+`others_ids`), which shows how far the frame and objects ids stay below
+their fields' fixed caps (2^16 and 2^24 ids).  CPU seconds leave out
+the time the process waited for a core on a shared host, so a change in
+wall time that CPU time does not show is the host's, not the code's.  On the trace path,
 states are trace steps and edges are steps applied, three per trace
 step, and set-up digests the initial state once, so that hashlib's
 one-time library map lands before the run, not in its bytes per state.
@@ -139,7 +142,7 @@ def _shortest_failure(lib, exp):
 def _valency(lib, exp):
     g = lib.valency.build_graph(exp)
     s = lib.valency.summary(g, lib.valency.classify(g))
-    return s["nodes"], sum(len(succ) for succ in g.adj.values()), {
+    return s["nodes"], len(g.adj.codes), {
         k: s[k] for k in ("terminals", "bivalent_count", "critical_states",
                           "crash_decision_edges")}
 
@@ -159,6 +162,12 @@ def _trace(lib, exp):
         failed += not res.matches_header or len(res.digests) != len(labels) + 1
         steps += len(labels)
     return steps, 3 * steps, {"traces": TRACES, "failed": failed}
+
+
+def id_counts(exp):
+    """How many frame, objects and others ids `exp` minted."""
+    return dict(frame_ids=len(exp.frames_by_id), objects_ids=len(exp.objects_by_id),
+                others_ids=len(exp.others_by_id))
 
 
 def run_one(name, root):
@@ -191,7 +200,8 @@ def run_one(name, root):
     cpu = time.process_time() - cpu
     peak = maxrss_mb()
     grown = peak - before
-    return dict(outputs, wall_s=round(wall, 3), cpu_s=round(cpu, 3), states=states,
+    return dict(outputs, **id_counts(exp), wall_s=round(wall, 3), cpu_s=round(cpu, 3),
+                states=states,
                 edges=edges, states_per_s=round(states / wall), edges_per_s=round(edges / wall),
                 peak_rss_mb=round(peak, 1),
                 bytes_per_state=round(grown * 2**20 / states) if grown >= 1 else None)
