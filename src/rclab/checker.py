@@ -26,10 +26,12 @@ per id in an experiment's `core.Cache`.  The pre-state of every edge
 passed them, so an edge re-checks only the components it changed.  So
 an int row is a clean edge, and anything else goes to
 `Experiment.successor(s, label, True)`, which builds a missing row,
-raises the violation of a failing one, and steps a crash: a crash
-resets frames to a running entry with no steps and keeps the objects
-and the returns, but it changes `failures`, which every invariant
-reads, so it re-checks every frame's invariant and the objects'.
+raises the violation of a failing one, and steps and checks a crash,
+which has no row: it adds the differences of the frames it resets,
+cached per frame id (`Experiment.reset_deltas`).  A crash resets frames
+to a running entry with no steps and keeps the objects and the
+returns, but it changes `failures`, which every invariant reads, so it
+re-checks every frame's invariant and the objects'.
 
 An ordinary edge is checked this way also into a state the search
 already holds, where the checks find nothing; `explore`'s sweep checks a
@@ -225,10 +227,7 @@ def rank(exp: Experiment, s):
     plus the steps its frames took in their attempts (see `explore`)."""
     ids = exp.unpack(s)
     n = exp.n
-    frames = exp.frames_by_id
-    steps = 0
-    for f in ids[:n]:
-        steps += frames[f].steps
+    steps = sum(exp.steps_of[f] for f in ids[:n])
     return exp.others_by_id[ids[n + 1]][0] * (n * exp.bound + 1) + steps
 
 
@@ -236,9 +235,11 @@ def _sweep(exp: Experiment, init):
     """`explore` with `memo`: the sweep over ranks.  Returns (result,
     stats, crashes), `crashes` set on a fail."""
     successor, moves_of = exp.successor, exp.moves
-    frames = exp.frames_by_id
+    # a state a search holds passed RWF, so no frame's steps pass `bound`,
+    # and once one reaches it `max_attempt_steps` is known
+    steps_of, bound = exp.steps_of, exp.bound
     depth_limit = exp.depth_limit
-    w = exp.n * exp.bound + 1
+    w = exp.n * bound + 1
     lay = exp.layout
     by_key, kmask, shifts, fmask = exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
     states, edges, executions, max_steps = 1, 0, 0, 0
@@ -271,8 +272,8 @@ def _sweep(exp: Experiment, init):
             if depth >= depth_limit:
                 return "depth-limit", _explore_stats(states, edges, executions, max_steps), None
             depth += 1
+            edges += len(moves)
             for lab, store, mask, deep, marks in moves:
-                edges += 1
                 d = store.get(state & mask)
                 if d.__class__ is not int:
                     if lab.kind != ORDINARY:
@@ -282,7 +283,7 @@ def _sweep(exp: Experiment, init):
                         pr = r + w
                         for sh in shifts:
                             if (post ^ state) >> sh & fmask:
-                                pr -= frames[state >> sh & fmask].steps
+                                pr -= steps_of[state >> sh & fmask]
                         layer = layers.get(pr)
                         if layer is None:
                             layer = layers[pr] = ({}, [])
@@ -311,7 +312,8 @@ def _sweep(exp: Experiment, init):
                             if held is None or at < held:
                                 held = at
                             # every later edge lands on r + 1 or higher, with
-                            # at least as many crashes
+                            # at least as many crashes, and is not taken
+                            edges -= len(moves) - 1 - [m[0] for m in moves].index(lab)
                             break
                         d = post - state
                 post = state + d
@@ -321,9 +323,10 @@ def _sweep(exp: Experiment, init):
                     if into[i + 1] < depth:
                         into[i + 1] = depth
                     continue
-                steps = frames[(post >> shifts[lab.pid - 1]) & fmask].steps
-                if steps > max_steps:
-                    max_steps = steps
+                if max_steps < bound:
+                    steps = steps_of[(post >> shifts[lab.pid - 1]) & fmask]
+                    if steps > max_steps:
+                        max_steps = steps
                 states += 1
                 keys[post] = len(into)
                 into += count, depth, post
@@ -340,11 +343,11 @@ def _walk(exp: Experiment, init):
     """`explore` without `memo`: the depth-first walk of the execution
     tree.  Returns (result, stats, None)."""
     successor, moves_of = exp.successor, exp.moves
-    frames = exp.frames_by_id
+    steps_of, bound = exp.steps_of, exp.bound
     depth_limit = exp.depth_limit
     lay = exp.layout
     by_key, kmask, shifts, fmask = exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
-    states, edges, executions, max_steps = 1, 0, 0, 0
+    edges, executions, max_steps = 0, 0, 0
     result = "pass"
     # The id state being expanded lives in locals: `state` and `todo` (an
     # iterator over its moves not yet taken).  Its ancestors wait on `stack`
@@ -368,11 +371,10 @@ def _walk(exp: Experiment, init):
                     post = state + d
                 else:
                     post = successor(state, lab, True)
-                if lab.kind == ORDINARY:
-                    steps = frames[(post >> shifts[lab.pid - 1]) & fmask].steps
+                if max_steps < bound and lab.kind == ORDINARY:
+                    steps = steps_of[(post >> shifts[lab.pid - 1]) & fmask]
                     if steps > max_steps:
                         max_steps = steps
-                states += 1
                 moves = by_key.get(post & kmask)
                 if moves is None:
                     moves = moves_of(post)
@@ -393,6 +395,9 @@ def _walk(exp: Experiment, init):
         result = "depth-limit"
     except Violation:
         result = "fail"
+    # a tree has one state more than edges, the post-state of a violating
+    # edge left out
+    states = edges + (result != "fail")
     return result, _explore_stats(states, edges, executions, max_steps), None
 
 
@@ -476,7 +481,7 @@ def fuzz(x, episodes=1000) -> Verdict:
     exp = as_experiment(x)
     seed = exp.config.seed
     rng = random.Random(seed)
-    max_steps, ep = 0, 0
+    max_steps, ep, lay = 0, 0, exp.layout
     path: List[StepLabel] = []
     try:
         init = checked_initial_state(exp)
@@ -494,7 +499,8 @@ def fuzz(x, episodes=1000) -> Verdict:
                 path.append(lab)
                 state = exp.successor(state, lab, True)
                 if lab.kind == ORDINARY:
-                    max_steps = max(max_steps, exp.frame(state, lab.pid).steps)
+                    fid = state >> lay.shifts[lab.pid - 1] & lay.fmask
+                    max_steps = max(max_steps, exp.steps_of[fid])
     except Violation as v:
         return Verdict("fail", v.prop, v.detail, path, {"episodes": ep + 1, "seed": seed})
     return Verdict("pass", stats={"episodes": episodes, "seed": seed,

@@ -54,8 +54,11 @@ simulator) builds its row without them, and `check_rows` works them out
 before the next checked search steps.  A step that reads the other
 fields has the row True (a return) or False, and its second-level row
 is in `others_rows[i]`, keyed by `s ^ s & layout.marks[i][d]`, which
-keeps the others id.  A crash has no row: `successor` reads the frame
-ids, resets frames and packs the result (`_crash`).  Rows are ints and
+keeps the others id.  A crash has no row, since its checks read every
+frame and the objects: `successor` adds to `s` the difference each reset
+frame's field and status code take, cached per frame id in
+`reset_deltas`, and that of the others id (`_crash`), and checks every
+crash edge it steps with `checked`.  Rows are ints and
 bools, which the cyclic collector does not track, and a failing row's
 tuple of an int and strings, which it untracks when it first meets it.
 `moves(s)` gives, per label of `enabled_ids(s)`, the row store and mask
@@ -90,9 +93,9 @@ tuple of a pre-state that `apply_step` or `materialize` made.
 caller stepping along one path interns nothing.
 
 Every fact derived from an id has one of two homes.  A list the hot path
-indexes by id (the status codes) is extended by the interner as it mints
-the id (`Interner`'s `born`).  Any other fact is a `core.Cache` of a
-pure function, built in `__init__`: crash resets, armed frames, the
+indexes by id (the status codes, each frame's steps in `steps_of`) is
+extended by the interner as it mints the id (`Interner`'s `born`).  Any other fact is a `core.Cache` of a
+pure function, built in `__init__`: crash differences, armed frames, the
 machine's invariants, the checks `verdict` folds and `digest_ids`'
 texts.  The function closes over interners, the machine (whose methods it
 looks up on each call, so a patch on the instance is seen) and config
@@ -144,7 +147,8 @@ _STATUS_CODES = {RUNNING: 0, FELL_OFF: 1, RETURNED: 2, HALTED: 3}
 FRAME_BITS = 16
 OBJECTS_BITS = 24
 
-# the row store of a crash's label in `moves`: a crash has no row
+# the row store of a crash's label in `moves`, which is empty: a crash
+# steps by `reset_deltas` in `successor`, which checks it
 _NO_ROWS = MappingProxyType({})
 
 
@@ -278,12 +282,15 @@ class Experiment:
         self._deltas = {}
         # whether a row holds no verdict yet (see `check_rows`)
         self._unchecked = False
-        # each frame id's status code, shifted to its process's two bits
+        # each frame id's status code, shifted to its process's two bits, and
+        # the steps its frame took in its attempt
         self._status_codes = codes = []
+        self.steps_of = steps_of = []
 
         def frame_born(fr):
             _check_room(len(codes), FRAME_BITS, "frame")
             codes.append(_STATUS_CODES[fr.status] << 2 * (fr.pid - 1))
+            steps_of.append(fr.steps)
 
         def objects_born(_objs):
             _check_room(len(objects_by_id), OBJECTS_BITS, "objects")
@@ -303,19 +310,23 @@ class Experiment:
         # Caches of pure functions of ids.  No cache function closes over
         # `self`: that would make a reference cycle, which only the cyclic
         # collector frees.
-        machine, bound = self.machine, self.bound
+        machine, bound, lay = self.machine, self.bound, self.layout
 
-        def reset(fid):
+        def reset_delta(fid):
             fr = frames_by_id[fid]
-            return frames.id(_entry_frame(machine, fr.pid, fr.proposal, fr.attempt + 1))
+            if fr.status == HALTED:
+                return 0
+            g = frames.id(_entry_frame(machine, fr.pid, fr.proposal, fr.attempt + 1))
+            return (g - fid << lay.shifts[fr.pid - 1]) + (codes[g] - codes[fid] << lay.widths[2])
 
         def crashed(xid):
             x = others_by_id[xid]
             return others.id((x[0] + 1,) + x[1:])
 
-        # the frame a crash resets a frame to, the others after a crash, and
-        # the frame with its crash armed
-        self._resets = Cache(reset)
+        # what a crash that resets a frame adds to its field and its status
+        # code (0 for a halted frame, which no crash resets), the others
+        # after a crash, and the frame with its crash armed
+        self.reset_deltas = Cache(reset_delta)
         self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
         self._crashed = Cache(crashed)
         # the transition table: a frame id maps to (slot accessed, {its
@@ -614,22 +625,16 @@ class Experiment:
     def _crash(self, s: int, label: StepLabel) -> int:
         """The id state after the crash `label` from the id state `s`.  A
         crash of process i resets frame i, and a simultaneous crash every
-        frame that has not halted, to a new attempt, and counts one
-        failure, which fits its field (see "Widths")."""
+        frame that has not halted, to a new attempt (`reset_deltas`), and
+        counts one failure, which fits its field (see "Widths")."""
         lay = self.layout
-        frames, resets, codes = self.frames_by_id, self._resets, self._status_codes
-        shifts, fmask, cw = lay.shifts, lay.fmask, lay.widths[2]
+        deltas, fmask, xid = self.reset_deltas, lay.fmask, s >> lay.xsh
+        s += 1 + (self._crashed[xid] - xid << lay.xsh)
         if label.kind == CRASH:
-            hit = [shifts[label.pid - 1]]
-        else:
-            hit = [sh for sh in shifts if frames[s >> sh & fmask].status != HALTED]
-        xid = s >> lay.xsh
-        d = 1 + (self._crashed[xid] - xid << lay.xsh)
-        for sh in hit:
-            f = s >> sh & fmask
-            g = resets[f]
-            d += (g - f << sh) + (codes[g] - codes[f] << cw)
-        return s + d
+            return s + deltas[s >> lay.shifts[label.pid - 1] & fmask]
+        for sh in lay.shifts:
+            s += deltas[s >> sh & fmask]
+        return s
 
     def verdict(self, pre: int, label: StepLabel, post: int):
         """The checks of the edge `label` from the id state `pre` to `post`:

@@ -463,6 +463,21 @@ def test_every_move_of_an_expanded_state_is_one_explored_edge(kw, memo):
     assert ORDINARY in kinds and set(kinds) != {ORDINARY}
 
 
+# A sweep that fails: it counts a state's edges as it expands it, and takes
+# back the moves after the ordinary violation that ends it
+@pytest.mark.parametrize("kw,prop,crashes,states,edges", [
+    (dict(cons="atomic", failure="independent", budget=1), AGREEMENT, 1, 972, 1565),
+    (dict(program="tas-cons2", failure="independent", budget=1), VALIDITY, 1, 134, 221),
+    (dict(program="fig2", f=1, failure="independent", budget=2), RWF, 2, 3245, 5797),
+    (dict(program="fig2", n=3, f=1, proposals=[10, 20, 30], failure="independent", budget=2),
+     RWF, 2, 139914, 301079),
+])
+def test_a_failing_sweep_counts_the_edges_it_took(kw, prop, crashes, states, edges):
+    verdict = explore(make_config(**kw))
+    assert (verdict.result, verdict.prop, verdict.crashes) == ("fail", prop, crashes)
+    assert (verdict.stats["states"], verdict.stats["edges"]) == (states, edges)
+
+
 # Configs with crash edges: two that pass under the genericity monitor, and
 # one under assumption 1, whose forced crashes lead to an agreement violation.
 CRASHING_CONFIGS = [

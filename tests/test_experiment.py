@@ -21,6 +21,7 @@ from rclab.core import (
     ObjectTypeError,
     RcError,
     UninitializedRead,
+    crash,
     digest,
     ordinary,
 )
@@ -356,6 +357,20 @@ def replayed(exp):
     return out
 
 
+def test_the_walk_outputs_are_pinned():
+    # a tree has one state more than edges; a violation's post-state is not
+    # counted
+    assert WIDTH_RUNS["walk"][1](make_experiment(**WIDTH_RUNS["walk"][0])) == {
+        "result": "pass", "stats": {"states": 59625, "edges": 59624,
+                                    "terminal_executions": 18080, "max_attempt_steps": 2}}
+    fails = WIDTH_RUNS["walk-fails"][1](make_experiment(**WIDTH_RUNS["walk-fails"][0]))
+    assert fails == {
+        "result": "fail", "property": "Validity",
+        "detail": "p1 (attempt 2) decided None, not a proposal",
+        "stats": {"states": 12, "edges": 12, "terminal_executions": 0, "max_attempt_steps": 4},
+        "trace": [lab.to_json() for lab in [ordinary(1)] * 2 + [crash(1)] + [ordinary(1)] * 4]}
+
+
 @pytest.mark.parametrize("name", sorted(WIDTH_RUNS))
 def test_outputs_do_not_depend_on_the_field_widths(monkeypatch, name):
     kw, run_it = WIDTH_RUNS[name]
@@ -421,6 +436,37 @@ def test_a_crash_after_a_frame_overran_its_bound_steps_as_on_whole_states(monkey
     assert [exp.intern(state) for state in states] == g.nodes
 
 
+# Crash edges: independent crashes, simultaneous ones past halted frames
+# and past returned ones, assumption 1's forced crashes, and at bound 1,
+# where frames overrun their bound before a crash resets them
+CRASH_EDGE_CONFIGS = {
+    "independent": dict(program="fig2", f=1, cons="tas", failure="independent", budget=2),
+    "crash_all-halted": dict(failure="simultaneous", budget=2, mode="halt-after-return"),
+    "crash_all-returned": dict(failure="simultaneous", budget=2, mode="rerun-after-crash"),
+    "a1": dict(cons="tas", failure="independent", adversary="assumption1"),
+    "overrun": dict(failure="independent", budget=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_EDGE_CONFIGS))
+def test_every_crash_edge_of_the_graph_steps_as_on_whole_states(monkeypatch, name):
+    if name == "overrun":
+        monkeypatch.setattr(Fig1Machine, "bound", lambda self: 1)
+    exp = make_experiment(**CRASH_EDGE_CONFIGS[name])
+    seen = set()
+    for s in build_graph(exp).nodes:
+        whole = exp.materialize(s)
+        for lab in exp.enabled_ids(s):
+            if lab.kind != ORDINARY:
+                assert exp.materialize(exp.successor(s, lab)) == reference_step(exp, whole, lab)
+                seen.update(fr.status for fr in whole.frames)
+                seen.add(max(fr.steps for fr in whole.frames) > exp.bound)
+    assert {"crash_all-halted": HALTED, "crash_all-returned": RETURNED,
+            "overrun": True}.get(name, RUNNING) in seen
+    # one difference per frame id a crash met
+    assert 0 < len(exp.reset_deltas) <= len(exp.frames_by_id)
+
+
 # perfbench's `explore-memo` and `valency` configs, which pass
 @pytest.mark.parametrize("kw", [
     dict(program="fig2", n=3, f=1, proposals=[10, 20, 30], failure="independent", budget=1,
@@ -434,6 +480,9 @@ def test_the_collector_tracks_no_row(kw):
     assert any(stores) and not any(map(gc.is_tracked, stores))
     assert not any(gc.is_tracked(d) for store in stores for d in store.values())
     assert not any(map(gc.is_tracked, g.nodes))
+    # nor a crash's difference, nor a frame's steps
+    assert exp.reset_deltas and not any(map(gc.is_tracked, exp.reset_deltas.values()))
+    assert exp.steps_of and not any(map(gc.is_tracked, exp.steps_of))
 
 
 # Each run leaves the experiment's caches filled; explore on fig1 under one

@@ -85,6 +85,19 @@ def test_entry_reports_the_ids_its_experiment_minted(monkeypatch):
             == (len(exp.frames_by_id), len(exp.objects_by_id), len(exp.others_by_id)))
 
 
+def test_entry_reports_the_rows_its_experiment_holds(monkeypatch):
+    ladder = load_ladder()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    name = "criterion 4: fig2 n=2 f=1 budget 2"
+    result = ladder.run_one(name, os.path.dirname(os.path.dirname(os.path.abspath(LADDER))))
+    exp = Experiment(ExperimentConfig.from_dict(dict(ladder.RUNS[name][1])))
+    checker.shortest_failure(exp)
+    assert result["rows"] == sum(map(len, exp.rows)) > 0
+    assert result["others_rows"] == sum(map(len, exp.others_rows)) > 0
+    # a checkout whose experiment keeps no rows
+    assert ladder.row_counts(SimpleNamespace()) == {"rows": None, "others_rows": None}
+
+
 def test_valency_entry_counts_every_edge_of_the_graph():
     ladder = load_ladder()
     cfg = dict(program="tas-cons2", n=2, proposals=[10, 20], failure="independent", budget=1)

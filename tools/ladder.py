@@ -4,7 +4,8 @@ change against its parent.
 
 Each run executes in its own process, so each reports its own peak RSS:
 `explore` on five fig2 configs up to the current frontier (fig2 n=2 f=4
-`cons=tas` budget 4, 12.9 M states) and, with
+`cons=tas` budget 4, 12.9 M states) and on fig1 `cons=tas` under
+simultaneous crashes (budget 5, 1.07 M states), and, with
 `memo=False`, on perfbench's `explore-nomemo` config, the
 criterion-4 overload config (fig2 n=2 f=1, budget 2) through
 `shortest_failure`, the valency graph of perfbench's `valency` config
@@ -19,7 +20,9 @@ states, null when the run raised the peak by less than 1 MiB, a step too
 small to tell from allocator noise), and how many frame, objects and
 others ids the run's experiment minted (`frame_ids`, `objects_ids`,
 `others_ids`), which shows how far the frame and objects ids stay below
-their fields' fixed caps (2^16 and 2^24 ids).  CPU seconds leave out
+their fields' fixed caps (2^16 and 2^24 ids), and how many rows and
+second-level rows it holds (`rows`, `others_rows`, null for a checkout
+without that store).  CPU seconds leave out
 the time the process waited for a core on a shared host, so a change in
 wall time that CPU time does not show is the host's, not the code's.  On the trace path,
 states are trace steps and edges are steps applied, three per trace
@@ -74,6 +77,9 @@ RUNS = {
     "fig2 n=3 f=2 budget 2": ("explore", _fig2(3, 2, 2)),
     "fig2 n=2 f=3 cons=tas budget 3": ("explore", _fig2(2, 3, 3, "tas")),
     "fig2 n=2 f=4 cons=tas budget 4": ("explore", _fig2(2, 4, 4, "tas")),
+    "fig1 cons=tas simultaneous budget 5": (
+        "explore", dict(program="fig1", n=2, proposals=[10, 20], cons="tas",
+                        failure="simultaneous", budget=5, monitor=True)),
     "fig1 simultaneous budget 1, memo=False": (
         "explore-nomemo", dict(program="fig1", n=2, proposals=[10, 20], cons="atomic",
                                failure="simultaneous", budget=1, monitor=True)),
@@ -170,6 +176,13 @@ def id_counts(exp):
                 others_ids=len(exp.others_by_id))
 
 
+def row_counts(exp):
+    """How many rows and second-level rows `exp` holds, over every process;
+    None for a store its checkout does not have."""
+    return {name: sum(map(len, getattr(exp, name))) if hasattr(exp, name) else None
+            for name in ("rows", "others_rows")}
+
+
 def run_one(name, root):
     """Run one ladder entry in this process; returns its result dict."""
     what, cfg = RUNS[name]
@@ -200,7 +213,7 @@ def run_one(name, root):
     cpu = time.process_time() - cpu
     peak = maxrss_mb()
     grown = peak - before
-    return dict(outputs, **id_counts(exp), wall_s=round(wall, 3), cpu_s=round(cpu, 3),
+    return dict(outputs, **id_counts(exp), **row_counts(exp), wall_s=round(wall, 3), cpu_s=round(cpu, 3),
                 states=states,
                 edges=edges, states_per_s=round(states / wall), edges_per_s=round(edges / wall),
                 peak_rss_mb=round(peak, 1),
