@@ -90,7 +90,11 @@ interned ones, so after a step that leaves every shared object unchanged
 (a read, an `rtas`, a failed `cas`, a crash), `objects` is the very
 tuple of a pre-state that `apply_step` or `materialize` made.
 `apply_step` keeps the id state of the state it last returned, so a
-caller stepping along one path interns nothing.
+caller stepping along one path interns nothing.  `initial_state()` builds
+and packs the initial state at its first call and returns that object
+ever after, so `intern` of it hashes nothing and `core.digest` of it
+finds its texts by identity.  A machine patched on the instance after
+that first call does not change the initial state.
 
 Every fact derived from an id has one of two homes.  A list the hot path
 indexes by id (the status codes, each frame's steps in `steps_of`) is
@@ -351,21 +355,30 @@ class Experiment:
         self._frame_texts = Cache(lambda fid: encode(frames_by_id[fid]))
         self._objects_texts = Cache(lambda oid: encode(objects_by_id[oid]))
         self._others_texts = Cache(lambda xid: encode(others_by_id[xid])[1:-1])
-        # the state `apply_step` last returned, and its id state
-        self._last = (None, None)
+        # the state `apply_step` last returned and the initial state, each
+        # with its id state
+        self._last = self._initial = (None, None)
 
     # -- state construction -------------------------------------------------
 
     def initial_state(self) -> SystemState:
-        frames = tuple(_entry_frame(self.machine, pid, prop)
-                       for pid, prop in enumerate(self.config.proposals, start=1))
-        return SystemState(frames=frames, objects=self.initial_objects)
+        init = self._initial[0]
+        if init is None:
+            frames = tuple(_entry_frame(self.machine, pid, prop)
+                           for pid, prop in enumerate(self.config.proposals, start=1))
+            init = SystemState(frames=frames, objects=self.initial_objects)
+            self._initial = (init, self._intern(init))
+        return init
 
     # -- packed id states ---------------------------------------------------
 
     def intern(self, state: SystemState) -> int:
         """The id state of `state`; raises `RcError` when one of its ids or
         its `failures` does not fit the layout (see "Widths")."""
+        init, s = self._initial
+        return s if state is init else self._intern(state)
+
+    def _intern(self, state: SystemState) -> int:
         return self._pack([self._frames.id(fr) for fr in state.frames],
                           self._objects.id(state.objects), self._others.id(state[2:]))
 

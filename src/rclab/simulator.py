@@ -8,7 +8,8 @@ recorded as step/label/pid/error/detail.
 Every execution here steps on id states (see `experiment`) with
 `enabled_ids` and `successor`, unchecked; a `SystemState` is built only
 for what is returned: `run`'s, `random_run`'s and `replay`'s last state.
-`replay` digests each state from its ids (`Experiment.digest_ids`).
+`replay` digests each state from its ids (`Experiment.digest_ids`).  Every
+execution starts from the experiment's one packed initial state.
 
 `replay` re-executes on an experiment it keeps from earlier calls, so a
 trace of a config already replayed steps through a warm transition
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import random
+from json.scanner import make_scanner
 from typing import List, NamedTuple, Optional, Tuple
 
 from .config import ExperimentConfig
@@ -129,17 +131,31 @@ def write_trace(trace: Trace, path, final_hash: Optional[str] = None) -> None:
         fh.write(dump_trace(trace, final_hash))
 
 
+_scan = make_scanner(json.JSONDecoder())  # `json.loads`' scanner, C when present
+
+
+def _load(line: str):
+    """`json.loads(line)`, by one scanner call when the line is one value."""
+    text = line.strip(" \t\n\r")  # JSON whitespace
+    try:
+        value, end = _scan(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    return value if end == len(text) else json.loads(line)
+
+
 def parse_trace(text: str):
     """(header, records) of a serialized trace; ConfigError if it is not
     a header object with a `config`, and a string `final_hash` if any,
     followed by step records, each numbered by its position and with a
-    well-formed label."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    well-formed label.  A line ends only at LF, CR LF or CR, which JSON
+    never holds raw inside a string; blank lines are skipped."""
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
     if not lines:
         raise ConfigError("empty trace")
     try:
-        header = json.loads(lines[0])
-        records = tuple(StepRecord.from_json(json.loads(ln), i) for i, ln in enumerate(lines[1:]))
+        header = _load(lines[0])
+        records = tuple(StepRecord.from_json(_load(ln), i) for i, ln in enumerate(lines[1:]))
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError("malformed trace: %s: %s" % (type(e).__name__, e))
     if not isinstance(header, dict) or "config" not in header:

@@ -242,6 +242,18 @@ def test_digest_equals_reference_on_every_reachable_state(name, props):
         assert digest(post) == reference_digest(post)
 
 
+@pytest.mark.parametrize("props", sorted(DIGEST_PROPOSALS))
+def test_the_kept_initial_state_digests_as_the_reference(props):
+    exp = make_experiment(proposals=DIGEST_PROPOSALS[props], failure="simultaneous", budget=1)
+    # the second digest of the one initial state reads its texts by identity
+    digests = [digest(exp.initial_state()) for _ in range(2)]
+    post, _ = exp.apply_step(exp.initial_state(), ordinary(1))
+    digests.append(digest(exp.initial_state()))
+    assert all(core._fragments[id(fr)][0] is fr for fr in exp.initial_state().frames)
+    assert digests == [reference_digest(exp.initial_state())] * 3
+    assert digest(post) == reference_digest(post)
+
+
 @pytest.mark.parametrize("pair", [([1, 2], [1.0, 2.0]), ([0.0, 1], [-0.0, 1])])
 def test_digest_tells_equal_values_of_another_text_apart(monkeypatch, pair):
     # The two experiments' states compare equal but encode differently.

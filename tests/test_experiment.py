@@ -231,6 +231,23 @@ def test_apply_step_interns_nothing_along_its_own_path(monkeypatch):
     assert len(interned) == 2
 
 
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_the_initial_state_is_built_and_packed_once(monkeypatch, name):
+    exp = make_experiment(**DIFFERENTIAL_CONFIGS[name])
+    init = exp.initial_state()
+    assert exp.initial_state() is init
+    fresh = make_experiment(**DIFFERENTIAL_CONFIGS[name]).initial_state()
+    assert fresh == init and fresh is not init
+    met = []
+    interner_id = experiment.Interner.id
+    monkeypatch.setattr(experiment.Interner, "id", lambda self, x: met.append(x) or interner_id(self, x))
+    s = exp.intern(init)
+    assert met == []
+    # an equal state built apart is hashed, and packs to the same id state
+    assert exp.intern(fresh) == s and met
+    assert exp.materialize(s) == init
+
+
 @pytest.mark.parametrize("props", [[10, 20], [0.5, -0.0], ["a", "b"]])
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
 def test_digest_ids_is_the_digest_of_the_materialized_state(name, props):

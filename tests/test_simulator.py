@@ -383,3 +383,72 @@ def test_golden_traces_regenerate_byte_for_byte(tmp_path):
     for name in names:
         with open(os.path.join(CASES_DIR, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+# -- parsing: line breaks and the scanner -----------------------------------
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_a_raw_unicode_line_separator_in_a_string_round_trips(sep):
+    exp = make_experiment(proposals=["a%sb" % sep, "c"], failure="simultaneous", budget=2)
+    labels = run_plan(exp, [("until_done", 1), ("crash_all",), ("until_done", 2)])
+    trace, final = run(exp, labels)
+    text = dump_trace(trace, final_hash=digest(final))
+    # another writer: the same records, with the separator left raw
+    raw = "".join(json.dumps(json.loads(ln), sort_keys=True, ensure_ascii=False) + "\n"
+                  for ln in text.splitlines())
+    assert sep in raw and sep not in text
+    assert parse_trace(raw) == parse_trace(text)
+    result = replay(raw)
+    assert result.matches_header and result.header_hash == digest(final)
+    assert result.digests == replay(text).digests
+
+
+def trace_lines():
+    """(header line, record lines) of a small fig1 trace."""
+    exp = make_experiment(failure="simultaneous", budget=1)
+    trace, final = run(exp, [ordinary(1), CRASH_ALL_LABEL, ordinary(2)])
+    header, *records = dump_trace(trace, final_hash=digest(final)).splitlines()
+    return header, records
+
+
+def parse_corpus(rec):
+    """Lines each of which `json.loads` either reads or rejects."""
+    valid = ["  " + rec, rec + "\t\t", " \t" + rec + "\t ", "\r" + rec, rec + "\r",
+             " \r\t" + rec + "\r \t", "NaN", '{"x": NaN}', "[Infinity, -Infinity]", "{}",
+             " {} ", "\t[]\r"]
+    malformed = ["\ufeff" + rec, rec + "x", rec + " }", rec + " " + rec, rec + rec,
+                 '   "abc', ' \t "abc', "\u00a0" + rec, rec + "\u00a0", "]", " ] ",
+                 "\x0b" + rec, rec + "\x0c", "{", "[1,]"]
+    return valid, malformed
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, by repr (NaN is not equal to itself), or
+    the type and text of what it raises."""
+    try:
+        return "returned", repr(fn(*args))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("scanner", ["c", "py"])
+def test_parse_trace_reads_each_line_as_json_loads_does(monkeypatch, scanner):
+    make = {"c": json.scanner.c_make_scanner, "py": json.scanner.py_make_scanner}[scanner]
+    if make is None:
+        pytest.skip("this Python has no C JSON scanner")
+    monkeypatch.setattr(simulator, "_scan", make(json.JSONDecoder()))
+    header, records = trace_lines()
+    valid, malformed = parse_corpus(records[0])
+    for line in valid + malformed:
+        want = outcome(json.loads, line)
+        assert (want[0] == "returned") == (line in valid), line
+        assert outcome(simulator._load, line) == want, line
+    # whole traces, against `parse_trace` reading each line with `json.loads`
+    texts = ["\n".join([header, records[0], line]) for line in valid + malformed]
+    texts += ["\n".join([line] + records) for line in valid + malformed]
+    texts += ["\r\n".join([header] + records), "\r".join([header] + records) + "\r"]
+    got = [outcome(parse_trace, text) for text in texts]
+    monkeypatch.setattr(simulator, "_load", json.loads)
+    assert got == [outcome(parse_trace, text) for text in texts]
+    assert got[-1] == got[-2] == ("returned", repr(parse_trace("\n".join([header] + records))))
