@@ -27,11 +27,12 @@ passed them, so an edge re-checks only the components it changed.  So
 an int row is a clean edge, and anything else goes to
 `Experiment.successor(s, label, True)`, which builds a missing row,
 raises the violation of a failing one, and steps and checks a crash,
-which has no row: it adds the differences of the frames it resets,
-cached per frame id (`Experiment.reset_deltas`).  A crash resets frames
-to a running entry with no steps and keeps the objects and the
-returns, but it changes `failures`, which every invariant reads, so it
-re-checks every frame's invariant and the objects'.
+which has no row: it adds 1 to `failures` and the differences of the
+frames it resets, cached per frame id (`Experiment.reset_deltas`).  A
+crash resets frames to a running entry with no steps and keeps the
+objects and the returns, but it changes `failures`, which every
+invariant reads, so it re-checks every frame's invariant and the
+objects'.
 
 An ordinary edge is checked this way also into a state the search
 already holds, where the checks find nothing; `explore`'s sweep checks a
@@ -54,7 +55,6 @@ from typing import List, Optional
 
 from .core import (
     AGREEMENT,
-    CRASH_ALL_LABEL,
     INVARIANT,
     ORDINARY,
     RWF,
@@ -222,13 +222,18 @@ def explore(x, memo=True) -> Verdict:
     return Verdict(result, prop, detail, trace, stats, crashes)
 
 
+def rank_width(exp: Experiment) -> int:
+    """W = n · bound + 1, what a failure adds to `rank`: more than the
+    steps that all frames of a state that passed RWF took together (see
+    `explore`)."""
+    return exp.n * exp.bound + 1
+
+
 def rank(exp: Experiment, s):
-    """The rank of the id state `s`: its failures times n · bound + 1,
-    plus the steps its frames took in their attempts (see `explore`)."""
-    ids = exp.unpack(s)
-    n = exp.n
-    steps = sum(exp.steps_of[f] for f in ids[:n])
-    return exp.others_by_id[ids[n + 1]][0] * (n * exp.bound + 1) + steps
+    """The rank of the id state `s`: its failures times `rank_width`, plus
+    the steps its frames took in their attempts (see `explore`)."""
+    steps = sum(exp.steps_of[f] for f in exp.unpack(s)[:exp.n])
+    return (s & exp.layout.fail_mask) * rank_width(exp) + steps
 
 
 def _sweep(exp: Experiment, init):
@@ -239,7 +244,7 @@ def _sweep(exp: Experiment, init):
     # and once one reaches it `max_attempt_steps` is known
     steps_of, bound = exp.steps_of, exp.bound
     depth_limit = exp.depth_limit
-    w = exp.n * bound + 1
+    w = rank_width(exp)
     lay = exp.layout
     by_key, kmask, shifts, fmask = exp.moves_by_key, lay.kmask, lay.shifts, lay.fmask
     states, edges, executions, max_steps = 1, 0, 0, 0
@@ -424,9 +429,8 @@ def shortest_failure(exp: Experiment, init=None):
         except Violation as v:
             return [], v.prop, v.detail
     successor, moves_of = exp.successor, exp.moves
-    steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
+    steps, code = exp.step_labels, exp.step_codes
     width = len(steps)
-    code = {lab: i for i, lab in enumerate(steps)}
     # id state -> its parent's id state * width + its label's code, -1 for
     # `init`: ints, which the cyclic collector does not track
     parents = {init: -1}

@@ -13,16 +13,17 @@ schedule from outside the search passes each label through
 
 Id states.  Each experiment interns the components of the states it meets
 to dense integer ids: frames, objects tuples, and the tuple of the other
-fields (`failures, returns, participants, tas_seen, cons_access`).  An id
-state is one int.  Its fields, from the low bits up, are `failures`, each
-frame's 2-bit status code, each process's frame id, the objects id and,
-at the top, the others id; `failures` and the status codes are derived
-from the others id and the frame ids (see `Layout`).  `s &
-layout.kmask` is the status key.  Two id states are equal exactly when
-the states they stand for are, so an id state is its own memo key.  The
-searches in `checker`, the valency graph and the simulator step on id
-states and build a `SystemState` (`materialize`) only where a caller
-needs a whole one.
+fields after `failures` (`returns, participants, tas_seen,
+cons_access`).  An id state is one int.  Its fields, from the low bits
+up, are `failures` itself, each frame's 2-bit status code, each
+process's frame id, the objects id and, at the top, the others id; the
+status codes are derived from the frame ids (see `Layout`).  `failures`
+is held nowhere else, so a crash, which changes only it and the frames
+it resets, mints no others id.  `s & layout.kmask` is the status key.
+Two id states are equal exactly when the states they stand for are, so
+an id state is its own memo key.  The searches in `checker`, the
+valency graph and the simulator step on id states and build a
+`SystemState` (`materialize`) only where a caller needs a whole one.
 
 Widths.  An experiment's `layout` is fixed when it is built: each frame
 id gets `FRAME_BITS` bits, the objects id `OBJECTS_BITS`, and `failures`
@@ -53,14 +54,15 @@ and else steps.  A step that runs no check (the valency graph, the
 simulator) builds its row without them, and `check_rows` works them out
 before the next checked search steps.  A step that reads the other
 fields has the row True (a return) or False, and its second-level row
-is in `others_rows[i]`, keyed by `s ^ s & layout.marks[i][d]`, which
-keeps the others id.  A crash has no row, since its checks read every
-frame and the objects: `successor` adds to `s` the difference each reset
-frame's field and status code take, cached per frame id in
-`reset_deltas`, and that of the others id (`_crash`), and checks every
-crash edge it steps with `checked`.  Rows are ints and
-bools, which the cyclic collector does not track, and a failing row's
-tuple of an int and strings, which it untracks when it first meets it.
+is in `others_rows[i]`, keyed by `s ^ s & layout.marks[i][d]`: the
+row's fields and the others id, less the objects id for a return.  A
+crash has no row, since its checks read every frame and the objects:
+`successor` adds to `s` the difference each reset frame's field and
+status code take, cached per frame id in `reset_deltas`, and 1 to
+`failures` (`_crash`), and checks every crash edge it steps with
+`checked`.  Rows are ints and bools, which the cyclic collector does not
+track, and a failing row's tuple of an int and strings, which it
+untracks when it first meets it.
 `moves(s)` gives, per label of `enabled_ids(s)`, the row store and mask
 a search looks the step up with.
 
@@ -266,8 +268,13 @@ class Experiment:
         pids = range(1, config.n + 1)
         self.ordinary_labels = tuple(ordinary(pid) for pid in pids)
         self.crash_labels = tuple(crash(pid) for pid in pids)
+        # every label a step of this experiment can take, and each one's
+        # index in it: a search or graph that keeps a label as a small int
+        # codes it so
+        self.step_labels = self.ordinary_labels + self.crash_labels + (CRASH_ALL_LABEL,)
+        self.step_codes = {lab: i for i, lab in enumerate(self.step_labels)}
         self._crash_records = {lab: StepRecord(lab, "crash", None)
-                               for lab in self.crash_labels + (CRASH_ALL_LABEL,)}
+                               for lab in self.step_labels[config.n:]}
         # Assumption 1 bounds failures by the TAS object count instead of
         # the configured budget.
         fb = len(self.tas_names) if self.a1 else config.budget
@@ -303,10 +310,10 @@ class Experiment:
         # and so on.
         self._frames = frames = Interner(born=frame_born)
         self._objects = Interner(born=objects_born)
-        self._others = others = Interner()
+        self._others = Interner()
         self.frames_by_id = frames_by_id = frames.values
         self.objects_by_id = objects_by_id = self._objects.values
-        self.others_by_id = others_by_id = others.values
+        self.others_by_id = others_by_id = self._others.values
         # the labels of each status key (see `enabled_ids`), and the moves
         # of each (see `moves`)
         self._enabled_by_key = {}
@@ -323,16 +330,11 @@ class Experiment:
             g = frames.id(_entry_frame(machine, fr.pid, fr.proposal, fr.attempt + 1))
             return (g - fid << lay.shifts[fr.pid - 1]) + (codes[g] - codes[fid] << lay.widths[2])
 
-        def crashed(xid):
-            x = others_by_id[xid]
-            return others.id((x[0] + 1,) + x[1:])
-
         # what a crash that resets a frame adds to its field and its status
-        # code (0 for a halted frame, which no crash resets), the others
-        # after a crash, and the frame with its crash armed
+        # code (0 for a halted frame, which no crash resets), and the frame
+        # with its crash armed
         self.reset_deltas = Cache(reset_delta)
         self._armed = Cache(lambda fid: frames.id(frames_by_id[fid]._replace(armed_crash=True)))
-        self._crashed = Cache(crashed)
         # the transition table: a frame id maps to (slot accessed, {its
         # value: Entry}), or for a return to (None, Entry)
         self._entries = {}
@@ -348,10 +350,10 @@ class Experiment:
         # the property checks `verdict` folds: RWF of each frame id,
         # agreement and validity of each others id's returns
         self.rwf_checks = Cache(lambda fid: check_rwf(frames_by_id[fid], bound))
-        self.return_checks = Cache(lambda xid: check_returns(others_by_id[xid][1], config))
+        self.return_checks = Cache(lambda xid: check_returns(others_by_id[xid][0], config))
         # the JSON text of each frame id, objects id and others id (see
         # `digest_ids`); the other fields are joined by commas, without the
-        # brackets of their tuple
+        # brackets of their tuple, for `failures` to go before them
         self._frame_texts = Cache(lambda fid: encode(frames_by_id[fid]))
         self._objects_texts = Cache(lambda oid: encode(objects_by_id[oid]))
         self._others_texts = Cache(lambda xid: encode(others_by_id[xid])[1:-1])
@@ -380,7 +382,8 @@ class Experiment:
 
     def _intern(self, state: SystemState) -> int:
         return self._pack([self._frames.id(fr) for fr in state.frames],
-                          self._objects.id(state.objects), self._others.id(state[2:]))
+                          self._objects.id(state.objects), self._others.id(state[3:]),
+                          state.failures)
 
     def unpack(self, s: int):
         """The component ids of the id state `s`: the tuple (frame id, ...,
@@ -397,9 +400,8 @@ class Experiment:
         lay = self.layout
         return self.frames_by_id[(s >> lay.shifts[pid - 1]) & lay.fmask]
 
-    def _pack(self, fids, oid: int, xid: int) -> int:
-        """The id state of these component ids."""
-        failures = self.others_by_id[xid][0]
+    def _pack(self, fids, oid: int, xid: int, failures: int) -> int:
+        """The id state of these component ids and `failures`."""
         lay = self.layout
         if failures > lay.fail_mask:
             raise RcError("failures %d does not fit the %d-bit failures field"
@@ -421,19 +423,20 @@ class Experiment:
         fs = []
         for sh in lay.shifts:
             fs.append(frames[s >> sh & fmask])
-        return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[s >> lay.osh & lay.omask])
-                             + self.others_by_id[s >> lay.xsh])
+        return tuple.__new__(SystemState, (tuple(fs), self.objects_by_id[s >> lay.osh & lay.omask],
+                                           s & lay.fail_mask) + self.others_by_id[s >> lay.xsh])
 
     def digest_ids(self, s: int) -> str:
         """`core.digest` of the state the id state `s` stands for, joined
-        from JSON text cached per frame id, objects id and others id.  Each
-        text is encoded from the interned component, so the digest is that
-        of `materialize(s)` bit for bit, and no `SystemState` is built."""
+        from JSON text cached per frame id, objects id and others id, with
+        `failures` before the others' text.  Each text is encoded from the
+        interned component, so the digest is that of `materialize(s)` bit
+        for bit, and no `SystemState` is built."""
         lay = self.layout
         texts, fmask = self._frame_texts, lay.fmask
         return digest_texts(",".join([texts[s >> sh & fmask] for sh in lay.shifts]),
                             self._objects_texts[s >> lay.osh & lay.omask],
-                            self._others_texts[s >> lay.xsh])
+                            "%d,%s" % (s & lay.fail_mask, self._others_texts[s >> lay.xsh]))
 
     # -- enabledness --------------------------------------------------------
 
@@ -456,8 +459,8 @@ class Experiment:
         """`_enabled` of the state the id state `s` stands for, which it
         does not build."""
         ids = self.unpack(s)
-        others = self.others_by_id[ids[-1]]
-        return self._enabled([self.frames_by_id[f] for f in ids[:self.n]], others[0], others[2])
+        return self._enabled([self.frames_by_id[f] for f in ids[:self.n]],
+                             s & self.layout.fail_mask, self.others_by_id[ids[-1]][1])
 
     def moves(self, s: int):
         """(label, row store, mask, second-level store, marks) for each label
@@ -639,10 +642,11 @@ class Experiment:
         """The id state after the crash `label` from the id state `s`.  A
         crash of process i resets frame i, and a simultaneous crash every
         frame that has not halted, to a new attempt (`reset_deltas`), and
-        counts one failure, which fits its field (see "Widths")."""
+        adds 1 to `failures`, the lowest field, which it fits (see
+        "Widths").  It leaves the objects id and the others id alone."""
         lay = self.layout
-        deltas, fmask, xid = self.reset_deltas, lay.fmask, s >> lay.xsh
-        s += 1 + (self._crashed[xid] - xid << lay.xsh)
+        deltas, fmask = self.reset_deltas, lay.fmask
+        s += 1
         if label.kind == CRASH:
             return s + deltas[s >> lay.shifts[label.pid - 1] & fmask]
         for sh in lay.shifts:
@@ -788,7 +792,7 @@ class Experiment:
         entry `entry` from the others `xid`.  Raises `GenericityViolation`
         when the step begins an instance its process accessed in an
         earlier attempt."""
-        failures, returns, participants, tas_seen, cons_access = self.others_by_id[xid]
+        returns, participants, tas_seen, cons_access = self.others_by_id[xid]
         pid = entry.frame.pid
         attempt = entry.frame.attempt
         outcome = entry.outcome
@@ -809,7 +813,7 @@ class Experiment:
                 armed = (pid, outcome.obj) not in tas_seen
                 tas_seen = tas_seen | {(pid, outcome.obj)}
         return (self._armed[entry.fid] if armed else entry.fid,
-                self._others.id((failures, returns, participants, tas_seen, cons_access)))
+                self._others.id((returns, participants, tas_seen, cons_access)))
 
     # -- hashing ------------------------------------------------------------
 

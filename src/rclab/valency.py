@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import pairwise, starmap
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import CRASH_ALL_LABEL, ORDINARY, Cache, RcError, StepLabel
+from .core import ORDINARY, Cache, RcError, StepLabel
 from .experiment import Experiment, as_experiment
 
 
@@ -92,7 +92,7 @@ class ValencyLabel(NamedTuple):
 
 def _decided(others) -> frozenset:
     """The values returned in the states of the other fields `others`."""
-    return frozenset(v for _p, _a, v in others[1])
+    return frozenset(v for _p, _a, v in others[0])
 
 
 def build_graph(x) -> ExecGraph:
@@ -103,9 +103,8 @@ def build_graph(x) -> ExecGraph:
 
     exp = as_experiment(x)
     cap = exp.config.cap
-    steps = exp.ordinary_labels + exp.crash_labels + (CRASH_ALL_LABEL,)
+    steps, code = exp.step_labels, exp.step_codes
     width = len(steps)
-    code = {lab: i for i, lab in enumerate(steps)}
     # an others id -> its `_decided` set, shared by its terminals
     others_by_id = exp.others_by_id
     decided = Cache(lambda oid: _decided(others_by_id[oid]))

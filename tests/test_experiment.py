@@ -11,6 +11,7 @@ from rclab import experiment, simulator
 from rclab.checker import GENERICITY, explore, shortest_failure
 from rclab.core import (
     BOTTOM,
+    CRASH,
     CRASH_ALL_LABEL,
     FELL_OFF,
     HALTED,
@@ -276,31 +277,33 @@ def row_keys(exp):
 
 
 def second_level_keys(exp):
-    """(process index, frame id, objects id, others id) of every
+    """(process index, frame id, objects id, failures, others id) of every
     second-level row key; a return's leaves out the objects id, which
     reads as 0."""
     lay = exp.layout
     return {(i, (key >> lay.shifts[i]) & lay.fmask, (key >> lay.osh) & lay.omask,
-             key >> lay.xsh) for i, rows in enumerate(exp.others_rows) for key in rows}
+             key & lay.fail_mask, key >> lay.xsh)
+            for i, rows in enumerate(exp.others_rows) for key in rows}
 
 
 def stepped_from(exp, states):
     """(process index, frame id, objects id, failures) of every ordinary
     step `enabled_ids` offers from the id states `states`, and (process
-    index, frame id, objects id, others id) of those that read the other
-    fields, with objects id 0 for a return, which reads no object."""
+    index, frame id, objects id, failures, others id) of those that read
+    the other fields, with objects id 0 for a return, which reads no
+    object."""
     lay = exp.layout
     out, deeper = set(), set()
     for s in states:
         ids = exp.unpack(s)
-        failures = exp.others_by_id[ids[-1]][0]
+        failures = s & lay.fail_mask
         for lab in exp.enabled_ids(s):
             if lab.kind == ORDINARY:
                 i = lab.pid - 1
                 out.add((i, ids[i], ids[-2], failures))
                 row = exp.rows[i][s & lay.masks[i]]
                 if row.__class__ is bool:
-                    deeper.add((i, ids[i], 0 if row else ids[-2], ids[-1]))
+                    deeper.add((i, ids[i], 0 if row else ids[-2], failures, ids[-1]))
     return out, deeper
 
 
@@ -482,6 +485,40 @@ def test_every_crash_edge_of_the_graph_steps_as_on_whole_states(monkeypatch, nam
             "overrun": True}.get(name, RUNNING) in seen
     # one difference per frame id a crash met
     assert 0 < len(exp.reset_deltas) <= len(exp.frames_by_id)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(failure="simultaneous", budget=2),
+    dict(program="fig2", f=1, failure="independent", budget=1),
+    dict(program="fig3", failure="independent", budget=1),
+    dict(cons="tas", failure="independent", adversary="assumption1")])
+def test_a_crash_changes_only_failures_and_the_frames_it_resets(kw):
+    # a crash keeps the objects id and the others id, which holds no
+    # `failures`; of the id state it changes the failures field, by one,
+    # and the frame id and status code of each frame it resets
+    exp = make_experiment(**kw)
+    g = build_graph(exp)
+    lay, n = exp.layout, exp.n
+    crashes = 0
+    for nid, pre in enumerate(g.nodes):
+        for lab, child in g.edges(nid):
+            if lab.kind == ORDINARY:
+                continue
+            post = g.nodes[child]
+            before, after = exp.unpack(pre), exp.unpack(post)
+            assert after[n:] == before[n:]
+            assert post & lay.fail_mask == (pre & lay.fail_mask) + 1
+            hit = [lab.pid - 1] if lab.kind == CRASH else [
+                i for i in range(n) if exp.frames_by_id[before[i]].status != HALTED]
+            assert [i for i in range(n) if after[i] != before[i]] == hit
+            fields = lay.fail_mask
+            for i in hit:
+                fields |= lay.fmask << lay.shifts[i] | 3 << lay.widths[2] + 2 * i
+            assert (pre ^ post) & ~fields == 0
+            assert exp.intern(exp.materialize(post)) == post
+            crashes += 1
+    assert crashes
+    assert {len(x) for x in exp.others_by_id} == {4}
 
 
 # perfbench's `explore-memo` and `valency` configs, which pass

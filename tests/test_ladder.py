@@ -1,6 +1,7 @@
 """The frontier ladder's record of the checkout it measured."""
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -94,8 +95,26 @@ def test_entry_reports_the_rows_its_experiment_holds(monkeypatch):
     checker.shortest_failure(exp)
     assert result["rows"] == sum(map(len, exp.rows)) > 0
     assert result["others_rows"] == sum(map(len, exp.others_rows)) > 0
-    # a checkout whose experiment keeps no rows
-    assert ladder.row_counts(SimpleNamespace()) == {"rows": None, "others_rows": None}
+
+
+def test_merged_entries_keep_the_pairs_they_were_measured_with(monkeypatch, tmp_path):
+    ladder = load_ladder()
+    monkeypatch.setattr(ladder, "measure", lambda name, roots, pairs: {
+        side: {"runs": [{"wall_s": 1.0}] * pairs} for side in roots})
+    out = str(tmp_path / "bench.json")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(LADDER)))
+    for name, pairs in (("fig2 n=3 f=1", 1), ("fig2 n=4 f=1", 2)):
+        assert ladder.main(["--root", root, "--parent", root, "--out", out,
+                            "--pairs", str(pairs), "--only", name]) == 0
+    with open(out) as fh:
+        doc = json.load(fh)
+    assert sorted(doc) == ["runs"]
+    for name, pairs in (("fig2 n=3 f=1", 1), ("fig2 n=4 f=1", 2)):
+        entry = doc["runs"][name]
+        assert entry["pairs"] == pairs == len(entry["change"]["runs"])
+        assert sorted(entry["sides"]) == ["change", "parent"]
+        assert sorted(entry["sides"]["change"]) == ["commit", "date", "machine",
+                                                    "malloc_mmap_threshold"]
 
 
 def test_valency_entry_counts_every_edge_of_the_graph():

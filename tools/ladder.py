@@ -21,8 +21,7 @@ small to tell from allocator noise), and how many frame, objects and
 others ids the run's experiment minted (`frame_ids`, `objects_ids`,
 `others_ids`), which shows how far the frame and objects ids stay below
 their fields' fixed caps (2^16 and 2^24 ids), and how many rows and
-second-level rows it holds (`rows`, `others_rows`, null for a checkout
-without that store).  CPU seconds leave out
+second-level rows it holds (`rows`, `others_rows`).  CPU seconds leave out
 the time the process waited for a core on a shared host, so a change in
 wall time that CPU time does not show is the host's, not the code's.  On the trace path,
 states are trace steps and edges are steps applied, three per trace
@@ -34,8 +33,10 @@ perfbench's reference seconds.
 The host may be shared, and its speed drifts by more than a change
 moves, so the two checkouts are measured in pairs: each entry runs
 parent and change in turn, `--pairs` times, the side that goes first
-alternating from pair to pair.  The report gives each side's median and
-the number of pairs in which the change took less wall time:
+alternating from pair to pair.  Each entry of the report gives its
+number of pairs; each side's commit, machine, date,
+`MALLOC_MMAP_THRESHOLD_` (null when unset) and median; and the number
+of pairs in which the change took less wall time:
 
     python3 tools/ladder.py --parent ../parent --out BENCH_12.json
     python3 tools/ladder.py --parent ../parent --out BENCH_12.json --only "fig2 n=4 f=1"
@@ -43,7 +44,8 @@ the number of pairs in which the change took less wall time:
 `--root` is the change's checkout (default: the one holding this
 script) and `--parent` the parent's; each is measured from its own
 `src/` and `tests/`.  Without `--parent` only the change runs.  Entries
-of `--out` that this run does not measure are kept.
+of `--out` that this run does not measure are kept, each with the pairs
+and sides it was measured with.
 """
 
 from __future__ import annotations
@@ -116,16 +118,8 @@ def _shortest_failure(lib, exp):
     and edges the edges it stepped: the calls of `moves`, which the BFS
     makes once per state it expands, and the moves they gave that the BFS
     took, counted around the instance.  An edge is a row lookup, not a
-    call, so it is counted as the BFS draws its move.  A checkout whose
-    experiment has no `moves` steps each edge by a call of `successor`,
-    and is counted by its calls of `enabled_ids` and `successor`."""
+    call, so it is counted as the BFS draws its move."""
     counts = [0, 0]
-
-    def counted(fn, i):
-        def wrapper(*args):
-            counts[i] += 1
-            return fn(*args)
-        return wrapper
 
     def drawn(moves):
         def wrapper(s):
@@ -135,11 +129,7 @@ def _shortest_failure(lib, exp):
                 yield move
         return wrapper
 
-    if hasattr(exp, "moves"):
-        exp.moves = drawn(exp.moves)
-    else:
-        exp.enabled_ids = counted(exp.enabled_ids, 0)
-        exp.successor = counted(exp.successor, 1)
+    exp.moves = drawn(exp.moves)
     found = lib.checker.shortest_failure(exp)
     return counts[0], counts[1], {"property": found[1] if found else None,
                                   "length": len(found[0]) if found else None}
@@ -177,10 +167,8 @@ def id_counts(exp):
 
 
 def row_counts(exp):
-    """How many rows and second-level rows `exp` holds, over every process;
-    None for a store its checkout does not have."""
-    return {name: sum(map(len, getattr(exp, name))) if hasattr(exp, name) else None
-            for name in ("rows", "others_rows")}
+    """How many rows and second-level rows `exp` holds, over every process."""
+    return dict(rows=sum(map(len, exp.rows)), others_rows=sum(map(len, exp.others_rows)))
 
 
 def run_one(name, root):
@@ -337,17 +325,21 @@ def main(argv=None):
     roots = {"change": os.path.abspath(args.root)}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), **roots}
-    doc = {"sides": {}, "runs": {}}
+    doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["pairs"] = args.pairs
-    doc["sides"] = {side: {"commit": commit(root), "machine": machine(),
-                           "date": time.strftime("%Y-%m-%d")}
-                    for side, root in roots.items()}
+    # every child inherits this process's environment, so glibc's mmap
+    # threshold, which moves peak RSS by several MB, is the same on both
+    # sides and recorded with them
+    sides = {side: {"commit": commit(root), "machine": machine(),
+                    "date": time.strftime("%Y-%m-%d"),
+                    "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_")}
+             for side, root in roots.items()}
     for name in args.only or RUNS:
         what, cfg = RUNS[name]
-        doc["runs"][name] = dict(run=what, config=cfg, **measure(name, roots, args.pairs))
+        doc["runs"][name] = dict(run=what, config=cfg, pairs=args.pairs, sides=sides,
+                                 **measure(name, roots, args.pairs))
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
